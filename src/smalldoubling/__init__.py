@@ -9,7 +9,6 @@ from .connectivity import (
     ConnectivityResult,
     CostParams,
     SubmodularityReport,
-    check_left_invariance,
     check_submodularity,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
@@ -41,7 +40,6 @@ from .errors import (
 from .groups import (
     GroupTable,
     TableValidation,
-    build_preset,
     catalogue,
     closure,
     cyclic,

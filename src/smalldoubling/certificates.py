@@ -3,32 +3,37 @@
 A run record is {schema_version, tool, command, config, payload}; the config
 is everything needed to replay the run, and replaying must reproduce the
 payload byte for byte.  `recheck` does exactly that and reports field-level
-diffs, so any tampered certificate is rejected.
+diffs, so any tampered certificate is rejected.  Each runner below is one
+entry of the command table (see schema.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from . import connectivity as conn_mod
 from . import convolution as conv_mod
 from . import groups, setalg, theorems
-from .errors import UsageError
-from .rationals import parse_rational, rational_str
-from .schema import validate_record
+from .errors import SizeLimitExceeded, UsageError
+from .rationals import rational_str
+from .schema import (
+    COMMANDS,
+    DEFAULT_CAPS,
+    SCHEMA_VERSION,
+    Option,
+    command,
+    parse_config,
+    validate_record,
+)
 from .subsets import Subset
 
-SCHEMA_VERSION = 1
 TOOL_NAME = "smalldoubling"
 TOOL_VERSION = "0.1.0"
 
-DEFAULT_CAPS = {
-    "order_cap": groups.DEFAULT_ORDER_CAP,
-    "bruteforce_cap": conn_mod.DEFAULT_BRUTEFORCE_CAP,
-    "subset_cap": theorems.DEFAULT_SUBSET_SEARCH_CAP,
-}
+# The most work a budget may ask for: as many C-sets or pairs as the largest
+# subset table has entries.
+MAX_BUDGET = 1 << setalg.SUBSET_TABLE_LIMIT
 
 
 def subset_payload(G: groups.GroupTable, X: Subset) -> dict:
@@ -64,49 +69,16 @@ def kneser_payload(G: groups.GroupTable, rep: theorems.KneserReport) -> dict:
     }
 
 
-# --- config plumbing ---------------------------------------------------------
+# --- the command table: one runner per command ------------------------------
+
+_K = Option("rational", required=True, help="expansion rate as p/q")
+_EPSILON = Option("rational", required=True, above=0, hi=1, help="rate in (0,1] as p/q")
+_SEED = Option("int")
 
 
-def _caps(config: dict) -> dict:
-    caps = dict(DEFAULT_CAPS)
-    caps.update(config.get("caps", {}))
-    return caps
-
-
-def _group(config: dict) -> groups.GroupTable:
-    if "group" not in config:
-        raise UsageError("config is missing the group spec")
-    return groups.from_spec(config["group"], order_cap=_caps(config)["order_cap"])
-
-
-def _named_set(config: dict, G: groups.GroupTable, name: str) -> Subset:
-    sets = config.get("sets", {})
-    if name not in sets:
-        raise UsageError(f"config is missing set {name!r}")
-    indices = sets[name]
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
-        raise UsageError(f"set {name!r} must be a list of element indices")
-    try:
-        return G.subset(indices)
-    except ValueError as exc:
-        raise UsageError(f"set {name!r}: {exc}") from exc
-
-
-def _rational(config: dict, key: str) -> Fraction:
-    if key not in config:
-        raise UsageError(f"config is missing {key!r}")
-    try:
-        return parse_rational(str(config[key]))
-    except ValueError as exc:
-        raise UsageError(f"{key}: {exc}") from exc
-
-
-# --- runners -----------------------------------------------------------------
-
-
-def _run_doubling(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
+@command("doubling", "exact doubling ratio |A*A|/|A|", sets=("A",),
+         payload=("set_a", "square", "ratio", "epsilon"))
+def _run_doubling(G, caps, A):
     rep = setalg.doubling_ratio(G, A)
     return {
         "group": G.name,
@@ -119,28 +91,37 @@ def _run_doubling(config: dict) -> dict:
     }
 
 
-def _run_connectivity(config: dict) -> dict:
-    G = _group(config)
-    S = _named_set(config, G, "S")
-    K = _rational(config, "K")
+@command(
+    "connectivity", "connectivity kappa and identity atom", sets=("S",),
+    options={
+        "K": _K,
+        "solver": Option(
+            "choice", "subgroup_restricted", choices=("subgroup_restricted", "brute_force"),
+            aliases={"subgroup": "subgroup_restricted", "brute": "brute_force"},
+        ),
+        "fragments": Option("bool", False, help="collect the fragment inventory"),
+        "fragment_cap": Option("int", conn_mod.DEFAULT_FRAGMENT_CAP, lo=0),
+        "classify_atom": Option("bool", True, flag="--no-atom",
+                                help="fragments-only output (required for K = 1)"),
+    },
+    payload=("set_s", "k", "solver", "kappa", "identity_atom", "atom_is_subgroup"),
+    ok=lambda p: p["atom_is_subgroup"] in (True, None),
+)
+def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_atom):
     params = conn_mod.CostParams(S=S, K=K)
-    solver = config.get("solver", "subgroup_restricted")
-    want_fragments = bool(config.get("fragments", False))
     if solver == "brute_force":
         res = conn_mod.connectivity_bruteforce(
             G,
             params,
-            collect_fragments=want_fragments,
-            fragment_cap=int(config.get("fragment_cap", conn_mod.DEFAULT_FRAGMENT_CAP)),
-            classify_atom=bool(config.get("classify_atom", True)),
-            bruteforce_cap=_caps(config)["bruteforce_cap"],
+            collect_fragments=fragments,
+            fragment_cap=fragment_cap,
+            classify_atom=classify_atom,
+            bruteforce_cap=caps["bruteforce_cap"],
         )
-    elif solver == "subgroup_restricted":
-        if want_fragments:
+    else:
+        if fragments:
             raise UsageError("fragment inventories need the brute_force solver")
         res = conn_mod.connectivity_subgroup_solver(G, params)
-    else:
-        raise UsageError(f"unknown solver {solver!r}")
     return {
         "group": G.name,
         "set_s": subset_payload(G, S),
@@ -160,14 +141,16 @@ def _run_connectivity(config: dict) -> dict:
     }
 
 
-def _run_atoms(config: dict) -> dict:
-    G = _group(config)
-    S = _named_set(config, G, "S")
-    K = _rational(config, "K")
+@command(
+    "atoms", "verify that atoms are the left cosets of one subgroup", sets=("S",),
+    options={"K": _K},
+    payload=("set_s", "k", "identity_atom", "atom_is_subgroup", "atoms",
+             "atoms_are_left_cosets", "atoms_pairwise_disjoint", "ok"),
+    ok=lambda p: p["ok"],
+)
+def _run_atoms(G, caps, S, K):
     rep = conn_mod.verify_atom_proposition(
-        G,
-        conn_mod.CostParams(S=S, K=K),
-        bruteforce_cap=_caps(config)["bruteforce_cap"],
+        G, conn_mod.CostParams(S=S, K=K), bruteforce_cap=caps["bruteforce_cap"]
     )
     return {
         "group": G.name,
@@ -183,20 +166,25 @@ def _run_atoms(config: dict) -> dict:
     }
 
 
-def _run_kneser(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
-    B = _named_set(config, G, "B")
-    rep = theorems.kneser_check(G, A, B)
-    payload = kneser_payload(G, rep)
+@command(
+    "kneser", "Kneser sumset inequality in an abelian group", sets=("A", "B"),
+    payload=("set_a", "set_b", "sum", "stabilizer", "lhs", "rhs", "holds", "equality"),
+    ok=lambda p: p["holds"],
+)
+def _run_kneser(G, caps, A, B):
+    payload = kneser_payload(G, theorems.kneser_check(G, A, B))
     payload["group"] = G.name
     return payload
 
 
-def _run_corollary(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
-    epsilon = _rational(config, "epsilon")
+@command(
+    "corollary-kn", "covering corollary for |A+A| <= (2-e)|A|", sets=("A",),
+    options={"epsilon": _EPSILON},
+    payload=("set_a", "epsilon", "square", "stabilizer", "h_bound_ok", "cover",
+             "cover_bound_ok", "holds"),
+    ok=lambda p: p["holds"],
+)
+def _run_corollary(G, caps, A, epsilon):
     rep = theorems.kneser_corollary_check(G, A, epsilon)
     return {
         "group": G.name,
@@ -213,11 +201,15 @@ def _run_corollary(config: dict) -> dict:
     }
 
 
-def _run_theorem_main(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
-    S = _named_set(config, G, "S")
-    epsilon = _rational(config, "epsilon")
+@command(
+    "theorem-main", "weak Kneser-type structure theorem for |A*S| <= (2-e)|S|",
+    sets=("A", "S"),
+    options={"epsilon": _EPSILON},
+    payload=("set_a", "set_s", "epsilon", "k", "hypotheses_ok", "atom", "branch",
+             "bound_h_size", "sharp_h_bound", "cover", "violations"),
+    ok=lambda p: p["branch"] != "violation",
+)
+def _run_theorem_main(G, caps, A, S, epsilon):
     rep = theorems.weak_kneser_check(G, A, S, epsilon)
     return {
         "group": G.name,
@@ -236,16 +228,20 @@ def _run_theorem_main(config: dict) -> dict:
     }
 
 
-def _run_petridis(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
-    S = _named_set(config, G, "S")
-    mode = config.get("mode", "exhaustive")
-    budget = int(config.get("budget", 1 << 20))
-    seed = config.get("seed")
-    result = theorems.petridis_minimizer(
-        G, A, S, subset_cap=_caps(config)["subset_cap"]
-    )
+@command(
+    "petridis", "minimizer X of |X*S|/|X| and its verification", sets=("A", "S"),
+    options={
+        "mode": Option("choice", "exhaustive", choices=("exhaustive", "sampled")),
+        "budget": Option("int", 1 << 20, lo=0, hi=MAX_BUDGET),
+        "seed": _SEED,
+    },
+    payload=("set_a", "set_s", "x", "k", "verified_c_count", "exhaustive", "ok"),
+    ok=lambda p: p["ok"],
+)
+def _run_petridis(G, caps, A, S, mode, budget, seed):
+    if mode == "sampled" and seed is None:
+        raise UsageError("sampled mode requires a seed")
+    result = theorems.petridis_minimizer(G, A, S, subset_cap=caps["subset_cap"])
     verification = theorems.petridis_verify(G, result, mode, budget=budget, seed=seed)
     return {
         "group": G.name,
@@ -262,9 +258,14 @@ def _run_petridis(config: dict) -> dict:
     }
 
 
-def _run_conv_gap(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
+@command(
+    "conv-gap", "gap in the range of the autocorrelation of A", path=("conv", "gap"),
+    sets=("A",),
+    payload=("set_a", "epsilon_star", "support", "min_on_support", "gap_holds",
+             "forbidden_interval_clean", "hypothesis_vacuous"),
+    ok=lambda p: p["hypothesis_vacuous"] or (p["gap_holds"] and p["forbidden_interval_clean"]),
+)
+def _run_conv_gap(G, caps, A):
     rep = conv_mod.gap_check(G, A)
     f = conv_mod.autocorrelation(G, A)
     return {
@@ -280,10 +281,13 @@ def _run_conv_gap(config: dict) -> dict:
     }
 
 
-def _run_conv_smooth(config: dict) -> dict:
-    G = _group(config)
-    A = _named_set(config, G, "A")
-    S = _named_set(config, G, "S")
+@command(
+    "conv-smooth", "double averaging of the autocorrelation by S", path=("conv", "smooth"),
+    sets=("A", "S"),
+    options={"threshold": Option("rational", help="optional level-set threshold p/q")},
+    payload=("set_a", "set_s", "autocorrelation", "smoothed", "mass"),
+)
+def _run_conv_smooth(G, caps, A, S, threshold):
     f = conv_mod.autocorrelation(G, A)
     F = conv_mod.smoothed(G, S, f)
     payload = {
@@ -296,21 +300,34 @@ def _run_conv_smooth(config: dict) -> dict:
         "threshold": None,
         "level_set": None,
     }
-    if config.get("threshold") is not None:
-        threshold = _rational(config, "threshold")
+    if threshold is not None:
         payload["threshold"] = rational_str(threshold)
         payload["level_set"] = subset_payload(G, conv_mod.level_set(G, F, threshold))
     return payload
 
 
-def _run_search_kneser_failure(config: dict) -> dict:
-    G = _group(config)
-    strategy = config.get("strategy", "exhaustive")
-    seed = config.get("seed")
-    budget = config.get("budget")
-    rep = theorems.kneser_failure_search(
-        G, strategy, seed=seed, budget=None if budget is None else int(budget)
-    )
+@command(
+    "search-kneser-failure", "hunt for Kneser failures in a nonabelian group",
+    path=("search", "kneser-failure"),
+    options={
+        "strategy": Option("choice", "exhaustive", choices=("exhaustive", "random")),
+        "seed": _SEED,
+        "budget": Option("int", lo=0, hi=MAX_BUDGET),
+    },
+    payload=("strategy", "seed", "budget", "pairs_checked", "exhausted", "finding_count",
+             "findings"),
+    ok=lambda p: not p["finding_count"],
+)
+def _run_search_kneser_failure(G, caps, strategy, seed, budget):
+    if strategy == "random" and (seed is None or budget is None):
+        raise UsageError("random strategy requires a seed and a budget")
+    if strategy == "exhaustive" and G.order > caps["bruteforce_cap"]:
+        # Every row of the scan is a 2^order-entry table, whatever the budget.
+        raise SizeLimitExceeded(
+            f"an exhaustive scan of {G.name} covers 2^{G.order} sets per row, "
+            f"above the brute-force cap {caps['bruteforce_cap']}"
+        )
+    rep = theorems.kneser_failure_search(G, strategy, seed=seed, budget=budget)
     return {
         "group": G.name,
         "strategy": rep.strategy,
@@ -323,25 +340,13 @@ def _run_search_kneser_failure(config: dict) -> dict:
     }
 
 
-RUNNERS = {
-    "doubling": _run_doubling,
-    "connectivity": _run_connectivity,
-    "atoms": _run_atoms,
-    "kneser": _run_kneser,
-    "corollary-kn": _run_corollary,
-    "theorem-main": _run_theorem_main,
-    "petridis": _run_petridis,
-    "conv-gap": _run_conv_gap,
-    "conv-smooth": _run_conv_smooth,
-    "search-kneser-failure": _run_search_kneser_failure,
-}
+def run(command: str, config: dict, *, ceiling: Optional[dict] = None) -> dict:
+    """Execute one verifier from its replayable config; returns the payload.
 
-
-def run(command: str, config: dict) -> dict:
-    """Execute one verifier from its replayable config; returns the payload."""
-    if command not in RUNNERS:
-        raise UsageError(f"unknown command {command!r}")
-    return RUNNERS[command](config)
+    `ceiling` bounds the caps the config may ask for (see `parse_config`).
+    """
+    G, sets, options, caps = parse_config(command, config, ceiling)
+    return COMMANDS[command].runner(G, caps, **sets, **options)
 
 
 def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> dict:
@@ -360,25 +365,7 @@ def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> 
 
 def exit_code_for(command: str, payload: dict) -> int:
     """0 for a verified certificate, 1 for a finding / theory violation."""
-    if command == "kneser":
-        return 0 if payload["holds"] else 1
-    if command == "corollary-kn":
-        return 0 if payload["holds"] else 1
-    if command == "theorem-main":
-        return 0 if payload["branch"] != "violation" else 1
-    if command == "petridis":
-        return 0 if payload["ok"] else 1
-    if command == "atoms":
-        return 0 if payload["ok"] else 1
-    if command == "connectivity":
-        return 0 if payload["atom_is_subgroup"] in (True, None) else 1
-    if command == "conv-gap":
-        if payload["hypothesis_vacuous"]:
-            return 0
-        return 0 if payload["gap_holds"] and payload["forbidden_interval_clean"] else 1
-    if command == "search-kneser-failure":
-        return 1 if payload["finding_count"] else 0
-    return 0
+    return 0 if COMMANDS[command].ok(payload) else 1
 
 
 # --- offline recheck -----------------------------------------------------------
@@ -411,21 +398,14 @@ def _diff(path: str, stored, recomputed, out: list) -> None:
         out.append((path, stored, recomputed))
 
 
-def recheck(record: dict) -> RecheckReport:
-    """Replay a record's config and compare the payload field by field."""
-    if not isinstance(record, dict):
-        raise UsageError("certificate must be a JSON object")
-    if record.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(
-            f"unsupported schema_version {record.get('schema_version')!r}"
-        )
-    command = record.get("command")
-    if command not in RUNNERS:
-        raise UsageError(f"unknown command {command!r} in certificate")
+def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
+    """Replay a record's config and compare the payload field by field.
+
+    `caps` are the rechecker's own (DEFAULT_CAPS for any it leaves out): the
+    record's caps may lower them but never raise them.
+    """
     validate_record(record)
-    config = record["config"]
-    stored = record["payload"]
-    recomputed = run(command, config)
+    recomputed = run(record["command"], record["config"], ceiling=caps or DEFAULT_CAPS)
     diffs: list[tuple[str, Any, Any]] = []
-    _diff("payload", stored, recomputed, diffs)
+    _diff("payload", record["payload"], recomputed, diffs)
     return RecheckReport(ok=not diffs, diffs=tuple(diffs))

@@ -14,48 +14,18 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import certificates, groups
 from .errors import SmallDoublingError, TheoryViolation, UsageError
-from .rationals import parse_rational
+from .rationals import parse_rational, rational_str
+from .schema import COMMANDS, DEFAULT_CAPS, Option
 
 _INLINE_GROUP_RE = re.compile(r"^(cyclic|dihedral|symmetric|sym|quaternion):(\d+)$")
 
-_SET_NAMES = {
-    "doubling": ("A",),
-    "connectivity": ("S",),
-    "atoms": ("S",),
-    "kneser": ("A", "B"),
-    "corollary-kn": ("A",),
-    "theorem-main": ("A", "S"),
-    "petridis": ("A", "S"),
-    "conv-gap": ("A",),
-    "conv-smooth": ("A", "S"),
-    "search-kneser-failure": (),
-}
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation: everything a run record needs to replay."""
-
-    command: str
-    group_spec: dict
-    sets: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    caps: dict = field(default_factory=dict)
-    format: str = "json"
-    out: Optional[str] = None
-
-    def to_config_dict(self) -> dict:
-        config = {"group": self.group_spec, "caps": self.caps}
-        if self.sets:
-            config["sets"] = self.sets
-        config.update(self.options)
-        return config
+# Help of the command-line words that only group other commands.
+_GROUP_HELP = {"conv": "convolution tools", "search": "counterexample searches"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,18 +82,12 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
     return sorted(set(out))
 
 
-def _parse_rational_arg(text: str, what: str):
+def _rational_arg(text: str) -> str:
+    """A command-line rational in its one config form: "1" -> "1/1", "2/4" -> "1/2"."""
     try:
-        return parse_rational(text)
+        return rational_str(parse_rational(text))
     except ValueError as exc:
-        raise UsageError(f"{what}: {exc}") from exc
-
-
-def _parse_epsilon(text: str):
-    value = _parse_rational_arg(text, "epsilon")
-    if not 0 < value <= 1:
-        raise UsageError(f"epsilon must lie in (0, 1], got {value}")
-    return value
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _add_common(parser: argparse.ArgumentParser, *, sets: tuple[str, ...]) -> None:
@@ -142,103 +106,66 @@ def _add_common(parser: argparse.ArgumentParser, *, sets: tuple[str, ...]) -> No
         )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", help="write the record to this file (atomically)")
-    parser.add_argument("--order-cap", type=int, default=None)
-    parser.add_argument("--bruteforce-cap", type=int, default=None)
-    parser.add_argument("--subset-cap", type=int, default=None)
+    for key in DEFAULT_CAPS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=None)
+
+
+def _add_option(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
+    flag = opt.flag or "--" + name.replace("_", "-")
+    if opt.kind == "bool":
+        action = "store_false" if opt.default else "store_true"
+        parser.add_argument(flag, dest=name, action=action, help=opt.help)
+        return
+    kwargs = {
+        "int": {"type": int},
+        "rational": {"type": _rational_arg},
+        "choice": {"choices": list(opt.aliases or opt.choices)},
+    }[opt.kind]
+    parser.add_argument(
+        flag, dest=name, required=opt.required, default=opt.default, help=opt.help, **kwargs
+    )
 
 
 def build_parser() -> _Parser:
+    """The command line of every entry of the command table, plus recheck."""
     parser = _Parser(prog="smalldoubling", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {certificates.TOOL_VERSION}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    top = parser.add_subparsers(dest="subcommand", required=True)
+    nested: dict = {}
+    for entry in COMMANDS.values():
+        *words, leaf = entry.path
+        sub = top
+        for word in words:
+            if word not in nested:
+                group = top.add_parser(word, help=_GROUP_HELP[word])
+                nested[word] = group.add_subparsers(dest=f"{word}_command", required=True)
+            sub = nested[word]
+        p = sub.add_parser(leaf, help=entry.help)
+        p.set_defaults(command=entry.name)
+        _add_common(p, sets=entry.sets)
+        for name, opt in entry.options.items():
+            _add_option(p, name, opt)
 
-    p = sub.add_parser("doubling", help="exact doubling ratio |A*A|/|A|")
-    _add_common(p, sets=("A",))
-
-    p = sub.add_parser("connectivity", help="connectivity kappa and identity atom")
-    _add_common(p, sets=("S",))
-    p.add_argument("--K", required=True, help="expansion rate as p/q")
-    p.add_argument("--solver", choices=("subgroup", "brute"), default="subgroup")
-    p.add_argument("--fragments", action="store_true", help="collect the fragment inventory")
-    p.add_argument("--fragment-cap", type=int, default=None)
-    p.add_argument(
-        "--no-atom",
-        action="store_true",
-        help="fragments-only output (required for K = 1)",
-    )
-
-    p = sub.add_parser("atoms", help="verify that atoms are the left cosets of one subgroup")
-    _add_common(p, sets=("S",))
-    p.add_argument("--K", required=True, help="expansion rate as p/q")
-
-    p = sub.add_parser("kneser", help="Kneser sumset inequality in an abelian group")
-    _add_common(p, sets=("A", "B"))
-
-    p = sub.add_parser("corollary-kn", help="covering corollary for |A+A| <= (2-e)|A|")
-    _add_common(p, sets=("A",))
-    p.add_argument("--epsilon", required=True, help="rate in (0,1] as p/q")
-
-    p = sub.add_parser(
-        "theorem-main", help="weak Kneser-type structure theorem for |A*S| <= (2-e)|S|"
-    )
-    _add_common(p, sets=("A", "S"))
-    p.add_argument("--epsilon", required=True, help="rate in (0,1] as p/q")
-
-    p = sub.add_parser("petridis", help="minimizer X of |X*S|/|X| and its verification")
-    _add_common(p, sets=("A", "S"))
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--budget", type=int, default=1 << 20)
-    p.add_argument("--seed", type=int, default=None)
-
-    conv = sub.add_parser("conv", help="convolution tools")
-    conv_sub = conv.add_subparsers(dest="conv_command", required=True)
-    p = conv_sub.add_parser("gap", help="gap in the range of the autocorrelation of A")
-    _add_common(p, sets=("A",))
-    p = conv_sub.add_parser("smooth", help="double averaging of the autocorrelation by S")
-    _add_common(p, sets=("A", "S"))
-    p.add_argument("--threshold", default=None, help="optional level-set threshold p/q")
-
-    search = sub.add_parser("search", help="counterexample searches")
-    search_sub = search.add_subparsers(dest="search_command", required=True)
-    p = search_sub.add_parser(
-        "kneser-failure", help="hunt for Kneser failures in a nonabelian group"
-    )
-    _add_common(p, sets=())
-    p.add_argument("--strategy", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-
-    p = sub.add_parser("recheck", help="replay a certificate and compare field by field")
+    p = top.add_parser("recheck", help="replay a certificate and compare field by field")
+    p.set_defaults(command="recheck")
     p.add_argument("certificate", help="path to a run-record JSON file")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", help="write the recheck report to this file")
     return parser
 
 
-def _env_cap(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _resolve_caps(args) -> dict:
-    caps = dict(certificates.DEFAULT_CAPS)
-    for key, flag, env in (
-        ("order_cap", "order_cap", "SMALLDOUBLING_ORDER_CAP"),
-        ("bruteforce_cap", "bruteforce_cap", "SMALLDOUBLING_BRUTEFORCE_CAP"),
-        ("subset_cap", "subset_cap", "SMALLDOUBLING_SUBSET_CAP"),
-    ):
-        value = getattr(args, flag, None)
-        if value is None:
-            value = _env_cap(env)
-        if value is not None:
-            caps[key] = value
+    """Caps from the flags (run commands only), else the environment, else the defaults."""
+    caps = dict(DEFAULT_CAPS)
+    for key in DEFAULT_CAPS:
+        env = f"SMALLDOUBLING_{key.upper()}"
+        value = getattr(args, key, None)
+        try:
+            caps[key] = value if value is not None else int(os.environ.get(env, caps[key]))
+        except ValueError as exc:
+            raise UsageError(f"{env} must be an integer, got {os.environ[env]!r}") from exc
     return caps
 
 
@@ -253,71 +180,27 @@ def _collect_sets(args, G: groups.GroupTable, names: tuple[str, ...]) -> dict:
         alias = getattr(args, f"set_{name}", None)
         if alias is not None:
             raw[name] = alias
-    missing = [name for name in names if name not in raw]
-    if missing:
-        raise UsageError(f"missing required set(s): {', '.join(missing)}")
-    unknown = [name for name in raw if name not in names]
-    if unknown:
-        raise UsageError(f"unexpected set name(s): {', '.join(unknown)}")
+    # Missing and unknown set names are refused with the rest of the config.
     return {name: parse_set_elements(G, text) for name, text in raw.items()}
 
 
-def _build_run_config(args, command: str) -> RunConfig:
+def _config_from_args(args) -> dict:
+    """The replayable config of a run command, in its one accepted form."""
+    entry = COMMANDS[args.command]
     caps = _resolve_caps(args)
     group_spec = parse_group_spec(args.group)
-    # Building the group now surfaces bad specs and cap violations as usage
-    # errors before any solver runs.
+    # Building the group resolves set labels, and surfaces bad specs and cap
+    # violations as usage errors before any solver runs.
     G = groups.from_spec(group_spec, order_cap=caps["order_cap"])
-    sets = _collect_sets(args, G, _SET_NAMES[command])
-
-    options: dict = {}
-    if command == "connectivity":
-        _parse_rational_arg(args.K, "K")  # fail fast on junk
-        options["K"] = args.K
-        options["solver"] = {"subgroup": "subgroup_restricted", "brute": "brute_force"}[
-            args.solver
-        ]
-        options["fragments"] = bool(args.fragments)
-        if args.fragment_cap is not None:
-            options["fragment_cap"] = args.fragment_cap
-        if args.no_atom:
-            options["classify_atom"] = False
-    elif command == "atoms":
-        _parse_rational_arg(args.K, "K")
-        options["K"] = args.K
-    elif command in ("corollary-kn", "theorem-main"):
-        _parse_epsilon(args.epsilon)
-        options["epsilon"] = args.epsilon
-    elif command == "petridis":
-        options["mode"] = args.mode
-        options["budget"] = args.budget
-        if args.mode == "sampled" and args.seed is None:
-            raise UsageError("sampled mode requires --seed")
-        if args.seed is not None:
-            options["seed"] = args.seed
-    elif command == "search-kneser-failure":
-        options["strategy"] = args.strategy
-        if args.strategy == "random":
-            if args.seed is None or args.budget is None:
-                raise UsageError("random strategy requires --seed and --budget")
-        if args.seed is not None:
-            options["seed"] = args.seed
-        if args.budget is not None:
-            options["budget"] = args.budget
-    elif command == "conv-smooth":
-        if args.threshold is not None:
-            _parse_rational_arg(args.threshold, "threshold")
-            options["threshold"] = args.threshold
-
-    return RunConfig(
-        command=command,
-        group_spec=group_spec,
-        sets=sets,
-        options=options,
-        caps=caps,
-        format=args.format,
-        out=args.out,
-    )
+    config = {"group": group_spec, "caps": caps}
+    sets = _collect_sets(args, G, entry.sets)
+    if sets:
+        config["sets"] = sets
+    for name, opt in entry.options.items():
+        value = getattr(args, name)
+        if value is not None:
+            config[name] = (opt.aliases or {}).get(value, value)
+    return config
 
 
 def _render_text(value, prefix: str = "") -> list[str]:
@@ -363,7 +246,7 @@ def _run_recheck(args) -> int:
         raise UsageError(f"cannot read certificate {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"certificate {path} is not valid JSON: {exc}") from exc
-    report = certificates.recheck(record)
+    report = certificates.recheck(record, _resolve_caps(args))
     document = {
         "command": "recheck",
         "certificate": str(path),
@@ -380,23 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        command = args.command
-        if command == "conv":
-            command = f"conv-{args.conv_command}"
-        elif command == "search":
-            command = f"search-{args.search_command}"
-
-        if command == "recheck":
+        if args.command == "recheck":
             return _run_recheck(args)
-
-        run_config = _build_run_config(args, command)
-        config = run_config.to_config_dict()
+        config = _config_from_args(args)
         started = time.perf_counter()
-        payload = certificates.run(command, config)
+        payload = certificates.run(args.command, config)
         wall = time.perf_counter() - started
-        record = certificates.make_record(command, config, payload, wall_time_s=wall)
-        _emit(record, run_config.format, run_config.out)
-        return certificates.exit_code_for(command, payload)
+        record = certificates.make_record(args.command, config, payload, wall_time_s=wall)
+        _emit(record, args.format, args.out)
+        return certificates.exit_code_for(args.command, payload)
     except UsageError as exc:
         sys.stderr.write(json.dumps(_error_document(exc)) + "\n")
         return 2

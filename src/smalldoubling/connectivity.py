@@ -74,12 +74,6 @@ def cost(G: GroupTable, params: CostParams, A: Subset) -> Fraction:
     return size - params.K * A.cardinality
 
 
-def check_left_invariance(G: GroupTable, params: CostParams, A: Subset, x: int) -> bool:
-    """cost(x*A) == cost(A); true for every valid input, by construction."""
-    shifted = Subset(G.order, left_translate_mask(G, x, A.mask))
-    return cost(G, params, shifted) == cost(G, params, A)
-
-
 def check_submodularity(
     G: GroupTable, params: CostParams, A: Subset, B: Subset
 ) -> SubmodularityReport:

@@ -366,14 +366,6 @@ def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     raise InvalidTable(f"unknown group spec: {spec!r}")
 
 
-def build_preset(kind: str, params: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Spec-dict front end: build_preset("cyclic", {"n": 6})."""
-    if kind == "from_table":
-        return from_spec({"table": params["table"], "labels": params.get("labels")},
-                         order_cap=order_cap)
-    return from_spec({"preset": kind, **params}, order_cap=order_cap)
-
-
 # --- set-level navigation -------------------------------------------------
 
 

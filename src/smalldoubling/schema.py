@@ -1,153 +1,270 @@
-"""Published JSON schema for run records.
+"""The command table, and the typed checks of configs and run records.
 
-Every emitted record validates against RECORD_SCHEMA, and its payload must
-carry the keys listed for its command; `recheck` refuses records that do not.
+Every certificate command is declared once, by `command` on its runner in
+certificates.py: its command-line path and help, the names of its sets, its
+typed options, the keys its payload must carry and the predicate behind its
+exit code.  The command-line parser, `parse_config` (used by both `run` and
+`recheck`), `validate_record` and the exit codes are all derived from
+COMMANDS.
+
+A config has one accepted form: ints are JSON ints (never strings or
+booleans), rationals are reduced "p/q" strings, set lists are sorted,
+distinct element indices, and no key or set name is unknown.  Omitted options
+take their default.  Payload checks stay key-presence only: values are
+checked by `recheck`'s replay, so a tampered value shows up as a diff.
 """
 
 from __future__ import annotations
 
-import jsonschema
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Callable, Optional
 
+from . import groups
+from .connectivity import DEFAULT_BRUTEFORCE_CAP
 from .errors import UsageError
+from .rationals import rational_str
+from .theorems import DEFAULT_SUBSET_SEARCH_CAP
 
 SCHEMA_VERSION = 1
 
-COMMANDS = (
-    "doubling",
-    "connectivity",
-    "atoms",
-    "kneser",
-    "corollary-kn",
-    "theorem-main",
-    "petridis",
-    "conv-gap",
-    "conv-smooth",
-    "search-kneser-failure",
-)
-
-_RATIONAL = {"type": "string", "pattern": r"^-?\d+/\d+$"}
-_SUBSET = {
-    "type": "object",
-    "required": ["indices", "labels"],
-    "properties": {
-        "indices": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        "labels": {"type": "array", "items": {"type": "string"}},
-    },
+DEFAULT_CAPS = {
+    "order_cap": groups.DEFAULT_ORDER_CAP,
+    "bruteforce_cap": DEFAULT_BRUTEFORCE_CAP,
+    "subset_cap": DEFAULT_SUBSET_SEARCH_CAP,
 }
 
-RECORD_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "smalldoubling run record",
-    "type": "object",
-    "required": ["schema_version", "tool", "command", "config", "payload"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "tool": {
-            "type": "object",
-            "required": ["name", "version"],
-            "properties": {
-                "name": {"type": "string"},
-                "version": {"type": "string"},
-            },
-        },
-        "command": {"enum": list(COMMANDS)},
-        "config": {
-            "type": "object",
-            "required": ["group"],
-            "properties": {
-                "group": {"type": "object"},
-                "sets": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "epsilon": _RATIONAL,
-                "K": _RATIONAL,
-                "seed": {"type": "integer"},
-                "budget": {"type": "integer", "minimum": 0},
-                "caps": {"type": "object"},
-            },
-        },
-        "payload": {"type": "object"},
-        "meta": {"type": "object"},
-    },
-}
 
-# Keys every payload of a given command must carry (values are checked by
-# recheck's field-by-field replay, so the schema stays structural).
-PAYLOAD_KEYS = {
-    "doubling": ("set_a", "square", "ratio", "epsilon"),
-    "connectivity": ("set_s", "k", "solver", "kappa", "identity_atom", "atom_is_subgroup"),
-    "atoms": (
-        "set_s",
-        "k",
-        "identity_atom",
-        "atom_is_subgroup",
-        "atoms",
-        "atoms_are_left_cosets",
-        "atoms_pairwise_disjoint",
-        "ok",
-    ),
-    "kneser": ("set_a", "set_b", "sum", "stabilizer", "lhs", "rhs", "holds", "equality"),
-    "corollary-kn": (
-        "set_a",
-        "epsilon",
-        "square",
-        "stabilizer",
-        "h_bound_ok",
-        "cover",
-        "cover_bound_ok",
-        "holds",
-    ),
-    "theorem-main": (
-        "set_a",
-        "set_s",
-        "epsilon",
-        "k",
-        "hypotheses_ok",
-        "atom",
-        "branch",
-        "bound_h_size",
-        "sharp_h_bound",
-        "cover",
-        "violations",
-    ),
-    "petridis": ("set_a", "set_s", "x", "k", "verified_c_count", "exhaustive", "ok"),
-    "conv-gap": (
-        "set_a",
-        "epsilon_star",
-        "support",
-        "min_on_support",
-        "gap_holds",
-        "forbidden_interval_clean",
-        "hypothesis_vacuous",
-    ),
-    "conv-smooth": ("set_a", "set_s", "autocorrelation", "smoothed", "mass"),
-    "search-kneser-failure": (
-        "strategy",
-        "seed",
-        "budget",
-        "pairs_checked",
-        "exhausted",
-        "finding_count",
-        "findings",
-    ),
-}
+@dataclass(frozen=True)
+class Option:
+    """One typed config key of a command.
 
-SUBSET_SCHEMA = _SUBSET  # exposed for tests
+    `kind` is "int", "rational" (a reduced "p/q" string), "bool" or "choice".
+    An option with default None may be absent.  `lo`/`hi` are inclusive
+    bounds, `above` an exclusive lower bound.  `flag` defaults to
+    --name-with-dashes; a bool flag sets the opposite of its default, and
+    `aliases` maps command-line spellings of a choice to config values.
+    """
+
+    kind: str
+    default: Any = None
+    required: bool = False
+    lo: Any = None
+    hi: Any = None
+    above: Any = None
+    choices: tuple = ()
+    aliases: Optional[dict] = None
+    flag: Optional[str] = None
+    help: Optional[str] = None
 
 
-def validate_record(record: dict) -> None:
-    """Raise UsageError when `record` does not match the published schema."""
-    try:
-        jsonschema.validate(record, RECORD_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise UsageError(f"record does not match the schema: {exc.message}") from exc
-    command = record["command"]
-    missing = [key for key in PAYLOAD_KEYS[command] if key not in record["payload"]]
-    if missing:
-        raise UsageError(
-            f"{command} payload is missing required field(s): {', '.join(missing)}"
+@dataclass(frozen=True)
+class Command:
+    name: str
+    path: tuple[str, ...]  # command-line words, e.g. ("conv", "gap")
+    help: str
+    sets: tuple[str, ...]
+    options: dict[str, Option]
+    payload: tuple[str, ...]  # keys every payload must carry
+    ok: Callable[[dict], bool]  # False means exit code 1 (a finding)
+    runner: Callable  # runner(G, caps, **sets, **options) -> payload
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name, help, *, payload, path=None, sets=(), options=None, ok=None):
+    """Register the decorated runner as command `name`."""
+
+    def register(runner):
+        COMMANDS[name] = Command(
+            name, path or (name,), help, sets, options or {}, payload,
+            ok or (lambda p: True), runner,
         )
+        return runner
+
+    return register
+
+
+def _entry(name) -> Command:
+    if not isinstance(name, str) or name not in COMMANDS:
+        raise UsageError(f"unknown command {name!r}")
+    return COMMANDS[name]
+
+
+# --- typed values ----------------------------------------------------------
+
+_RATIONAL_RE = re.compile(r"-?\d+/\d+")
+
+
+def _object(value, where: str, allowed=None) -> dict:
+    """`value` itself, if it is an object with no keys outside `allowed`."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{where} must be an object")
+    unknown = [] if allowed is None else sorted(str(k) for k in value if k not in allowed)
+    if unknown:
+        raise UsageError(f"{where} has unknown key(s): {', '.join(unknown)}")
+    return value
+
+
+def _require(value: dict, keys, where: str) -> None:
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise UsageError(f"{where} is missing {', '.join(missing)}")
+
+
+def _int(value, where: str, lo: int) -> int:
+    if type(value) is not int or value < lo:
+        raise UsageError(f"{where} must be a JSON integer of at least {lo}, got {value!r}")
+    return value
+
+
+def _reduced_rational(raw) -> Optional[Fraction]:
+    if not isinstance(raw, str) or _RATIONAL_RE.fullmatch(raw) is None:
+        return None
+    num, den = raw.split("/")
+    try:
+        value = Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError):  # zero denominator, or too many digits
+        return None
+    return value if rational_str(value) == raw else None
+
+
+_FORMS = {"int": "a JSON integer", "bool": "true or false", "rational": 'a reduced "p/q" string'}
+
+
+def _option(name: str, opt: Option, config: dict):
+    if name not in config:
+        if opt.required:
+            raise UsageError(f"config is missing {name!r}")
+        return opt.default
+    raw = value = config[name]
+    if opt.kind == "int":
+        ok = type(raw) is int
+    elif opt.kind == "bool":
+        ok = type(raw) is bool
+    elif opt.kind == "choice":
+        ok = isinstance(raw, str) and raw in opt.choices
+    else:
+        value = _reduced_rational(raw)
+        ok = value is not None
+    if not ok:
+        form = _FORMS.get(opt.kind) or f"one of {', '.join(opt.choices)}"
+        raise UsageError(f"{name} must be {form}, got {raw!r}")
+    if (
+        (opt.lo is not None and value < opt.lo)
+        or (opt.hi is not None and value > opt.hi)
+        or (opt.above is not None and value <= opt.above)
+    ):
+        low = f"({opt.above}" if opt.above is not None else f"[{opt.lo}"
+        high = "inf)" if opt.hi is None else f"{opt.hi}]"
+        raise UsageError(f"{name} must lie in {low}, {high}, got {raw}")
+    return value
+
+
+# --- group specs, sets and caps --------------------------------------------
+
+_PRESET_MIN_N = {"cyclic": 1, "dihedral": 1, "symmetric": 1, "quaternion": 2}
+
+
+def _check_group(spec, where: str = "config.group") -> None:
+    preset = _object(spec, where).get("preset")
+    if "table" in spec:
+        _object(spec, where, ("table", "labels", "name"))
+        table, labels = spec["table"], spec.get("labels", [])
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in table
+        ):
+            raise UsageError(f"{where}.table must be a list of rows of element indices")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise UsageError(f"{where}.labels must be a list of strings")
+        if not isinstance(spec.get("name", ""), str):
+            raise UsageError(f"{where}.name must be a string")
+    elif preset == "direct_product":
+        factors = _object(spec, where, ("preset", "factors")).get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise UsageError(f"{where}.factors must be a nonempty list of group specs")
+        for i, factor in enumerate(factors):
+            _check_group(factor, f"{where}.factors[{i}]")
+    elif isinstance(preset, str) and preset in _PRESET_MIN_N:
+        _require(_object(spec, where, ("preset", "n")), ("n",), where)
+        _int(spec["n"], f"{where}.n", lo=_PRESET_MIN_N[preset])
+    else:
+        raise UsageError(f"{where} has unknown preset {preset!r}")
+
+
+def _check_sets(entry: Command, sets) -> dict:
+    _require(_object(sets, "config.sets", entry.sets), entry.sets, "config.sets")
+    for name, indices in sets.items():
+        if not isinstance(indices, list) or not all(
+            type(i) is int and i >= 0 for i in indices
+        ):
+            raise UsageError(f"set {name!r} must be a list of element indices")
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise UsageError(f"set {name!r} must be sorted and without repeats")
+    return sets
+
+
+def _check_caps(caps, ceiling: Optional[dict]) -> dict:
+    out = {**DEFAULT_CAPS, **(ceiling or {})}
+    for key, value in _object(caps, "config.caps", DEFAULT_CAPS).items():
+        _int(value, f"caps.{key}", lo=0)
+        if ceiling is not None and value > out[key]:
+            raise UsageError(
+                f"caps.{key} = {value} is above this rechecker's cap {out[key]}; "
+                "a certificate may only lower a cap"
+            )
+        out[key] = value
+    return out
+
+
+def _check_config(entry: Command, config, ceiling: Optional[dict]):
+    _object(config, "config", ("group", "sets", "caps", *entry.options))
+    _require(config, ("group",), "config")
+    _check_group(config["group"])
+    sets = _check_sets(entry, config.get("sets", {}))
+    options = {name: _option(name, opt, config) for name, opt in entry.options.items()}
+    return sets, options, _check_caps(config.get("caps", {}), ceiling)
+
+
+def parse_config(command: str, config, ceiling: Optional[dict] = None):
+    """(group, sets, options, caps) of a config in its one accepted form.
+
+    The group is built under the config's order cap, and each set becomes a
+    Subset of it.  Options come back typed (Fraction for rationals), with
+    omitted ones at their default.  `ceiling` bounds the caps: a config may
+    lower a cap but not raise it.  Omitted caps, and caps the ceiling leaves
+    out, take the ceiling's value or DEFAULT_CAPS.  Raises UsageError on
+    anything else.
+    """
+    entry = _entry(command)
+    sets, options, caps = _check_config(entry, config, ceiling)
+    G = groups.from_spec(config["group"], order_cap=caps["order_cap"])
+    for name, indices in sets.items():
+        if indices and indices[-1] >= G.order:
+            raise UsageError(f"set {name!r} has index {indices[-1]}, outside {G.name}")
+    subsets = {name: G.subset(indices) for name, indices in sets.items()}
+    return G, subsets, options, caps
+
+
+_RECORD_KEYS = ("schema_version", "tool", "command", "config", "payload")
+
+
+def validate_record(record) -> None:
+    """Raise UsageError when `record` is not a well-formed run record.
+
+    Checks the envelope, the config's typed form (without building the
+    group) and the presence of the command's payload keys.
+    """
+    _require(_object(record, "record", (*_RECORD_KEYS, "meta")), _RECORD_KEYS, "record")
+    version = record["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise UsageError(f"unsupported schema_version {version!r}")
+    tool = _object(record["tool"], "tool")
+    if not all(isinstance(tool.get(key), str) for key in ("name", "version")):
+        raise UsageError("tool needs string name and version")
+    entry = _entry(record["command"])
+    _check_config(entry, record["config"], None)
+    _require(_object(record["payload"], "payload"), entry.payload, f"{entry.name} payload")
+    _object(record.get("meta", {}), "meta")

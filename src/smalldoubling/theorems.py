@@ -243,8 +243,6 @@ class PetridisResult:
     S: Subset
     X: Subset
     K: Fraction  # |X*S| / |X|
-    verified_C_count: int = 0
-    exhaustive: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from smalldoubling import UsageError
+from smalldoubling import SizeLimitExceeded, UsageError
 from smalldoubling.certificates import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
@@ -11,6 +12,7 @@ from smalldoubling.certificates import (
     recheck,
     run,
 )
+from smalldoubling.schema import COMMANDS
 
 CONFIGS = {
     "doubling": {
@@ -216,9 +218,9 @@ def test_default_caps_are_spec_defaults():
 
 
 def test_records_validate_against_published_schema():
-    from smalldoubling.schema import PAYLOAD_KEYS, validate_record
+    from smalldoubling.schema import validate_record
 
-    assert set(PAYLOAD_KEYS) == {command for _, command, _ in all_cases()}
+    assert set(COMMANDS) == {command for _, command, _ in all_cases()}
     for case, command, config in all_cases():
         record = make_record(command, config, run(command, config), wall_time_s=0.1)
         validate_record(record)  # raises on violation
@@ -234,3 +236,84 @@ def test_records_validate_against_published_schema():
     mangled["config"]["epsilon"] = "0.5"  # decimals are not rationals
     with pytest.raises(UsageError):
         validate_record(mangled)
+
+
+def _altered(command, alter):
+    record = make_record(command, CONFIGS[command], run(command, CONFIGS[command]))
+    record = json.loads(json.dumps(record))
+    alter(record["config"])
+    return record
+
+
+# Each config value in any form but its one accepted form is refused.
+NON_CANONICAL = {
+    "n-string": ("doubling", lambda c: c["group"].update(n="20")),
+    "n-bool": ("doubling", lambda c: c["group"].update(n=True)),
+    "group-unknown-key": ("doubling", lambda c: c["group"].update(order=20)),
+    "K-unreduced": ("connectivity", lambda c: c.update(K="2/4")),
+    "K-integer": ("connectivity", lambda c: c.update(K="1")),
+    "epsilon-out-of-range": ("corollary-kn", lambda c: c.update(epsilon="3/2")),
+    "indices-unsorted": ("doubling", lambda c: c["sets"].update(A=[1, 0, 2, 3, 4])),
+    "indices-repeated": ("doubling", lambda c: c["sets"].update(A=[0, 1, 1, 2, 3, 4])),
+    "index-out-of-range": ("doubling", lambda c: c["sets"].update(A=[0, 20])),
+    "index-bool": ("doubling", lambda c: c["sets"].update(A=[False, 1, 2, 3, 4])),
+    "unknown-key": ("doubling", lambda c: c.update(epsilon="1/5")),
+    "unknown-set-name": ("kneser", lambda c: c["sets"].update(C=[0])),
+    "budget-string": ("petridis", lambda c: c.update(budget="255")),
+    "budget-above-limit": ("petridis", lambda c: c.update(budget=(1 << 24) + 1)),
+    "mode-unknown": ("petridis", lambda c: c.update(mode="quick")),
+    "cap-unknown": ("doubling", lambda c: c.update(caps={"time_cap": 1})),
+    "cap-raised": ("doubling", lambda c: c.update(caps={"order_cap": 500})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_recheck_refuses_non_canonical_configs(name):
+    case, alter = NON_CANONICAL[name]
+    with pytest.raises(UsageError):
+        recheck(_altered(case, alter))
+
+
+def test_recheck_caps_come_from_the_rechecker():
+    record = _altered("doubling", lambda c: c.update(caps={"order_cap": 20}))
+    # Lowering a cap is allowed.
+    assert recheck(record).ok
+    record["config"]["caps"] = {"order_cap": 19}  # and binds the replay
+    with pytest.raises(SizeLimitExceeded):
+        recheck(record)
+    record["config"]["caps"] = {"order_cap": 100}
+    with pytest.raises(UsageError):
+        recheck(record)
+    assert recheck(record, caps={"order_cap": 100}).ok
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        # Sampled Petridis with a budget of 10^12 C-sets.
+        (
+            "petridis",
+            {"group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1], "S": [0, 1]},
+             "mode": "sampled", "seed": 1, "budget": 10**12},
+        ),
+        # An exhaustive scan above the brute-force cap (S3 under a cap of 4).
+        (
+            "search-kneser-failure",
+            {"group": {"preset": "symmetric", "n": 3}, "strategy": "exhaustive",
+             "caps": {"bruteforce_cap": 4}},
+        ),
+    ],
+    ids=["petridis-budget", "exhaustive-scan"],
+)
+def test_hostile_work_requests_are_refused_at_once(command, config):
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "smalldoubling", "version": "0.1.0"},
+        "command": command,
+        "config": config,
+        "payload": dict.fromkeys(COMMANDS[command].payload),
+    }
+    started = time.perf_counter()
+    with pytest.raises((UsageError, SizeLimitExceeded)):
+        recheck(record)
+    assert time.perf_counter() - started < 1.0

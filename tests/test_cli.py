@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,13 @@ def test_theorem_main_run_with_labels(capsys):
     record = json.loads(out)
     assert record["payload"]["branch"] == "single_right_coset"
 
+    code, out, _ = run_cli(
+        capsys,
+        "theorem-main", "--group", "sym:3", "--setA", "0,2", "--setS", "0,2", "--epsilon", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["epsilon"] == "1/1"
+
 
 def test_named_set_flag_equivalent(capsys):
     code1, out1, _ = run_cli(capsys, "kneser", "--group", "cyclic:6", "--set", "A=0,1", "--set", "B=0,1")
@@ -106,6 +117,12 @@ def test_connectivity_solvers_and_fragments(capsys):
     assert json.loads(out)["payload"]["kappa"] == "3/2"
 
     code, out, _ = run_cli(
+        capsys, "connectivity", "--group", "cyclic:8", "--setS", "0,1", "--K", "2/4"
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["K"] == "1/2"
+
+    code, out, _ = run_cli(
         capsys,
         "connectivity", "--group", "cyclic:8", "--setS", "0,1", "--K", "1/2",
         "--solver", "brute", "--fragments",
@@ -123,6 +140,14 @@ def test_connectivity_solvers_and_fragments(capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["fragment_total"] == 8 and len(payload["fragments"]) == 3
+
+    code, _, err = run_cli(
+        capsys,
+        "connectivity", "--group", "cyclic:8", "--setS", "0,1", "--K", "1/2",
+        "--solver", "brute", "--fragments", "--fragment-cap", "-1",
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "UsageError"
 
     code, _, err = run_cli(
         capsys,
@@ -237,11 +262,29 @@ def test_text_format(capsys):
     assert "{" not in out.splitlines()[0]
 
 
-def test_env_cap_override(capsys, monkeypatch):
+def test_env_cap_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SMALLDOUBLING_ORDER_CAP", "200")
+    cert = tmp_path / "cert.json"
     code, out, _ = run_cli(capsys, "doubling", "--group", "sym:5", "--setA", "0,1")
     assert code == 0
     assert json.loads(out)["config"]["caps"]["order_cap"] == 200
+
+    # recheck takes its caps from the environment; a certificate may only lower them.
+    code, _, _ = run_cli(
+        capsys, "doubling", "--group", "cyclic:100", "--setA", "0,1", "--out", str(cert)
+    )
+    assert code == 0
+    assert run_cli(capsys, "recheck", str(cert))[0] == 0
+    raised = tmp_path / "raised.json"
+    record = json.loads(cert.read_text())
+    record["config"]["caps"]["order_cap"] = 500
+    raised.write_text(json.dumps(record))
+    assert run_cli(capsys, "recheck", str(raised))[0] == 2
+    monkeypatch.delenv("SMALLDOUBLING_ORDER_CAP")
+    code, _, err = run_cli(capsys, "recheck", str(cert))
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "UsageError"
+
     monkeypatch.setenv("SMALLDOUBLING_ORDER_CAP", "not-a-number")
     code, _, _ = run_cli(capsys, "doubling", "--group", "cyclic:6", "--setA", "0")
     assert code == 2
@@ -275,3 +318,19 @@ def test_determinism_across_invocations(capsys):
         assert code == 0
         outputs.add(json.dumps(json.loads(out)["payload"], sort_keys=True))
     assert len(outputs) == 1
+
+
+def test_issue_and_recheck_without_jsonschema(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    cert = tmp_path / "cert.json"
+    script = (
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from smalldoubling.cli import main\n"
+        f"argv = ['doubling', '--group', 'cyclic:20', '--setA', '0,1,2', '--out', {str(cert)!r}]\n"
+        "assert main(argv) == 0\n"
+        f"assert main(['recheck', {str(cert)!r}]) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] is True

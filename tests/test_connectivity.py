@@ -10,7 +10,6 @@ from smalldoubling import (
     KOutOfRange,
     SizeLimitExceeded,
     Subset,
-    check_left_invariance,
     check_submodularity,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
@@ -20,6 +19,7 @@ from smalldoubling import (
     direct_product,
     enumerate_subgroups,
     is_subgroup,
+    left_translate,
     quaternion,
     symmetric,
     verify_atom_proposition,
@@ -87,14 +87,15 @@ def test_left_invariance_exhaustive_s3():
     for _ in range(40):
         A = Subset(G.order, rng.randrange(0, 1 << G.order))
         for x in G.elements():
-            assert check_left_invariance(G, params, A, x)
+            assert cost(G, params, left_translate(G, x, A)) == cost(G, params, A)
 
 
 def test_left_invariance_concrete():
     Z8 = cyclic(8)
     params = CostParams(S=Z8.subset([0, 1]), K=HALF)
-    assert check_left_invariance(Z8, params, Z8.subset([3]), 0)  # x = e
-    assert check_left_invariance(Z8, params, Z8.subset([3]), 5)
+    A = Z8.subset([3])
+    for x in (0, 5):  # x = e, and a proper shift
+        assert cost(Z8, params, left_translate(Z8, x, A)) == cost(Z8, params, A)
 
 
 def test_submodularity_examples():
