@@ -7,7 +7,6 @@ pure function, so concurrent readers need no coordination.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -405,41 +404,66 @@ def is_subgroup(G: GroupTable, H: Subset) -> bool:
     return H.group_order == G.order and is_subgroup_mask(G, H.mask)
 
 
+def _generate(G: GroupTable, H: int, members: Sequence[int], gens: Sequence[int]) -> int:
+    """Mask of the subgroup generated by `gens`, given the mask `H` (elements
+    `members`) of a subgroup of it.
+
+    In a finite group the subgroup generated by `gens` is everything reached
+    from e by right multiplication by `gens`.  It is a union of right cosets
+    of H, and (Hy)s = H(ys), so the search runs over one representative per
+    coset and brings in each new coset whole.
+    """
+    mul = G.mul
+    reps = [G.identity]
+    for y in reps:
+        row = mul[y]
+        for s in gens:
+            z = row[s]
+            if not (H >> z) & 1:
+                for h in members:
+                    H |= 1 << mul[h][z]
+                reps.append(z)
+    return H
+
+
 def closure(G: GroupTable, gens: Subset) -> Subset:
     """Smallest subgroup containing `gens`; the empty set generates {e}."""
-    mask = gens.mask | (1 << G.identity)
-    mul = G.mul
-    while True:
-        new = mask
-        for a in iter_bits(mask):
-            row = mul[a]
-            for b in iter_bits(mask):
-                new |= 1 << row[b]
-        if new == mask:
-            return Subset(G.order, mask)
-        mask = new
+    e = G.identity
+    return Subset(G.order, _generate(G, 1 << e, (e,), tuple(iter_bits(gens.mask))))
 
 
-@functools.lru_cache(maxsize=None)
 def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
-    # Breadth-first over closures of (subgroup + one extra element),
-    # deduplicated by mask; reaches every subgroup through generator chains.
-    trivial = closure(G, Subset.empty(G.order)).mask
-    seen = {trivial}
+    # Breadth-first over joins <H, g> of a subgroup H with one element g not
+    # in H, deduplicated by mask; every subgroup is the end of such a chain
+    # from {e}.  Two facts keep each step cheap:
+    # - <H, g> = <H, hg> for every h in H, so one representative per right
+    #   coset Hg outside H is enough: take the lowest index left in the pool
+    #   of elements to try, then clear its whole coset from the pool;
+    # - <H, g> is generated by the generators recorded for H plus g, so
+    #   `_generate` grows it from H coset by coset.
+    mul = G.mul
+    trivial = 1 << G.identity
+    gens_of = {trivial: ()}
     frontier = [trivial]
+    full = (1 << G.order) - 1
     while frontier:
         next_frontier = []
         for mask in frontier:
-            for g in range(G.order):
-                if (mask >> g) & 1:
-                    continue
-                grown = closure(G, Subset(G.order, mask | (1 << g))).mask
-                if grown not in seen:
-                    seen.add(grown)
+            gens = gens_of[mask]
+            members = list(iter_bits(mask))
+            pool = full & ~mask
+            while pool:
+                g = (pool & -pool).bit_length() - 1
+                for h in members:
+                    pool &= ~(1 << mul[h][g])
+                step = gens + (g,)
+                grown = _generate(G, mask, members, step)
+                if grown not in gens_of:
+                    gens_of[grown] = step
                     next_frontier.append(grown)
         frontier = next_frontier
     return tuple(
-        sorted(seen, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+        sorted(gens_of, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
     )
 
 

@@ -178,11 +178,74 @@ def test_subgroups_match_bruteforce_oracle(G):
     assert got == set(naive_subgroups(G))
 
 
+def _tau(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _f2_subspaces(k):
+    # Subspaces of F_2^k: the sum over d of the Gaussian binomials [k, d]_2.
+    total = 0
+    for d in range(k + 1):
+        num = den = 1
+        for i in range(d):
+            num *= 2 ** (k - i) - 1
+            den *= 2 ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+def _z2_power(k):
+    return direct_product([cyclic(2)] * k)
+
+
+# Closed forms: the dihedral group with n rotations has tau(n) + sigma(n)
+# subgroups, the quaternion group of order 4n has tau(2n) + sigma(n), and
+# (Z2)^k has one per subspace of F_2^k.
+@pytest.mark.parametrize(
+    "G,count",
+    [
+        (symmetric(4), 30),
+        (dihedral(16), _tau(16) + _sigma(16)),
+        (dihedral(32), _tau(32) + _sigma(32)),
+        (quaternion(8), _tau(16) + _sigma(8)),
+        (_z2_power(5), _f2_subspaces(5)),
+        (_z2_power(6), _f2_subspaces(6)),
+    ],
+    ids=lambda v: v.name if hasattr(v, "name") else str(v),
+)
+def test_subgroup_counts_match_closed_forms(G, count):
+    assert len(enumerate_subgroups(G)) == count
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(16)], ids=lambda g: g.name)
+def test_subgroup_list_is_complete_under_joins(G):
+    # The cyclic subgroups generate the lattice under joins, so a list of
+    # subgroups that holds every <g> and is closed under joins is all of it.
+    subs = {frozenset(h.elements()) for h in enumerate_subgroups(G)}
+    assert all(is_subgroup_naive(G, H) for H in subs)
+    for g in G.elements():
+        assert frozenset(naive_closure(G, [g])) in subs
+    for H in subs:
+        for K in subs:
+            assert frozenset(naive_closure(G, H | K)) in subs
+
+
 def test_subgroup_list_properties():
-    for G in (cyclic(12), symmetric(3), quaternion(2)):
+    for G in (
+        cyclic(12),
+        symmetric(3),
+        quaternion(2),
+        quaternion(8),
+        direct_product([dihedral(4), cyclic(4)]),
+        _z2_power(5),
+    ):
         subs = enumerate_subgroups(G)
         keys = [(h.cardinality, h.sort_key()) for h in subs]
-        assert keys == sorted(keys)
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # sorted, no duplicates
         assert subs[0].elements() == (G.identity,)
         assert subs[-1].cardinality == G.order
         for h in subs:
