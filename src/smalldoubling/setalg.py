@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -165,13 +166,18 @@ def _require_table_size(n: int) -> None:
         )
 
 
-def expansion_rows(G: GroupTable, S: Subset) -> list[int]:
-    """Row masks g -> g*S for every g; OR-ing rows over A gives A*S."""
+def expansion_rows(
+    G: GroupTable, S: Subset, elements: Optional[Iterable[int]] = None
+) -> list[int]:
+    """Row masks g -> g*S for each g of `elements` (default: all of G).
+
+    OR-ing the rows over A gives A*S.
+    """
     _check_member(G, S, "S")
     mul = G.mul
     s_elems = list(iter_bits(S.mask))
     rows = []
-    for g in range(G.order):
+    for g in range(G.order) if elements is None else elements:
         row = mul[g]
         m = 0
         for s in s_elems:
@@ -183,15 +189,14 @@ def expansion_rows(G: GroupTable, S: Subset) -> list[int]:
 def mask_table_from_rows(rows: list[int]) -> np.ndarray:
     """prod[m] = OR of rows[g] over set bits g of m, for every mask m.
 
-    Filling masks in decreasing order of their lowest set bit lets each layer
-    be one vectorized slice assignment.
+    The masks with top bit k are those below 2^k with bit k added, so each
+    row doubles the filled prefix with one contiguous slice operation.
     """
     n = len(rows)
     _require_table_size(n)
     prod = np.zeros(1 << n, dtype=np.uint64)
-    for k in range(n - 1, -1, -1):
-        base = np.arange(0, 1 << n, 1 << (k + 1), dtype=np.int64)
-        prod[base + (1 << k)] = prod[base] | np.uint64(rows[k])
+    for k, row in enumerate(rows):
+        np.bitwise_or(prod[: 1 << k], np.uint64(row), out=prod[1 << k : 2 << k])
     prod.flags.writeable = False
     return prod
 

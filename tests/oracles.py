@@ -5,7 +5,7 @@ no bitmasks, no tables, no pruning.  Deliberately slow and obvious.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def naive_product(G, A, B):
@@ -55,6 +55,17 @@ def naive_subgroups(G):
         if is_subgroup_naive(G, H):
             out.append(frozenset(H))
     return out
+
+
+def naive_petridis_minimizer(G, A, S):
+    """(X, K): X minimizes K = |X*S|/|X| over nonempty X inside A, ties going
+    to the larger X, then to the lexicographically smaller sorted tuple."""
+    K, _, X = min(
+        (Fraction(len(naive_product(G, X, S)), len(X)), -len(X), X)
+        for size in range(1, len(A) + 1)
+        for X in combinations(sorted(A), size)
+    )
+    return set(X), K
 
 
 def naive_cost(G, S, K, A):

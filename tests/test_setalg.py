@@ -23,7 +23,13 @@ from smalldoubling import (
     right_stabilizer,
     symmetric,
 )
-from smalldoubling.setalg import popcount_table, product_mask_table, product_size_table
+from smalldoubling.setalg import (
+    expansion_rows,
+    mask_table_from_rows,
+    popcount_table,
+    product_mask_table,
+    product_size_table,
+)
 from oracles import (
     naive_inverse,
     naive_left_stabilizer,
@@ -209,3 +215,25 @@ def test_subset_tables_match_direct_products(G):
         assert int(masks[A.mask]) == direct.mask
         assert int(sizes[A.mask]) == direct.cardinality
         assert int(cards[A.mask]) == A.cardinality
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+def test_mask_table_is_the_or_of_rows_at_every_mask(n):
+    rng = random.Random(n)
+    rows = [rng.getrandbits(64) for _ in range(n)]
+    table = mask_table_from_rows(rows)
+    assert len(table) == 1 << n
+    for m in range(1 << n):
+        expect = 0
+        for g in range(n):
+            if m >> g & 1:
+                expect |= rows[g]
+        assert int(table[m]) == expect
+
+
+def test_expansion_rows_for_chosen_elements():
+    G = dihedral(5)
+    S = G.subset([1, 6, 8])
+    every = expansion_rows(G, S)
+    assert every == [product_set(G, G.subset([g]), S).mask for g in range(G.order)]
+    assert expansion_rows(G, S, [7, 2, 9]) == [every[7], every[2], every[9]]

@@ -26,7 +26,7 @@ from smalldoubling import (
     symmetric,
     weak_kneser_check,
 )
-from oracles import naive_product, naive_right_stabilizer
+from oracles import naive_petridis_minimizer, naive_product, naive_right_stabilizer
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -238,6 +238,63 @@ def test_petridis_tiebreak_prefers_larger_x():
     res = petridis_minimizer(Z8, Z8.subset([0, 4]), Z8.subset([0]))
     assert res.K == 1
     assert res.X.elements() == (0, 4)  # all ratios tie at 1; larger X wins
+
+
+# (group, A, S, X, K) computed by the subset loop that preceded the table pass;
+# every |A| here is above the table cutoff.
+PETRIDIS_PINNED = [
+    ("Z20", [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 17, 18], [2, 7, 17],
+     [0, 3, 5, 8, 10, 13, 15, 18], Fraction(1)),
+    ("D10", [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 16, 17, 18], [0, 1, 4],
+     [1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 14, 15, 16, 17, 18], Fraction(5, 4)),
+    ("D10", [0, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19], [2, 10, 16],
+     [0, 2, 6, 8, 10, 12, 14, 16, 18], Fraction(10, 9)),
+    ("D8xZ4", [1, 5, 9, 11, 18, 19, 23, 27, 29, 34, 35, 36, 41, 45, 48, 53, 54, 56, 58, 60],
+     [14, 51, 63], [9, 11, 19, 23, 29, 36, 48, 56, 58, 60], Fraction(17, 10)),
+    # Each run of four has ratio 5/4, as has their union: the larger X wins.
+    ("Z20", [0, 1, 2, 3, 6, 7, 10, 11, 12, 13], [0, 1], [0, 1, 2, 3, 10, 11, 12, 13],
+     Fraction(5, 4)),
+]
+PETRIDIS_GROUPS = {
+    "Z20": cyclic(20),
+    "D10": dihedral(10),
+    "D8xZ4": direct_product([dihedral(8), cyclic(4)]),
+}
+
+
+@pytest.mark.parametrize("name,A,S,X,K", PETRIDIS_PINNED)
+def test_petridis_pinned_above_the_table_cutoff(name, A, S, X, K):
+    G = PETRIDIS_GROUPS[name]
+    res = petridis_minimizer(G, G.subset(A), G.subset(S))
+    assert list(res.X.elements()) == X and res.K == K
+
+
+def test_petridis_above_order_64_stays_exact():
+    # Products of order-70 elements do not fit the table's uint64 entries.
+    G = cyclic(70, order_cap=70)
+    A, S = list(range(0, 70, 9)), [0, 1, 35]
+    res = petridis_minimizer(G, G.subset(A), G.subset(S))
+    assert (set(res.X.elements()), res.K) == naive_petridis_minimizer(G, A, S)
+
+
+def test_petridis_largest_minimizer_is_the_union_of_all_minimizers():
+    # Minimizers are closed under union, so no two largest ones can tie and
+    # the sorted-tuple tie-break of the oracle never decides.
+    rng = random.Random(6)
+    for G in (cyclic(12), dihedral(6), quaternion(3), symmetric(3)):
+        for _ in range(20):
+            A = rng.sample(range(G.order), rng.randint(1, min(9, G.order)))
+            S = rng.sample(range(G.order), rng.randint(1, 3))
+            ratios = {
+                frozenset(X): Fraction(len(naive_product(G, X, S)), len(X))
+                for size in range(1, len(A) + 1)
+                for X in itertools.combinations(A, size)
+            }
+            K = min(ratios.values())
+            union = frozenset().union(*(X for X, r in ratios.items() if r == K))
+            assert ratios[union] == K
+            res = petridis_minimizer(G, G.subset(A), G.subset(S))
+            assert set(res.X.elements()) == union and res.K == K
 
 
 def test_petridis_minimum_bounds_full_ratio():
