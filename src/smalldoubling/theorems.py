@@ -18,7 +18,7 @@ import numpy as np
 
 from .connectivity import CostParams, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
-from .groups import GroupTable, right_coset, right_translate_mask
+from .groups import GroupTable, left_translate_mask, right_coset, right_translate_mask
 from .setalg import (
     SUBSET_TABLE_LIMIT,
     CoverCertificate,
@@ -349,11 +349,7 @@ def petridis_verify(
     XS = product_set(G, X, S)
     n = G.order
 
-    id_mask = 1 << G.identity
-    eq_identity = (
-        q * product_mask(G, id_mask, XS.mask).bit_count()
-        == p * product_mask(G, id_mask, X.mask).bit_count()
-    )
+    eq_identity = q * XS.cardinality == p * X.cardinality  # C = {e}: e*XS = XS, e*X = X
 
     violations: list[Subset] = []
     if mode == "exhaustive":
@@ -403,16 +399,67 @@ class SearchReport:
     findings: tuple[KneserReport, ...]
 
 
-def _stabilizer_size(G: GroupTable, tmask: int, memo: dict[int, int]) -> int:
-    cached = memo.get(tmask)
-    if cached is not None:
-        return cached
-    count = 0
+def _translation_table(G: GroupTable, x: int, side: str) -> np.ndarray:
+    """x*m (side "left") or m*x (side "right") for every mask m."""
+    mul = G.mul
+    if side == "left":
+        return mask_table_from_rows([1 << mul[x][g] for g in range(G.order)])
+    return mask_table_from_rows([1 << mul[g][x] for g in range(G.order)])
+
+
+def _stabilizer_sizes(G: GroupTable) -> np.ndarray:
+    """|stab(T)| = #{h : T*h = T} for every mask T."""
+    masks = np.arange(1 << G.order, dtype=np.uint64)
+    sizes = np.zeros(1 << G.order, dtype=np.int64)
     for h in range(G.order):
-        if right_translate_mask(G, tmask, h) == tmask:
-            count += 1
-    memo[tmask] = count
-    return count
+        sizes += _translation_table(G, h, "right") == masks
+    return sizes
+
+
+def _orbit_labels(G: GroupTable) -> np.ndarray:
+    """The smallest mask among x*m*z over all x, z in G, for every mask m."""
+    lmin = np.arange(1 << G.order, dtype=np.uint64)
+    for x in range(G.order):
+        np.minimum(lmin, _translation_table(G, x, "left"), out=lmin)
+    label = lmin.copy()
+    for z in range(G.order):
+        np.minimum(label, lmin[_translation_table(G, z, "right")], out=label)
+    return label
+
+
+def _failing_partners(
+    G: GroupTable, amask: int, limit: int, cards: np.ndarray, stab: np.ndarray
+) -> np.ndarray:
+    """The masks B in 1..limit, ascending, with |A*B| < |A| + |B| - |stab(A*B)|."""
+    rows = [right_translate_mask(G, amask, g) for g in range(G.order)]
+    prod = mask_table_from_rows(rows)[1 : limit + 1]
+    rhs = cards[1 : limit + 1] - stab[prod] + int(cards[amask])
+    return np.nonzero(np.bitwise_count(prod) < rhs)[0] + 1
+
+
+def _orbit_scan(G: GroupTable, cards: np.ndarray, stab: np.ndarray) -> list[tuple[int, int]]:
+    """Every failing pair, from one table row per orbit of A -> x*A*z.
+
+    A failure at (A, B) is one at (x*A*z, z^-1*B*y): the product becomes
+    x*(A*B)*y, every size is kept, and stab(x*T*y) = y^-1*stab(T)*y.  So if
+    R is the smallest mask of its orbit and F_R its failing partners, the
+    failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is taken.
+    """
+    label = _orbit_labels(G)
+    masks = np.arange(len(label), dtype=np.uint64)
+    found: list[tuple[int, int]] = []
+    for rep in np.nonzero(label == masks)[0][1:].tolist():  # [0] is the empty set
+        partners = _failing_partners(G, rep, len(label) - 1, cards, stab).tolist()
+        if not partners:
+            continue
+        members: dict[int, int] = {}  # x*R*z -> one such z
+        for z in range(G.order):
+            rz = right_translate_mask(G, rep, z)
+            for x in range(G.order):
+                members.setdefault(left_translate_mask(G, x, rz), z)
+        for amask, z in members.items():
+            found.extend((amask, left_translate_mask(G, G.inv[z], b)) for b in partners)
+    return found
 
 
 def kneser_violation_scan(
@@ -424,8 +471,10 @@ def kneser_violation_scan(
 ) -> SearchReport:
     """Scan pairs (A, B) for |A*B| < |A| + |B| - |stab(A*B)|.
 
-    Exhaustive strategy walks all nonempty pairs in mask order (optionally
-    budget-limited); random strategy draws `budget` seeded pairs.  Every hit
+    The exhaustive strategy covers all nonempty pairs: without a budget it
+    scans one row per orbit of A -> x*A*z (see `_orbit_scan`), with one it
+    walks the rows in mask order up to `budget` pairs.  Both use the same
+    row kernel.  The random strategy draws `budget` seeded pairs.  Every hit
     is re-verified from scratch before it is reported.
     """
     n = G.order
@@ -436,24 +485,18 @@ def kneser_violation_scan(
 
     if strategy == "exhaustive":
         cards = popcount_table(n)
-        memo: dict[int, int] = {}
-        for amask in range(1, size):
-            if budget is not None and pairs_checked >= budget:
-                break
-            limit = size - 1
-            if budget is not None:
-                limit = min(limit, budget - pairs_checked)
-            rows = [right_translate_mask(G, amask, g) for g in range(n)]
-            prod = mask_table_from_rows(rows)[1 : limit + 1]
-            lhs = np.bitwise_count(prod).astype(np.int64)
-            uniq, inverse = np.unique(prod, return_inverse=True)
-            stab = np.array(
-                [_stabilizer_size(G, int(t), memo) for t in uniq], dtype=np.int64
-            )
-            rhs = int(cards[amask]) + cards[1 : limit + 1] - stab[inverse]
-            for idx in np.nonzero(lhs < rhs)[0]:
-                found.append((amask, int(idx) + 1))
-            pairs_checked += limit
+        stab = _stabilizer_sizes(G)
+        if budget is None:
+            found = _orbit_scan(G, cards, stab)
+            pairs_checked = total_pairs
+        else:
+            for amask in range(1, size):
+                if pairs_checked >= budget:
+                    break
+                limit = min(size - 1, budget - pairs_checked)
+                partners = _failing_partners(G, amask, limit, cards, stab)
+                found.extend((amask, b) for b in partners.tolist())
+                pairs_checked += limit
         exhausted = pairs_checked >= total_pairs
     elif strategy == "random":
         if seed is None:

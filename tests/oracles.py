@@ -25,6 +25,12 @@ def naive_right_stabilizer(G, T):
     return {h for h in range(G.order) if {G.mul[t][h] for t in T} == T}
 
 
+def naive_kneser_fails(G, A, B):
+    """|A*B| < |A| + |B| - |stab(A*B)|, stab the right stabilizer."""
+    prod = naive_product(G, A, B)
+    return len(prod) < len(set(A)) + len(set(B)) - len(naive_right_stabilizer(G, prod))
+
+
 def naive_left_stabilizer(G, T):
     T = set(T)
     return {h for h in range(G.order) if {G.mul[h][t] for t in T} == T}

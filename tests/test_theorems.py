@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from smalldoubling import (
     NotAbelian,
     SizeLimitExceeded,
     Subset,
+    catalogue,
     connectivity_bruteforce,
     cyclic,
     dihedral,
@@ -26,7 +28,14 @@ from smalldoubling import (
     symmetric,
     weak_kneser_check,
 )
-from oracles import naive_petridis_minimizer, naive_product, naive_right_stabilizer
+from oracles import (
+    naive_kneser_fails,
+    naive_petridis_minimizer,
+    naive_product,
+    naive_right_stabilizer,
+)
+from smalldoubling.certificates import kneser_payload
+from smalldoubling.theorems import _orbit_labels
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -407,3 +416,83 @@ def test_scan_classification_matches_plain_path_on_s3():
             stab = naive_right_stabilizer(S3, prod)
             holds = len(prod) >= len(a_elems) + B.cardinality - len(stab)
             assert holds == ((amask, bmask) not in flagged)
+
+
+@pytest.mark.parametrize("G", catalogue(12), ids=lambda g: g.name)
+def test_orbit_scan_matches_prefix_walk(G):
+    # Without a budget the scan runs one row per orbit of A -> x*A*z; with a
+    # budget covering every pair it walks all rows in mask order.
+    full = ((1 << G.order) - 1) ** 2
+    orbit = kneser_violation_scan(G, "exhaustive")
+    walk = kneser_violation_scan(G, "exhaustive", budget=full)
+    assert orbit.pairs_checked == walk.pairs_checked == full
+    assert orbit.exhausted and walk.exhausted
+    assert json.dumps([kneser_payload(G, r) for r in orbit.findings]) == json.dumps(
+        [kneser_payload(G, r) for r in walk.findings]
+    )
+
+
+@pytest.mark.parametrize(
+    "G,step",
+    [(symmetric(3), 1), (dihedral(4), 1), (dihedral(6), 7)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_orbit_labels_are_two_sided_orbit_minima(G, step):
+    # label[m] is the smallest mask among the x*m*z, computed here with plain sets.
+    labels = _orbit_labels(G).tolist()
+    for m in range(0, 1 << G.order, step):
+        A = [i for i in range(G.order) if m >> i & 1]
+        assert labels[m] == min(
+            sum(1 << G.mul[G.mul[x][a]][z] for a in A)
+            for x in range(G.order)
+            for z in range(G.order)
+        )
+
+
+def test_d6_has_125_orbit_representatives():
+    assert len(set(_orbit_labels(dihedral(6)).tolist())) == 1 + 125  # and the empty set
+
+
+@pytest.mark.parametrize(
+    "G,count",
+    [(dihedral(6), 432), (quaternion(3), 0), (dihedral(7), 1372)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_exhaustive_finding_counts(G, count):
+    assert len(kneser_failure_search(G, "exhaustive").findings) == count
+
+
+@pytest.fixture(scope="module")
+def d6_findings():
+    G = dihedral(6)
+    scan = kneser_failure_search(G, "exhaustive")
+    return G, [(frozenset(r.A.elements()), frozenset(r.B.elements())) for r in scan.findings]
+
+
+def test_d6_findings_are_closed_under_two_sided_translation(d6_findings):
+    # (A, B) fails iff (x*A*z, z^-1*B*y) fails; checked with plain sets.
+    G, pairs = d6_findings
+    findings = set(pairs)
+    mul, inv = G.mul, G.inv
+    rng = random.Random(7)
+    for A, B in rng.sample(pairs, 40):
+        for _ in range(5):
+            x, y, z = (rng.randrange(G.order) for _ in range(3))
+            xAz = frozenset(mul[mul[x][a]][z] for a in A)
+            zBy = frozenset(mul[mul[inv[z]][b]][y] for b in B)
+            assert (xAz, zBy) in findings
+
+
+def test_d6_findings_agree_with_the_plain_set_oracle(d6_findings):
+    G, pairs = d6_findings
+    findings = set(pairs)
+    for A, B in pairs:
+        assert naive_kneser_fails(G, A, B)
+    rng = random.Random(2026)
+    held = 0
+    while held < 2000:
+        A = frozenset(i for i in range(G.order) if rng.random() < 0.5)
+        B = frozenset(i for i in range(G.order) if rng.random() < 0.5)
+        if A and B and (A, B) not in findings:
+            assert not naive_kneser_fails(G, A, B)
+            held += 1
