@@ -49,7 +49,6 @@ from .groups import (
     from_spec,
     from_table,
     is_subgroup,
-    left_coset,
     quaternion,
     right_coset,
     symmetric,
@@ -62,11 +61,8 @@ from .setalg import (
     coset_cover,
     doubling_ratio,
     inverse_set,
-    left_stabilizer,
-    left_translate,
     product_set,
     right_stabilizer,
-    right_translate,
 )
 from .subsets import Subset
 from .theorems import (

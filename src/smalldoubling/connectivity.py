@@ -17,13 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptySet, KOutOfRange, SizeLimitExceeded, TheoryViolation
-from .groups import GroupTable, enumerate_subgroups, is_subgroup_mask, left_translate_mask
-from .setalg import (
-    _check_member,
-    popcount_table,
-    product_mask,
-    product_size_table,
-)
+from .groups import GroupTable, _check_member, enumerate_subgroups, image, is_subgroup_mask
+from .setalg import popcount_table, product_mask, product_size_table
 from .subsets import Subset
 
 DEFAULT_BRUTEFORCE_CAP = 16
@@ -256,7 +251,7 @@ def verify_atom_proposition(
     atoms = tuple(f for f in fragments if f.cardinality == atom_card)
 
     H = res.identity_atom
-    expected = {left_translate_mask(G, x, H.mask) for x in G.elements()}
+    expected = {image(row, H.mask) for row in G.mul}
     are_cosets = {a.mask for a in atoms} == expected
     disjoint = all(
         a.mask & b.mask == 0 for i, a in enumerate(atoms) for b in atoms[i + 1 :]

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EmptySet, GroupMismatch
-from .groups import GroupTable, left_translate_mask
-from .setalg import _check_member, inverse_set, product_set
+from .groups import GroupTable, _check_member, image
+from .setalg import inverse_set, product_set
 from .subsets import Subset
 
 
@@ -96,13 +96,11 @@ def autocorrelation(G: GroupTable, A: Subset) -> GroupFunction:
     _check_member(G, A, "A")
     if A.is_empty:
         raise EmptySet("autocorrelation of the empty set")
-    n = G.order
     card = A.cardinality
-    values = []
-    for x in range(n):
-        overlap = A.mask & left_translate_mask(G, x, A.mask)
-        values.append(Fraction(overlap.bit_count(), card))
-    return GroupFunction(n, tuple(values))
+    values = tuple(
+        Fraction((A.mask & image(row, A.mask)).bit_count(), card) for row in G.mul
+    )
+    return GroupFunction(G.order, values)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidTable, NotASubgroup, SizeLimitExceeded
+from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
 from .subsets import Subset, iter_bits
 
 DEFAULT_ORDER_CAP = 64
@@ -21,7 +21,9 @@ DEFAULT_ORDER_CAP = 64
 class GroupTable:
     """A finite group presented by its multiplication table.
 
-    `mul[a][b]` is the index of a*b, `inv[a]` the index of a^-1.  `spec` is a
+    `mul[a][b]` is the index of a*b, `inv[a]` the index of a^-1, and the
+    derived `cols[b][a]` is a*b again, so `mul[x]` and `cols[x]` are the left
+    and right translations by x as permutations.  `spec` is a
     JSON-serializable description sufficient to rebuild the table, used by
     certificates.
     """
@@ -34,6 +36,10 @@ class GroupTable:
     is_abelian: bool
     name: str
     spec: dict = field(repr=False)
+    cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cols", tuple(zip(*self.mul)))
 
     def elements(self) -> range:
         return range(self.order)
@@ -368,36 +374,31 @@ def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 # --- set-level navigation -------------------------------------------------
 
 
-def left_translate_mask(G: GroupTable, x: int, mask: int) -> int:
-    """Bitmask of {x*a : a in mask}."""
-    row = G.mul[x]
-    out = 0
-    for a in iter_bits(mask):
-        out |= 1 << row[a]
-    return out
+def _check_member(G: GroupTable, X: Subset, what: str) -> None:
+    if X.group_order != G.order:
+        raise GroupMismatch(f"{what} has group order {X.group_order}, expected {G.order}")
 
 
-def right_translate_mask(G: GroupTable, mask: int, x: int) -> int:
-    """Bitmask of {a*x : a in mask}."""
-    mul = G.mul
+def image(perm: Sequence[int], mask: int) -> int:
+    """Bitmask of {perm[a] : a in mask}.
+
+    Over a group table: x*m is `image(G.mul[x], m)`, m*x is
+    `image(G.cols[x], m)` and m^-1 is `image(G.inv, m)`.  The loop is
+    `iter_bits` written out, which saves a generator per call.
+    """
     out = 0
-    for a in iter_bits(mask):
-        out |= 1 << mul[a][x]
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
 def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
     """A nonempty subset of a finite group closed under products is a subgroup."""
-    if mask == 0 or (mask >> G.identity) & 1 == 0:
-        return False
-    mul = G.mul
-    elems = list(iter_bits(mask))
-    for a in elems:
-        row = mul[a]
-        for b in elems:
-            if (mask >> row[b]) & 1 == 0:
-                return False
-    return True
+    return (mask >> G.identity) & 1 == 1 and all(
+        image(G.mul[a], mask) == mask for a in iter_bits(mask)
+    )
 
 
 def is_subgroup(G: GroupTable, H: Subset) -> bool:
@@ -428,6 +429,7 @@ def _generate(G: GroupTable, H: int, members: Sequence[int], gens: Sequence[int]
 
 def closure(G: GroupTable, gens: Subset) -> Subset:
     """Smallest subgroup containing `gens`; the empty set generates {e}."""
+    _check_member(G, gens, "gens")
     e = G.identity
     return Subset(G.order, _generate(G, 1 << e, (e,), tuple(iter_bits(gens.mask))))
 
@@ -472,22 +474,10 @@ def enumerate_subgroups(G: GroupTable) -> tuple[Subset, ...]:
     return tuple(Subset(G.order, m) for m in _subgroup_masks(G))
 
 
-def _coset_mask(G: GroupTable, H: Subset, g: int, side: str, check: bool) -> int:
-    if check and not is_subgroup(G, H):
-        raise NotASubgroup(f"{H!r} is not a subgroup of {G.name}")
-    if side == "left":
-        return left_translate_mask(G, g, H.mask)
-    return right_translate_mask(G, H.mask, g)
-
-
-def left_coset(G: GroupTable, H: Subset, g: int, *, check: bool = False) -> Subset:
-    """g*H."""
-    return Subset(G.order, _coset_mask(G, H, g, "left", check))
-
-
-def right_coset(G: GroupTable, H: Subset, g: int, *, check: bool = False) -> Subset:
+def right_coset(G: GroupTable, H: Subset, g: int) -> Subset:
     """H*g."""
-    return Subset(G.order, _coset_mask(G, H, g, "right", check))
+    _check_member(G, H, "H")
+    return Subset(G.order, image(G.cols[g], H.mask))
 
 
 def catalogue(max_order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[GroupTable, ...]:

@@ -15,21 +15,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import EmptySet, GroupMismatch, NotASubgroup, SizeLimitExceeded
-from .groups import (
-    GroupTable,
-    is_subgroup,
-    left_translate_mask,
-    right_translate_mask,
-)
+from .errors import EmptySet, NotASubgroup, SizeLimitExceeded
+from .groups import GroupTable, _check_member, image, is_subgroup
 from .subsets import Subset, iter_bits
 
 SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
-
-
-def _check_member(G: GroupTable, X: Subset, what: str) -> None:
-    if X.group_order != G.order:
-        raise GroupMismatch(f"{what} has group order {X.group_order}, expected {G.order}")
 
 
 def product_mask(G: GroupTable, amask: int, bmask: int) -> int:
@@ -54,46 +44,21 @@ def product_set(G: GroupTable, A: Subset, B: Subset) -> Subset:
 def inverse_set(G: GroupTable, A: Subset) -> Subset:
     """{a^-1 : a in A}."""
     _check_member(G, A, "A")
-    inv = G.inv
-    out = 0
-    for a in iter_bits(A.mask):
-        out |= 1 << inv[a]
-    return Subset(G.order, out)
-
-
-def left_translate(G: GroupTable, x: int, A: Subset) -> Subset:
-    """x*A."""
-    _check_member(G, A, "A")
-    return Subset(G.order, left_translate_mask(G, x, A.mask))
-
-
-def right_translate(G: GroupTable, A: Subset, x: int) -> Subset:
-    """A*x."""
-    _check_member(G, A, "A")
-    return Subset(G.order, right_translate_mask(G, A.mask, x))
+    return Subset(G.order, image(G.inv, A.mask))
 
 
 def right_stabilizer(G: GroupTable, T: Subset) -> Subset:
-    """The symmetry group {h : T*h = T}; T is a union of its left cosets."""
+    """The symmetry group {h : T*h = T}; T is a union of its left cosets.
+
+    T*h = T exactly when t*h lies in T for every t in T, so the group is the
+    intersection of the left translates t^-1*T over t in T.
+    """
     _check_member(G, T, "T")
     if T.is_empty:
         raise EmptySet("stabilizer of the empty set is undefined here")
-    out = 0
-    for h in range(G.order):
-        if right_translate_mask(G, T.mask, h) == T.mask:
-            out |= 1 << h
-    return Subset(G.order, out)
-
-
-def left_stabilizer(G: GroupTable, T: Subset) -> Subset:
-    """{h : h*T = T}; T is a union of its right cosets."""
-    _check_member(G, T, "T")
-    if T.is_empty:
-        raise EmptySet("stabilizer of the empty set is undefined here")
-    out = 0
-    for h in range(G.order):
-        if left_translate_mask(G, h, T.mask) == T.mask:
-            out |= 1 << h
+    out = (1 << G.order) - 1
+    for t in iter_bits(T.mask):
+        out &= image(G.mul[G.inv[t]], T.mask)
     return Subset(G.order, out)
 
 
@@ -144,12 +109,10 @@ def coset_cover(G: GroupTable, H: Subset, T: Subset, side: str = "right") -> Cov
         raise EmptySet("cannot cover the empty set")
     if not is_subgroup(G, H):
         raise NotASubgroup(f"{H!r} is not a subgroup of {G.name}")
+    perms = G.cols if side == "right" else G.mul  # H*t or t*H
     reps = set()
     for t in iter_bits(T.mask):
-        if side == "right":
-            coset = right_translate_mask(G, H.mask, t)
-        else:
-            coset = left_translate_mask(G, t, H.mask)
+        coset = image(perms[t], H.mask)
         reps.add(coset & -coset)  # lowest set bit identifies the coset canonically
     representatives = tuple(sorted(low.bit_length() - 1 for low in reps))
     return CoverCertificate(subgroup=H, side=side, representatives=representatives, covered=T)
@@ -174,16 +137,8 @@ def expansion_rows(
     OR-ing the rows over A gives A*S.
     """
     _check_member(G, S, "S")
-    mul = G.mul
-    s_elems = list(iter_bits(S.mask))
-    rows = []
-    for g in range(G.order) if elements is None else elements:
-        row = mul[g]
-        m = 0
-        for s in s_elems:
-            m |= 1 << row[s]
-        rows.append(m)
-    return rows
+    rows = G.mul if elements is None else [G.mul[g] for g in elements]
+    return [image(row, S.mask) for row in rows]
 
 
 def mask_table_from_rows(rows: list[int]) -> np.ndarray:

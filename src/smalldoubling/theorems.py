@@ -18,11 +18,10 @@ import numpy as np
 
 from .connectivity import CostParams, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
-from .groups import GroupTable, left_translate_mask, right_coset, right_translate_mask
+from .groups import GroupTable, _check_member, image, right_coset
 from .setalg import (
     SUBSET_TABLE_LIMIT,
     CoverCertificate,
-    _check_member,
     coset_cover,
     expansion_rows,
     mask_table_from_rows,
@@ -399,31 +398,28 @@ class SearchReport:
     findings: tuple[KneserReport, ...]
 
 
-def _translation_table(G: GroupTable, x: int, side: str) -> np.ndarray:
-    """x*m (side "left") or m*x (side "right") for every mask m."""
-    mul = G.mul
-    if side == "left":
-        return mask_table_from_rows([1 << mul[x][g] for g in range(G.order)])
-    return mask_table_from_rows([1 << mul[g][x] for g in range(G.order)])
+def _translation_table(perm: tuple[int, ...]) -> np.ndarray:
+    """`image(perm, m)` for every mask m: x*m for perm G.mul[x], m*x for G.cols[x]."""
+    return mask_table_from_rows([1 << y for y in perm])
 
 
 def _stabilizer_sizes(G: GroupTable) -> np.ndarray:
     """|stab(T)| = #{h : T*h = T} for every mask T."""
     masks = np.arange(1 << G.order, dtype=np.uint64)
     sizes = np.zeros(1 << G.order, dtype=np.int64)
-    for h in range(G.order):
-        sizes += _translation_table(G, h, "right") == masks
+    for col in G.cols:
+        sizes += _translation_table(col) == masks
     return sizes
 
 
 def _orbit_labels(G: GroupTable) -> np.ndarray:
     """The smallest mask among x*m*z over all x, z in G, for every mask m."""
     lmin = np.arange(1 << G.order, dtype=np.uint64)
-    for x in range(G.order):
-        np.minimum(lmin, _translation_table(G, x, "left"), out=lmin)
+    for row in G.mul:
+        np.minimum(lmin, _translation_table(row), out=lmin)
     label = lmin.copy()
-    for z in range(G.order):
-        np.minimum(label, lmin[_translation_table(G, z, "right")], out=label)
+    for col in G.cols:
+        np.minimum(label, lmin[_translation_table(col)], out=label)
     return label
 
 
@@ -431,7 +427,7 @@ def _failing_partners(
     G: GroupTable, amask: int, limit: int, cards: np.ndarray, stab: np.ndarray
 ) -> np.ndarray:
     """The masks B in 1..limit, ascending, with |A*B| < |A| + |B| - |stab(A*B)|."""
-    rows = [right_translate_mask(G, amask, g) for g in range(G.order)]
+    rows = [image(col, amask) for col in G.cols]
     prod = mask_table_from_rows(rows)[1 : limit + 1]
     rhs = cards[1 : limit + 1] - stab[prod] + int(cards[amask])
     return np.nonzero(np.bitwise_count(prod) < rhs)[0] + 1
@@ -453,12 +449,13 @@ def _orbit_scan(G: GroupTable, cards: np.ndarray, stab: np.ndarray) -> list[tupl
         if not partners:
             continue
         members: dict[int, int] = {}  # x*R*z -> one such z
-        for z in range(G.order):
-            rz = right_translate_mask(G, rep, z)
-            for x in range(G.order):
-                members.setdefault(left_translate_mask(G, x, rz), z)
+        for z, col in enumerate(G.cols):
+            rz = image(col, rep)
+            for row in G.mul:
+                members.setdefault(image(row, rz), z)
         for amask, z in members.items():
-            found.extend((amask, left_translate_mask(G, G.inv[z], b)) for b in partners)
+            back = G.mul[G.inv[z]]
+            found.extend((amask, image(back, b)) for b in partners)
     return found
 
 

@@ -20,6 +20,10 @@ def naive_left_translate(G, x, A):
     return {G.mul[x][a] for a in A}
 
 
+def naive_right_translate(G, A, x):
+    return {G.mul[a][x] for a in A}
+
+
 def naive_right_stabilizer(G, T):
     T = set(T)
     return {h for h in range(G.order) if {G.mul[t][h] for t in T} == T}
@@ -29,11 +33,6 @@ def naive_kneser_fails(G, A, B):
     """|A*B| < |A| + |B| - |stab(A*B)|, stab the right stabilizer."""
     prod = naive_product(G, A, B)
     return len(prod) < len(set(A)) + len(set(B)) - len(naive_right_stabilizer(G, prod))
-
-
-def naive_left_stabilizer(G, T):
-    T = set(T)
-    return {h for h in range(G.order) if {G.mul[h][t] for t in T} == T}
 
 
 def naive_closure(G, gens):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from smalldoubling import (
+    GroupMismatch,
     InvalidTable,
-    NotASubgroup,
     SizeLimitExceeded,
     Subset,
     catalogue,
@@ -16,13 +16,21 @@ from smalldoubling import (
     from_spec,
     from_table,
     is_subgroup,
-    left_coset,
     quaternion,
     right_coset,
     symmetric,
     validate_table,
 )
-from oracles import is_subgroup_naive, naive_closure, naive_subgroups
+from smalldoubling.groups import image
+from smalldoubling.subsets import iter_bits
+from oracles import (
+    is_subgroup_naive,
+    naive_closure,
+    naive_inverse,
+    naive_left_translate,
+    naive_right_translate,
+    naive_subgroups,
+)
 
 PRESET_SAMPLE = [
     cyclic(1),
@@ -256,19 +264,19 @@ def test_subgroup_list_properties():
 def test_coset_examples():
     G = cyclic(6)
     H = G.subset([0, 3])
-    assert left_coset(G, H, 0) == H
-    assert left_coset(G, H, 1).elements() == (1, 4)
+    assert image(G.mul[0], H.mask) == H.mask
+    assert right_coset(G, H, 1).elements() == (1, 4)
     S3 = symmetric(3)
     H2 = S3.subset([0, S3.labels.index("(1 2)")])
     g = S3.labels.index("(1 2 3)")
-    assert left_coset(S3, H2, g) != right_coset(S3, H2, g)
+    assert image(S3.mul[g], H2.mask) != right_coset(S3, H2, g).mask
 
 
 def test_coset_partition():
     for G in (cyclic(12), symmetric(3), dihedral(4)):
         for H in enumerate_subgroups(G):
-            for maker in (left_coset, right_coset):
-                cosets = {maker(G, H, g).mask for g in G.elements()}
+            for perms in (G.mul, G.cols):  # left cosets g*H, right cosets H*g
+                cosets = {image(perms[g], H.mask) for g in G.elements()}
                 assert len(cosets) == G.order // H.cardinality
                 assert sum(m.bit_count() for m in cosets) == G.order
                 union = 0
@@ -277,13 +285,27 @@ def test_coset_partition():
                     union |= m
 
 
-def test_coset_rejects_non_subgroup_when_checked():
-    G = cyclic(6)
-    bad = G.subset([1, 2])
-    assert not is_subgroup_naive(G, {1, 2})
-    with pytest.raises(NotASubgroup):
-        left_coset(G, bad, 1, check=True)
-    left_coset(G, bad, 1)  # unchecked call is permitted
+def test_image_matches_plain_set_translates():
+    for G in catalogue(16) + (dihedral(32),):
+        assert G.cols == tuple(zip(*G.mul))  # cols[x][a] = mul[a][x] = a*x
+        rng = random.Random(G.order)
+        for _ in range(4):
+            mask = rng.randrange(1 << G.order)
+            A = [a for a in G.elements() if (mask >> a) & 1]
+            assert set(iter_bits(image(G.inv, mask))) == naive_inverse(G, A)
+            for x in G.elements():
+                assert set(iter_bits(image(G.mul[x], mask))) == naive_left_translate(G, x, A)
+                assert set(iter_bits(image(G.cols[x], mask))) == naive_right_translate(G, A, x)
+
+
+def test_closure_and_right_coset_reject_a_foreign_subset():
+    Z4 = cyclic(4)
+    with pytest.raises(GroupMismatch):
+        closure(Z4, Subset(8, 1 << 7))
+    with pytest.raises(GroupMismatch):
+        closure(Z4, Subset(3, 0b10))
+    with pytest.raises(GroupMismatch):
+        right_coset(Z4, Subset(8, 1), 1)
 
 
 def test_catalogue_contents():

@@ -1,0 +1,94 @@
+"""Payloads pinned byte for byte.
+
+Each digest is the SHA-256 of `json.dumps(run(command, config),
+sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
+so a digest that moves is a bug in the change, not a number to update.  The
+fixed configs add the paths `all_cases()` does not reach: the exhaustive
+orbit scan with and without findings, the Petridis table pass, brute force
+and atoms at order 16, and the multi-coset branch of the structure theorem.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from smalldoubling.certificates import run
+from test_certificates import all_cases
+
+FIXED = {
+    "kneser-scan-D4": (
+        "search-kneser-failure",
+        {"group": {"preset": "dihedral", "n": 4}, "strategy": "exhaustive"},
+    ),
+    "kneser-scan-D6": (  # 432 findings
+        "search-kneser-failure",
+        {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive"},
+    ),
+    "petridis-table": (  # |A| = 10 takes the numpy table pass
+        "petridis",
+        {
+            "group": {"preset": "dihedral", "n": 8},
+            "sets": {"A": [0, 1, 2, 3, 5, 8, 9, 11, 12, 14], "S": [0, 4, 9]},
+            "mode": "exhaustive",
+            "budget": 1 << 16,
+        },
+    ),
+    "connectivity-brute-16": (
+        "connectivity",
+        {
+            "group": {
+                "preset": "direct_product",
+                "factors": [{"preset": "cyclic", "n": 4}, {"preset": "cyclic", "n": 4}],
+            },
+            "sets": {"S": [0, 3, 8]},
+            "K": "2/3",
+            "solver": "brute_force",
+            "fragments": True,
+        },
+    ),
+    "atoms-D8": (
+        "atoms",
+        {"group": {"preset": "dihedral", "n": 8}, "sets": {"S": [4, 10, 14]}, "K": "2/3"},
+    ),
+    "theorem-main-multi": (  # multi_coset_cover branch
+        "theorem-main",
+        {
+            "group": {"preset": "dihedral", "n": 16},
+            "sets": {"A": [2, 9, 11], "S": [16, 18, 25]},
+            "epsilon": "1/3",
+        },
+    ),
+}
+
+DIGESTS = {
+    "doubling": "ef5c9209f6a945441f50df40c00e0a405692bcd4b9c3fb46f48387f07842227f",
+    "connectivity": "d576dd97fbe06347e1c372120201c0d32f5e1f00d5bcbbb7250924a30b8d65a7",
+    "connectivity-brute": "b763874a94a97afcc53dbf08ef01a08e365c3dae26525b57c2f15b6719a0edbd",
+    "atoms": "f81a8c473c1eaf66470c13a4f41a2a5215db3d1fe11f4069f9c09386464ebc27",
+    "kneser": "077fad2a22fd631e1e0d57c73b5e2d46b1da3943987cf4ee80cb83aa8d8dd333",
+    "corollary-kn": "09818c4f823b9932579be110da72a963ff0214aa1f7ea30ed6ae3e1f75520e27",
+    "theorem-main": "fc8d64d1d1ca6be1696eab641bba5578cfebcefad640f765a408f1aa8fd6c529",
+    "petridis": "3a4871a4c14cd33b65b0e16d275719541d1b5763fda5b05cc1a67c841c0237cc",
+    "conv-gap": "fadebcf53f126ccca7f66a8e17d5a2704d901ebb7bf9a2699a7656538b0b3864",
+    "conv-smooth": "13aa4110368722214766a047e7c316fe47a4b4b2a34702ff26666d78a2b6ce6b",
+    "search-kneser-failure": "aab4516f6ad2caba1ae95e15837ff9508dc55ecf7be7009e361672cda12f052a",
+    "kneser-scan-D4": "7f3b6a66becc305a97262be80b1006b43d1d0816d3213a9b18fdef1a7b185cda",
+    "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
+    "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
+    "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
+    "atoms-D8": "62882a603c67ae3d552a62e335e9686abf830cfad23c3dc95c3ce69f7a958e91",
+    "theorem-main-multi": "5b573b5ac2823922e595391491be183e67a3ddec991a920a70275b3696d96044",
+}
+
+CASES = list(all_cases()) + [(case, command, config) for case, (command, config) in FIXED.items()]
+
+
+def test_every_case_has_a_digest():
+    assert {case for case, _, _ in CASES} == set(DIGESTS)
+
+
+@pytest.mark.parametrize("case,command,config", CASES, ids=[c for c, _, _ in CASES])
+def test_payload_digest(case, command, config):
+    payload = json.dumps(run(command, config), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[case]

@@ -15,14 +15,12 @@ from smalldoubling import (
     enumerate_subgroups,
     inverse_set,
     is_subgroup,
-    left_stabilizer,
-    left_coset,
     product_set,
     quaternion,
-    right_coset,
     right_stabilizer,
     symmetric,
 )
+from smalldoubling.groups import image
 from smalldoubling.setalg import (
     expansion_rows,
     mask_table_from_rows,
@@ -32,7 +30,6 @@ from smalldoubling.setalg import (
 )
 from oracles import (
     naive_inverse,
-    naive_left_stabilizer,
     naive_product,
     naive_right_stabilizer,
 )
@@ -111,23 +108,20 @@ def test_stabilizer_examples():
         right_stabilizer(Z6, Z6.subset([]))
 
 
-@pytest.mark.parametrize("G", GROUPS, ids=lambda g: g.name)
+@pytest.mark.parametrize(
+    "G", GROUPS + [quaternion(8), dihedral(32)], ids=lambda g: g.name
+)
 def test_stabilizers_match_oracle_and_are_subgroups(G):
     rng = random.Random(11 * G.order)
     for _ in range(25):
         T = random_subset(rng, G)
         right = right_stabilizer(G, T)
-        left = left_stabilizer(G, T)
         assert set(right.elements()) == naive_right_stabilizer(G, T.elements())
-        assert set(left.elements()) == naive_left_stabilizer(G, T.elements())
-        assert is_subgroup(G, right) and is_subgroup(G, left)
+        assert is_subgroup(G, right)
         assert T.cardinality % right.cardinality == 0
-        assert T.cardinality % left.cardinality == 0
-        # T*H = T makes T a union of left cosets t*H of the right stabilizer;
-        # h*T = T makes it a union of right cosets of the left stabilizer.
+        # T*H = T makes T a union of left cosets t*H of the right stabilizer.
         for t in T:
-            assert left_coset(G, right, t).issubset(T)
-            assert right_coset(G, left, t).issubset(T)
+            assert image(G.mul[t], right.mask) | T.mask == T.mask
 
 
 def test_doubling_examples():
@@ -177,8 +171,8 @@ def test_cover_certificate_invariants(G):
         T = random_subset(rng, G)
         side = rng.choice(["left", "right"])
         cert = coset_cover(G, H, T, side=side)
-        maker = right_coset if side == "right" else left_coset
-        cosets = [maker(G, H, r) for r in cert.representatives]
+        perms = G.cols if side == "right" else G.mul
+        cosets = [Subset(G.order, image(perms[r], H.mask)) for r in cert.representatives]
         union = Subset.empty(G.order)
         for rep, coset in zip(cert.representatives, cosets):
             assert rep == coset.elements()[0]  # canonical minimum-index member
