@@ -340,12 +340,20 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
     }
 
 
-def run(command: str, config: dict, *, ceiling: Optional[dict] = None) -> dict:
+def run(
+    command: str,
+    config: dict,
+    *,
+    ceiling: Optional[dict] = None,
+    group: Optional[groups.GroupTable] = None,
+) -> dict:
     """Execute one verifier from its replayable config; returns the payload.
 
-    `ceiling` bounds the caps the config may ask for (see `parse_config`).
+    `ceiling` bounds the caps the config may ask for, and `group` saves
+    building a group the caller already built from the config (see
+    `parse_config`).
     """
-    G, sets, options, caps = parse_config(command, config, ceiling)
+    G, sets, options, caps = parse_config(command, config, ceiling, group)
     return COMMANDS[command].runner(G, caps, **sets, **options)
 
 

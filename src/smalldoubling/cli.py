@@ -184,13 +184,14 @@ def _collect_sets(args, G: groups.GroupTable, names: tuple[str, ...]) -> dict:
     return {name: parse_set_elements(G, text) for name, text in raw.items()}
 
 
-def _config_from_args(args) -> dict:
-    """The replayable config of a run command, in its one accepted form."""
+def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
+    """The replayable config of a run command, in its one accepted form, and
+    its group."""
     entry = COMMANDS[args.command]
     caps = _resolve_caps(args)
     group_spec = parse_group_spec(args.group)
     # Building the group resolves set labels, and surfaces bad specs and cap
-    # violations as usage errors before any solver runs.
+    # violations as usage errors before any solver runs.  The run reuses it.
     G = groups.from_spec(group_spec, order_cap=caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G, entry.sets)
@@ -200,7 +201,7 @@ def _config_from_args(args) -> dict:
         value = getattr(args, name)
         if value is not None:
             config[name] = (opt.aliases or {}).get(value, value)
-    return config
+    return config, G
 
 
 def _render_text(value, prefix: str = "") -> list[str]:
@@ -265,9 +266,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "recheck":
             return _run_recheck(args)
-        config = _config_from_args(args)
+        config, G = _config_from_args(args)
         started = time.perf_counter()
-        payload = certificates.run(args.command, config)
+        payload = certificates.run(args.command, config, group=G)
         wall = time.perf_counter() - started
         record = certificates.make_record(args.command, config, payload, wall_time_s=wall)
         _emit(record, args.format, args.out)

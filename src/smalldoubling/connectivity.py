@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .errors import EmptySet, KOutOfRange, SizeLimitExceeded, TheoryViolation
 from .groups import GroupTable, _check_member, enumerate_subgroups, image, is_subgroup_mask
 from .setalg import popcount_table, product_mask, product_size_table
@@ -89,6 +87,8 @@ def _check_k(K: Fraction, classify_atom: bool) -> None:
 
 def _scaled_cost_arrays(G: GroupTable, S: Subset, K: Fraction):
     """(q*|A*S| - p*|A|) for every mask, plus q; mask 0 is masked out."""
+    import numpy as np
+
     sizes = product_size_table(G, S)
     cards = popcount_table(G.order)
     p, q = K.numerator, K.denominator
@@ -115,6 +115,8 @@ def connectivity_bruteforce(
     This is the oracle path: no structure theory is assumed.  The scan runs
     over the full powerset table, so it is limited to small groups.
     """
+    import numpy as np
+
     n = G.order
     if n > bruteforce_cap:
         raise SizeLimitExceeded(

@@ -274,7 +274,13 @@ def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 def direct_product(
     factors: Sequence[GroupTable], *, order_cap: int = DEFAULT_ORDER_CAP
 ) -> GroupTable:
-    """Componentwise product; element indices are mixed-radix over the factors."""
+    """Componentwise product; element indices are mixed-radix over the factors.
+
+    The first factor is the most significant digit.  The table is refined one
+    factor at a time: pairing index p of the product so far with index q of
+    the next factor (order n) gives index p*n + q, and rows multiply
+    componentwise, so no index is ever decoded.
+    """
     if not factors:
         raise InvalidTable("direct product needs at least one factor")
     order = 1
@@ -282,37 +288,18 @@ def direct_product(
         order *= g.order
     _check_cap(order, order_cap, "direct product")
 
-    radices = [g.order for g in factors]
-
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for r in reversed(radices):
-            x, rem = divmod(x, r)
-            out.append(rem)
-        return tuple(reversed(out))
-
-    def encode(parts: Sequence[int]) -> int:
-        x = 0
-        for p, r in zip(parts, radices):
-            x = x * r + p
-        return x
-
-    mul_rows = []
-    coords = [decode(x) for x in range(order)]
-    for a in range(order):
-        ca = coords[a]
-        row = []
-        for b in range(order):
-            cb = coords[b]
-            row.append(encode([g.mul[x][y] for g, x, y in zip(factors, ca, cb)]))
-        mul_rows.append(tuple(row))
-    labels = tuple(
-        "(" + ",".join(g.labels[x] for g, x in zip(factors, coords[a])) + ")"
-        for a in range(order)
-    )
+    mul = factors[0].mul
+    parts = [(label,) for label in factors[0].labels]
+    for g in factors[1:]:
+        n = g.order
+        mul = tuple(
+            tuple(p * n + q for p in prow for q in grow) for prow in mul for grow in g.mul
+        )
+        parts = [head + (label,) for head in parts for label in g.labels]
+    labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)
     spec = {"preset": "direct_product", "factors": [g.spec for g in factors]}
-    return _finish(tuple(mul_rows), 0, labels, name, spec)
+    return _finish(mul, 0, labels, name, spec)
 
 
 def from_table(

@@ -4,6 +4,10 @@ Everything here is integer/bitmask arithmetic; ratios come out as
 `fractions.Fraction`.  The subset-table helpers at the bottom compute
 |A*S| for *every* subset A of the group at once with a per-bit dynamic
 program, which is what makes the exhaustive sweeps cheap.
+
+numpy is imported inside the functions that touch arrays, here and in
+`connectivity` and `theorems`, so that a command without a subset table
+starts without it.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import EmptySet, NotASubgroup, SizeLimitExceeded
 from .groups import GroupTable, _check_member, image, is_subgroup
 from .subsets import Subset, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
 
@@ -147,6 +152,8 @@ def mask_table_from_rows(rows: list[int]) -> np.ndarray:
     The masks with top bit k are those below 2^k with bit k added, so each
     row doubles the filled prefix with one contiguous slice operation.
     """
+    import numpy as np
+
     n = len(rows)
     _require_table_size(n)
     prod = np.zeros(1 << n, dtype=np.uint64)
@@ -165,6 +172,8 @@ def product_mask_table(G: GroupTable, S: Subset) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def product_size_table(G: GroupTable, S: Subset) -> np.ndarray:
     """|A*S| for every subset-mask A of G, as int64."""
+    import numpy as np
+
     sizes = np.bitwise_count(product_mask_table(G, S)).astype(np.int64)
     sizes.flags.writeable = False
     return sizes
@@ -173,6 +182,8 @@ def product_size_table(G: GroupTable, S: Subset) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def popcount_table(n: int) -> np.ndarray:
     """|A| for every mask of width n."""
+    import numpy as np
+
     _require_table_size(n)
     cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     cards.flags.writeable = False

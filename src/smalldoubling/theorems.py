@@ -12,9 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .connectivity import CostParams, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
@@ -32,6 +30,9 @@ from .setalg import (
     right_stabilizer,
 )
 from .subsets import Subset, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SUBSET_SEARCH_CAP = 20
 PETRIDIS_TABLE_MIN = 7  # smallest |A| for the table pass of petridis_minimizer
@@ -321,6 +322,8 @@ def _minimize_by_table(rows: list[int]) -> tuple[int, int, int]:
     Scaled by k + 1, minus |X|, it also ranks larger |X| first among equal
     ratios; with k <= 24 and |X*S| <= 64 the key stays under 2^43.
     """
+    import numpy as np
+
     k = len(rows)
     sizes = np.bitwise_count(mask_table_from_rows(rows))[1:]
     cards = popcount_table(k)[1:]
@@ -352,6 +355,8 @@ def petridis_verify(
 
     violations: list[Subset] = []
     if mode == "exhaustive":
+        import numpy as np
+
         if (1 << n) - 1 > budget:
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
@@ -405,6 +410,8 @@ def _translation_table(perm: tuple[int, ...]) -> np.ndarray:
 
 def _stabilizer_sizes(G: GroupTable) -> np.ndarray:
     """|stab(T)| = #{h : T*h = T} for every mask T."""
+    import numpy as np
+
     masks = np.arange(1 << G.order, dtype=np.uint64)
     sizes = np.zeros(1 << G.order, dtype=np.int64)
     for col in G.cols:
@@ -414,6 +421,8 @@ def _stabilizer_sizes(G: GroupTable) -> np.ndarray:
 
 def _orbit_labels(G: GroupTable) -> np.ndarray:
     """The smallest mask among x*m*z over all x, z in G, for every mask m."""
+    import numpy as np
+
     lmin = np.arange(1 << G.order, dtype=np.uint64)
     for row in G.mul:
         np.minimum(lmin, _translation_table(row), out=lmin)
@@ -427,6 +436,8 @@ def _failing_partners(
     G: GroupTable, amask: int, limit: int, cards: np.ndarray, stab: np.ndarray
 ) -> np.ndarray:
     """The masks B in 1..limit, ascending, with |A*B| < |A| + |B| - |stab(A*B)|."""
+    import numpy as np
+
     rows = [image(col, amask) for col in G.cols]
     prod = mask_table_from_rows(rows)[1 : limit + 1]
     rhs = cards[1 : limit + 1] - stab[prod] + int(cards[amask])
@@ -441,6 +452,8 @@ def _orbit_scan(G: GroupTable, cards: np.ndarray, stab: np.ndarray) -> list[tupl
     R is the smallest mask of its orbit and F_R its failing partners, the
     failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is taken.
     """
+    import numpy as np
+
     label = _orbit_labels(G)
     masks = np.arange(len(label), dtype=np.uint64)
     found: list[tuple[int, int]] = []

@@ -24,6 +24,15 @@ def naive_right_translate(G, A, x):
     return {G.mul[a][x] for a in A}
 
 
+def mixed_radix_decode(x, radices):
+    """The digits of x in the mixed radix `radices`, most significant first."""
+    digits = []
+    for r in reversed(radices):
+        x, digit = divmod(x, r)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def naive_right_stabilizer(G, T):
     T = set(T)
     return {h for h in range(G.order) if {G.mul[t][h] for t in T} == T}

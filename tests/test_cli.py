@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from smalldoubling import groups
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
 from smalldoubling.groups import from_spec, symmetric
 
@@ -320,17 +321,89 @@ def test_determinism_across_invocations(capsys):
     assert len(outputs) == 1
 
 
-def test_issue_and_recheck_without_jsonschema(tmp_path):
+# Commands that need no powerset table, with arguments that verify.
+NUMPY_FREE_RUNS = {
+    "doubling": ["doubling", "--group", "dihedral:4", "--setA", "r0,r1"],
+    "kneser": ["kneser", "--group", "cyclic:12", "--setA", "0,1", "--setB", "0,3"],
+    "corollary-kn": ["corollary-kn", "--group", "cyclic:12", "--setA", "0,4,8", "--epsilon", "1/2"],
+    "theorem-main": ["theorem-main", "--group", "sym:3", "--setA", "0,2", "--setS", "0,2",
+                     "--epsilon", "1"],
+    "connectivity": ["connectivity", "--group", "dihedral:4", "--setS", "r0,r1,s0", "--K", "1/2",
+                     "--solver", "subgroup"],
+    "conv-gap": ["conv", "gap", "--group", "dihedral:4", "--setA", "r0,r1"],
+    "conv-smooth": ["conv", "smooth", "--group", "dihedral:4", "--setA", "r0,r1",
+                    "--setS", "r0,s0"],
+}
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
-    cert = tmp_path / "cert.json"
-    script = (
-        "import sys; sys.modules['jsonschema'] = None\n"
-        "from smalldoubling.cli import main\n"
-        f"argv = ['doubling', '--group', 'cyclic:20', '--setA', '0,1,2', '--out', {str(cert)!r}]\n"
-        "assert main(argv) == 0\n"
-        f"assert main(['recheck', {str(cert)!r}]) == 0\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
+def test_issue_and_recheck_without_jsonschema(tmp_path):
+    """Neither jsonschema nor numpy is needed to issue and recheck a
+    certificate that uses no powerset table."""
+    script = (
+        "import sys; sys.modules['jsonschema'] = None; sys.modules['numpy'] = None\n"
+        "from smalldoubling.cli import main\n"
+        f"runs = {NUMPY_FREE_RUNS!r}\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "for name, argv in runs.items():\n"
+        "    cert = f'{tmp}/{name}.json'\n"
+        "    assert main(argv + ['--out', cert]) == 0, name\n"
+        "    assert main(['recheck', cert, '--out', f'{tmp}/{name}.recheck.json']) == 0, name\n"
+    )
+    done = _run_python(script)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["ok"] is True
+    for name in NUMPY_FREE_RUNS:
+        assert json.loads((tmp_path / f"{name}.recheck.json").read_text())["ok"] is True
+
+
+def test_numpy_loads_only_with_a_powerset_table(tmp_path):
+    cert = tmp_path / "petridis.json"
+    script = (
+        "import sys\n"
+        "from smalldoubling.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        # |A| = 7 takes the table pass of the Petridis minimizer.
+        "argv = ['petridis', '--group', 'cyclic:16', '--setA', '0,1,2,3,4,5,6', '--setS', '0,1',\n"
+        f"        '--out', {str(cert)!r}]\n"
+        "assert main(argv) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(cert.read_text())["payload"]["ok"] is True
+
+
+def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
+    built = []
+    depth = 0
+    original = groups.from_spec
+
+    def counting(spec, **kwargs):  # counts top-level builds, not factor recursion
+        nonlocal depth
+        if depth == 0:
+            built.append(spec)
+        depth += 1
+        try:
+            return original(spec, **kwargs)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(groups, "from_spec", counting)
+    cert = tmp_path / "cert.json"
+    assert main(["doubling", "--group", "dihedral:8", "--setA", "r0,r1", "--out", str(cert)]) == 0
+    assert built == [{"preset": "dihedral", "n": 8}]
+
+    built.clear()
+    product = ["--group", "dihedral:4xcyclic:2", "--setA", "0,1", "--out", str(cert)]
+    assert main(["doubling", *product]) == 0
+    assert len(built) == 1
+
+    # recheck trusts nothing of the issuer: it builds the group from the spec.
+    built.clear()
+    assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
+    assert built == [json.loads(cert.read_text())["config"]["group"]]

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from smalldoubling.groups import image
 from smalldoubling.subsets import iter_bits
 from oracles import (
     is_subgroup_naive,
+    mixed_radix_decode,
     naive_closure,
     naive_inverse,
     naive_left_translate,
@@ -143,6 +147,53 @@ def test_from_spec_round_trip():
         from_spec({"preset": "nope", "n": 3})
     with pytest.raises(InvalidTable):
         from_spec({"preset": "cyclic"})
+
+
+def _check_product(P, factors):
+    """P is the direct product of `factors`, decoded element by element."""
+    radices = [g.order for g in factors]
+    coords = [mixed_radix_decode(x, radices) for x in range(P.order)]
+    assert P.order == math.prod(radices)
+    for x, cx in enumerate(coords):
+        for y, cy in enumerate(coords):
+            assert coords[P.mul[x][y]] == tuple(
+                g.mul[a][b] for g, a, b in zip(factors, cx, cy)
+            )
+    assert P.labels == tuple(
+        "(" + ",".join(g.labels[a] for g, a in zip(factors, cx)) + ")" for cx in coords
+    )
+    assert P.name == "x".join(g.name for g in factors)
+    assert P.spec == {"preset": "direct_product", "factors": [g.spec for g in factors]}
+    assert P.identity == 0
+    assert P.is_abelian == all(g.is_abelian for g in factors)
+
+
+def test_direct_product_is_componentwise():
+    small = catalogue(8)
+    for G, H in itertools.product(small, repeat=2):
+        _check_product(direct_product([G, H]), [G, H])
+    klein = {"preset": "direct_product", "factors": [{"preset": "cyclic", "n": 2}] * 2}
+    nested = from_spec({"preset": "direct_product", "factors": [{"preset": "quaternion", "n": 2}, klein]})
+    _check_product(nested, [quaternion(2), from_spec(klein)])
+    assert nested.label(3) == "(e,(1,1))"
+
+
+def test_direct_product_of_one_factor_keeps_its_table():
+    for G in (cyclic(5), symmetric(3), quaternion(2)):
+        P = direct_product([G])
+        assert P.mul == G.mul and P.inv == G.inv
+        assert P.labels == tuple(f"({label})" for label in G.labels)
+
+
+def test_direct_product_refuses_the_order_cap_before_building():
+    # Stand-ins with no table: the cap must be refused from the orders alone.
+    factors = [SimpleNamespace(order=8)] * 3
+    with pytest.raises(SizeLimitExceeded):
+        direct_product(factors)
+    with pytest.raises(SizeLimitExceeded):
+        direct_product([cyclic(4), cyclic(4)], order_cap=15)
+    with pytest.raises(InvalidTable):
+        direct_product([])
 
 
 def test_closure_examples():
