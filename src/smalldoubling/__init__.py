@@ -39,7 +39,6 @@ from .errors import (
 )
 from .groups import (
     GroupTable,
-    TableValidation,
     catalogue,
     closure,
     cyclic,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from pathlib import Path
@@ -21,8 +20,6 @@ from . import certificates, groups
 from .errors import SmallDoublingError, TheoryViolation, UsageError
 from .rationals import parse_rational, rational_str
 from .schema import COMMANDS, DEFAULT_CAPS, Option
-
-_INLINE_GROUP_RE = re.compile(r"^(cyclic|dihedral|symmetric|sym|quaternion):(\d+)$")
 
 # Help of the command-line words that only group other commands.
 _GROUP_HELP = {"conv": "convolution tools", "search": "counterexample searches"}
@@ -49,14 +46,14 @@ def parse_group_spec(text: str) -> dict:
     parts = text.split("x")
     specs = []
     for part in parts:
-        m = _INLINE_GROUP_RE.match(part.strip())
-        if m is None:
+        kind, _, n = part.strip().partition(":")
+        kind = {"sym": "symmetric"}.get(kind, kind)
+        if kind not in groups.PRESETS or not n.isdecimal():
             raise UsageError(
                 f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
                 "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
             )
-        kind = {"sym": "symmetric"}.get(m.group(1), m.group(1))
-        specs.append({"preset": kind, "n": int(m.group(2))})
+        specs.append({"preset": kind, "n": int(n)})
     if len(specs) == 1:
         return specs[0]
     return {"preset": "direct_product", "factors": specs}

@@ -8,7 +8,9 @@ pure function, so concurrent readers need no coordination.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
@@ -21,25 +23,38 @@ DEFAULT_ORDER_CAP = 64
 class GroupTable:
     """A finite group presented by its multiplication table.
 
-    `mul[a][b]` is the index of a*b, `inv[a]` the index of a^-1, and the
-    derived `cols[b][a]` is a*b again, so `mul[x]` and `cols[x]` are the left
-    and right translations by x as permutations.  `spec` is a
+    `mul[a][b]` is the index of a*b.  Everything else about the table is
+    derived from `mul` and `identity` at construction: `order`, `inv[a]` (the
+    index of a^-1), `cols[b][a]` (a*b again, so `mul[x]` and `cols[x]` are the
+    left and right translations by x as permutations) and `is_abelian`.  The
+    table must already be a group (`validate_table` checks a raw one); only
+    the labels are checked here, for being distinct.  `spec` is a
     JSON-serializable description sufficient to rebuild the table, used by
     certificates.
     """
 
-    order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
-    inv: tuple[int, ...]
     labels: tuple[str, ...]
-    is_abelian: bool
     name: str
     spec: dict = field(repr=False)
+    order: int = field(init=False)
+    inv: tuple[int, ...] = field(init=False, repr=False)
     cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    is_abelian: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cols", tuple(zip(*self.mul)))
+        if len(set(self.labels)) != len(self.mul):
+            raise InvalidTable("labels are not distinct", witness=("labels", ()))
+        cols = tuple(zip(*self.mul))
+        derived = {
+            "order": len(self.mul),
+            "inv": tuple(row.index(self.identity) for row in self.mul),
+            "cols": cols,
+            "is_abelian": self.mul == cols,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def elements(self) -> range:
         return range(self.order)
@@ -53,28 +68,11 @@ class GroupTable:
     def singleton(self, element: int) -> Subset:
         return Subset.from_elements(self.order, (element,))
 
-    def identity_subset(self) -> Subset:
-        return self.singleton(self.identity)
-
     def full_subset(self) -> Subset:
         return Subset.full(self.order)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
-
-
-@dataclass(frozen=True)
-class TableViolation:
-    axiom: str
-    witness: tuple
-    detail: str
-
-
-@dataclass(frozen=True)
-class TableValidation:
-    order: int
-    ok: bool
-    violations: tuple[TableViolation, ...]
 
 
 def _check_cap(order: int, order_cap: int, what: str) -> None:
@@ -84,97 +82,56 @@ def _check_cap(order: int, order_cap: int, what: str) -> None:
         )
 
 
-def validate_table(mul: Sequence[Sequence[int]]) -> TableValidation:
-    """Check the group axioms on a raw table.
+def _violation(axiom: str, witness: tuple, detail: str) -> InvalidTable:
+    return InvalidTable(f"{axiom} violated: {detail}", witness=(axiom, witness))
 
-    Reports the first witness of each violated axiom rather than raising;
-    associativity is checked for all n^3 triples.
+
+def validate_table(mul: Sequence[Sequence[int]]) -> int:
+    """Check the group axioms on a raw table and return the identity index.
+
+    Raises `InvalidTable` for the first violated axiom, in the order
+    nonempty, shape, closure, identity, associativity, inverses, with
+    `witness = (axiom, first offending tuple)`.  Associativity covers all n^3
+    triples, one row pair at a time: the row of a*b must equal row a read
+    through row b.
     """
     n = len(mul)
-    violations: list[TableViolation] = []
     if n == 0:
-        return TableValidation(0, False, (TableViolation("nonempty", (), "empty table"),))
-
-    shape_bad = None
+        raise _violation("nonempty", (), "empty table")
     for a, row in enumerate(mul):
         if len(row) != n:
-            shape_bad = TableViolation("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
-            break
-    if shape_bad is not None:
-        return TableValidation(n, False, (shape_bad,))
-
-    for a in range(n):
-        for b in range(n):
-            v = mul[a][b]
+            raise _violation("shape", (a,), f"row {a} has length {len(row)}, expected {n}")
+    for a, row in enumerate(mul):
+        for b, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
-                violations.append(
-                    TableViolation("closure", (a, b), f"mul({a},{b}) = {v!r} outside [0,{n})")
-                )
-                break
-        else:
-            continue
-        break
-    if violations:
-        # Out-of-range entries make the remaining axioms meaningless.
-        return TableValidation(n, False, tuple(violations))
+                raise _violation("closure", (a, b), f"mul({a},{b}) = {v!r} outside [0,{n})")
 
-    identity = None
-    for e in range(n):
-        if all(mul[e][a] == a and mul[a][e] == a for a in range(n)):
-            identity = e
-            break
+    rows = tuple(map(tuple, mul))
+    ids = tuple(range(n))
+    cols = tuple(zip(*rows))
+    identity = next((e for e in ids if rows[e] == ids and cols[e] == ids), None)
     if identity is None:
-        violations.append(TableViolation("identity", (), "no two-sided identity element"))
+        raise _violation("identity", (), "no two-sided identity element")
+    if n == 1:
+        return identity  # [[0]]; itemgetter of one index returns an item, not a tuple
 
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            violations.append(
-                TableViolation(
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            through = itemgetter(*rows[b])(row_a)
+            if rows[ab] != through:
+                c = next(c for c in ids if rows[ab][c] != through[c])
+                raise _violation(
                     "associativity",
                     (a, b, c),
-                    f"(a*b)*c = {mul[mul[a][b]][c]} but a*(b*c) = {mul[a][mul[b][c]]}",
+                    f"(a*b)*c = {rows[ab][c]} but a*(b*c) = {through[c]}",
                 )
-            )
-            break
 
-    if identity is not None:
-        for a in range(n):
-            if not any(mul[a][b] == identity and mul[b][a] == identity for b in range(n)):
-                violations.append(
-                    TableViolation("inverses", (a,), f"element {a} has no two-sided inverse")
-                )
-                break
-
-    return TableValidation(n, not violations, tuple(violations))
-
-
-def _finish(
-    mul: tuple[tuple[int, ...], ...],
-    identity: int,
-    labels: tuple[str, ...],
-    name: str,
-    spec: dict,
-) -> GroupTable:
-    n = len(mul)
-    inv = [0] * n
-    for a in range(n):
-        for b in range(n):
-            if mul[a][b] == identity:
-                inv[a] = b
-                break
-    abelian = all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a))
-    if len(set(labels)) != n:
-        raise InvalidTable("labels are not distinct", witness=("labels", ()))
-    return GroupTable(
-        order=n,
-        mul=mul,
-        identity=identity,
-        inv=tuple(inv),
-        labels=labels,
-        is_abelian=abelian,
-        name=name,
-        spec=spec,
-    )
+    # With associativity, a right inverse that is also a left inverse is the
+    # only one, so the first b with a*b = e decides.
+    for a, row in enumerate(rows):
+        if identity not in row or rows[row.index(identity)][a] != identity:
+            raise _violation("inverses", (a,), f"element {a} has no two-sided inverse")
+    return identity
 
 
 def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -184,7 +141,7 @@ def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     _check_cap(n, order_cap, f"cyclic({n})")
     mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     labels = tuple(str(i) for i in range(n))
-    return _finish(mul, 0, labels, f"Z{n}", {"preset": "cyclic", "n": n})
+    return GroupTable(mul, 0, labels, f"Z{n}", {"preset": "cyclic", "n": n})
 
 
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -202,7 +159,7 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
             mul[i + n][j + n] = (i - j) % n    # s_i s_j = r_{i-j}
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
     table = tuple(tuple(row) for row in mul)
-    return _finish(table, 0, labels, f"D{n}", {"preset": "dihedral", "n": n})
+    return GroupTable(table, 0, labels, f"D{n}", {"preset": "dihedral", "n": n})
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -229,17 +186,14 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise InvalidTable(f"symmetric group needs n >= 1, got {n}")
     if n > 6:
         raise SizeLimitExceeded(f"symmetric({n}) has order {n}! — preset supports n <= 6")
-    order = 1
-    for k in range(2, n + 1):
-        order *= k
-    _check_cap(order, order_cap, f"symmetric({n})")
+    _check_cap(math.factorial(n), order_cap, f"symmetric({n})")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     mul = tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
     )
     labels = tuple(_cycle_label(p) for p in perms)
-    return _finish(mul, 0, labels, f"S{n}", {"preset": "symmetric", "n": n})
+    return GroupTable(mul, 0, labels, f"S{n}", {"preset": "symmetric", "n": n})
 
 
 def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -268,7 +222,7 @@ def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         power_label(i, "b") for i in range(m)
     )
     table = tuple(tuple(row) for row in mul)
-    return _finish(table, 0, labels, f"Q{4 * n}", {"preset": "quaternion", "n": n})
+    return GroupTable(table, 0, labels, f"Q{4 * n}", {"preset": "quaternion", "n": n})
 
 
 def direct_product(
@@ -299,7 +253,7 @@ def direct_product(
     labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)
     spec = {"preset": "direct_product", "factors": [g.spec for g in factors]}
-    return _finish(mul, 0, labels, name, spec)
+    return GroupTable(mul, 0, labels, name, spec)
 
 
 def from_table(
@@ -312,14 +266,8 @@ def from_table(
     """Build a group from an explicit table, validating every axiom first."""
     n = len(mul)
     _check_cap(n, order_cap, "table group")
-    report = validate_table(mul)
-    if not report.ok:
-        v = report.violations[0]
-        raise InvalidTable(f"{v.axiom} violated: {v.detail}", witness=(v.axiom, v.witness))
-    table = tuple(tuple(int(x) for x in row) for row in mul)
-    identity = next(
-        e for e in range(n) if all(table[e][a] == a and table[a][e] == a for a in range(n))
-    )
+    identity = validate_table(mul)
+    table = tuple(tuple(map(int, row)) for row in mul)
     if labels is None:
         label_tuple = tuple(str(i) for i in range(n))
     else:
@@ -327,14 +275,16 @@ def from_table(
             raise InvalidTable(f"got {len(labels)} labels for order {n}")
         label_tuple = tuple(str(x) for x in labels)
     spec = {"table": [list(row) for row in table], "labels": list(label_tuple)}
-    return _finish(table, identity, label_tuple, name, spec)
+    return GroupTable(table, identity, label_tuple, name, spec)
 
 
-_PRESET_BUILDERS = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "symmetric": symmetric,
-    "quaternion": quaternion,
+# Every one-parameter preset: its builder and the least n it accepts.  The
+# schema's spec check and the command line's inline grammar read this too.
+PRESETS = {
+    "cyclic": (cyclic, 1),
+    "dihedral": (dihedral, 1),
+    "symmetric": (symmetric, 1),
+    "quaternion": (quaternion, 2),
 }
 
 
@@ -351,10 +301,10 @@ def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if preset == "direct_product":
         factors = [from_spec(s, order_cap=order_cap) for s in spec.get("factors", [])]
         return direct_product(factors, order_cap=order_cap)
-    if preset in _PRESET_BUILDERS:
+    if preset in PRESETS:
         if "n" not in spec:
             raise InvalidTable(f"preset {preset!r} needs parameter 'n'")
-        return _PRESET_BUILDERS[preset](int(spec["n"]), order_cap=order_cap)
+        return PRESETS[preset][0](int(spec["n"]), order_cap=order_cap)
     raise InvalidTable(f"unknown group spec: {spec!r}")
 
 
@@ -486,10 +436,7 @@ def catalogue(max_order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[Gr
     for n in range(3, max_order // 2 + 1):
         out.append(dihedral(n, order_cap=order_cap))
     for n in range(3, 7):
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
-        if order <= max_order:
+        if math.factorial(n) <= max_order:
             out.append(symmetric(n, order_cap=order_cap))
     n = 2
     while 4 * n <= max_order:

@@ -165,9 +165,6 @@ def _option(name: str, opt: Option, config: dict):
 
 # --- group specs, sets and caps --------------------------------------------
 
-_PRESET_MIN_N = {"cyclic": 1, "dihedral": 1, "symmetric": 1, "quaternion": 2}
-
-
 def _check_group(spec, where: str = "config.group") -> None:
     preset = _object(spec, where).get("preset")
     if "table" in spec:
@@ -187,9 +184,9 @@ def _check_group(spec, where: str = "config.group") -> None:
             raise UsageError(f"{where}.factors must be a nonempty list of group specs")
         for i, factor in enumerate(factors):
             _check_group(factor, f"{where}.factors[{i}]")
-    elif isinstance(preset, str) and preset in _PRESET_MIN_N:
+    elif isinstance(preset, str) and preset in groups.PRESETS:
         _require(_object(spec, where, ("preset", "n")), ("n",), where)
-        _int(spec["n"], f"{where}.n", lo=_PRESET_MIN_N[preset])
+        _int(spec["n"], f"{where}.n", lo=groups.PRESETS[preset][1])
     else:
         raise UsageError(f"{where} has unknown preset {preset!r}")
 

@@ -526,7 +526,7 @@ def kneser_violation_scan(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     reports = []
-    for amask, bmask in found:
+    for amask, bmask in dict.fromkeys(found):  # random draws may repeat a pair
         # Independent re-verification through the plain (non-tabulated) path.
         report = _kneser_report(G, Subset(n, amask), Subset(n, bmask))
         if report.holds:
@@ -537,21 +537,13 @@ def kneser_violation_scan(
     reports.sort(
         key=lambda r: (r.A.cardinality, r.B.cardinality, r.A.sort_key(), r.B.sort_key())
     )
-    # Deduplicate (random sampling may repeat pairs).
-    unique_reports = []
-    seen: set[tuple[int, int]] = set()
-    for r in reports:
-        key = (r.A.mask, r.B.mask)
-        if key not in seen:
-            seen.add(key)
-            unique_reports.append(r)
     return SearchReport(
         strategy=strategy,
         seed=seed,
         budget=budget,
         pairs_checked=pairs_checked,
         exhausted=exhausted,
-        findings=tuple(unique_reports),
+        findings=tuple(reports),
     )
 
 

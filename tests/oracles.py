@@ -33,6 +33,37 @@ def mixed_radix_decode(x, radices):
     return tuple(reversed(digits))
 
 
+def naive_table_violation(mul):
+    """The first violated group axiom of a raw table, as (axiom, witness), or None.
+
+    Axioms in the order nonempty, shape, closure, identity, associativity
+    (all n^3 triples), inverses; each witness is the first offending tuple.
+    """
+    n = len(mul)
+    if n == 0:
+        return ("nonempty", ())
+    for a in range(n):
+        if len(mul[a]) != n:
+            return ("shape", (a,))
+    for a, b in product(range(n), repeat=2):
+        v = mul[a][b]
+        if not isinstance(v, int) or not 0 <= v < n:
+            return ("closure", (a, b))
+    identities = [
+        e for e in range(n) if all(mul[e][x] == x and mul[x][e] == x for x in range(n))
+    ]
+    if not identities:
+        return ("identity", ())
+    for a, b, c in product(range(n), repeat=3):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return ("associativity", (a, b, c))
+    e = identities[0]
+    for a in range(n):
+        if not any(mul[a][b] == e and mul[b][a] == e for b in range(n)):
+            return ("inverses", (a,))
+    return None
+
+
 def naive_right_stabilizer(G, T):
     T = set(T)
     return {h for h in range(G.order) if {G.mul[t][h] for t in T} == T}

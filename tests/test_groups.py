@@ -34,6 +34,7 @@ from oracles import (
     naive_left_translate,
     naive_right_translate,
     naive_subgroups,
+    naive_table_violation,
 )
 
 PRESET_SAMPLE = [
@@ -55,9 +56,7 @@ PRESET_SAMPLE = [
 @pytest.mark.parametrize("G", PRESET_SAMPLE, ids=lambda g: g.name)
 def test_presets_satisfy_group_axioms(G):
     # Presets skip validation at build time; prove them correct here.
-    report = validate_table(G.mul)
-    assert report.ok, report.violations
-    assert G.identity == 0
+    assert validate_table(G.mul) == G.identity == 0
     for a in G.elements():
         assert G.mul[a][G.inv[a]] == G.identity
         assert G.inv[G.inv[a]] == a
@@ -104,23 +103,105 @@ def test_from_table_rejects_out_of_range_entry():
     assert exc.value.witness[0] == "closure"
 
 
+def test_from_table_of_one_element():
+    G = from_table([[0]])
+    assert (G.order, G.identity, G.inv, G.is_abelian) == (1, 0, (0,), True)
+    with pytest.raises(InvalidTable) as exc:
+        from_table([[1]])
+    assert exc.value.witness == ("closure", (0, 0))
+
+
 def test_validate_reports_witness_for_broken_associativity():
     # Perturb one entry of the Z3 table and confirm by checking all triples.
     table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
     table[1][2] = 1
-    report = validate_table(table)
-    assert not report.ok
-    axioms = {v.axiom for v in report.violations}
-    assert axioms & {"associativity", "identity", "inverses"}
-    witnessed = next((v for v in report.violations if v.axiom == "associativity"), None)
-    if witnessed is not None:
-        a, b, c = witnessed.witness
+    with pytest.raises(InvalidTable) as exc:
+        validate_table(table)
+    axiom, witness = exc.value.witness
+    assert axiom in {"associativity", "identity", "inverses"}
+    if axiom == "associativity":
+        a, b, c = witness
         assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 def test_validate_rejects_ragged_and_empty():
-    assert not validate_table([]).ok
-    assert not validate_table([[0, 1], [1]]).ok
+    for table, axiom in (([], "nonempty"), ([[0, 1], [1]], "shape")):
+        with pytest.raises(InvalidTable) as exc:
+            validate_table(table)
+        assert exc.value.witness[0] == axiom
+
+
+def test_validate_rejects_a_monoid_without_inverses():
+    # Multiplication mod 4: associative with identity 1, but 0 and 2 are not units.
+    with pytest.raises(InvalidTable, match="element 0 has no two-sided inverse") as exc:
+        from_table([[a * b % 4 for b in range(4)] for a in range(4)])
+    assert exc.value.witness == ("inverses", (0,))
+
+
+def _expected_message(mul, axiom, witness):
+    n = len(mul)
+    if axiom == "shape":
+        (a,) = witness
+        detail = f"row {a} has length {len(mul[a])}, expected {n}"
+    elif axiom == "closure":
+        a, b = witness
+        detail = f"mul({a},{b}) = {mul[a][b]!r} outside [0,{n})"
+    elif axiom == "identity":
+        detail = "no two-sided identity element"
+    elif axiom == "associativity":
+        a, b, c = witness
+        detail = f"(a*b)*c = {mul[mul[a][b]][c]} but a*(b*c) = {mul[a][mul[b][c]]}"
+    else:
+        detail = f"element {witness[0]} has no two-sided inverse"
+    return f"{axiom} violated: {detail}"
+
+
+def _perturbed(G, rng):
+    """G's table with one or two entries changed; now and then an entry is
+    out of range or not an int, or a row is cut short."""
+    mul = [list(row) for row in G.mul]
+    n = G.order
+    for _ in range(rng.choice((1, 2))):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.05:
+            mul[a][b] = rng.choice((n, -1, str(mul[a][b]), float(mul[a][b])))
+        else:
+            mul[a][b] = rng.randrange(n)
+    if rng.random() < 0.05:
+        a = rng.randrange(n)
+        mul[a] = mul[a][: rng.randrange(n)]
+    return mul
+
+
+@pytest.mark.parametrize("G", catalogue(8), ids=lambda g: g.name)
+def test_from_table_rejects_as_the_naive_axiom_check(G):
+    rng = random.Random(f"table/{G.name}")
+    for _ in range(200):
+        mul = _perturbed(G, rng)
+        want = naive_table_violation(mul)
+        if want is None:
+            H = from_table(mul)
+            assert H.identity == validate_table(mul)
+            assert all(H.mul[a][H.inv[a]] == H.identity for a in H.elements())
+            continue
+        with pytest.raises(InvalidTable) as exc:
+            from_table(mul)
+        assert exc.value.witness == want
+        assert str(exc.value) == _expected_message(mul, *want)
+
+
+def test_identity_off_index_zero():
+    # Z3 relabelled so that the identity is index 2.
+    G = from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert G.identity == 2
+    assert G.inv == (1, 0, 2)
+    assert G.is_abelian
+
+
+def test_labels_must_be_distinct():
+    with pytest.raises(InvalidTable) as exc:
+        from_table([[0, 1], [1, 0]], ["x", "x"])
+    assert exc.value.witness == ("labels", ())
 
 
 def test_size_caps():

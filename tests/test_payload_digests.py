@@ -5,7 +5,8 @@ sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
 orbit scan with and without findings, the Petridis table pass, brute force
-and atoms at order 16, and the multi-coset branch of the structure theorem.
+and atoms at order 16, the multi-coset branch of the structure theorem, and
+an explicit table whose identity is not index 0.
 """
 
 import hashlib
@@ -15,6 +16,19 @@ import pytest
 
 from smalldoubling.certificates import run
 from test_certificates import all_cases
+
+# S3 relabelled so that the identity is index 1.
+TABLE_S3 = {
+    "table": [
+        [4, 0, 3, 5, 1, 2],
+        [0, 1, 2, 3, 4, 5],
+        [5, 2, 1, 4, 3, 0],
+        [2, 3, 0, 1, 5, 4],
+        [1, 4, 5, 2, 0, 3],
+        [3, 5, 4, 0, 2, 1],
+    ],
+    "labels": ["(1 2 3)", "e", "(1 3)", "(2 3)", "(1 3 2)", "(1 2)"],
+}
 
 FIXED = {
     "kneser-scan-D4": (
@@ -59,6 +73,15 @@ FIXED = {
             "epsilon": "1/3",
         },
     ),
+    "table-doubling": ("doubling", {"group": TABLE_S3, "sets": {"A": [0, 1, 2]}}),
+    "table-theorem-main": (
+        "theorem-main",
+        {"group": TABLE_S3, "sets": {"A": [1, 5], "S": [1, 5]}, "epsilon": "1/1"},
+    ),
+    "table-kneser-scan": (
+        "search-kneser-failure",
+        {"group": TABLE_S3, "strategy": "exhaustive"},
+    ),
 }
 
 DIGESTS = {
@@ -79,6 +102,9 @@ DIGESTS = {
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
     "atoms-D8": "62882a603c67ae3d552a62e335e9686abf830cfad23c3dc95c3ce69f7a958e91",
     "theorem-main-multi": "5b573b5ac2823922e595391491be183e67a3ddec991a920a70275b3696d96044",
+    "table-doubling": "982b24a3ea78dace090bc7423a74bf823f05b0f1dccc76166edd20c69ce61e2f",
+    "table-theorem-main": "5f1faa1a640639cd942dd9b9f5cc676c8cbe229b93d43f7e8735dfb63fec7236",
+    "table-kneser-scan": "da636f975be46b93ef7d0b1667d1d119ecf2265a7f2d828fd32c27d2733e6983",
 }
 
 CASES = list(all_cases()) + [(case, command, config) for case, (command, config) in FIXED.items()]
