@@ -7,7 +7,7 @@ runs one table row per orbit of A -> x*A*z and recovers the failures of
 every other A from its orbit representative.
 """
 
-from smalldoubling import dihedral, kneser_failure_search, quaternion, symmetric
+from smalldoubling import dihedral, kneser_violation_scan, quaternion, symmetric
 
 
 def show(G, subset):
@@ -17,7 +17,7 @@ def show(G, subset):
 D6 = dihedral(6)
 print("Exhaustive search over every nonempty pair (A, B):")
 for G in (symmetric(3), dihedral(4), quaternion(2), D6):
-    rep = kneser_failure_search(G, "exhaustive")
+    rep = kneser_violation_scan(G, "exhaustive")
     print(
         f"  {G.name:3} order {G.order:2}: {rep.pairs_checked:>10} pairs, "
         f"{len(rep.findings)} failures"
@@ -33,7 +33,7 @@ print(
 )
 
 print("\nSeeded random search in the same group, replayable from its seed:")
-rep = kneser_failure_search(D6, "random", seed=2026, budget=20_000)
+rep = kneser_violation_scan(D6, "random", seed=2026, budget=20_000)
 print(
     f"  D6: {rep.pairs_checked} sampled pairs, {len(rep.findings)} failures "
     f"(seed {rep.seed})"

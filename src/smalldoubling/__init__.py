@@ -73,7 +73,6 @@ from .theorems import (
     WeakKneserReport,
     kneser_check,
     kneser_corollary_check,
-    kneser_failure_search,
     kneser_violation_scan,
     petridis_minimizer,
     petridis_verify,

@@ -15,7 +15,7 @@ from typing import Any, Optional
 from . import connectivity as conn_mod
 from . import convolution as conv_mod
 from . import groups, setalg, theorems
-from .errors import SizeLimitExceeded, UsageError
+from .errors import NotAbelian, SizeLimitExceeded, UsageError
 from .rationals import rational_str
 from .schema import (
     COMMANDS,
@@ -81,7 +81,6 @@ _SEED = Option("int")
 def _run_doubling(G, caps, A):
     rep = setalg.doubling_ratio(G, A)
     return {
-        "group": G.name,
         "set_a": subset_payload(G, rep.A),
         "square": subset_payload(G, rep.square),
         "cardinality_a": rep.A.cardinality,
@@ -123,7 +122,6 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
             raise UsageError("fragment inventories need the brute_force solver")
         res = conn_mod.connectivity_subgroup_solver(G, params)
     return {
-        "group": G.name,
         "set_s": subset_payload(G, S),
         "k": rational_str(params.K),
         "solver": res.solver,
@@ -153,7 +151,6 @@ def _run_atoms(G, caps, S, K):
         G, conn_mod.CostParams(S=S, K=K), bruteforce_cap=caps["bruteforce_cap"]
     )
     return {
-        "group": G.name,
         "set_s": subset_payload(G, S),
         "k": rational_str(rep.params.K),
         "kappa": rational_str(rep.kappa),
@@ -172,9 +169,7 @@ def _run_atoms(G, caps, S, K):
     ok=lambda p: p["holds"],
 )
 def _run_kneser(G, caps, A, B):
-    payload = kneser_payload(G, theorems.kneser_check(G, A, B))
-    payload["group"] = G.name
-    return payload
+    return kneser_payload(G, theorems.kneser_check(G, A, B))
 
 
 @command(
@@ -187,7 +182,6 @@ def _run_kneser(G, caps, A, B):
 def _run_corollary(G, caps, A, epsilon):
     rep = theorems.kneser_corollary_check(G, A, epsilon)
     return {
-        "group": G.name,
         "set_a": subset_payload(G, rep.A),
         "epsilon": rational_str(rep.epsilon),
         "square": subset_payload(G, rep.square),
@@ -212,7 +206,6 @@ def _run_corollary(G, caps, A, epsilon):
 def _run_theorem_main(G, caps, A, S, epsilon):
     rep = theorems.weak_kneser_check(G, A, S, epsilon)
     return {
-        "group": G.name,
         "set_a": subset_payload(G, rep.A),
         "set_s": subset_payload(G, rep.S),
         "epsilon": rational_str(rep.epsilon),
@@ -244,7 +237,6 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
     result = theorems.petridis_minimizer(G, A, S, subset_cap=caps["subset_cap"])
     verification = theorems.petridis_verify(G, result, mode, budget=budget, seed=seed)
     return {
-        "group": G.name,
         "set_a": subset_payload(G, A),
         "set_s": subset_payload(G, S),
         "x": subset_payload(G, result.X),
@@ -269,7 +261,6 @@ def _run_conv_gap(G, caps, A):
     rep = conv_mod.gap_check(G, A)
     f = conv_mod.autocorrelation(G, A)
     return {
-        "group": G.name,
         "set_a": subset_payload(G, rep.A),
         "epsilon_star": rational_str(rep.epsilon_star),
         "support": subset_payload(G, rep.support),
@@ -291,7 +282,6 @@ def _run_conv_smooth(G, caps, A, S, threshold):
     f = conv_mod.autocorrelation(G, A)
     F = conv_mod.smoothed(G, S, f)
     payload = {
-        "group": G.name,
         "set_a": subset_payload(G, A),
         "set_s": subset_payload(G, S),
         "autocorrelation": function_payload(f),
@@ -327,9 +317,13 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
             f"an exhaustive scan of {G.name} covers 2^{G.order} sets per row, "
             f"above the brute-force cap {caps['bruteforce_cap']}"
         )
-    rep = theorems.kneser_failure_search(G, strategy, seed=seed, budget=budget)
+    if G.is_abelian:
+        raise NotAbelian(
+            f"{G.name} is abelian, where the inequality is a theorem; "
+            "the failure search only accepts nonabelian groups"
+        )
+    rep = theorems.kneser_violation_scan(G, strategy, seed=seed, budget=budget)
     return {
-        "group": G.name,
         "strategy": rep.strategy,
         "seed": rep.seed,
         "budget": rep.budget,
@@ -354,7 +348,7 @@ def run(
     `parse_config`).
     """
     G, sets, options, caps = parse_config(command, config, ceiling, group)
-    return COMMANDS[command].runner(G, caps, **sets, **options)
+    return {"group": G.name, **COMMANDS[command].runner(G, caps, **sets, **options)}
 
 
 def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> dict:
@@ -369,11 +363,6 @@ def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> 
         record["meta"] = {"wall_time_s": wall_time_s}
     validate_record(record)
     return record
-
-
-def exit_code_for(command: str, payload: dict) -> int:
-    """0 for a verified certificate, 1 for a finding / theory violation."""
-    return 0 if COMMANDS[command].ok(payload) else 1
 
 
 # --- offline recheck -----------------------------------------------------------

@@ -67,7 +67,7 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        if token.isdigit():
+        if token.isdecimal():
             value = int(token)
             if value >= G.order:
                 raise UsageError(f"element index {value} outside group of order {G.order}")
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         wall = time.perf_counter() - started
         record = certificates.make_record(args.command, config, payload, wall_time_s=wall)
         _emit(record, args.format, args.out)
-        return certificates.exit_code_for(args.command, payload)
+        return 0 if COMMANDS[args.command].ok(payload) else 1
     except UsageError as exc:
         sys.stderr.write(json.dumps(_error_document(exc)) + "\n")
         return 2

@@ -417,29 +417,24 @@ def right_coset(G: GroupTable, H: Subset, g: int) -> Subset:
     return Subset(G.order, image(G.cols[g], H.mask))
 
 
-def catalogue(max_order: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> tuple[GroupTable, ...]:
+def catalogue(max_order: int) -> tuple[GroupTable, ...]:
     """The preset sweep catalogue: cyclic groups, two-factor cyclic products,
     dihedral and generalized quaternion groups, and symmetric groups, up to
     `max_order`.  Deterministic order: (group order, name)."""
     out: list[GroupTable] = []
     for n in range(1, max_order + 1):
-        out.append(cyclic(n, order_cap=order_cap))
+        out.append(cyclic(n))
     for a in range(2, max_order + 1):
         for b in range(a, max_order + 1):
             if a * b <= max_order:
-                out.append(
-                    direct_product(
-                        [cyclic(a, order_cap=order_cap), cyclic(b, order_cap=order_cap)],
-                        order_cap=order_cap,
-                    )
-                )
+                out.append(direct_product([cyclic(a), cyclic(b)]))
     for n in range(3, max_order // 2 + 1):
-        out.append(dihedral(n, order_cap=order_cap))
+        out.append(dihedral(n))
     for n in range(3, 7):
         if math.factorial(n) <= max_order:
-            out.append(symmetric(n, order_cap=order_cap))
+            out.append(symmetric(n))
     n = 2
     while 4 * n <= max_order:
-        out.append(quaternion(n, order_cap=order_cap))
+        out.append(quaternion(n))
         n += 1
     return tuple(sorted(out, key=lambda g: (g.order, g.name)))

@@ -16,7 +16,6 @@ checked by `recheck`'s replay, so a tampered value shows up as a diff.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -24,7 +23,7 @@ from typing import Any, Callable, Optional
 from . import groups
 from .connectivity import DEFAULT_BRUTEFORCE_CAP
 from .errors import UsageError
-from .rationals import rational_str
+from .rationals import parse_rational, rational_str
 from .theorems import DEFAULT_SUBSET_SEARCH_CAP
 
 SCHEMA_VERSION = 1
@@ -68,7 +67,7 @@ class Command:
     options: dict[str, Option]
     payload: tuple[str, ...]  # keys every payload must carry
     ok: Callable[[dict], bool]  # False means exit code 1 (a finding)
-    runner: Callable  # runner(G, caps, **sets, **options) -> payload
+    runner: Callable  # runner(G, caps, **sets, **options) -> payload less "group"
 
 
 COMMANDS: dict[str, Command] = {}
@@ -95,9 +94,6 @@ def _entry(name) -> Command:
 
 # --- typed values ----------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"-?\d+/\d+")
-
-
 def _object(value, where: str, allowed=None) -> dict:
     """`value` itself, if it is an object with no keys outside `allowed`."""
     if not isinstance(value, dict):
@@ -121,12 +117,11 @@ def _int(value, where: str, lo: int) -> int:
 
 
 def _reduced_rational(raw) -> Optional[Fraction]:
-    if not isinstance(raw, str) or _RATIONAL_RE.fullmatch(raw) is None:
+    if not isinstance(raw, str):
         return None
-    num, den = raw.split("/")
     try:
-        value = Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError):  # zero denominator, or too many digits
+        value = parse_rational(raw)
+    except ValueError:  # not p/q, zero denominator, or too many digits
         return None
     return value if rational_str(value) == raw else None
 

@@ -403,33 +403,27 @@ class SearchReport:
     findings: tuple[KneserReport, ...]
 
 
-def _translation_table(perm: tuple[int, ...]) -> np.ndarray:
-    """`image(perm, m)` for every mask m: x*m for perm G.mul[x], m*x for G.cols[x]."""
-    return mask_table_from_rows([1 << y for y in perm])
+def _orbit_tables(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(label, stab) for every mask m: label[m] is the smallest mask among
+    x*m*z over all x, z in G, and stab[m] = #{h : m*h = m}.
 
-
-def _stabilizer_sizes(G: GroupTable) -> np.ndarray:
-    """|stab(T)| = #{h : T*h = T} for every mask T."""
+    Each translation table is built once: the n left tables give the left
+    minima, and each right table feeds both the stabilizer count and the
+    two-sided label.
+    """
     import numpy as np
 
     masks = np.arange(1 << G.order, dtype=np.uint64)
-    sizes = np.zeros(1 << G.order, dtype=np.int64)
-    for col in G.cols:
-        sizes += _translation_table(col) == masks
-    return sizes
-
-
-def _orbit_labels(G: GroupTable) -> np.ndarray:
-    """The smallest mask among x*m*z over all x, z in G, for every mask m."""
-    import numpy as np
-
-    lmin = np.arange(1 << G.order, dtype=np.uint64)
+    lmin = masks.copy()
     for row in G.mul:
-        np.minimum(lmin, _translation_table(row), out=lmin)
+        np.minimum(lmin, mask_table_from_rows([1 << y for y in row]), out=lmin)
     label = lmin.copy()
+    stab = np.zeros(1 << G.order, dtype=np.int64)
     for col in G.cols:
-        np.minimum(label, lmin[_translation_table(col)], out=label)
-    return label
+        right = mask_table_from_rows([1 << y for y in col])
+        stab += right == masks
+        np.minimum(label, lmin[right], out=label)
+    return label, stab
 
 
 def _failing_partners(
@@ -444,7 +438,9 @@ def _failing_partners(
     return np.nonzero(np.bitwise_count(prod) < rhs)[0] + 1
 
 
-def _orbit_scan(G: GroupTable, cards: np.ndarray, stab: np.ndarray) -> list[tuple[int, int]]:
+def _orbit_scan(
+    G: GroupTable, label: np.ndarray, cards: np.ndarray, stab: np.ndarray
+) -> list[tuple[int, int]]:
     """Every failing pair, from one table row per orbit of A -> x*A*z.
 
     A failure at (A, B) is one at (x*A*z, z^-1*B*y): the product becomes
@@ -454,7 +450,6 @@ def _orbit_scan(G: GroupTable, cards: np.ndarray, stab: np.ndarray) -> list[tupl
     """
     import numpy as np
 
-    label = _orbit_labels(G)
     masks = np.arange(len(label), dtype=np.uint64)
     found: list[tuple[int, int]] = []
     for rep in np.nonzero(label == masks)[0][1:].tolist():  # [0] is the empty set
@@ -486,6 +481,10 @@ def kneser_violation_scan(
     walks the rows in mask order up to `budget` pairs.  Both use the same
     row kernel.  The random strategy draws `budget` seeded pairs.  Every hit
     is re-verified from scratch before it is reported.
+
+    In an abelian group the inequality is Kneser's theorem and the scan finds
+    nothing.  An empty finding list in a nonabelian group is a valid outcome
+    too: absence at this scale proves nothing either way.
     """
     n = G.order
     size = 1 << n
@@ -495,9 +494,9 @@ def kneser_violation_scan(
 
     if strategy == "exhaustive":
         cards = popcount_table(n)
-        stab = _stabilizer_sizes(G)
+        label, stab = _orbit_tables(G)  # the budgeted walk needs only stab
         if budget is None:
-            found = _orbit_scan(G, cards, stab)
+            found = _orbit_scan(G, label, cards, stab)
             pairs_checked = total_pairs
         else:
             for amask in range(1, size):
@@ -545,23 +544,3 @@ def kneser_violation_scan(
         exhausted=exhausted,
         findings=tuple(reports),
     )
-
-
-def kneser_failure_search(
-    G: GroupTable,
-    strategy: str = "exhaustive",
-    *,
-    seed: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> SearchReport:
-    """Search a nonabelian group for failures of Kneser's inequality.
-
-    An empty finding list is a valid outcome: absence at this scale proves
-    nothing either way.
-    """
-    if G.is_abelian:
-        raise NotAbelian(
-            f"{G.name} is abelian, where the inequality is a theorem; "
-            "the failure search only accepts nonabelian groups"
-        )
-    return kneser_violation_scan(G, strategy, seed=seed, budget=budget)

@@ -7,7 +7,6 @@ from smalldoubling import SizeLimitExceeded, UsageError
 from smalldoubling.certificates import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
-    exit_code_for,
     make_record,
     recheck,
     run,
@@ -95,7 +94,7 @@ def test_run_recheck_roundtrip(case, command, config):
     roundtripped = json.loads(json.dumps(record))
     report = recheck(roundtripped)
     assert report.ok, report.diffs
-    assert exit_code_for(command, payload) == 0
+    assert COMMANDS[command].ok(payload)
 
 
 def test_expected_payload_values():
@@ -252,6 +251,11 @@ NON_CANONICAL = {
     "group-unknown-key": ("doubling", lambda c: c["group"].update(order=20)),
     "K-unreduced": ("connectivity", lambda c: c.update(K="2/4")),
     "K-integer": ("connectivity", lambda c: c.update(K="1")),
+    "K-plus-sign": ("connectivity", lambda c: c.update(K="+1/2")),
+    "K-leading-space": ("connectivity", lambda c: c.update(K=" 1/2")),
+    "K-zero-denominator": ("connectivity", lambda c: c.update(K="1/0")),
+    "K-negative-zero": ("connectivity", lambda c: c.update(K="-0/1")),
+    "K-json-int": ("connectivity", lambda c: c.update(K=1)),
     "epsilon-out-of-range": ("corollary-kn", lambda c: c.update(epsilon="3/2")),
     "indices-unsorted": ("doubling", lambda c: c["sets"].update(A=[1, 0, 2, 3, 4])),
     "indices-repeated": ("doubling", lambda c: c["sets"].update(A=[0, 1, 1, 2, 3, 4])),

@@ -102,6 +102,10 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:6")
     assert code == 2  # missing required set
 
+    code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:8", "--setA", "0,²")
+    assert code == 2  # a superscript two is a digit to str.isdigit, not an index
+    assert json.loads(err)["error"]["code"] == "UsageError"
+
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 2
 

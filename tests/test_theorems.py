@@ -12,6 +12,7 @@ from smalldoubling import (
     NotAbelian,
     SizeLimitExceeded,
     Subset,
+    UsageError,
     catalogue,
     connectivity_bruteforce,
     cyclic,
@@ -19,7 +20,6 @@ from smalldoubling import (
     direct_product,
     kneser_check,
     kneser_corollary_check,
-    kneser_failure_search,
     kneser_violation_scan,
     petridis_minimizer,
     petridis_verify,
@@ -34,8 +34,8 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
-from smalldoubling.certificates import kneser_payload
-from smalldoubling.theorems import _orbit_labels
+from smalldoubling.certificates import kneser_payload, run
+from smalldoubling.theorems import _orbit_tables
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -352,14 +352,20 @@ def test_petridis_subset_cap():
 
 
 def test_failure_search_rejects_abelian():
-    with pytest.raises(NotAbelian):
-        kneser_failure_search(cyclic(6))
+    config = {"group": {"preset": "cyclic", "n": 6}}
+    with pytest.raises(NotAbelian, match="^Z6 is abelian, where the inequality is a theorem"):
+        run("search-kneser-failure", config)
+    # The usage and size checks run before the refusal.
+    with pytest.raises(UsageError):
+        run("search-kneser-failure", {**config, "strategy": "random"})
+    with pytest.raises(SizeLimitExceeded):
+        run("search-kneser-failure", {**config, "caps": {"bruteforce_cap": 4}})
 
 
 def test_failure_search_s3_exhaustive_ground_truth():
     # Exhaustive over all 63 x 63 nonempty pairs: S3 contains no failures of
     # the inequality |AB| >= |A| + |B| - |stab(AB)|.  Frozen as ground truth.
-    rep = kneser_failure_search(symmetric(3), "exhaustive")
+    rep = kneser_violation_scan(symmetric(3), "exhaustive")
     assert rep.pairs_checked == 63 * 63
     assert rep.exhausted
     assert rep.findings == ()
@@ -367,25 +373,25 @@ def test_failure_search_s3_exhaustive_ground_truth():
 
 @pytest.mark.parametrize("G", [dihedral(4), quaternion(2)], ids=lambda g: g.name)
 def test_failure_search_order8_exhaustive(G):
-    rep = kneser_failure_search(G, "exhaustive")
+    rep = kneser_violation_scan(G, "exhaustive")
     assert rep.pairs_checked == 255 * 255
     assert rep.findings == ()
 
 
 def test_failure_search_budget_and_random():
     S3 = symmetric(3)
-    partial = kneser_failure_search(S3, "exhaustive", budget=1000)
+    partial = kneser_violation_scan(S3, "exhaustive", budget=1000)
     assert partial.pairs_checked == 1000
     assert not partial.exhausted
 
-    r1 = kneser_failure_search(S3, "random", seed=7, budget=500)
-    r2 = kneser_failure_search(S3, "random", seed=7, budget=500)
+    r1 = kneser_violation_scan(S3, "random", seed=7, budget=500)
+    r2 = kneser_violation_scan(S3, "random", seed=7, budget=500)
     assert r1 == r2
     assert r1.pairs_checked == 500
     with pytest.raises(ValueError):
-        kneser_failure_search(S3, "random", budget=10)
+        kneser_violation_scan(S3, "random", budget=10)
     with pytest.raises(ValueError):
-        kneser_failure_search(S3, "random", seed=1)
+        kneser_violation_scan(S3, "random", seed=1)
 
 
 def test_violation_scan_agrees_with_kneser_check_on_abelian():
@@ -438,19 +444,21 @@ def test_orbit_scan_matches_prefix_walk(G):
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_orbit_labels_are_two_sided_orbit_minima(G, step):
-    # label[m] is the smallest mask among the x*m*z, computed here with plain sets.
-    labels = _orbit_labels(G).tolist()
+    # label[m] is the smallest mask among the x*m*z and stab[m] the size of
+    # the right stabilizer of m, computed here with plain sets.
+    label, stab = (t.tolist() for t in _orbit_tables(G))
     for m in range(0, 1 << G.order, step):
         A = [i for i in range(G.order) if m >> i & 1]
-        assert labels[m] == min(
+        assert label[m] == min(
             sum(1 << G.mul[G.mul[x][a]][z] for a in A)
             for x in range(G.order)
             for z in range(G.order)
         )
+        assert stab[m] == len(naive_right_stabilizer(G, A))
 
 
 def test_d6_has_125_orbit_representatives():
-    assert len(set(_orbit_labels(dihedral(6)).tolist())) == 1 + 125  # and the empty set
+    assert len(set(_orbit_tables(dihedral(6))[0].tolist())) == 1 + 125  # and the empty set
 
 
 @pytest.mark.parametrize(
@@ -459,13 +467,13 @@ def test_d6_has_125_orbit_representatives():
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_exhaustive_finding_counts(G, count):
-    assert len(kneser_failure_search(G, "exhaustive").findings) == count
+    assert len(kneser_violation_scan(G, "exhaustive").findings) == count
 
 
 @pytest.fixture(scope="module")
 def d6_findings():
     G = dihedral(6)
-    scan = kneser_failure_search(G, "exhaustive")
+    scan = kneser_violation_scan(G, "exhaustive")
     return G, [(frozenset(r.A.elements()), frozenset(r.B.elements())) for r in scan.findings]
 
 
