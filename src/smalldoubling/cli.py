@@ -30,10 +30,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _decimal(text: str) -> Optional[int]:
+    """The value of a decimal token, or None if it is not one or has more
+    digits than Python converts to an int."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def parse_group_spec(text: str) -> dict:
     """Inline spec like cyclic:12 or sym:3xcyclic:2, or a path to a JSON file."""
     candidate = Path(text)
-    if text.endswith(".json") or candidate.is_file():
+    if text.endswith(".json") or os.path.isfile(text):  # False on any OSError
         try:
             spec = json.loads(candidate.read_text())
         except OSError as exc:
@@ -46,14 +57,15 @@ def parse_group_spec(text: str) -> dict:
     parts = text.split("x")
     specs = []
     for part in parts:
-        kind, _, n = part.strip().partition(":")
+        kind, _, digits = part.strip().partition(":")
         kind = {"sym": "symmetric"}.get(kind, kind)
-        if kind not in groups.PRESETS or not n.isdecimal():
+        n = _decimal(digits)
+        if kind not in groups.PRESETS or n is None:
             raise UsageError(
                 f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
                 "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
             )
-        specs.append({"preset": kind, "n": int(n)})
+        specs.append({"preset": kind, "n": n})
     if len(specs) == 1:
         return specs[0]
     return {"preset": "direct_product", "factors": specs}
@@ -67,8 +79,8 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        if token.isdecimal():
-            value = int(token)
+        value = _decimal(token)
+        if value is not None:
             if value >= G.order:
                 raise UsageError(f"element index {value} outside group of order {G.order}")
             out.append(value)

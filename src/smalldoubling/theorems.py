@@ -403,27 +403,32 @@ class SearchReport:
     findings: tuple[KneserReport, ...]
 
 
-def _orbit_tables(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """(label, stab) for every mask m: label[m] is the smallest mask among
-    x*m*z over all x, z in G, and stab[m] = #{h : m*h = m}.
-
-    Each translation table is built once: the n left tables give the left
-    minima, and each right table feeds both the stabilizer count and the
-    two-sided label.
-    """
+def _right_tables(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """(rmin, stab) for every mask m: rmin[m] is the smallest mask among m*z
+    over z in G, and stab[m] = #{h : m*h = m}.  Each right translation table
+    is built once and feeds both."""
     import numpy as np
 
     masks = np.arange(1 << G.order, dtype=np.uint64)
-    lmin = masks.copy()
-    for row in G.mul:
-        np.minimum(lmin, mask_table_from_rows([1 << y for y in row]), out=lmin)
-    label = lmin.copy()
+    rmin = masks.copy()
     stab = np.zeros(1 << G.order, dtype=np.int64)
     for col in G.cols:
         right = mask_table_from_rows([1 << y for y in col])
         stab += right == masks
-        np.minimum(label, lmin[right], out=label)
-    return label, stab
+        np.minimum(rmin, right, out=rmin)
+    return rmin, stab
+
+
+def _orbit_representatives(G: GroupTable, rmin: np.ndarray) -> list[int]:
+    """The nonempty masks m, ascending, that are the smallest of their orbit
+    under m -> x*m*z: that minimum is the least rmin[x*m] over x in G."""
+    import numpy as np
+
+    label = rmin.copy()
+    for row in G.mul:
+        np.minimum(label, rmin[mask_table_from_rows([1 << y for y in row])], out=label)
+    masks = np.arange(len(label), dtype=np.uint64)
+    return np.nonzero(label == masks)[0][1:].tolist()  # [0] is the empty set
 
 
 def _failing_partners(
@@ -439,7 +444,7 @@ def _failing_partners(
 
 
 def _orbit_scan(
-    G: GroupTable, label: np.ndarray, cards: np.ndarray, stab: np.ndarray
+    G: GroupTable, rmin: np.ndarray, cards: np.ndarray, stab: np.ndarray
 ) -> list[tuple[int, int]]:
     """Every failing pair, from one table row per orbit of A -> x*A*z.
 
@@ -448,12 +453,9 @@ def _orbit_scan(
     R is the smallest mask of its orbit and F_R its failing partners, the
     failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is taken.
     """
-    import numpy as np
-
-    masks = np.arange(len(label), dtype=np.uint64)
     found: list[tuple[int, int]] = []
-    for rep in np.nonzero(label == masks)[0][1:].tolist():  # [0] is the empty set
-        partners = _failing_partners(G, rep, len(label) - 1, cards, stab).tolist()
+    for rep in _orbit_representatives(G, rmin):
+        partners = _failing_partners(G, rep, len(rmin) - 1, cards, stab).tolist()
         if not partners:
             continue
         members: dict[int, int] = {}  # x*R*z -> one such z
@@ -494,9 +496,9 @@ def kneser_violation_scan(
 
     if strategy == "exhaustive":
         cards = popcount_table(n)
-        label, stab = _orbit_tables(G)  # the budgeted walk needs only stab
+        rmin, stab = _right_tables(G)
         if budget is None:
-            found = _orbit_scan(G, label, cards, stab)
+            found = _orbit_scan(G, rmin, cards, stab)
             pairs_checked = total_pairs
         else:
             for amask in range(1, size):

@@ -106,6 +106,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2  # a superscript two is a digit to str.isdigit, not an index
     assert json.loads(err)["error"]["code"] == "UsageError"
 
+    long = "9" * 5000  # more digits than int() converts
+    code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:8", "--setA", "0," + long)
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "UsageError"
+
+    code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:" + long, "--setA", "0")
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "UsageError"
+
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 2
 

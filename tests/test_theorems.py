@@ -35,7 +35,7 @@ from oracles import (
     naive_right_stabilizer,
 )
 from smalldoubling.certificates import kneser_payload, run
-from smalldoubling.theorems import _orbit_tables
+from smalldoubling.theorems import _orbit_representatives, _right_tables
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -444,21 +444,27 @@ def test_orbit_scan_matches_prefix_walk(G):
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_orbit_labels_are_two_sided_orbit_minima(G, step):
-    # label[m] is the smallest mask among the x*m*z and stab[m] the size of
-    # the right stabilizer of m, computed here with plain sets.
-    label, stab = (t.tolist() for t in _orbit_tables(G))
+    # rmin[m] is the smallest mask among the m*z, stab[m] the size of the right
+    # stabilizer of m, and m is a representative exactly when it is the
+    # smallest of the x*m*z; all computed here with plain sets.
+    rmin, stab = _right_tables(G)
+    reps = set(_orbit_representatives(G, rmin))
+    rmin, stab = rmin.tolist(), stab.tolist()
     for m in range(0, 1 << G.order, step):
         A = [i for i in range(G.order) if m >> i & 1]
-        assert label[m] == min(
+        assert rmin[m] == min(sum(1 << G.mul[a][z] for a in A) for z in range(G.order))
+        assert stab[m] == len(naive_right_stabilizer(G, A))
+        orbit_min = min(
             sum(1 << G.mul[G.mul[x][a]][z] for a in A)
             for x in range(G.order)
             for z in range(G.order)
         )
-        assert stab[m] == len(naive_right_stabilizer(G, A))
+        assert (m in reps) == (m != 0 and m == orbit_min)
 
 
 def test_d6_has_125_orbit_representatives():
-    assert len(set(_orbit_tables(dihedral(6))[0].tolist())) == 1 + 125  # and the empty set
+    D6 = dihedral(6)
+    assert len(_orbit_representatives(D6, _right_tables(D6)[0])) == 125
 
 
 @pytest.mark.parametrize(
