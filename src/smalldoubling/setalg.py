@@ -1,9 +1,25 @@
 """Exact product-set algebra on bitset subsets.
 
 Everything here is integer/bitmask arithmetic; ratios come out as
-`fractions.Fraction`.  The subset-table helpers at the bottom compute
-|A*S| for *every* subset A of the group at once with a per-bit dynamic
-program, which is what makes the exhaustive sweeps cheap.
+`fractions.Fraction`.  `product_mask` is the one-off product: a loop over
+the pairs, and the reference for the faster kernels below.
+
+When one factor F of many products is fixed, `fixed_factor_product`
+tabulates the rows g*F (`expansion_rows`) by 8-bit chunk: tab[k][b] is the
+OR of the rows 8k + i over the set bits i of b, so M*F is the OR of
+tab[k][(M >> 8k) & 255] over the ceil(n/8) chunks.  The tables are plain
+lists of at most 256 entries, built with the doubling of
+`mask_table_from_rows`, and need no numpy.
+
+The subset-table helpers at the bottom compute |A*S| for *every* subset A
+of the group at once with the same doubling, which is what makes the
+exhaustive sweeps cheap.  `popcount_table` is cached on the width n and is
+shared by every table of that width.  `product_mask_table` and
+`product_size_table` are cached on the identity of the group table, so an
+entry never hits across certificates and keeps a dead 2^n-entry array
+alive; only brute-force connectivity (order <= 16) calls them, and callers
+that build a table for a single certificate, such as Petridis
+verification, use `mask_table_from_rows` directly.
 
 numpy is imported inside the functions that touch arrays, here and in
 `connectivity` and `theorems`, so that a command without a subset table
@@ -15,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import EmptySet, NotASubgroup, SizeLimitExceeded
 from .groups import GroupTable, _check_member, image, is_subgroup
@@ -144,6 +160,31 @@ def expansion_rows(
     _check_member(G, S, "S")
     rows = G.mul if elements is None else [G.mul[g] for g in elements]
     return [image(row, S.mask) for row in rows]
+
+
+def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
+    """The map m -> bitmask of m*F, for many masks m against one F.
+
+    Chunk k of the rows g*F is tabulated over all values of bits 8k..8k+7
+    of m (fewer in the last chunk when 8 does not divide n), so a product
+    takes ceil(n/8) lookups instead of a loop over the pairs.
+    """
+    rows = expansion_rows(G, F)
+    tables = []
+    for k in range(0, len(rows), 8):
+        tab = [0]
+        for row in rows[k : k + 8]:
+            tab += [m | row for m in tab]
+        tables.append(tab)
+
+    def product(mask: int) -> int:
+        out = 0
+        for tab in tables:
+            out |= tab[mask & 255]
+            mask >>= 8
+        return out
+
+    return product
 
 
 def mask_table_from_rows(rows: list[int]) -> np.ndarray:

@@ -22,11 +22,11 @@ from .setalg import (
     CoverCertificate,
     coset_cover,
     expansion_rows,
+    fixed_factor_product,
     mask_table_from_rows,
     popcount_table,
     product_mask,
     product_set,
-    product_size_table,
     right_stabilizer,
 )
 from .subsets import Subset, iter_bits
@@ -336,6 +336,18 @@ def _minimize_by_table(rows: list[int]) -> tuple[int, int, int]:
     return i + 1, int(sizes[i]), int(cards[i])
 
 
+def _limit_table(K: Fraction, n: int) -> list[int]:
+    """limit[s] = min(floor(K*s), n) for s = 0..n.
+
+    For integers a, s and K = p/q with q > 0, q*a > p*s exactly when
+    a > floor(p*s/q), and capping at n changes nothing for a <= n.  So
+    |C*X*S| > K|C*X| is `size_cxs > limit[size_cx]`: the arithmetic is done
+    once here in Python ints, and the uint8 size tables are only compared.
+    """
+    p, q = K.numerator, K.denominator
+    return [min(p * s // q, n) for s in range(n + 1)]
+
+
 def petridis_verify(
     G: GroupTable,
     result: PetridisResult,
@@ -345,13 +357,21 @@ def petridis_verify(
     seed: Optional[int] = None,
 ) -> PetridisVerification:
     """Check |C*X*S| <= K |C*X| over all nonempty C (exhaustive) or over
-    `budget` seeded-random C (sampled).  Any violation is fatal counterevidence."""
+    `budget` seeded-random C (sampled).  Any violation is fatal counterevidence.
+
+    Both modes compare through `_limit_table`, exactly.  The exhaustive
+    mode builds the uint8 tables |C*X| and |C*XS| over every mask C with
+    `mask_table_from_rows`, one table when XS = X, and caches neither: the
+    tables belong to this certificate's group, which no later call shares.
+    The sampled mode computes C*XS and C*X with `fixed_factor_product`,
+    ceil(n/8) table lookups per product.
+    """
     X, S, K = result.X, result.S, result.K
-    p, q = K.numerator, K.denominator
     XS = product_set(G, X, S)
     n = G.order
+    limit = _limit_table(K, n)
 
-    eq_identity = q * XS.cardinality == p * X.cardinality  # C = {e}: e*XS = XS, e*X = X
+    eq_identity = XS.cardinality == K * X.cardinality  # C = {e}: e*XS = XS, e*X = X
 
     violations: list[Subset] = []
     if mode == "exhaustive":
@@ -361,9 +381,13 @@ def petridis_verify(
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
-        size_cxs = product_size_table(G, XS)
-        size_cx = product_size_table(G, X)
-        bad = np.nonzero(q * size_cxs[1:] > p * size_cx[1:])[0]
+        size_cx = np.bitwise_count(mask_table_from_rows(expansion_rows(G, X)))
+        size_cxs = (
+            size_cx
+            if XS == X
+            else np.bitwise_count(mask_table_from_rows(expansion_rows(G, XS)))
+        )
+        bad = np.nonzero(size_cxs[1:] > np.array(limit, dtype=np.uint8)[size_cx[1:]])[0]
         for idx in bad[:16]:
             violations.append(Subset(n, int(idx) + 1))
         checked = (1 << n) - 1
@@ -371,11 +395,12 @@ def petridis_verify(
         if seed is None:
             raise ValueError("sampled verification requires a seed")
         rng = random.Random(seed)
+        times_xs = fixed_factor_product(G, XS)
+        times_x = times_xs if XS == X else fixed_factor_product(G, X)
         for _ in range(budget):
             cmask = rng.randrange(1, 1 << n)
-            lhs = product_mask(G, cmask, XS.mask).bit_count()
-            rhs = product_mask(G, cmask, X.mask).bit_count()
-            if q * lhs > p * rhs and len(violations) < 16:
+            lhs, rhs = times_xs(cmask).bit_count(), times_x(cmask).bit_count()
+            if lhs > limit[rhs] and len(violations) < 16:
                 violations.append(Subset(n, cmask))
         checked = budget
     else:
@@ -469,6 +494,22 @@ def _orbit_scan(
     return found
 
 
+def _fails(G: GroupTable, amask: int, bmask: int) -> bool:
+    """|A*B| < |A| + |B| - |stab(A*B)|, computing the stabilizer only when
+    it can decide: it has at least one element, and all n when A*B = G,
+    which is certain once |A| + |B| > n."""
+    cards = amask.bit_count() + bmask.bit_count()
+    if cards > G.order:
+        return False
+    prod = product_mask(G, amask, bmask)
+    room = cards - prod.bit_count()
+    return (
+        room > 1
+        and prod != (1 << G.order) - 1
+        and right_stabilizer(G, Subset(G.order, prod)).cardinality < room
+    )
+
+
 def kneser_violation_scan(
     G: GroupTable,
     strategy: str = "exhaustive",
@@ -481,8 +522,9 @@ def kneser_violation_scan(
     The exhaustive strategy covers all nonempty pairs: without a budget it
     scans one row per orbit of A -> x*A*z (see `_orbit_scan`), with one it
     walks the rows in mask order up to `budget` pairs.  Both use the same
-    row kernel.  The random strategy draws `budget` seeded pairs.  Every hit
-    is re-verified from scratch before it is reported.
+    row kernel.  The random strategy draws `budget` seeded pairs and tests
+    each with `_fails`.  Every hit is re-verified from scratch before it is
+    reported.
 
     In an abelian group the inequality is Kneser's theorem and the scan finds
     nothing.  An empty finding list in a nonabelian group is a valid outcome
@@ -518,8 +560,7 @@ def kneser_violation_scan(
         for _ in range(budget):
             amask = rng.randrange(1, size)
             bmask = rng.randrange(1, size)
-            report = _kneser_report(G, Subset(n, amask), Subset(n, bmask))
-            if not report.holds:
+            if _fails(G, amask, bmask):
                 found.append((amask, bmask))
             pairs_checked += 1
         exhausted = False  # sampling never certifies full coverage

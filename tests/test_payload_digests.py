@@ -4,9 +4,10 @@ Each digest is the SHA-256 of `json.dumps(run(command, config),
 sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
-orbit scan with and without findings, the Petridis table pass, brute force
-and atoms at order 16, the multi-coset branch of the structure theorem, and
-an explicit table whose identity is not index 0.
+orbit scan with and without findings, the Petridis table pass, sampled
+Petridis verification, brute force and atoms at order 16, the multi-coset
+branch of the structure theorem, and an explicit table whose identity is not
+index 0.
 """
 
 import hashlib
@@ -46,6 +47,16 @@ FIXED = {
             "sets": {"A": [0, 1, 2, 3, 5, 8, 9, 11, 12, 14], "S": [0, 4, 9]},
             "mode": "exhaustive",
             "budget": 1 << 16,
+        },
+    ),
+    "petridis-sampled": (  # 2000 seeded C in an order-16 group
+        "petridis",
+        {
+            "group": {"preset": "dihedral", "n": 8},
+            "sets": {"A": [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 13, 14], "S": [0, 4, 9]},
+            "mode": "sampled",
+            "budget": 2000,
+            "seed": 12,
         },
     ),
     "connectivity-brute-16": (
@@ -99,6 +110,7 @@ DIGESTS = {
     "kneser-scan-D4": "7f3b6a66becc305a97262be80b1006b43d1d0816d3213a9b18fdef1a7b185cda",
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
+    "petridis-sampled": "80cddc43fe0220fd8380b8207c56b439523afead0d52876e6cd47e80b6544a5e",
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
     "atoms-D8": "62882a603c67ae3d552a62e335e9686abf830cfad23c3dc95c3ce69f7a958e91",
     "theorem-main-multi": "5b573b5ac2823922e595391491be183e67a3ddec991a920a70275b3696d96044",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -35,6 +36,7 @@ from oracles import (
     naive_right_stabilizer,
 )
 from smalldoubling.certificates import kneser_payload, run
+from smalldoubling.setalg import product_mask_table, product_size_table
 from smalldoubling.theorems import _orbit_representatives, _right_tables
 
 
@@ -342,6 +344,49 @@ def test_petridis_sampled_verification_reproducible():
         petridis_verify(S3, res, "sampled", budget=10)
 
 
+@pytest.mark.parametrize("factor", [Fraction(3, 4), Fraction(9, 10), Fraction(2**61 + 1, 2**61)])
+def test_petridis_verify_reports_the_violations_of_a_lowered_k(factor):
+    # Against K' = factor * K both modes must flag exactly the C with
+    # |C*X*S| > K'|C*X|, the first 16 of them, in mask order for the
+    # exhaustive mode and in draw order for the sampled one.
+    G = dihedral(5)
+    res = petridis_minimizer(G, G.subset([0, 1, 2, 5, 7]), G.subset([0, 3]))
+    low = dataclasses.replace(res, K=factor * res.K)
+    XS = naive_product(G, res.X.elements(), res.S.elements())
+
+    def violated(cmask):
+        C = Subset(G.order, cmask).elements()
+        cxs, cx = naive_product(G, C, XS), naive_product(G, C, res.X.elements())
+        return len(cxs) > low.K * len(cx)
+
+    n = G.order
+    expect = [c for c in range(1, 1 << n) if violated(c)][:16]
+    ver = petridis_verify(G, low, "exhaustive")
+    assert [c.mask for c in ver.violations] == expect
+    assert bool(expect) == (factor < 1)
+
+    rng = random.Random(11)
+    draws = [rng.randrange(1, 1 << n) for _ in range(400)]
+    ver = petridis_verify(G, low, "sampled", budget=400, seed=11)
+    assert [c.mask for c in ver.violations] == [c for c in draws if violated(c)][:16]
+
+
+def test_exhaustive_petridis_certificate_fills_no_table_cache():
+    # Every certificate builds its own group table, so an entry keyed on it
+    # could never hit again; it would only keep a 2^16-entry array alive.
+    for cached in (product_mask_table, product_size_table):
+        cached.cache_clear()
+    config = {
+        "group": {"preset": "dihedral", "n": 8},
+        "sets": {"A": [0, 1, 2, 3, 5, 8, 9, 11, 12, 14], "S": [0, 4, 9]},
+        "mode": "exhaustive",
+        "budget": 1 << 16,
+    }
+    assert run("petridis", config)["ok"]
+    assert product_mask_table.cache_info().currsize == 0
+    assert product_size_table.cache_info().currsize == 0
+
+
 def test_petridis_subset_cap():
     Z8 = cyclic(8)
     with pytest.raises(SizeLimitExceeded):
@@ -495,6 +540,19 @@ def test_d6_findings_are_closed_under_two_sided_translation(d6_findings):
             xAz = frozenset(mul[mul[x][a]][z] for a in A)
             zBy = frozenset(mul[mul[inv[z]][b]][y] for b in B)
             assert (xAz, zBy) in findings
+
+
+def test_random_search_finds_exactly_the_drawn_failures(d6_findings):
+    G, pairs = d6_findings
+    findings = set(pairs)
+    rng = random.Random(3)
+    size = 1 << G.order
+    draws = [(rng.randrange(1, size), rng.randrange(1, size)) for _ in range(20000)]
+    elements = lambda mask: frozenset(Subset(G.order, mask).elements())
+    expect = {(a, b) for a, b in draws if (elements(a), elements(b)) in findings}
+    assert expect  # seed 3 draws three of the 432 failing pairs
+    report = kneser_violation_scan(G, "random", seed=3, budget=20000)
+    assert {(r.A.mask, r.B.mask) for r in report.findings} == expect
 
 
 def test_d6_findings_agree_with_the_plain_set_oracle(d6_findings):
