@@ -259,7 +259,6 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
 )
 def _run_conv_gap(G, caps, A):
     rep = conv_mod.gap_check(G, A)
-    f = conv_mod.autocorrelation(G, A)
     return {
         "set_a": subset_payload(G, rep.A),
         "epsilon_star": rational_str(rep.epsilon_star),
@@ -268,7 +267,7 @@ def _run_conv_gap(G, caps, A):
         "gap_holds": rep.gap_holds,
         "forbidden_interval_clean": rep.forbidden_interval_clean,
         "hypothesis_vacuous": rep.hypothesis_vacuous,
-        "autocorrelation": function_payload(f),
+        "autocorrelation": function_payload(rep.autocorrelation),
     }
 
 

@@ -9,6 +9,7 @@ precondition errors.  Rationals cross this boundary only as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from typing import Optional
 from . import certificates, groups
 from .errors import SmallDoublingError, TheoryViolation, UsageError
 from .rationals import parse_rational, rational_str
-from .schema import COMMANDS, DEFAULT_CAPS, Option
+from .schema import COMMANDS, DEFAULT_CAPS, Option, check_group
 
 # Help of the command-line words that only group other commands.
 _GROUP_HELP = {"conv": "convolution tools", "search": "counterexample searches"}
@@ -41,34 +42,35 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
+def _read_json(path, what: str):
+    """The JSON value in file `path`; a file that cannot be read or decoded
+    as UTF-8 JSON (nested past the parser's depth too) is a UsageError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def parse_group_spec(text: str) -> dict:
-    """Inline spec like cyclic:12 or sym:3xcyclic:2, or a path to a JSON file."""
-    candidate = Path(text)
+    """Inline spec like cyclic:12 or sym:3xcyclic:2, or a path to a JSON file;
+    either way checked like a certificate's config.group, not yet built."""
     if text.endswith(".json") or os.path.isfile(text):  # False on any OSError
-        try:
-            spec = json.loads(candidate.read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read group file {text}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"group file {text} is not valid JSON: {exc}") from exc
-        if not isinstance(spec, dict):
-            raise UsageError(f"group file {text} must hold a JSON object")
-        return spec
-    parts = text.split("x")
-    specs = []
-    for part in parts:
-        kind, _, digits = part.strip().partition(":")
-        kind = {"sym": "symmetric"}.get(kind, kind)
-        n = _decimal(digits)
-        if kind not in groups.PRESETS or n is None:
-            raise UsageError(
-                f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
-                "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
-            )
-        specs.append({"preset": kind, "n": n})
-    if len(specs) == 1:
-        return specs[0]
-    return {"preset": "direct_product", "factors": specs}
+        spec = _read_json(text, "group file")
+    else:
+        specs = []
+        for part in text.split("x"):
+            kind, _, digits = part.strip().partition(":")
+            kind = {"sym": "symmetric"}.get(kind, kind)
+            n = _decimal(digits)
+            if kind not in groups.PRESETS or n is None:
+                raise UsageError(
+                    f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
+                    "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
+                )
+            specs.append({"preset": kind, "n": n})
+        spec = specs[0] if len(specs) == 1 else {"preset": "direct_product", "factors": specs}
+    check_group(spec, "--group")
+    return spec
 
 
 def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
@@ -199,8 +201,8 @@ def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
     entry = COMMANDS[args.command]
     caps = _resolve_caps(args)
     group_spec = parse_group_spec(args.group)
-    # Building the group resolves set labels, and surfaces bad specs and cap
-    # violations as usage errors before any solver runs.  The run reuses it.
+    # Building the group resolves set labels and surfaces cap violations and
+    # invalid tables before any solver runs.  The run reuses it.
     G = groups.from_spec(group_spec, order_cap=caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G, entry.sets)
@@ -239,23 +241,18 @@ def _emit(document: dict, fmt: str, out: Optional[str]) -> None:
         return
     target = Path(out)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, target)
-
-
-def _error_document(exc: Exception) -> dict:
-    code = exc.code if isinstance(exc, SmallDoublingError) else type(exc).__name__
-    return {"error": {"code": code, "message": str(exc)}}
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _run_recheck(args) -> int:
     path = Path(args.certificate)
-    try:
-        record = json.loads(path.read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read certificate {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"certificate {path} is not valid JSON: {exc}") from exc
+    record = _read_json(path, "certificate")
     report = certificates.recheck(record, _resolve_caps(args))
     document = {
         "command": "recheck",
@@ -282,15 +279,10 @@ def main(argv=None) -> int:
         record = certificates.make_record(args.command, config, payload, wall_time_s=wall)
         _emit(record, args.format, args.out)
         return 0 if COMMANDS[args.command].ok(payload) else 1
-    except UsageError as exc:
-        sys.stderr.write(json.dumps(_error_document(exc)) + "\n")
-        return 2
-    except TheoryViolation as exc:
-        sys.stderr.write(json.dumps(_error_document(exc)) + "\n")
-        return 1
     except (SmallDoublingError, ValueError) as exc:
-        sys.stderr.write(json.dumps(_error_document(exc)) + "\n")
-        return 2
+        code = exc.code if isinstance(exc, SmallDoublingError) else type(exc).__name__
+        sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+        return 1 if isinstance(exc, TheoryViolation) else 2
 
 
 if __name__ == "__main__":

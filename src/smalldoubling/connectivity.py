@@ -182,8 +182,10 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
         raise KOutOfRange("the subgroup-restricted solver requires K < 1")
     p, q = params.K.numerator, params.K.denominator
 
-    best = None
-    evaluated: list[tuple[int, int, int]] = []  # (scaled cost, |H|, mask)
+    # Subgroups arrive by cardinality, so the first one to reach the least
+    # cost is the smallest attaining it; `ties` counts those of its size.
+    best = atom = None
+    ties = 0
     for H in enumerate_subgroups(G):
         # cost(H) >= (1-K)|H|, so once that floor exceeds the best cost the
         # subgroup cannot matter (not even as an equal-cost tie).
@@ -191,23 +193,19 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
             continue
         size = product_mask(G, H.mask, params.S.mask).bit_count()
         val = q * size - p * H.cardinality
-        evaluated.append((val, H.cardinality, H.mask))
         if best is None or val < best:
-            best = val
+            best, atom, ties = val, H, 1
+        elif val == best and H.cardinality == atom.cardinality:
+            ties += 1
 
-    kappa = Fraction(best, q)
-    attaining = [(card, mask) for val, card, mask in evaluated if val == best]
-    min_card = min(card for card, _ in attaining)
-    candidates = [mask for card, mask in attaining if card == min_card]
-    if len(candidates) != 1:
+    if ties != 1:
         raise TheoryViolation(
-            f"{len(candidates)} subgroups of size {min_card} attain kappa; "
+            f"{ties} subgroups of size {atom.cardinality} attain kappa; "
             "theory guarantees a unique identity atom for K < 1"
         )
-    atom = Subset(G.order, candidates[0])
     return ConnectivityResult(
         params=params,
-        kappa=kappa,
+        kappa=Fraction(best, q),
         identity_atom=atom,
         atom_is_subgroup=True,
         fragments=None,

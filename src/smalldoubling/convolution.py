@@ -114,6 +114,7 @@ class GapReport:
     """
 
     A: Subset
+    autocorrelation: GroupFunction  # f
     epsilon_star: Fraction
     support: Subset  # A * A^-1
     min_on_support: Fraction
@@ -136,6 +137,7 @@ def gap_check(G: GroupTable, A: Subset) -> GapReport:
     clean = all(not (0 < v < epsilon_star) for v in f.values)
     return GapReport(
         A=A,
+        autocorrelation=f,
         epsilon_star=epsilon_star,
         support=support,
         min_on_support=min_on_support,

@@ -243,13 +243,12 @@ def direct_product(
     _check_cap(order, order_cap, "direct product")
 
     mul = factors[0].mul
-    parts = [(label,) for label in factors[0].labels]
     for g in factors[1:]:
         n = g.order
         mul = tuple(
             tuple(p * n + q for p in prow for q in grow) for prow in mul for grow in g.mul
         )
-        parts = [head + (label,) for head in parts for label in g.labels]
+    parts = itertools.product(*(g.labels for g in factors))
     labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)
     spec = {"preset": "direct_product", "factors": [g.spec for g in factors]}

@@ -160,7 +160,8 @@ def _option(name: str, opt: Option, config: dict):
 
 # --- group specs, sets and caps --------------------------------------------
 
-def _check_group(spec, where: str = "config.group") -> None:
+def check_group(spec, where: str = "config.group") -> None:
+    """Raise UsageError unless `spec` is a group spec in its accepted form."""
     preset = _object(spec, where).get("preset")
     if "table" in spec:
         _object(spec, where, ("table", "labels", "name"))
@@ -178,7 +179,7 @@ def _check_group(spec, where: str = "config.group") -> None:
         if not isinstance(factors, list) or not factors:
             raise UsageError(f"{where}.factors must be a nonempty list of group specs")
         for i, factor in enumerate(factors):
-            _check_group(factor, f"{where}.factors[{i}]")
+            check_group(factor, f"{where}.factors[{i}]")
     elif isinstance(preset, str) and preset in groups.PRESETS:
         _require(_object(spec, where, ("preset", "n")), ("n",), where)
         _int(spec["n"], f"{where}.n", lo=groups.PRESETS[preset][1])
@@ -214,7 +215,7 @@ def _check_caps(caps, ceiling: Optional[dict]) -> dict:
 def _check_config(entry: Command, config, ceiling: Optional[dict]):
     _object(config, "config", ("group", "sets", "caps", *entry.options))
     _require(config, ("group",), "config")
-    _check_group(config["group"])
+    check_group(config["group"])
     sets = _check_sets(entry, config.get("sets", {}))
     options = {name: _option(name, opt, config) for name, opt in entry.options.items()}
     return sets, options, _check_caps(config.get("caps", {}), ceiling)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from smalldoubling import groups
+from smalldoubling import certificates, groups
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
+from smalldoubling.errors import TheoryViolation
 from smalldoubling.groups import from_spec, symmetric
 
 
@@ -15,6 +16,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(capsys, *argv):
+    """Exit code 2 and one JSON line on stderr with code UsageError."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["error"]["code"] == "UsageError"
 
 
 def test_parse_group_spec_inline():
@@ -117,6 +126,10 @@ def test_usage_errors_exit_2(capsys):
 
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 2
+
+    # An inline spec gets the group check of a certificate's config.
+    assert_usage_error(capsys, "doubling", "--group", "quaternion:1", "--setA", "0")
+    assert_usage_error(capsys, "doubling", "--group", "cyclic:4xdihedral:0", "--setA", "0")
 
     code, _, err = run_cli(capsys, "kneser", "--group", "sym:3", "--setA", "0", "--setB", "0")
     assert code == 2  # NotAbelian surfaces as a precondition error
@@ -264,6 +277,48 @@ def test_recheck_cycle(tmp_path, capsys):
     garbage.write_text("not json")
     code, _, err = run_cli(capsys, "recheck", str(garbage))
     assert code == 2
+
+
+UNREADABLE = {
+    "deep": ("[" * 5000 + "]" * 5000).encode(),  # past the JSON parser's nesting depth
+    "latin-1": b'{"preset": "cyclic", "n": 4, "name": "\xe9"}',
+}
+
+
+@pytest.mark.parametrize("use", ["recheck", "group"])
+@pytest.mark.parametrize("content", list(UNREADABLE))
+def test_unreadable_files_exit_2(tmp_path, capsys, content, use):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNREADABLE[content])
+    if use == "recheck":
+        assert_usage_error(capsys, "recheck", str(path))
+    else:
+        assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
+
+
+def test_group_file_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(groups, "from_spec", lambda *a, **k: pytest.fail("built unchecked"))
+    path = tmp_path / "string_n.json"
+    path.write_text(json.dumps({"preset": "cyclic", "n": "abc"}))
+    assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
+
+
+@pytest.mark.parametrize("target", ["missing/cert.json", "taken"])
+def test_unwritable_out_exits_2_and_leaves_no_tmp(tmp_path, capsys, target):
+    (tmp_path / "taken").mkdir()
+    out = str(tmp_path / target)
+    assert_usage_error(capsys, "doubling", "--group", "cyclic:4", "--setA", "0", "--out", out)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_theory_violation_exits_1(monkeypatch, capsys):
+    def impossible(*args, **kwargs):
+        raise TheoryViolation("two identity atoms")
+
+    monkeypatch.setattr(certificates, "run", impossible)
+    code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:4", "--setA", "0")
+    assert code == 1
+    assert json.loads(err)["error"] == {"code": "TheoryViolation", "message": "two identity atoms"}
 
 
 def test_text_format(capsys):

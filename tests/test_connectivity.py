@@ -10,6 +10,7 @@ from smalldoubling import (
     KOutOfRange,
     SizeLimitExceeded,
     Subset,
+    TheoryViolation,
     check_submodularity,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
@@ -23,6 +24,7 @@ from smalldoubling import (
     symmetric,
     verify_atom_proposition,
 )
+from smalldoubling import connectivity
 from smalldoubling.groups import image
 from oracles import naive_cost, naive_connectivity, naive_identity_atom
 
@@ -244,6 +246,17 @@ def test_subgroup_solver_examples():
     assert res.solver == "subgroup_restricted"
     with pytest.raises(KOutOfRange):
         connectivity_subgroup_solver(S3, CostParams(S=H, K=Fraction(1)))
+
+
+def test_subgroup_solver_refuses_two_atoms(monkeypatch):
+    # Listing the atom {0, 2} of S3 twice fakes a second subgroup of the same
+    # size and cost, which the theory rules out.
+    S3 = symmetric(3)
+    H = S3.subset([0, 2])
+    subs = enumerate_subgroups(S3)
+    monkeypatch.setattr(connectivity, "enumerate_subgroups", lambda G: (*subs[:2], H, *subs[2:]))
+    with pytest.raises(TheoryViolation, match="2 subgroups of size 2"):
+        connectivity_subgroup_solver(S3, CostParams(S=H, K=HALF))
 
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)

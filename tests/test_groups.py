@@ -259,6 +259,13 @@ def test_direct_product_is_componentwise():
     assert nested.label(3) == "(e,(1,1))"
 
 
+def test_direct_product_of_many_factors():
+    factors = [cyclic(2), symmetric(3), cyclic(1), dihedral(2)]
+    _check_product(direct_product(factors), factors)
+    trivial = direct_product([cyclic(1)] * 500)
+    assert trivial.labels == ("(" + ",".join(["0"] * 500) + ")",)
+
+
 def test_direct_product_of_one_factor_keeps_its_table():
     for G in (cyclic(5), symmetric(3), quaternion(2)):
         P = direct_product([G])

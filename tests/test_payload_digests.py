@@ -8,10 +8,16 @@ orbit scan with and without findings, the Petridis table pass, sampled
 Petridis verification, brute force and atoms at order 16, the multi-coset
 branch of the structure theorem, and an explicit table whose identity is not
 index 0.
+
+`workload_payloads.json` holds the 43 configs of round 0 of the benchmark
+plan at seed 1 (30 `certify`, 6 `lattice`, 7 `powerset`), each with the
+digest of its payload.
 """
 
 import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +125,9 @@ DIGESTS = {
     "table-kneser-scan": "da636f975be46b93ef7d0b1667d1d119ecf2265a7f2d828fd32c27d2733e6983",
 }
 
+WORKLOAD_CASES = json.loads((Path(__file__).parent / "workload_payloads.json").read_text())
+WORKLOAD_IDS = [f"{i}-{c['workload']}-{c['command']}" for i, c in enumerate(WORKLOAD_CASES)]
+
 CASES = list(all_cases()) + [(case, command, config) for case, (command, config) in FIXED.items()]
 
 
@@ -130,3 +139,14 @@ def test_every_case_has_a_digest():
 def test_payload_digest(case, command, config):
     payload = json.dumps(run(command, config), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[case]
+
+
+def test_workload_fixture_is_round_zero():
+    counts = Counter(case["workload"] for case in WORKLOAD_CASES)
+    assert counts == {"certify": 30, "lattice": 6, "powerset": 7}
+
+
+@pytest.mark.parametrize("case", WORKLOAD_CASES, ids=WORKLOAD_IDS)
+def test_workload_payload_digest(case):
+    payload = json.dumps(run(case["command"], case["config"]), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
