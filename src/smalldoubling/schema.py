@@ -27,6 +27,8 @@ from .rationals import parse_rational, rational_str
 from .theorems import DEFAULT_SUBSET_SEARCH_CAP
 
 SCHEMA_VERSION = 1
+# Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
+MAX_GROUP_NESTING = 64
 
 DEFAULT_CAPS = {
     "order_cap": groups.DEFAULT_ORDER_CAP,
@@ -161,30 +163,44 @@ def _option(name: str, opt: Option, config: dict):
 # --- group specs, sets and caps --------------------------------------------
 
 def check_group(spec, where: str = "config.group") -> None:
-    """Raise UsageError unless `spec` is a group spec in its accepted form."""
-    preset = _object(spec, where).get("preset")
-    if "table" in spec:
-        _object(spec, where, ("table", "labels", "name"))
-        table, labels = spec["table"], spec.get("labels", [])
-        if not isinstance(table, list) or not all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in table
-        ):
-            raise UsageError(f"{where}.table must be a list of rows of element indices")
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise UsageError(f"{where}.labels must be a list of strings")
-        if not isinstance(spec.get("name", ""), str):
-            raise UsageError(f"{where}.name must be a string")
-    elif preset == "direct_product":
-        factors = _object(spec, where, ("preset", "factors")).get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise UsageError(f"{where}.factors must be a nonempty list of group specs")
-        for i, factor in enumerate(factors):
-            check_group(factor, f"{where}.factors[{i}]")
-    elif isinstance(preset, str) and preset in groups.PRESETS:
-        _require(_object(spec, where, ("preset", "n")), ("n",), where)
-        _int(spec["n"], f"{where}.n", lo=groups.PRESETS[preset][1])
-    else:
-        raise UsageError(f"{where} has unknown preset {preset!r}")
+    """Raise UsageError unless `spec` is a group spec in its accepted form.
+
+    Factors are checked from an explicit stack, and direct_product may nest
+    at most MAX_GROUP_NESTING levels, so that the spec is refused here
+    rather than overflowing the recursion of `groups.from_spec`.
+    """
+    stack = [(spec, where, 0)]  # (spec, where, direct_product levels above it)
+    while stack:
+        spec, where, depth = stack.pop()
+        preset = _object(spec, where).get("preset")
+        if "table" in spec:
+            _object(spec, where, ("table", "labels", "name"))
+            table, labels = spec["table"], spec.get("labels", [])
+            if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in table
+            ):
+                raise UsageError(f"{where}.table must be a list of rows of element indices")
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise UsageError(f"{where}.labels must be a list of strings")
+            if not isinstance(spec.get("name", ""), str):
+                raise UsageError(f"{where}.name must be a string")
+        elif preset == "direct_product":
+            factors = _object(spec, where, ("preset", "factors")).get("factors")
+            if not isinstance(factors, list) or not factors:
+                raise UsageError(f"{where}.factors must be a nonempty list of group specs")
+            if depth == MAX_GROUP_NESTING:
+                raise UsageError(
+                    f"{where} nests direct_product more than {MAX_GROUP_NESTING} levels deep"
+                )
+            stack += [
+                (factor, f"{where}.factors[{i}]", depth + 1)
+                for i, factor in reversed(list(enumerate(factors)))
+            ]
+        elif isinstance(preset, str) and preset in groups.PRESETS:
+            _require(_object(spec, where, ("preset", "n")), ("n",), where)
+            _int(spec["n"], f"{where}.n", lo=groups.PRESETS[preset][1])
+        else:
+            raise UsageError(f"{where} has unknown preset {preset!r}")
 
 
 def _check_sets(entry: Command, sets) -> dict:

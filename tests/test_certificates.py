@@ -152,7 +152,14 @@ def _mutate(value):
     raise AssertionError(f"unexpected leaf {value!r}")
 
 
-def _apply_mutation(record, path):
+def _leaf(record, path):
+    value = record["payload"]
+    for step in path:
+        value = value[step]
+    return value
+
+
+def _apply_mutation(record, path, mutate=_mutate):
     copy = json.loads(json.dumps(record))
     target = copy["payload"]
     for step in path[:-1]:
@@ -160,7 +167,7 @@ def _apply_mutation(record, path):
     if isinstance(target[path[-1]], list) and not target[path[-1]]:
         target[path[-1]] = [0]
     else:
-        target[path[-1]] = _mutate(target[path[-1]])
+        target[path[-1]] = mutate(target[path[-1]])
     return copy
 
 
@@ -175,6 +182,26 @@ def test_single_field_perturbations_are_rejected(case, command, config):
         report = recheck(tampered)
         assert not report.ok, f"mutation at payload.{path} went undetected"
         assert report.diffs
+
+
+def _retype(value):
+    """An equal value of another JSON type: false -> 0, true -> 1, n -> n.0."""
+    return int(value) if isinstance(value, bool) else float(value)
+
+
+@pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
+def test_equal_values_of_another_type_are_rejected(case, command, config):
+    """Python has False == 0, True == 1 and 3 == 3.0, but a payload whose
+    booleans or ints changed type is not the one `run` recomputes."""
+    record = make_record(command, config, run(command, config))
+    paths = [
+        path for path in _leaf_paths(record["payload"])
+        if type(_leaf(record, path)) in (bool, int)
+    ]
+    assert paths
+    for path in paths:
+        report = recheck(_apply_mutation(record, path, _retype))
+        assert not report.ok, f"payload.{path} retyped went undetected"
 
 
 def test_tampered_config_is_rejected():

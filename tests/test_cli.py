@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from smalldoubling import certificates, groups
+from smalldoubling import certificates, groups, schema
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
-from smalldoubling.errors import TheoryViolation
+from smalldoubling.errors import TheoryViolation, UsageError
 from smalldoubling.groups import from_spec, symmetric
 
 
@@ -303,6 +303,53 @@ def test_group_file_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch)
     assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
 
 
+def _nested_product(levels: int) -> str:
+    """JSON text of `levels` nested direct_product specs over cyclic:1
+    (json.dumps would itself run out of stack at a few hundred levels)."""
+    return (
+        '{"preset": "direct_product", "factors": [' * levels
+        + '{"preset": "cyclic", "n": 1}'
+        + "]}" * levels
+    )
+
+
+def test_group_nesting_is_capped():
+    schema.check_group(json.loads(_nested_product(schema.MAX_GROUP_NESTING)))
+    with pytest.raises(UsageError, match="nests direct_product"):
+        schema.check_group(json.loads(_nested_product(schema.MAX_GROUP_NESTING + 1)))
+
+
+@pytest.mark.parametrize("levels", [schema.MAX_GROUP_NESTING, 493])
+def test_nested_group_issues_and_rechecks_or_exits_2(tmp_path, levels):
+    """What the command line issues it also rechecks: a group nested too deep
+    for `groups.from_spec` is refused from a group file and from a
+    hand-built certificate alike.  Each call is a fresh process."""
+
+    def cli(*argv):
+        return _run_python(
+            f"from smalldoubling.cli import main\nraise SystemExit(main({list(argv)!r}))\n"
+        )
+
+    def refused(done):
+        return done.returncode == 2 and json.loads(done.stderr)["error"]["code"] == "UsageError"
+
+    nested = _nested_product(levels)
+    group, cert = tmp_path / "group.json", tmp_path / "cert.json"
+    group.write_text(nested)
+    issued = cli("doubling", "--group", str(group), "--setA", "0", "--out", str(cert))
+    if levels <= schema.MAX_GROUP_NESTING:
+        assert issued.returncode == 0, issued.stderr
+        assert cli("recheck", str(cert)).returncode == 0
+        return
+    assert refused(issued), issued.stderr
+    assert main(["doubling", "--group", "cyclic:1", "--setA", "0", "--out", str(cert)]) == 0
+    record = json.loads(cert.read_text())
+    record["config"]["group"] = "NESTED"
+    cert.write_text(json.dumps(record).replace('"NESTED"', nested))
+    rechecked = cli("recheck", str(cert))
+    assert refused(rechecked), rechecked.stderr
+
+
 @pytest.mark.parametrize("target", ["missing/cert.json", "taken"])
 def test_unwritable_out_exits_2_and_leaves_no_tmp(tmp_path, capsys, target):
     (tmp_path / "taken").mkdir()
@@ -401,6 +448,10 @@ NUMPY_FREE_RUNS = {
     "conv-gap": ["conv", "gap", "--group", "dihedral:4", "--setA", "r0,r1"],
     "conv-smooth": ["conv", "smooth", "--group", "dihedral:4", "--setA", "r0,r1",
                     "--setS", "r0,s0"],
+    # |A| = 12 takes the min-cut path of the Petridis minimizer.
+    "petridis-sampled": ["petridis", "--group", "dihedral:8", "--setA",
+                         "0,1,2,3,5,6,8,9,11,12,13,14", "--setS", "0,4,9", "--mode", "sampled",
+                         "--budget", "2000", "--seed", "12"],
 }
 
 
@@ -435,7 +486,7 @@ def test_numpy_loads_only_with_a_powerset_table(tmp_path):
         "import sys\n"
         "from smalldoubling.cli import main\n"
         "assert 'numpy' not in sys.modules\n"
-        # |A| = 7 takes the table pass of the Petridis minimizer.
+        # Exhaustive verification builds the subset tables |C*X| and |C*X*S|.
         "argv = ['petridis', '--group', 'cyclic:16', '--setA', '0,1,2,3,4,5,6', '--setS', '0,1',\n"
         f"        '--out', {str(cert)!r}]\n"
         "assert main(argv) == 0\n"

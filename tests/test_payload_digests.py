@@ -4,10 +4,11 @@ Each digest is the SHA-256 of `json.dumps(run(command, config),
 sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
-orbit scan with and without findings, the Petridis table pass, sampled
-Petridis verification, brute force and atoms at order 16, the multi-coset
-branch of the structure theorem, and an explicit table whose identity is not
-index 0.
+orbit scan with and without findings, the min-cut path of the Petridis
+minimizer (the key "petridis-table" names the numpy table pass it
+replaced), sampled Petridis verification, the minimizer at the subset and
+order caps, brute force and atoms at order 16, the multi-coset branch of
+the structure theorem, and an explicit table whose identity is not index 0.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
 plan at seed 1 (30 `certify`, 6 `lattice`, 7 `powerset`), each with the
@@ -46,7 +47,7 @@ FIXED = {
         "search-kneser-failure",
         {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive"},
     ),
-    "petridis-table": (  # |A| = 10 takes the numpy table pass
+    "petridis-table": (  # |A| = 10 takes the min-cut path
         "petridis",
         {
             "group": {"preset": "dihedral", "n": 8},
@@ -63,6 +64,22 @@ FIXED = {
             "mode": "sampled",
             "budget": 2000,
             "seed": 12,
+        },
+    ),
+    "petridis-sampled-D32-caps": (  # |A| = 20 and |S| = 48 at order 64
+        "petridis",
+        {
+            "group": {"preset": "dihedral", "n": 32},
+            "sets": {
+                "A": [4, 13, 15, 16, 17, 18, 19, 25, 28, 29, 33, 39, 41, 42, 43, 44, 45, 46, 47,
+                      48],
+                "S": [0, 1, 3, 4, 5, 7, 9, 10, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
+                      24, 25, 26, 29, 30, 31, 33, 35, 37, 38, 40, 41, 42, 44, 46, 47, 48, 51,
+                      52, 54, 55, 56, 57, 58, 59, 61, 62, 63],
+            },
+            "mode": "sampled",
+            "budget": 200,
+            "seed": 3,
         },
     ),
     "connectivity-brute-16": (
@@ -117,6 +134,7 @@ DIGESTS = {
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
     "petridis-sampled": "80cddc43fe0220fd8380b8207c56b439523afead0d52876e6cd47e80b6544a5e",
+    "petridis-sampled-D32-caps": "d092756d5e47ce76dbda50867f6864ca40be0d59eb48ef88609dcaf6e35b0687",
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
     "atoms-D8": "62882a603c67ae3d552a62e335e9686abf830cfad23c3dc95c3ce69f7a958e91",
     "theorem-main-multi": "5b573b5ac2823922e595391491be183e67a3ddec991a920a70275b3696d96044",

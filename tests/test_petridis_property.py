@@ -1,7 +1,7 @@
 """Property test: `petridis_minimizer` agrees with the plain-set oracle.
 
-|A| is drawn from 1 to 12, so both the subset loop and the table pass of the
-minimizer are exercised (the cutoff is `theorems.PETRIDIS_TABLE_MIN`).
+|A| is drawn on both sides of `theorems.PETRIDIS_FLOW_MIN`, so both the
+subset loop and the min-cut path of the minimizer are exercised.
 """
 
 import pytest
@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from smalldoubling import catalogue, petridis_minimizer
-from smalldoubling.theorems import _minimize_by_loop, _minimize_by_table
+from smalldoubling.theorems import PETRIDIS_FLOW_MIN, _minimize_by_flow, _minimize_by_loop
 from oracles import naive_petridis_minimizer
 
 GROUPS = catalogue(16)
@@ -20,7 +20,7 @@ GROUPS = catalogue(16)
 @given(st.data())
 def test_minimizer_matches_naive_minimizer(data):
     G = data.draw(st.sampled_from(GROUPS), label="group")
-    size = data.draw(st.integers(1, min(12, G.order)), label="|A|")
+    size = data.draw(st.integers(1, min(PETRIDIS_FLOW_MIN + 2, G.order)), label="|A|")
     A = data.draw(st.permutations(range(G.order)), label="order")[:size]
     S = data.draw(
         st.lists(st.integers(0, G.order - 1), min_size=1, max_size=4, unique=True), label="S"
@@ -30,11 +30,12 @@ def test_minimizer_matches_naive_minimizer(data):
     assert (set(result.X.elements()), result.K) == (X, K)
 
 
-# Any rows will do: both paths minimize |OR of rows over X| / |X|.
-ROW = st.one_of(st.integers(0, 255), st.integers(0, (1 << 64) - 1))
+# Any rows will do: both paths minimize |OR of rows over X| / |X|.  An empty
+# row gives ratio 0, and 64-bit rows are wider than any group row here.
+ROW = st.one_of(st.just(0), st.integers(0, 255), st.integers(0, (1 << 64) - 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(ROW, min_size=1, max_size=10))
-def test_table_pass_matches_loop_on_either_side_of_the_cutoff(rows):
-    assert _minimize_by_table(rows) == _minimize_by_loop(rows)
+@given(st.lists(ROW, min_size=1, max_size=14))
+def test_min_cut_matches_loop_on_arbitrary_rows(rows):
+    assert _minimize_by_flow(rows) == _minimize_by_loop(rows)

@@ -36,8 +36,13 @@ from oracles import (
     naive_right_stabilizer,
 )
 from smalldoubling.certificates import kneser_payload, run
-from smalldoubling.setalg import product_mask_table, product_size_table
-from smalldoubling.theorems import _orbit_representatives, _right_tables
+from smalldoubling.setalg import expansion_rows, product_mask_table, product_size_table
+from smalldoubling.theorems import (
+    _minimize_by_flow,
+    _minimize_by_loop,
+    _orbit_representatives,
+    _right_tables,
+)
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -252,7 +257,7 @@ def test_petridis_tiebreak_prefers_larger_x():
 
 
 # (group, A, S, X, K) computed by the subset loop that preceded the table pass;
-# every |A| here is above the table cutoff.
+# every |A| here is at or above the cutoff of the min-cut path.
 PETRIDIS_PINNED = [
     ("Z20", [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 17, 18], [2, 7, 17],
      [0, 3, 5, 8, 10, 13, 15, 18], Fraction(1)),
@@ -281,11 +286,28 @@ def test_petridis_pinned_above_the_table_cutoff(name, A, S, X, K):
 
 
 def test_petridis_above_order_64_stays_exact():
-    # Products of order-70 elements do not fit the table's uint64 entries.
+    # Rows of order-70 elements are wider than 64 bits, on either path.
     G = cyclic(70, order_cap=70)
-    A, S = list(range(0, 70, 9)), [0, 1, 35]
-    res = petridis_minimizer(G, G.subset(A), G.subset(S))
-    assert (set(res.X.elements()), res.K) == naive_petridis_minimizer(G, A, S)
+    for A, S in ((list(range(0, 70, 9)), [0, 1, 35]), (list(range(0, 70, 7)), [0, 1, 66])):
+        res = petridis_minimizer(G, G.subset(A), G.subset(S))
+        assert (set(res.X.elements()), res.K) == naive_petridis_minimizer(G, A, S)
+
+
+PETRIDIS_CAP_GROUPS = {
+    "D32": dihedral(32),
+    "Z2^6": direct_product([cyclic(2)] * 6),
+}
+
+
+@pytest.mark.parametrize("s", [48, 64])
+@pytest.mark.parametrize("name", list(PETRIDIS_CAP_GROUPS))
+def test_petridis_min_cut_matches_the_loop_at_the_caps(name, s):
+    # |A| = 20 is the default subset cap, and order 64 the order cap.
+    G = PETRIDIS_CAP_GROUPS[name]
+    rng = random.Random(s)
+    A, S = sorted(rng.sample(range(64), 20)), G.subset(rng.sample(range(64), s))
+    rows = expansion_rows(G, S, A)
+    assert _minimize_by_flow(rows) == _minimize_by_loop(rows)
 
 
 def test_petridis_largest_minimizer_is_the_union_of_all_minimizers():
