@@ -22,9 +22,9 @@ from .schema import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
     Option,
+    check_envelope,
     command,
     parse_config,
-    validate_record,
 )
 from .subsets import Subset
 
@@ -351,6 +351,8 @@ def run(
 
 
 def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> dict:
+    """The record of `payload = run(command, config)`, not checked again: `run`
+    checked the config (`schema.validate_record` checks a whole record)."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
@@ -360,7 +362,6 @@ def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> 
     }
     if wall_time_s is not None:
         record["meta"] = {"wall_time_s": wall_time_s}
-    validate_record(record)
     return record
 
 
@@ -397,10 +398,11 @@ def _diff(path: str, stored, recomputed, out: list) -> None:
 def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
     """Replay a record's config and compare the payload field by field.
 
-    `caps` are the rechecker's own (DEFAULT_CAPS for any it leaves out): the
-    record's caps may lower them but never raise them.
+    Only the replay's `parse_config` checks the config.  `caps` are the
+    rechecker's own (DEFAULT_CAPS for any it leaves out): the record's caps
+    may lower them but never raise them.
     """
-    validate_record(record)
+    check_envelope(record)
     recomputed = run(record["command"], record["config"], ceiling=caps or DEFAULT_CAPS)
     diffs: list[tuple[str, Any, Any]] = []
     _diff("payload", record["payload"], recomputed, diffs)

@@ -181,16 +181,21 @@ def _resolve_caps(args) -> dict:
 
 
 def _collect_sets(args, G: groups.GroupTable, names: tuple[str, ...]) -> dict:
-    raw: dict[str, str] = {}
+    given: list[tuple[str, str]] = []
     for entry in args.set:
         if "=" not in entry:
             raise UsageError(f"--set needs NAME=ELEMS, got {entry!r}")
         name, _, elems = entry.partition("=")
-        raw[name.strip()] = elems
+        given.append((name.strip(), elems))
     for name in names:
         alias = getattr(args, f"set_{name}", None)
         if alias is not None:
-            raw[name] = alias
+            given.append((name, alias))
+    raw: dict[str, str] = {}
+    for name, elems in given:
+        if name in raw:  # through --set twice, or --set and its shorthand
+            raise UsageError(f"set {name!r} is given more than once")
+        raw[name] = elems
     # Missing and unknown set names are refused with the rest of the config.
     return {name: parse_set_elements(G, text) for name, text in raw.items()}
 
@@ -236,13 +241,17 @@ def _emit(document: dict, fmt: str, out: Optional[str]) -> None:
         text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(_render_text(document)) + "\n"
+    try:  # before any file exists; a label may hold a lone surrogate
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UsageError(f"cannot encode the output as UTF-8: {exc}") from exc
     if out is None:
         sys.stdout.write(text)
         return
     target = Path(out)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, target)
     except OSError as exc:
         with contextlib.suppress(OSError):

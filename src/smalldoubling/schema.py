@@ -3,9 +3,9 @@
 Every certificate command is declared once, by `command` on its runner in
 certificates.py: its command-line path and help, the names of its sets, its
 typed options, the keys its payload must carry and the predicate behind its
-exit code.  The command-line parser, `parse_config` (used by both `run` and
-`recheck`), `validate_record` and the exit codes are all derived from
-COMMANDS.
+exit code.  The command-line parser, `parse_config` (the one config check
+of both `run` and `recheck`), `validate_record` and the exit codes are all
+derived from COMMANDS.
 
 A config has one accepted form: ints are JSON ints (never strings or
 booleans), rationals are reduced "p/q" strings, set lists are sorted,
@@ -268,12 +268,8 @@ def parse_config(
 _RECORD_KEYS = ("schema_version", "tool", "command", "config", "payload")
 
 
-def validate_record(record) -> None:
-    """Raise UsageError when `record` is not a well-formed run record.
-
-    Checks the envelope, the config's typed form (without building the
-    group) and the presence of the command's payload keys.
-    """
+def check_envelope(record) -> Command:
+    """The command of `record`, once the envelope and payload keys check out."""
     _require(_object(record, "record", (*_RECORD_KEYS, "meta")), _RECORD_KEYS, "record")
     version = record["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
@@ -282,6 +278,13 @@ def validate_record(record) -> None:
     if not all(isinstance(tool.get(key), str) for key in ("name", "version")):
         raise UsageError("tool needs string name and version")
     entry = _entry(record["command"])
-    _check_config(entry, record["config"], None)
     _require(_object(record["payload"], "payload"), entry.payload, f"{entry.name} payload")
     _object(record.get("meta", {}), "meta")
+    return entry
+
+
+def validate_record(record) -> None:
+    """Raise UsageError unless `record` is a well-formed run record: the
+    standalone check of a whole record, `check_envelope` and the typed form
+    of its config (without building the group)."""
+    _check_config(check_envelope(record), record["config"], None)

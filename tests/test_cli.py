@@ -127,6 +127,11 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 2
 
+    # A set given twice is refused, not silently replaced by one of the two.
+    twice = ("doubling", "--group", "cyclic:4", "--set", "A=0,1,2")
+    assert_usage_error(capsys, *twice, "--set", "A=0,1")
+    assert_usage_error(capsys, *twice, "--setA", "0")
+
     # An inline spec gets the group check of a certificate's config.
     assert_usage_error(capsys, "doubling", "--group", "quaternion:1", "--setA", "0")
     assert_usage_error(capsys, "doubling", "--group", "cyclic:4xdihedral:0", "--setA", "0")
@@ -350,12 +355,33 @@ def test_nested_group_issues_and_rechecks_or_exits_2(tmp_path, levels):
     assert refused(rechecked), rechecked.stderr
 
 
-@pytest.mark.parametrize("target", ["missing/cert.json", "taken"])
+# Group labels for --format text: one UTF-8 cannot encode, which is refused,
+# and a non-ASCII one, written as UTF-8 under an ASCII locale.
+TEXT_LABELS = {"lone-surrogate": "\ud800", "posix-locale": "\u00e9"}
+
+
+@pytest.mark.parametrize("target", ["missing/cert.json", "taken", *TEXT_LABELS])
 def test_unwritable_out_exits_2_and_leaves_no_tmp(tmp_path, capsys, target):
     (tmp_path / "taken").mkdir()
     out = str(tmp_path / target)
-    assert_usage_error(capsys, "doubling", "--group", "cyclic:4", "--setA", "0", "--out", out)
-    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    if target not in TEXT_LABELS:
+        assert_usage_error(capsys, "doubling", "--group", "cyclic:4", "--setA", "0", "--out", out)
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        return
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["e", TEXT_LABELS[target]]}))
+    argv = ["doubling", "--group", str(group), "--setA", "1", "--format", "text", "--out", out]
+    if target == "lone-surrogate":
+        assert_usage_error(capsys, *argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["group.json", "taken"]
+        return
+    done = _run_python(
+        f"from smalldoubling.cli import main\nraise SystemExit(main({argv!r}))\n",
+        LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["group.json", "posix-locale", "taken"]
+    assert "set_a.labels = [\u00e9]" in Path(out).read_text(encoding="utf-8")
 
 
 def test_theory_violation_exits_1(monkeypatch, capsys):
@@ -455,9 +481,9 @@ NUMPY_FREE_RUNS = {
 }
 
 
-def _run_python(script: str) -> subprocess.CompletedProcess:
+def _run_python(script: str, **env: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
 
 
@@ -526,3 +552,34 @@ def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
     built.clear()
     assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
     assert built == [json.loads(cert.read_text())["config"]["group"]]
+
+
+def test_each_record_is_checked_once(monkeypatch, tmp_path):
+    """One config check per issue and one per recheck: `parse_config`'s."""
+    calls = []
+    original = schema._check_config
+
+    def counting(*args):
+        calls.append(args[0].name)
+        return original(*args)
+
+    monkeypatch.setattr(schema, "_check_config", counting)
+    config = {"group": {"preset": "symmetric", "n": 3}, "sets": {"A": [0, 2], "S": [0, 2]},
+              "epsilon": "1/1"}
+    payload = certificates.run("theorem-main", config)
+    record = certificates.make_record("theorem-main", config, payload)
+    assert calls == ["theorem-main"]
+
+    calls.clear()
+    assert certificates.recheck(record).ok
+    assert calls == ["theorem-main"]
+
+    calls.clear()
+    cert = tmp_path / "cert.json"
+    argv = ["--group", "sym:3", "--setA", "0,2", "--setS", "0,2", "--epsilon", "1/1"]
+    assert main(["theorem-main", *argv, "--out", str(cert)]) == 0
+    assert calls == ["theorem-main"]
+
+    calls.clear()
+    assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == ["theorem-main"]

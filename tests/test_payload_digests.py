@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from smalldoubling.certificates import run
+from smalldoubling.certificates import make_record, run
+from smalldoubling.schema import validate_record
 from test_certificates import all_cases
 
 # S3 relabelled so that the identity is index 1.
@@ -166,5 +167,8 @@ def test_workload_fixture_is_round_zero():
 
 @pytest.mark.parametrize("case", WORKLOAD_CASES, ids=WORKLOAD_IDS)
 def test_workload_payload_digest(case):
-    payload = json.dumps(run(case["command"], case["config"]), sort_keys=True)
+    recomputed = run(case["command"], case["config"])
+    payload = json.dumps(recomputed, sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
+    # make_record checks nothing; the whole record must still pass the check.
+    validate_record(make_record(case["command"], case["config"], recomputed))
