@@ -245,8 +245,9 @@ def _emit(document: dict, fmt: str, out: Optional[str]) -> None:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise UsageError(f"cannot encode the output as UTF-8: {exc}") from exc
-    if out is None:
-        sys.stdout.write(text)
+    if out is None:  # the bytes, not the locale's codec
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
         return
     target = Path(out)
     tmp = target.with_name(target.name + ".tmp")

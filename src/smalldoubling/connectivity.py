@@ -3,9 +3,10 @@
 The cost of a finite set A against parameters (S, K) is |A*S| - K|A|.  The
 connectivity kappa is the minimum cost over nonempty sets, a fragment is a
 nonempty set attaining it, and an atom is a fragment of minimum cardinality.
-For K < 1 the atoms are exactly the left cosets of one subgroup, which is
-what the subgroup-restricted solver exploits; the brute-force solver stays
-definition-level and acts as its independent oracle.
+For K < 1 the atoms are exactly the left cosets of one subgroup.  The
+subgroup-restricted solver finds the one holding e by a min cut (the kernel
+`_min_cut_sides`, shared with the Petridis minimizer); the brute-force solver
+stays definition-level and acts as its independent oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmptySet, KOutOfRange, SizeLimitExceeded, TheoryViolation
-from .groups import GroupTable, _check_member, enumerate_subgroups, image, is_subgroup_mask
+from .groups import GroupTable, _check_member, image, is_subgroup_mask
 from .setalg import popcount_table, product_mask, product_size_table
-from .subsets import Subset
+from .subsets import Subset, iter_bits
 
 DEFAULT_BRUTEFORCE_CAP = 16
 DEFAULT_FRAGMENT_CAP = 100_000
@@ -170,48 +171,162 @@ def connectivity_bruteforce(
 
 
 def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> ConnectivityResult:
-    """kappa as the minimum cost over subgroups of G (valid for K < 1).
+    """kappa and the identity atom by one min cut (valid for K < 1).
 
-    The identity atom is a subgroup and a fragment, so the subgroup minimum
-    attains kappa; among subgroups attaining it, the smallest is the identity
-    atom because two identity-containing fragments intersect in a fragment.
-    Must agree exactly with `connectivity_bruteforce` wherever both run.
+    The cost is left invariant, so the identity atom is the smallest fragment
+    holding e: e plus the kernel's smallest X minimizing q|X*S - S| - p|X|,
+    for K = p/q.  For K < 0 it is {e}, since every nonempty A then costs at
+    least |S| - K|A| >= |S| - K.  The atom must be a subgroup.  The name and
+    the payload's "subgroup_restricted" predate the min cut, which scans no
+    subgroups.  Must agree exactly with `connectivity_bruteforce`.
     """
     _check_member(G, params.S, "S")
-    if params.K >= 1:
+    K, S = params.K, params.S.mask
+    if K >= 1:
         raise KOutOfRange("the subgroup-restricted solver requires K < 1")
-    p, q = params.K.numerator, params.K.denominator
-
-    # Subgroups arrive by cardinality, so the first one to reach the least
-    # cost is the smallest attaining it; `ties` counts those of its size.
-    best = atom = None
-    ties = 0
-    for H in enumerate_subgroups(G):
-        # cost(H) >= (1-K)|H|, so once that floor exceeds the best cost the
-        # subgroup cannot matter (not even as an equal-cost tie).
-        if best is not None and (q - p) * H.cardinality > best:
-            continue
-        size = product_mask(G, H.mask, params.S.mask).bit_count()
-        val = q * size - p * H.cardinality
-        if best is None or val < best:
-            best, atom, ties = val, H, 1
-        elif val == best and H.cardinality == atom.cardinality:
-            ties += 1
-
-    if ties != 1:
-        raise TheoryViolation(
-            f"{ties} subgroups of size {atom.cardinality} attain kappa; "
-            "theory guarantees a unique identity atom for K < 1"
-        )
+    atom = 1 << G.identity
+    if K >= 0:  # the row of e is empty, so only p = 0 leaves e out of the side
+        rows = [image(row, S) & ~S for row in G.mul]
+        atom |= _min_cut_sides(rows, K.numerator, K.denominator)[0]
+    H = Subset(G.order, atom)
+    if not is_subgroup_mask(G, atom):
+        raise TheoryViolation(f"the identity atom {list(H.elements())} is not a subgroup")
     return ConnectivityResult(
         params=params,
-        kappa=Fraction(best, q),
-        identity_atom=atom,
+        kappa=product_mask(G, atom, S).bit_count() - K * H.cardinality,
+        identity_atom=H,
         atom_is_subgroup=True,
         fragments=None,
         fragment_total=None,
         solver="subgroup_restricted",
     )
+
+
+def _cover(rows: list[int], X: int) -> int:
+    out = 0
+    for i in iter_bits(X):
+        out |= rows[i]
+    return out
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _min_cut_sides(rows: list[int], p: int, q: int) -> tuple[int, int]:
+    """(smallest, largest) local masks X minimizing q|N(X)| - p|X|, p >= 0, q > 0.
+
+    N(X) is the OR of the rows over X.  The network has an edge source -> x
+    of capacity p for each row x, an uncapacitated edge x -> y for each bit y
+    of rows[x], and y -> sink of capacity q.  A finite cut whose source side
+    holds the x of X must hold N(X) too, so it costs at least
+    p(k - |X|) + q|N(X)|, with equality for the y of N(X) alone: the min cuts
+    are the minimizers shifted by pk.  They form a lattice (Picard and
+    Queyranne, 1980): the smallest minimizer is the set of x the source
+    reaches in the residual graph of a max flow, the largest the set of x
+    that cannot reach the sink.  The flow is Dinic's: a breadth-first level
+    graph, then a blocking flow by depth-first search, until no augmenting
+    path is left.  Sets of nodes are bitmasks: x over row indices, y over bits.
+    """
+    k = len(rows)
+    full = (1 << k) - 1
+    free = _cover(rows, full)  # the y whose edge y -> sink is not saturated
+    slack = [p] * k  # residual capacity of source -> x
+    room = [q] * free.bit_length()  # residual capacity of y -> sink
+    flow: list[dict[int, int]] = [{} for _ in range(k)]  # flow[x][y] on x -> y
+    carried = [0] * k  # carried[x]: the y with flow[x][y] > 0
+    holders = [0] * len(room)  # holders[y]: the x with flow[x][y] > 0
+    for x, row in enumerate(rows):  # paths x -> y first, with no level graph
+        for y in iter_bits(row & free):
+            if not slack[x]:
+                break
+            amount = min(slack[x], room[y])
+            slack[x] -= amount
+            room[y] -= amount
+            flow[x][y] = amount
+            carried[x] |= 1 << y
+            holders[y] |= 1 << x
+            if not room[y]:
+                free &= ~(1 << y)
+    while True:
+        # Level graph: xs[l] and ys[l] are the x and y first reached at
+        # distance 2l and 2l - 1 from the source, up to the first free y.
+        sources = sum(1 << x for x in range(k) if slack[x])
+        xs, ys = [sources], [0]
+        seen_x, seen_y = sources, 0
+        while xs[-1]:
+            ny = _cover(rows, xs[-1]) & ~seen_y
+            seen_y |= ny
+            ys.append(ny)
+            if ny & free:
+                break
+            nx = sum(1 << x for x in iter_bits(full & ~seen_x) if carried[x] & ny)
+            seen_x |= nx
+            xs.append(nx)
+        last = len(ys) - 1
+        ys[last] &= free
+        if not ys[last]:  # the search ran out, so seen_x is all the source reaches
+            break
+        # Blocking flow.  A path alternates x_0, y_1, x_1, ..., y_last: it
+        # goes forward along x_(l-1) -> y_l and back along the flow on
+        # x_l -> y_l.  A node with no way on is dropped from its level.
+        while xs[0]:
+            path = [_low_bit(xs[0])]
+            while path:
+                depth = len(path)
+                level, node = depth >> 1, path[-1]
+                if depth & 1:
+                    ahead = rows[node] & ys[level + 1]
+                elif level < last:
+                    ahead = holders[node] & xs[level]
+                else:
+                    _augment(path, slack, room, flow, carried, holders)
+                    x0 = path[0]
+                    if not slack[x0]:
+                        xs[0] &= ~(1 << x0)
+                    if not room[node]:
+                        free &= ~(1 << node)
+                        ys[last] &= ~(1 << node)
+                    break
+                if ahead:
+                    path.append(_low_bit(ahead))
+                    continue
+                if depth & 1:
+                    xs[level] &= ~(1 << node)
+                else:
+                    ys[level] &= ~(1 << node)
+                path.pop()
+    # The x that reach the sink in the residual graph: through a free y,
+    # or through a y that another such x sends flow to.
+    to_sink, reach_y, grown = 0, free, True
+    while grown:
+        grown = False
+        for x in iter_bits(full & ~to_sink):
+            if rows[x] & reach_y:
+                to_sink |= 1 << x
+                reach_y |= carried[x]
+                grown = True
+    return seen_x, full & ~to_sink
+
+
+def _augment(path, slack, room, flow, carried, holders) -> None:
+    """Push the bottleneck amount along an augmenting path of `_min_cut_sides`."""
+    amount = min(slack[path[0]], room[path[-1]])
+    for j in range(2, len(path), 2):
+        amount = min(amount, flow[path[j]][path[j - 1]])
+    slack[path[0]] -= amount
+    room[path[-1]] -= amount
+    for j in range(1, len(path), 2):
+        x, y = path[j - 1], path[j]
+        flow[x][y] = flow[x].get(y, 0) + amount
+        carried[x] |= 1 << y
+        holders[y] |= 1 << x
+        if j + 1 < len(path):
+            x = path[j + 1]
+            flow[x][y] -= amount
+            if not flow[x][y]:
+                carried[x] &= ~(1 << y)
+                holders[y] &= ~(1 << x)
 
 
 @dataclass(frozen=True)

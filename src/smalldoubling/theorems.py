@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .connectivity import CostParams, connectivity_subgroup_solver
+from .connectivity import CostParams, _cover, _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
 from .groups import GroupTable, _check_member, image, right_coset
 from .setalg import (
@@ -274,15 +274,16 @@ def petridis_minimizer(
 
     Two paths return the same (X, K), and neither needs numpy: a plain loop
     over the 2^|A| subsets for |A| < PETRIDIS_FLOW_MIN (10), and from there
-    on Dinkelbach's iteration on max-flow min cuts (`_minimize_by_flow`),
-    whose work grows with the edges x -> x*S rather than with 2^|A|.  The
-    cutoff is measured, timing both paths on random A in D10, Z20 and D8xZ4
-    (|S| = 3, median of 600 sets per size, 2 CPUs, Python 3.11): at |A| = 9
-    the loop wins (0.16-0.18 ms against 0.18-0.20), at |A| = 10 the min cut
-    does (0.17-0.18 ms against 0.25-0.28).  At |A| = 20 in D32 and (Z2)^6,
-    with |S| from 1 to 64, the worst of four random draws takes 0.1-0.5 ms,
-    where the numpy pass over the whole subset table that the min cut
-    replaced took 12-24 ms and the loop takes 320-420 ms.
+    on Dinkelbach's iteration on the min-cut kernel that also finds the
+    identity atom (`_minimize_by_flow`), whose work grows with the edges
+    x -> x*S rather than with 2^|A|.  The cutoff is measured, timing both
+    paths on random A in D10, Z20 and D8xZ4 (|S| = 3, median of 600 sets per
+    size, 2 CPUs, Python 3.11): at |A| = 9 the loop wins (0.16-0.18 ms against
+    0.18-0.20), at |A| = 10 the min cut does (0.17-0.18 ms against
+    0.25-0.28).  At |A| = 20 in D32 and (Z2)^6, with |S| from 1 to 64, the
+    worst of four random draws takes 0.1-0.5 ms, where the numpy pass over
+    the whole subset table that the min cut replaced took 12-24 ms and the
+    loop takes 320-420 ms.
     """
     _require_nonempty(A, S)
     _check_member(G, A, "A")
@@ -318,144 +319,19 @@ def _minimize_by_flow(rows: list[int]) -> tuple[int, int, int]:
     """The same as `_minimize_by_loop`, by Dinkelbach's iteration on min cuts.
 
     For K = p/q, q|N(X)| - p|X| is minimized over X (N(X) the OR of the rows
-    over X) by `_largest_min_cut`.  A negative minimum gives a set of smaller
-    ratio, which becomes the next K; at the optimal K the minimum is 0 and
-    the largest set attaining it is the union of all minimizers, which is the
-    largest minimizer of the ratio.  Every step is integer arithmetic.
+    over X) by `connectivity._min_cut_sides`.  A negative minimum gives a set
+    of smaller ratio, which becomes the next K; at the optimal K the minimum
+    is 0 and the kernel's largest side is the union of all minimizers, which
+    is the largest minimizer of the ratio.  Every step is integer arithmetic.
     """
     X = (1 << len(rows)) - 1
     size, card = _cover(rows, X).bit_count(), X.bit_count()
     while True:
-        Z = _largest_min_cut(rows, size, card)
+        Z = _min_cut_sides(rows, size, card)[1]
         z_size, z_card = _cover(rows, Z).bit_count(), Z.bit_count()
         if card * z_size == size * z_card:
             return Z, z_size, z_card
         size, card = z_size, z_card
-
-
-def _cover(rows: list[int], X: int) -> int:
-    out = 0
-    for i in iter_bits(X):
-        out |= rows[i]
-    return out
-
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _largest_min_cut(rows: list[int], p: int, q: int) -> int:
-    """Largest local mask X minimizing q|N(X)| - p|X|.
-
-    The network has an edge source -> x of capacity p for each row x, an
-    uncapacitated edge x -> y for each bit y of rows[x], and y -> sink of
-    capacity q.  A finite cut whose source side holds the x of X must hold
-    N(X) too, so it costs at least p(k - |X|) + q|N(X)|, with equality for
-    the y of N(X) alone: the min cuts are the minimizers shifted by pk, and
-    the largest source side of a min cut is the set of x that cannot reach
-    the sink in the residual graph of a max flow.  The flow is Dinic's: a breadth-first level graph,
-    then a blocking flow by depth-first search, until no augmenting path is
-    left.  Sets of nodes are bitmasks: x over row indices, y over bits.
-    """
-    k = len(rows)
-    full = (1 << k) - 1
-    free = _cover(rows, full)  # the y whose edge y -> sink is not saturated
-    slack = [p] * k  # residual capacity of source -> x
-    room = [q] * free.bit_length()  # residual capacity of y -> sink
-    flow: list[dict[int, int]] = [{} for _ in range(k)]  # flow[x][y] on x -> y
-    carried = [0] * k  # carried[x]: the y with flow[x][y] > 0
-    holders = [0] * len(room)  # holders[y]: the x with flow[x][y] > 0
-    for x, row in enumerate(rows):  # paths x -> y first, with no level graph
-        for y in iter_bits(row & free):
-            if not slack[x]:
-                break
-            amount = min(slack[x], room[y])
-            slack[x] -= amount
-            room[y] -= amount
-            flow[x][y] = amount
-            carried[x] |= 1 << y
-            holders[y] |= 1 << x
-            if not room[y]:
-                free &= ~(1 << y)
-    while True:
-        # Level graph: xs[l] and ys[l] are the x and y first reached at
-        # distance 2l and 2l - 1 from the source, up to the first free y.
-        sources = sum(1 << x for x in range(k) if slack[x])
-        xs, ys = [sources], [0]
-        seen_x, seen_y = sources, 0
-        while xs[-1]:
-            ny = _cover(rows, xs[-1]) & ~seen_y
-            seen_y |= ny
-            ys.append(ny)
-            if ny & free:
-                break
-            nx = sum(1 << x for x in iter_bits(full & ~seen_x) if carried[x] & ny)
-            seen_x |= nx
-            xs.append(nx)
-        last = len(ys) - 1
-        ys[last] &= free
-        if not ys[last]:
-            break
-        # Blocking flow.  A path alternates x_0, y_1, x_1, ..., y_last: it
-        # goes forward along x_(l-1) -> y_l and back along the flow on
-        # x_l -> y_l.  A node with no way on is dropped from its level.
-        while xs[0]:
-            path = [_low_bit(xs[0])]
-            while path:
-                depth = len(path)
-                level, node = depth >> 1, path[-1]
-                if depth & 1:
-                    ahead = rows[node] & ys[level + 1]
-                elif level < last:
-                    ahead = holders[node] & xs[level]
-                else:
-                    _augment(path, slack, room, flow, carried, holders)
-                    x0 = path[0]
-                    if not slack[x0]:
-                        xs[0] &= ~(1 << x0)
-                    if not room[node]:
-                        free &= ~(1 << node)
-                        ys[last] &= ~(1 << node)
-                    break
-                if ahead:
-                    path.append(_low_bit(ahead))
-                    continue
-                if depth & 1:
-                    xs[level] &= ~(1 << node)
-                else:
-                    ys[level] &= ~(1 << node)
-                path.pop()
-    # The x that reach the sink in the residual graph: through a free y,
-    # or through a y that another such x sends flow to.
-    to_sink, reach_y, grown = 0, free, True
-    while grown:
-        grown = False
-        for x in iter_bits(full & ~to_sink):
-            if rows[x] & reach_y:
-                to_sink |= 1 << x
-                reach_y |= carried[x]
-                grown = True
-    return full & ~to_sink
-
-
-def _augment(path, slack, room, flow, carried, holders) -> None:
-    """Push the bottleneck amount along an augmenting path of `_largest_min_cut`."""
-    amount = min(slack[path[0]], room[path[-1]])
-    for j in range(2, len(path), 2):
-        amount = min(amount, flow[path[j]][path[j - 1]])
-    slack[path[0]] -= amount
-    room[path[-1]] -= amount
-    for j in range(1, len(path), 2):
-        x, y = path[j - 1], path[j]
-        flow[x][y] = flow[x].get(y, 0) + amount
-        carried[x] |= 1 << y
-        holders[y] |= 1 << x
-        if j + 1 < len(path):
-            x = path[j + 1]
-            flow[x][y] -= amount
-            if not flow[x][y]:
-                carried[x] &= ~(1 << y)
-                holders[y] &= ~(1 << x)
 
 
 def _limit_table(K: Fraction, n: int) -> list[int]:

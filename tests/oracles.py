@@ -1,7 +1,9 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here works on plain Python sets with direct definitional loops:
-no bitmasks, no tables, no pruning.  Deliberately slow and obvious.
+no bitmasks, no tables, no pruning.  Deliberately slow and obvious.  The one
+exception is `subgroup_atom`, the subgroup loop that the connectivity solver
+ran before its min cut, kept as it stood.
 """
 
 from fractions import Fraction
@@ -142,6 +144,38 @@ def naive_identity_atom(G, S, K):
     atoms = [f for f in containing if len(f) == smallest]
     assert len(atoms) == 1, "theory guarantees a unique identity atom for K < 1"
     return kappa, atoms[0]
+
+
+def subgroup_atom(G, S, K):
+    """(kappa, identity atom) as the least cost over the subgroups of G, K < 1.
+
+    The identity atom is a subgroup and a fragment, so the subgroup minimum
+    attains kappa; among subgroups attaining it, the smallest is the identity
+    atom because two identity-containing fragments intersect in a fragment.
+    The package is imported here, so loading this module by path needs none.
+    """
+    from smalldoubling.groups import enumerate_subgroups
+    from smalldoubling.setalg import product_mask
+
+    p, q = K.numerator, K.denominator
+
+    # Subgroups arrive by cardinality, so the first one to reach the least
+    # cost is the smallest attaining it; `ties` counts those of its size.
+    best = atom = None
+    ties = 0
+    for H in enumerate_subgroups(G):
+        # cost(H) >= (1-K)|H|, so once that floor exceeds the best cost the
+        # subgroup cannot matter (not even as an equal-cost tie).
+        if best is not None and (q - p) * H.cardinality > best:
+            continue
+        size = product_mask(G, H.mask, S.mask).bit_count()
+        val = q * size - p * H.cardinality
+        if best is None or val < best:
+            best, atom, ties = val, H, 1
+        elif val == best and H.cardinality == atom.cardinality:
+            ties += 1
+    assert ties == 1, "theory guarantees a unique identity atom for K < 1"
+    return Fraction(best, q), atom
 
 
 def naive_convolve(G, u, v):

@@ -356,8 +356,9 @@ def test_nested_group_issues_and_rechecks_or_exits_2(tmp_path, levels):
 
 
 # Group labels for --format text: one UTF-8 cannot encode, which is refused,
-# and a non-ASCII one, written as UTF-8 under an ASCII locale.
-TEXT_LABELS = {"lone-surrogate": "\ud800", "posix-locale": "\u00e9"}
+# and a non-ASCII one, written as UTF-8 under an ASCII locale to a file and
+# to standard output.
+TEXT_LABELS = {"lone-surrogate": "\ud800", "posix-locale": "\u00e9", "posix-stdout": "\u00e9"}
 
 
 @pytest.mark.parametrize("target", ["missing/cert.json", "taken", *TEXT_LABELS])
@@ -370,7 +371,9 @@ def test_unwritable_out_exits_2_and_leaves_no_tmp(tmp_path, capsys, target):
         return
     group = tmp_path / "group.json"
     group.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["e", TEXT_LABELS[target]]}))
-    argv = ["doubling", "--group", str(group), "--setA", "1", "--format", "text", "--out", out]
+    argv = ["doubling", "--group", str(group), "--setA", "1", "--format", "text"]
+    if target != "posix-stdout":
+        argv += ["--out", out]
     if target == "lone-surrogate":
         assert_usage_error(capsys, *argv)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["group.json", "taken"]
@@ -380,6 +383,10 @@ def test_unwritable_out_exits_2_and_leaves_no_tmp(tmp_path, capsys, target):
         LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
     )
     assert done.returncode == 0, done.stderr
+    if target == "posix-stdout":
+        assert "set_a.labels = [\u00e9]" in done.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["group.json", "taken"]
+        return
     assert sorted(p.name for p in tmp_path.iterdir()) == ["group.json", "posix-locale", "taken"]
     assert "set_a.labels = [\u00e9]" in Path(out).read_text(encoding="utf-8")
 

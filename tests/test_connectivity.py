@@ -11,6 +11,7 @@ from smalldoubling import (
     SizeLimitExceeded,
     Subset,
     TheoryViolation,
+    catalogue,
     check_submodularity,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
@@ -26,7 +27,7 @@ from smalldoubling import (
 )
 from smalldoubling import connectivity
 from smalldoubling.groups import image
-from oracles import naive_cost, naive_connectivity, naive_identity_atom
+from oracles import naive_cost, naive_connectivity, naive_identity_atom, subgroup_atom
 
 HALF = Fraction(1, 2)
 
@@ -74,12 +75,14 @@ def test_cost_lower_bound_random_large_group():
 
 
 def test_solvers_accept_negative_k():
+    # K < 0 takes the solver's closed form, K = 0 a min cut with no flow.
     G = cyclic(8)
-    params = CostParams(S=G.subset([0, 1]), K=Fraction(-1))
-    brute = connectivity_bruteforce(G, params)
-    sub = connectivity_subgroup_solver(G, params)
-    assert brute.kappa == sub.kappa == 3  # singleton: |A*S| + |A| = 2 + 1
-    assert brute.identity_atom == sub.identity_atom
+    for K in (Fraction(-1), Fraction(0)):
+        params = CostParams(S=G.subset([0, 1]), K=K)
+        brute = connectivity_bruteforce(G, params)
+        sub = connectivity_subgroup_solver(G, params)
+        assert brute.kappa == sub.kappa == 2 - K  # singleton: |A*S| - K|A|
+        assert brute.identity_atom == sub.identity_atom == G.subset([0])
 
 
 def test_left_invariance_exhaustive_s3():
@@ -248,15 +251,37 @@ def test_subgroup_solver_examples():
         connectivity_subgroup_solver(S3, CostParams(S=H, K=Fraction(1)))
 
 
-def test_subgroup_solver_refuses_two_atoms(monkeypatch):
-    # Listing the atom {0, 2} of S3 twice fakes a second subgroup of the same
-    # size and cost, which the theory rules out.
+def test_subgroup_solver_refuses_a_non_subgroup_atom(monkeypatch):
+    # A kernel whose smallest side is {(1 2 3)} would make the atom {e, (1 2 3)}
+    # of S3, which is not a subgroup: the theory rules that out.
     S3 = symmetric(3)
-    H = S3.subset([0, 2])
-    subs = enumerate_subgroups(S3)
-    monkeypatch.setattr(connectivity, "enumerate_subgroups", lambda G: (*subs[:2], H, *subs[2:]))
-    with pytest.raises(TheoryViolation, match="2 subgroups of size 2"):
-        connectivity_subgroup_solver(S3, CostParams(S=H, K=HALF))
+    assert S3.labels[3] == "(1 2 3)"
+    monkeypatch.setattr(connectivity, "_min_cut_sides", lambda rows, p, q: (1 << 3, 0))
+    with pytest.raises(TheoryViolation, match="not a subgroup"):
+        connectivity_subgroup_solver(S3, CostParams(S=S3.subset([0, 2]), K=HALF))
+
+
+# Beyond the reach of brute force, the min cut is checked against the
+# subgroup loop it replaced, on every group of order <= 24 and four of order
+# 64, with |S| from 1 to |G| and K on both sides of 0.
+ORACLE_GROUPS = (
+    *catalogue(24),
+    quaternion(16),
+    dihedral(32),
+    direct_product([dihedral(4), cyclic(2), cyclic(2), cyclic(2)]),
+    direct_product([cyclic(2)] * 6),
+)
+ORACLE_KS = tuple(Fraction(k) for k in ("-1/4", "0", "1/4", "1/2", "3/4", "59/60"))
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.name)
+def test_subgroup_solver_matches_subgroup_loop(G):
+    rng = random.Random(G.order * 17 + 2)
+    for size in sorted({1, max(1, G.order // 3), G.order // 2 + 1, G.order}):
+        S = G.subset(rng.sample(range(G.order), size))
+        for K in ORACLE_KS:
+            res = connectivity_subgroup_solver(G, CostParams(S=S, K=K))
+            assert (res.kappa, res.identity_atom) == subgroup_atom(G, S, K)
 
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)

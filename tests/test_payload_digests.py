@@ -8,7 +8,9 @@ orbit scan with and without findings, the min-cut path of the Petridis
 minimizer (the key "petridis-table" names the numpy table pass it
 replaced), sampled Petridis verification, the minimizer at the subset and
 order caps, brute force and atoms at order 16, the multi-coset branch of
-the structure theorem, and an explicit table whose identity is not index 0.
+the structure theorem, both branches and the subgroup-restricted solver at
+order 64 (the identity atom's min cut), and an explicit table whose
+identity is not index 0.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
 plan at seed 1 (30 `certify`, 6 `lattice`, 7 `powerset`), each with the
@@ -38,6 +40,8 @@ TABLE_S3 = {
     ],
     "labels": ["(1 2 3)", "e", "(1 3)", "(2 3)", "(1 3 2)", "(1 2)"],
 }
+
+Z2 = {"preset": "cyclic", "n": 2}
 
 FIXED = {
     "kneser-scan-D4": (
@@ -108,6 +112,42 @@ FIXED = {
             "epsilon": "1/3",
         },
     ),
+    "theorem-main-Z2^6-single": (  # the atom has order 16
+        "theorem-main",
+        {
+            "group": {"preset": "direct_product", "factors": [Z2] * 6},
+            "sets": {"A": [0, 1, 8, 9, 20, 21, 28, 29, 36, 44, 45, 49, 56, 57],
+                     "S": [4, 5, 12, 13, 16, 24, 25, 32, 40, 53, 61]},
+            "epsilon": "1/3",
+        },
+    ),
+    "theorem-main-Q64-single": (  # the atom has order 16
+        "theorem-main",
+        {
+            "group": {"preset": "quaternion", "n": 16},
+            "sets": {"A": [3, 7, 15, 19, 23, 27, 31, 35, 43, 51, 55, 59],
+                     "S": [3, 7, 11, 15, 23, 27, 33, 41, 45, 57, 61]},
+            "epsilon": "1/4",
+        },
+    ),
+    "theorem-main-Q64-multi": (  # multi_coset_cover branch, trivial atom
+        "theorem-main",
+        {
+            "group": {"preset": "quaternion", "n": 16},
+            "sets": {"A": [40, 41, 51, 62], "S": [5, 16, 26, 27]},
+            "epsilon": "1/4",
+        },
+    ),
+    "connectivity-subgroup-64": (  # |S| = 64 in D4xZ2xZ2xZ2
+        "connectivity",
+        {
+            "group": {"preset": "direct_product",
+                      "factors": [{"preset": "dihedral", "n": 4}, Z2, Z2, Z2]},
+            "sets": {"S": list(range(64))},
+            "K": "3/4",
+            "solver": "subgroup_restricted",
+        },
+    ),
     "table-doubling": ("doubling", {"group": TABLE_S3, "sets": {"A": [0, 1, 2]}}),
     "table-theorem-main": (
         "theorem-main",
@@ -139,6 +179,10 @@ DIGESTS = {
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
     "atoms-D8": "62882a603c67ae3d552a62e335e9686abf830cfad23c3dc95c3ce69f7a958e91",
     "theorem-main-multi": "5b573b5ac2823922e595391491be183e67a3ddec991a920a70275b3696d96044",
+    "theorem-main-Z2^6-single": "9cd2457963b8719c8d736d6b9153ea04a56370b4756ffb1f6eb41a12153fb211",
+    "theorem-main-Q64-single": "020b37222f53670f145a2ceca3bbe7680cc9c2a64437ad3689f70bc651d03ce0",
+    "theorem-main-Q64-multi": "447b2b3ca2349654107afdb557e8da5476ac08b0b4fd0940b7a4b901a18ac864",
+    "connectivity-subgroup-64": "b2ab491111bcc9a265ce3d34e74d5d6581640b318383a67f12e80d204a18da75",
     "table-doubling": "982b24a3ea78dace090bc7423a74bf823f05b0f1dccc76166edd20c69ce61e2f",
     "table-theorem-main": "5f1faa1a640639cd942dd9b9f5cc676c8cbe229b93d43f7e8735dfb63fec7236",
     "table-kneser-scan": "da636f975be46b93ef7d0b1667d1d119ecf2265a7f2d828fd32c27d2733e6983",
