@@ -5,16 +5,23 @@ is everything needed to replay the run, and replaying must reproduce the
 payload byte for byte.  `recheck` does exactly that and reports field-level
 diffs, so any tampered certificate is rejected.  Each runner below is one
 entry of the command table (see schema.py).
+
+The four theory modules are registered in `sys.modules` here but run only
+when a runner first uses them, so a command loads only the theory it needs.
+Registering them, rather than importing inside each runner, keeps them where
+code that patches the package's functions by module (bench/tracing.py)
+looks them up.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import connectivity as conn_mod
-from . import convolution as conv_mod
-from . import groups, setalg, theorems
+from . import groups
 from .errors import NotAbelian, SizeLimitExceeded, UsageError
 from .rationals import rational_str
 from .schema import (
@@ -28,12 +35,31 @@ from .schema import (
 )
 from .subsets import Subset
 
+
+def _lazy(name: str):
+    """Submodule `name`, registered in sys.modules; its body runs on first use."""
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+setalg = _lazy("setalg")
+conn_mod = _lazy("connectivity")
+conv_mod = _lazy("convolution")
+theorems = _lazy("theorems")
+
 TOOL_NAME = "smalldoubling"
 TOOL_VERSION = "0.1.0"
 
 # The most work a budget may ask for: as many C-sets or pairs as the largest
 # subset table has entries.
-MAX_BUDGET = 1 << setalg.SUBSET_TABLE_LIMIT
+MAX_BUDGET = 1 << groups.SUBSET_TABLE_LIMIT
 
 
 def subset_payload(G: groups.GroupTable, X: Subset) -> dict:
@@ -99,7 +125,7 @@ def _run_doubling(G, caps, A):
             aliases={"subgroup": "subgroup_restricted", "brute": "brute_force"},
         ),
         "fragments": Option("bool", False, help="collect the fragment inventory"),
-        "fragment_cap": Option("int", conn_mod.DEFAULT_FRAGMENT_CAP, lo=0),
+        "fragment_cap": Option("int", groups.DEFAULT_FRAGMENT_CAP, lo=0),
         "classify_atom": Option("bool", True, flag="--no-atom",
                                 help="fragments-only output (required for K = 1)"),
     },
@@ -403,7 +429,11 @@ def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
     may lower them but never raise them.
     """
     check_envelope(record)
+    stored = record["payload"]
     recomputed = run(record["command"], record["config"], ceiling=caps or DEFAULT_CAPS)
     diffs: list[tuple[str, Any, Any]] = []
-    _diff("payload", record["payload"], recomputed, diffs)
+    # Equal JSON texts mean no field differs (0, false and 0.0 print apart),
+    # which saves the walk on every passing recheck.
+    if json.dumps(stored, sort_keys=True) != json.dumps(recomputed, sort_keys=True):
+        _diff("payload", stored, recomputed, diffs)
     return RecheckReport(ok=not diffs, diffs=tuple(diffs))

@@ -74,7 +74,8 @@ def parse_group_spec(text: str) -> dict:
 
 
 def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
-    """Comma-separated element indices, or labels where unambiguous."""
+    """Comma-separated element indices, or labels where unambiguous: a token
+    that is an index and also the label of another element is refused."""
     label_index = {label: i for i, label in enumerate(G.labels)}
     out = []
     for token in text.split(","):
@@ -85,6 +86,11 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
         if value is not None:
             if value >= G.order:
                 raise UsageError(f"element index {value} outside group of order {G.order}")
+            if label_index.get(token, value) != value:
+                raise UsageError(
+                    f"element {token!r} of {G.name} is ambiguous: index {value}, or the "
+                    f"element labelled {token!r}, index {label_index[token]}"
+                )
             out.append(value)
         elif token in label_index:
             out.append(label_index[token])

@@ -16,12 +16,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmptySet, KOutOfRange, SizeLimitExceeded, TheoryViolation
-from .groups import GroupTable, _check_member, image, is_subgroup_mask
+from .groups import (
+    DEFAULT_BRUTEFORCE_CAP,
+    DEFAULT_FRAGMENT_CAP,
+    GroupTable,
+    _check_member,
+    image,
+    is_subgroup_mask,
+)
 from .setalg import popcount_table, product_mask, product_size_table
 from .subsets import Subset, iter_bits
-
-DEFAULT_BRUTEFORCE_CAP = 16
-DEFAULT_FRAGMENT_CAP = 100_000
 
 # Beyond this, q*sizes - p*cards may not fit int64; use exact Python ints.
 _NUMPY_SAFE_BOUND = 1 << 40

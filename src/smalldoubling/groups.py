@@ -16,7 +16,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
 from .subsets import Subset, iter_bits
 
+# Every size limit lives here, beside the order cap, so that the command table
+# and the config checks (schema, certificates) read them without loading the
+# theory modules that enforce them.
 DEFAULT_ORDER_CAP = 64
+DEFAULT_BRUTEFORCE_CAP = 16  # largest order of a 2^n sweep: brute-force atoms, exhaustive scans
+DEFAULT_SUBSET_SEARCH_CAP = 20  # largest |A| of the Petridis minimizer
+DEFAULT_FRAGMENT_CAP = 100_000  # most fragments a brute-force inventory lists
+SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,19 +21,18 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from . import groups
-from .connectivity import DEFAULT_BRUTEFORCE_CAP
 from .errors import UsageError
 from .rationals import parse_rational, rational_str
-from .theorems import DEFAULT_SUBSET_SEARCH_CAP
 
 SCHEMA_VERSION = 1
 # Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
 MAX_GROUP_NESTING = 64
 
+# The caps are defined in groups, so reading them loads no theory module.
 DEFAULT_CAPS = {
     "order_cap": groups.DEFAULT_ORDER_CAP,
-    "bruteforce_cap": DEFAULT_BRUTEFORCE_CAP,
-    "subset_cap": DEFAULT_SUBSET_SEARCH_CAP,
+    "bruteforce_cap": groups.DEFAULT_BRUTEFORCE_CAP,
+    "subset_cap": groups.DEFAULT_SUBSET_SEARCH_CAP,
 }
 
 

@@ -34,13 +34,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import EmptySet, NotASubgroup, SizeLimitExceeded
-from .groups import GroupTable, _check_member, image, is_subgroup
+from .groups import SUBSET_TABLE_LIMIT, GroupTable, _check_member, image, is_subgroup
 from .subsets import Subset, iter_bits
 
 if TYPE_CHECKING:
     import numpy as np
-
-SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
 
 
 def product_mask(G: GroupTable, amask: int, bmask: int) -> int:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .connectivity import CostParams, _cover, _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
-from .groups import GroupTable, _check_member, image, right_coset
+from .groups import DEFAULT_SUBSET_SEARCH_CAP, GroupTable, _check_member, image, right_coset
 from .setalg import (
     CoverCertificate,
     coset_cover,
@@ -32,7 +32,6 @@ from .subsets import Subset, iter_bits
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_SUBSET_SEARCH_CAP = 20
 PETRIDIS_FLOW_MIN = 10  # smallest |A| for the min-cut path of petridis_minimizer
 
 

@@ -7,6 +7,8 @@ from smalldoubling import SizeLimitExceeded, UsageError
 from smalldoubling.certificates import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
+    RecheckReport,
+    _diff,
     make_record,
     recheck,
     run,
@@ -202,6 +204,30 @@ def test_equal_values_of_another_type_are_rejected(case, command, config):
     for path in paths:
         report = recheck(_apply_mutation(record, path, _retype))
         assert not report.ok, f"payload.{path} retyped went undetected"
+
+
+def _walked(record) -> RecheckReport:
+    """`recheck`'s report from the field walk alone, without the equal-text test."""
+    diffs: list = []
+    _diff("payload", record["payload"], run(record["command"], record["config"]), diffs)
+    return RecheckReport(ok=not diffs, diffs=tuple(diffs))
+
+
+@pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
+def test_equal_text_shortcut_agrees_with_the_walk(case, command, config):
+    """Skipping the walk when the JSON texts match changes no report: not for
+    the record itself, not for any single-field or retyped alteration."""
+    record = json.loads(json.dumps(make_record(command, config, run(command, config))))
+    paths = list(_leaf_paths(record["payload"]))
+    altered = [_apply_mutation(record, path) for path in paths] + [
+        _apply_mutation(record, path, _retype)
+        for path in paths if type(_leaf(record, path)) in (bool, int)
+    ]
+    assert recheck(record) == _walked(record) == RecheckReport(ok=True, diffs=())
+    for tampered in altered:
+        report = recheck(tampered)
+        assert not report.ok
+        assert report == _walked(tampered)
 
 
 def test_tampered_config_is_rejected():

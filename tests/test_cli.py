@@ -10,6 +10,7 @@ from smalldoubling import certificates, groups, schema
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
 from smalldoubling.errors import TheoryViolation, UsageError
 from smalldoubling.groups import from_spec, symmetric
+from test_certificates import all_cases
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,20 @@ def test_parse_set_elements_indices_and_labels():
         parse_set_elements(S3, "(9 9)")
     with pytest.raises(Exception):
         parse_set_elements(S3, "17")
+
+
+def test_a_token_that_is_an_index_and_another_label_is_refused(tmp_path, capsys):
+    """In a table labelled ["1", "0"], "1" is index 1 and the label of index 0."""
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["1", "0"]}))
+    assert_usage_error(capsys, "doubling", "--group", str(group), "--setA", "1")
+    G = from_spec(json.loads(group.read_text()))
+    with pytest.raises(UsageError, match="index 1, or the element labelled '1', index 0"):
+        parse_set_elements(G, "1")
+    # A label that is its own index, or no index at all, reads one way.
+    G = from_spec({"table": [[0, 1], [1, 0]], "labels": ["0", "x"]})
+    assert parse_set_elements(G, "0,x") == [0, 1]
+    assert parse_set_elements(G, "0,1") == [0, 1]
 
 
 def test_doubling_run(capsys):
@@ -492,6 +507,94 @@ def _run_python(script: str, **env: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), **env)
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
+def _cli_argv(command: str, config: dict, group_file: Path) -> list[str]:
+    """The command line that issues `config`, its group read from `group_file`."""
+    entry = schema.COMMANDS[command]
+    group_file.write_text(json.dumps(config["group"]))
+    argv = [*entry.path, "--group", str(group_file)]
+    for name, indices in config.get("sets", {}).items():
+        argv += ["--set", f"{name}=" + ",".join(map(str, indices))]
+    for name, opt in entry.options.items():
+        if name not in config:
+            continue
+        flag = opt.flag or "--" + name.replace("_", "-")
+        if opt.kind == "bool":
+            argv += [flag] if config[name] != opt.default else []
+        else:
+            spelling = {v: k for k, v in (opt.aliases or {}).items()}
+            argv += [flag, str(spelling.get(config[name], config[name]))]
+    return argv
+
+
+def _keys(value) -> set:
+    if isinstance(value, dict):
+        return set(value).union(*map(_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_keys, value))
+    return set()
+
+
+@pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
+def test_meta_stays_out_of_the_payload(case, command, config, tmp_path):
+    """The command line's timing goes to `meta`, never into the payload, and
+    `recheck` reads no part of `meta`."""
+    cert = tmp_path / "cert.json"
+    argv = _cli_argv(command, config, tmp_path / "group.json")
+    assert main(argv + ["--out", str(cert)]) == 0
+    record = json.loads(cert.read_text())
+    assert record["payload"] == certificates.run(command, config)
+    assert not _keys(record["payload"]) & {"meta", "wall_time_s"}
+    assert set(record["meta"]) == {"wall_time_s"}
+    for meta in ({}, {"wall_time_s": 1e9, "extra": [1]}, None):
+        if meta is None:
+            del record["meta"]
+        else:
+            record["meta"] = meta
+        assert certificates.recheck(record).ok, meta
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "smalldoubling", *argv], env=env,
+                              capture_output=True, text=True)
+
+    done = run("doubling", "--group", "dihedral:4", "--setA", "r0,r1")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["payload"]["ratio"] == "3/2"
+    done = run("doubling", "--group", "quaternion:1", "--setA", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"]["code"] == "UsageError"
+
+
+THEORY = ("setalg", "connectivity", "convolution", "theorems")
+
+
+def test_start_up_executes_no_theory_module(tmp_path):
+    """The parser needs no theory module, and `doubling` executes only setalg.
+
+    A module that LazyLoader registered is not a plain module until its body
+    runs on first use."""
+    cert = tmp_path / "doubling.json"
+    script = (
+        "import sys, types\n"
+        "from smalldoubling import cli\n"
+        "cli.build_parser()\n"
+        f"theory = {THEORY!r}\n"
+        "def executed():\n"
+        "    return [m for m in theory if type(sys.modules[f'smalldoubling.{m}']) is types.ModuleType]\n"
+        "assert executed() == [], executed()\n"
+        "argv = ['doubling', '--group', 'dihedral:4', '--setA', 'r0,r1']\n"
+        f"assert cli.main(argv + ['--out', {str(cert)!r}]) == 0\n"
+        "assert executed() == ['setalg'], executed()\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(cert.read_text())["payload"]["ratio"] == "3/2"
 
 
 def test_issue_and_recheck_without_jsonschema(tmp_path):

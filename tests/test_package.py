@@ -1,0 +1,85 @@
+"""The package namespace: every public name resolves lazily to the object its
+module defines, and the benchmark's tracer still finds every module it wraps."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import smalldoubling
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "AtomPropositionReport", "ConnectivityResult", "CorollaryReport", "CostParams",
+    "CoverCertificate", "DoublingReport", "EmptySet", "GapReport", "GroupFunction",
+    "GroupMismatch", "GroupTable", "HypothesisFailed", "InvalidTable", "KOutOfRange",
+    "KneserReport", "NotASubgroup", "NotAbelian", "PetridisResult", "PetridisVerification",
+    "SearchReport", "SizeLimitExceeded", "SmallDoublingError", "SubmodularityReport", "Subset",
+    "TheoryViolation", "UsageError", "WeakKneserReport", "autocorrelation", "catalogue",
+    "certificates", "check_submodularity", "closure", "connectivity", "connectivity_bruteforce",
+    "connectivity_subgroup_solver", "convolution", "convolve", "coset_cover", "cost", "cyclic",
+    "dihedral", "direct_product", "doubling_ratio", "enumerate_subgroups", "errors",
+    "from_spec", "from_table", "gap_check", "groups", "inverse_set", "is_subgroup",
+    "kneser_check", "kneser_corollary_check", "kneser_violation_scan", "level_set",
+    "parse_rational", "petridis_minimizer", "petridis_verify", "product_set", "quaternion",
+    "rational_str", "rationals", "right_coset", "right_stabilizer", "schema", "setalg",
+    "smoothed", "subsets", "symmetric", "theorems", "validate_table", "verify_atom_proposition",
+    "weak_kneser_check",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 73
+    assert smalldoubling.__all__ == PUBLIC
+    assert set(PUBLIC) <= set(dir(smalldoubling))
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_name_is_its_defining_modules_object(name):
+    value = getattr(smalldoubling, name)
+    module = smalldoubling._MODULE_OF.get(name)
+    if module is None:  # a submodule
+        assert value is importlib.import_module(f"smalldoubling.{name}")
+    else:
+        assert value is getattr(importlib.import_module(f"smalldoubling.{module}"), name)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'kneser_failure_search'"):
+        smalldoubling.kneser_failure_search  # noqa: B018
+    assert not hasattr(smalldoubling, "DEFAULT_CAPS")
+    assert smalldoubling.__version__ == smalldoubling.certificates.TOOL_VERSION
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from smalldoubling import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+    assert namespace["petridis_minimizer"] is smalldoubling.theorems.petridis_minimizer
+
+
+def test_benchmark_tracer_finds_every_module():
+    """Import the package as the benchmark's worker does, then build, install
+    and remove its tracer, which looks each wrapped module up in sys.modules."""
+    script = (
+        "import importlib.util, sys\n"
+        "from smalldoubling import certificates, groups\n"
+        f"spec = importlib.util.spec_from_file_location('tracing', {str(ROOT / 'bench' / 'tracing.py')!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "run = certificates.run\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "config = {'group': {'preset': 'dihedral', 'n': 3}, 'sets': {'A': [0, 1]}}\n"
+        "assert certificates.run('doubling', config)['ratio'] == '3/2'\n"
+        "tracer.uninstall()\n"
+        "assert certificates.run is run\n"
+        "assert tracer.totals()['certificates.run.calls'] == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
