@@ -75,7 +75,8 @@ def parse_group_spec(text: str) -> dict:
 
 def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
     """Comma-separated element indices, or labels where unambiguous: a token
-    that is an index and also the label of another element is refused."""
+    that is an index and also the label of another element is refused, and
+    a decimal token that is no index but a label means that label."""
     label_index = {label: i for i, label in enumerate(G.labels)}
     out = []
     for token in text.split(","):
@@ -83,9 +84,7 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
         if not token:
             continue
         value = _decimal(token)
-        if value is not None:
-            if value >= G.order:
-                raise UsageError(f"element index {value} outside group of order {G.order}")
+        if value is not None and value < G.order:
             if label_index.get(token, value) != value:
                 raise UsageError(
                     f"element {token!r} of {G.name} is ambiguous: index {value}, or the "
@@ -94,6 +93,8 @@ def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
             out.append(value)
         elif token in label_index:
             out.append(label_index[token])
+        elif value is not None:
+            raise UsageError(f"element index {value} outside group of order {G.order}")
         else:
             raise UsageError(f"unknown element {token!r} in group {G.name}")
     return sorted(set(out))

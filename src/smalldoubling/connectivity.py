@@ -27,9 +27,6 @@ from .groups import (
 from .setalg import popcount_table, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
-# Beyond this, q*sizes - p*cards may not fit int64; use exact Python ints.
-_NUMPY_SAFE_BOUND = 1 << 40
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -90,22 +87,6 @@ def _check_k(K: Fraction, classify_atom: bool) -> None:
         )
 
 
-def _scaled_cost_arrays(G: GroupTable, S: Subset, K: Fraction):
-    """(q*|A*S| - p*|A|) for every mask, plus q; mask 0 is masked out."""
-    import numpy as np
-
-    sizes = product_size_table(G, S)
-    cards = popcount_table(G.order)
-    p, q = K.numerator, K.denominator
-    if max(abs(p), q) < _NUMPY_SAFE_BOUND:
-        vals = q * sizes - p * cards
-    else:
-        vals = np.array(
-            [q * int(s) - p * int(c) for s, c in zip(sizes, cards)], dtype=object
-        )
-    return vals, cards
-
-
 def connectivity_bruteforce(
     G: GroupTable,
     params: CostParams,
@@ -118,7 +99,10 @@ def connectivity_bruteforce(
     """Exact kappa by scanning every nonempty subset of G.
 
     This is the oracle path: no structure theory is assumed.  The scan runs
-    over the full powerset table, so it is limited to small groups.
+    over the full powerset table, so it is limited to small groups.  The
+    cost of M depends only on (|M*S|, |M|), both at most n, so for K = p/q
+    the scaled costs q*s - p*c of those (n+1)^2 pairs are ranked once in
+    Python ints, exactly for every K, and the 2^n masks only index the ranks.
     """
     import numpy as np
 
@@ -130,12 +114,17 @@ def connectivity_bruteforce(
     _check_member(G, params.S, "S")
     _check_k(params.K, classify_atom)
 
-    vals, cards = _scaled_cost_arrays(G, params.S, params.K)
-    q = params.K.denominator
-    best = vals[1:].min()
-    kappa = Fraction(int(best), q)
+    p, q = params.K.numerator, params.K.denominator
+    scaled = [q * s - p * c for s in range(n + 1) for c in range(n + 1)]
+    levels = sorted(set(scaled))
+    index = {v: i for i, v in enumerate(levels)}
+    rank = np.array([index[v] for v in scaled], dtype=np.int16).reshape(n + 1, n + 1)
+    cards = popcount_table(n)
+    ranks = rank[product_size_table(G, params.S), cards]
+    best = ranks[1:].min()
+    kappa = Fraction(levels[best], q)
 
-    frag_idx = np.nonzero(vals[1:] == best)[0] + 1
+    frag_idx = np.nonzero(ranks[1:] == best)[0] + 1
     fragment_total = int(frag_idx.size)
 
     fragments = None

@@ -13,13 +13,11 @@ lists of at most 256 entries, built with the doubling of
 
 The subset-table helpers at the bottom compute |A*S| for *every* subset A
 of the group at once with the same doubling, which is what makes the
-exhaustive sweeps cheap.  `popcount_table` is cached on the width n and is
-shared by every table of that width.  `product_mask_table` and
-`product_size_table` are cached on the identity of the group table, so an
-entry never hits across certificates and keeps a dead 2^n-entry array
-alive; only brute-force connectivity (order <= 16) calls them, and callers
-that build a table for a single certificate, such as Petridis
-verification, use `mask_table_from_rows` directly.
+exhaustive sweeps cheap.  `product_size_table` is the one table of these
+sizes, as uint8, and the exhaustive Petridis check and brute-force
+connectivity both read it.  It is built afresh on every call: a table
+belongs to one certificate's group, which no later call shares.  Only
+`popcount_table`, keyed on the width n, is cached.
 
 numpy is imported inside the functions that touch arrays, here and in
 `connectivity` and `theorems`, so that a command without a subset table
@@ -202,20 +200,20 @@ def mask_table_from_rows(rows: list[int]) -> np.ndarray:
     return prod
 
 
-@functools.lru_cache(maxsize=32)
+# maxsize=0 stores nothing; the decorators stay only because
+# bench/tracing.py reads their cache_info() (ROADMAP item 3).
+@functools.lru_cache(maxsize=0)
 def product_mask_table(G: GroupTable, S: Subset) -> np.ndarray:
     """Bitmask of A*S for every subset-mask A of G (index = A's mask)."""
     return mask_table_from_rows(expansion_rows(G, S))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=0)
 def product_size_table(G: GroupTable, S: Subset) -> np.ndarray:
-    """|A*S| for every subset-mask A of G, as int64."""
+    """|A*S| for every subset-mask A of G, as uint8."""
     import numpy as np
 
-    sizes = np.bitwise_count(product_mask_table(G, S)).astype(np.int64)
-    sizes.flags.writeable = False
-    return sizes
+    return np.bitwise_count(product_mask_table(G, S))
 
 
 @functools.lru_cache(maxsize=8)

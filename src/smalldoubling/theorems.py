@@ -25,6 +25,7 @@ from .setalg import (
     popcount_table,
     product_mask,
     product_set,
+    product_size_table,
     right_stabilizer,
 )
 from .subsets import Subset, iter_bits
@@ -357,11 +358,10 @@ def petridis_verify(
     `budget` seeded-random C (sampled).  Any violation is fatal counterevidence.
 
     Both modes compare through `_limit_table`, exactly.  The exhaustive
-    mode builds the uint8 tables |C*X| and |C*XS| over every mask C with
-    `mask_table_from_rows`, one table when XS = X, and caches neither: the
-    tables belong to this certificate's group, which no later call shares.
-    The sampled mode computes C*XS and C*X with `fixed_factor_product`,
-    ceil(n/8) table lookups per product.
+    mode reads |C*X| and |C*XS| over every mask C from
+    `product_size_table`, one table when XS = X.  The sampled mode computes
+    C*XS and C*X with `fixed_factor_product`, ceil(n/8) table lookups per
+    product.
     """
     X, S, K = result.X, result.S, result.K
     XS = product_set(G, X, S)
@@ -378,12 +378,8 @@ def petridis_verify(
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
-        size_cx = np.bitwise_count(mask_table_from_rows(expansion_rows(G, X)))
-        size_cxs = (
-            size_cx
-            if XS == X
-            else np.bitwise_count(mask_table_from_rows(expansion_rows(G, XS)))
-        )
+        size_cx = product_size_table(G, X)
+        size_cxs = size_cx if XS == X else product_size_table(G, XS)
         bad = np.nonzero(size_cxs[1:] > np.array(limit, dtype=np.uint8)[size_cx[1:]])[0]
         for idx in bad[:16]:
             violations.append(Subset(n, int(idx) + 1))

@@ -71,6 +71,16 @@ def test_a_token_that_is_an_index_and_another_label_is_refused(tmp_path, capsys)
     G = from_spec({"table": [[0, 1], [1, 0]], "labels": ["0", "x"]})
     assert parse_set_elements(G, "0,x") == [0, 1]
     assert parse_set_elements(G, "0,1") == [0, 1]
+    # A decimal token that is no index but a label means that label; one
+    # that is neither is refused.
+    group.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["5", "7"]}))
+    code, out, _ = run_cli(capsys, "doubling", "--group", str(group), "--setA", "7")
+    assert code == 0 and json.loads(out)["config"]["sets"]["A"] == [1]
+    G = from_spec(json.loads(group.read_text()))
+    assert parse_set_elements(G, "7") == [1]
+    assert parse_set_elements(G, "5,1") == [0, 1]
+    with pytest.raises(UsageError, match="element index 6 outside group of order 2"):
+        parse_set_elements(G, "6")
 
 
 def test_doubling_run(capsys):

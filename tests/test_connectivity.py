@@ -227,13 +227,39 @@ def test_bruteforce_size_cap():
     assert res.kappa == Fraction(3, 2)
 
 
-def test_bruteforce_huge_k_uses_exact_fallback():
-    # Denominator past the int64-safe bound exercises the pure-int path.
-    G = cyclic(6)
-    K = Fraction((1 << 45) - 1, 1 << 45)
-    res = connectivity_bruteforce(G, CostParams(S=G.subset([0, 1]), K=K))
-    kappa, _ = naive_connectivity(G, [0, 1], K)
-    assert res.kappa == kappa
+EXACT_KS = (
+    Fraction((1 << 45) - 1, 1 << 45),
+    Fraction(1 << 64, (1 << 64) + 1),
+    Fraction(-(1 << 70), 3),
+    Fraction(0),
+    HALF,
+)
+
+
+@pytest.mark.parametrize("G", [cyclic(6), symmetric(3)], ids=lambda g: g.name)
+def test_bruteforce_is_exact_at_any_k(G):
+    # Numerators and denominators far past int64 must give the oracle's
+    # kappa, fragments and identity atom exactly.
+    S = G.subset([0, 1])
+    for K in EXACT_KS:
+        res = connectivity_bruteforce(
+            G, CostParams(S=S, K=K), collect_fragments=True, fragment_cap=1 << G.order
+        )
+        kappa, fragments = naive_connectivity(G, [0, 1], K)
+        assert res.kappa == kappa
+        assert {f.elements() for f in res.fragments} == {tuple(sorted(f)) for f in fragments}
+        assert res.fragment_total == len(fragments)
+        assert set(res.identity_atom.elements()) == naive_identity_atom(G, [0, 1], K)[1]
+    res = connectivity_bruteforce(
+        G,
+        CostParams(S=S, K=Fraction(1)),
+        collect_fragments=True,
+        fragment_cap=1 << G.order,
+        classify_atom=False,
+    )
+    kappa, fragments = naive_connectivity(G, [0, 1], Fraction(1))
+    assert res.kappa == kappa and res.identity_atom is None
+    assert {f.elements() for f in res.fragments} == {tuple(sorted(f)) for f in fragments}
 
 
 def test_subgroup_solver_examples():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from smalldoubling import (
     cyclic,
     dihedral,
     direct_product,
+    from_spec,
     kneser_check,
     kneser_corollary_check,
     kneser_violation_scan,
@@ -36,7 +39,8 @@ from oracles import (
     naive_right_stabilizer,
 )
 from smalldoubling.certificates import kneser_payload, run
-from smalldoubling.setalg import expansion_rows, product_mask_table, product_size_table
+from smalldoubling.schema import COMMANDS
+from smalldoubling.setalg import expansion_rows
 from smalldoubling.theorems import (
     _minimize_by_flow,
     _minimize_by_loop,
@@ -393,20 +397,39 @@ def test_petridis_verify_reports_the_violations_of_a_lowered_k(factor):
     assert [c.mask for c in ver.violations] == [c for c in draws if violated(c)][:16]
 
 
-def test_exhaustive_petridis_certificate_fills_no_table_cache():
-    # Every certificate builds its own group table, so an entry keyed on it
-    # could never hit again; it would only keep a 2^16-entry array alive.
-    for cached in (product_mask_table, product_size_table):
-        cached.cache_clear()
-    config = {
+TABLE_CONFIGS = {
+    "connectivity": {
+        "group": {"preset": "dihedral", "n": 4},
+        "sets": {"S": [0, 1]},
+        "K": "1/2",
+        "solver": "brute_force",
+    },
+    "atoms": {"group": {"preset": "cyclic", "n": 6}, "sets": {"S": [0, 3]}, "K": "1/2"},
+    "petridis": {
         "group": {"preset": "dihedral", "n": 8},
         "sets": {"A": [0, 1, 2, 3, 5, 8, 9, 11, 12, 14], "S": [0, 4, 9]},
         "mode": "exhaustive",
         "budget": 1 << 16,
-    }
-    assert run("petridis", config)["ok"]
-    assert product_mask_table.cache_info().currsize == 0
-    assert product_size_table.cache_info().currsize == 0
+    },
+    "search-kneser-failure": {
+        "group": {"preset": "symmetric", "n": 3},
+        "strategy": "exhaustive",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_CONFIGS))
+def test_no_certificate_keeps_its_group_alive(command):
+    # Every certificate builds its own group table, so anything kept on it
+    # could never be used again; it would only hold the group and its
+    # 2^n-entry subset tables.
+    config = TABLE_CONFIGS[command]
+    G = from_spec(config["group"])
+    alive = weakref.ref(G)
+    assert COMMANDS[command].ok(run(command, config, group=G))
+    del G
+    gc.collect()
+    assert alive() is None
 
 
 def test_petridis_subset_cap():
