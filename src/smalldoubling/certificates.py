@@ -337,7 +337,7 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
     if strategy == "random" and (seed is None or budget is None):
         raise UsageError("random strategy requires a seed and a budget")
     if strategy == "exhaustive" and G.order > caps["bruteforce_cap"]:
-        # Every row of the scan is a 2^order-entry table, whatever the budget.
+        # Every exhaustive scan builds 2^order-entry tables, whatever the budget.
         raise SizeLimitExceeded(
             f"an exhaustive scan of {G.name} covers 2^{G.order} sets per row, "
             f"above the brute-force cap {caps['bruteforce_cap']}"

@@ -73,9 +73,11 @@ def right_stabilizer(G: GroupTable, T: Subset) -> Subset:
     _check_member(G, T, "T")
     if T.is_empty:
         raise EmptySet("stabilizer of the empty set is undefined here")
-    out = (1 << G.order) - 1
+    out, trivial = (1 << G.order) - 1, 1 << G.identity
     for t in iter_bits(T.mask):
         out &= image(G.mul[G.inv[t]], T.mask)
+        if out == trivial:  # e is in every translate, so nothing smaller is left
+            break
     return Subset(G.order, out)
 
 
@@ -198,6 +200,20 @@ def mask_table_from_rows(rows: list[int]) -> np.ndarray:
         np.bitwise_or(prod[: 1 << k], np.uint64(row), out=prod[1 << k : 2 << k])
     prod.flags.writeable = False
     return prod
+
+
+def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
+    """`mask_table_from_rows` for each row of a 2-D array at once, in its
+    dtype: out[i, m] is the OR of rows[i, g] over the set bits g of m.  The
+    1-D form stays separate: it is called per set, where the array set-up
+    would cost more than the doubling."""
+    import numpy as np
+
+    count, width = rows.shape
+    out = np.zeros((count, 1 << width), dtype=rows.dtype)
+    for k in range(width):
+        np.bitwise_or(out[:, : 1 << k], rows[:, k : k + 1], out=out[:, 1 << k : 2 << k])
+    return out
 
 
 # maxsize=0 stores nothing; the decorators stay only because

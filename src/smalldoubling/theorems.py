@@ -22,6 +22,7 @@ from .setalg import (
     expansion_rows,
     fixed_factor_product,
     mask_table_from_rows,
+    mask_tables_from_rows,
     popcount_table,
     product_mask,
     product_set,
@@ -423,13 +424,13 @@ class SearchReport:
 
 def _right_tables(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """(rmin, stab) for every mask m: rmin[m] is the smallest mask among m*z
-    over z in G, and stab[m] = #{h : m*h = m}.  Each right translation table
-    is built once and feeds both."""
+    over z in G, and stab[m] = #{h : m*h = m}, as uint8.  Each right
+    translation table is built once, feeds both and is dropped."""
     import numpy as np
 
     masks = np.arange(1 << G.order, dtype=np.uint64)
     rmin = masks.copy()
-    stab = np.zeros(1 << G.order, dtype=np.int64)
+    stab = np.zeros(1 << G.order, dtype=np.uint8)
     for col in G.cols:
         right = mask_table_from_rows([1 << y for y in col])
         stab += right == masks
@@ -449,41 +450,92 @@ def _orbit_representatives(G: GroupTable, rmin: np.ndarray) -> list[int]:
     return np.nonzero(label == masks)[0][1:].tolist()  # [0] is the empty set
 
 
+def _right_representatives(rmin: np.ndarray) -> np.ndarray:
+    """The nonempty masks m, ascending as uint32, that are the smallest of
+    their orbit under m -> m*y."""
+    import numpy as np
+
+    return np.nonzero(rmin == np.arange(len(rmin), dtype=np.uint64))[0][1:].astype(np.uint32)
+
+
 def _failing_partners(
     G: GroupTable, amask: int, limit: int, cards: np.ndarray, stab: np.ndarray
 ) -> np.ndarray:
-    """The masks B in 1..limit, ascending, with |A*B| < |A| + |B| - |stab(A*B)|."""
+    """The masks B in 1..limit, ascending, with |A*B| + |stab(A*B)| < |A| + |B|."""
     import numpy as np
 
     rows = [image(col, amask) for col in G.cols]
     prod = mask_table_from_rows(rows)[1 : limit + 1]
-    rhs = cards[1 : limit + 1] - stab[prod] + int(cards[amask])
-    return np.nonzero(np.bitwise_count(prod) < rhs)[0] + 1
+    lhs = np.bitwise_count(prod) + stab[prod]
+    return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1
 
 
-def _orbit_scan(
-    G: GroupTable, rmin: np.ndarray, cards: np.ndarray, stab: np.ndarray
-) -> list[tuple[int, int]]:
-    """Every failing pair, from one table row per orbit of A -> x*A*z.
+SCAN_BLOCK = 1 << 16  # products R*B held at once by `_orbit_scan`
+
+
+def _orbit_scan(G: GroupTable, rmin: np.ndarray, stab: np.ndarray) -> list[tuple[int, int]]:
+    """Every failing pair, from the products of orbit representatives.
 
     A failure at (A, B) is one at (x*A*z, z^-1*B*y): the product becomes
-    x*(A*B)*y, every size is kept, and stab(x*T*y) = y^-1*stab(T)*y.  So if
-    R is the smallest mask of its orbit and F_R its failing partners, the
-    failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is taken.
+    x*(A*B)*y, every size is kept, and stab(x*T*y) = y^-1*stab(T)*y.  So it
+    is enough to test R*b for R a representative of A -> x*A*z and b one of
+    B -> B*y.  If F_R is the union of the orbits b*G of the failing b, then
+    the failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is
+    taken.
+
+    Every translate is read from half tables, bits 0..h-1 and h..n-1 of the
+    mask, one pair per group element and side.  The products come in blocks
+    of at most SCAN_BLOCK: for a block of representatives R, the rows R*g
+    are OR-tabulated by half as well, so R*b = lo[b & low] | hi[b >> h].
     """
+    import numpy as np
+
+    n = G.order  # at most SUBSET_TABLE_LIMIT < 32, so masks are uint32
+    h = n // 2
+    low = np.uint32((1 << h) - 1)
+
+    def halves(perms) -> tuple[np.ndarray, np.ndarray]:
+        bits = np.left_shift(np.uint32(1), np.array(perms, dtype=np.uint32))
+        return mask_tables_from_rows(bits[:, :h]), mask_tables_from_rows(bits[:, h:])
+
+    def translate(tables, g, masks):  # image(perms[g], masks), broadcast
+        return tables[0][g, masks & low] | tables[1][g, masks >> h]
+
+    right, left = halves(G.cols), halves(G.mul)
+    elements = np.arange(n)
+    areps = np.array(_orbit_representatives(G, rmin), dtype=np.uint32)
+    breps = _right_representatives(rmin)
+    rows = translate(right, elements, areps[:, None])  # rows[i, g] = R_i*g
+    acard, bcard = np.bitwise_count(areps), np.bitwise_count(breps)
+
+    failing: dict[int, list[int]] = {}  # index of R -> indices of its failing b
+    step = max(1, SCAN_BLOCK // len(breps))
+    width = SCAN_BLOCK // step
+    blo, bhi = (breps & low).astype(np.intp), (breps >> h).astype(np.intp)
+    for i in range(0, len(areps), step):
+        lo = mask_tables_from_rows(rows[i : i + step, :h])
+        hi = mask_tables_from_rows(rows[i : i + step, h:])
+        for j in range(0, len(breps), width):
+            prod = lo.take(blo[j : j + width], axis=1)
+            prod |= hi.take(bhi[j : j + width], axis=1)
+            lhs = np.bitwise_count(prod)
+            lhs += stab[prod]
+            fail = lhs < acard[i : i + step, None] + bcard[None, j : j + width]
+            if fail.any():  # rare, and np.nonzero is slow on a 2-D array
+                for a, b in zip(*np.nonzero(fail)):
+                    failing.setdefault(i + int(a), []).append(j + int(b))
+
+    inverse = np.array(G.inv)
     found: list[tuple[int, int]] = []
-    for rep in _orbit_representatives(G, rmin):
-        partners = _failing_partners(G, rep, len(rmin) - 1, cards, stab).tolist()
-        if not partners:
-            continue
-        members: dict[int, int] = {}  # x*R*z -> one such z
-        for z, col in enumerate(G.cols):
-            rz = image(col, rep)
-            for row in G.mul:
-                members.setdefault(image(row, rz), z)
-        for amask, z in members.items():
-            back = G.mul[G.inv[z]]
-            found.extend((amask, image(back, b)) for b in partners)
+    for r, bs in failing.items():
+        orbits = translate(right, elements, breps[bs, None]).ravel().tolist()
+        # F_R; a set, since np.unique would import numpy.ma on its first call
+        partners = np.array(sorted(set(orbits)), dtype=np.uint32)
+        members = translate(left, elements[:, None], rows[r])  # [x, z] = x*R*z
+        amasks, first = np.unique(members, return_index=True)
+        back = inverse[first % n]  # z^-1 for one z per member
+        moved = translate(left, back[:, None], partners)  # [member, partner]
+        found.extend(zip(np.repeat(amasks, len(partners)).tolist(), moved.ravel().tolist()))
     return found
 
 
@@ -512,12 +564,13 @@ def kneser_violation_scan(
 ) -> SearchReport:
     """Scan pairs (A, B) for |A*B| < |A| + |B| - |stab(A*B)|.
 
-    The exhaustive strategy covers all nonempty pairs: without a budget it
-    scans one row per orbit of A -> x*A*z (see `_orbit_scan`), with one it
-    walks the rows in mask order up to `budget` pairs.  Both use the same
-    row kernel.  The random strategy draws `budget` seeded pairs and tests
-    each with `_fails`.  Every hit is re-verified from scratch before it is
-    reported.
+    The exhaustive strategy covers all nonempty pairs.  Without a budget it
+    tests only the products of orbit representatives, A under A -> x*A*z
+    and B under B -> B*y, and recovers every other failure by translation
+    (see `_orbit_scan`).  With a budget it walks full table rows in mask
+    order up to `budget` pairs (`_failing_partners`).  The random strategy
+    draws `budget` seeded pairs and tests each with `_fails`.  Every hit is
+    re-verified from scratch before it is reported.
 
     In an abelian group the inequality is Kneser's theorem and the scan finds
     nothing.  An empty finding list in a nonabelian group is a valid outcome
@@ -530,12 +583,12 @@ def kneser_violation_scan(
     pairs_checked = 0
 
     if strategy == "exhaustive":
-        cards = popcount_table(n)
         rmin, stab = _right_tables(G)
         if budget is None:
-            found = _orbit_scan(G, rmin, cards, stab)
+            found = _orbit_scan(G, rmin, stab)
             pairs_checked = total_pairs
         else:
+            cards = popcount_table(n)
             for amask in range(1, size):
                 if pairs_checked >= budget:
                     break

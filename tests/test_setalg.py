@@ -124,6 +124,29 @@ def test_stabilizers_match_oracle_and_are_subgroups(G):
             assert image(G.mul[t], right.mask) | T.mask == T.mask
 
 
+@pytest.mark.parametrize(
+    "G", [symmetric(3), dihedral(6), quaternion(4), dihedral(8)], ids=lambda g: g.name
+)
+def test_stabilizer_matches_oracle_on_trivial_and_coset_unions(G):
+    # right_stabilizer stops intersecting once only e is left.  Random sets
+    # mostly take that exit; unions of left cosets t*H keep H and must not.
+    rng = random.Random(3 * G.order)
+    subgroups = enumerate_subgroups(G)
+    trivial = 0
+    for _ in range(60):
+        T = random_subset(rng, G)
+        H = rng.choice(subgroups)
+        U = Subset(G.order, 0)
+        for t in rng.sample(range(G.order), rng.randrange(1, 4)):
+            U = Subset(G.order, U.mask | image(G.mul[t], H.mask))
+        for X in (T, U):
+            stab = right_stabilizer(G, X)
+            assert set(stab.elements()) == naive_right_stabilizer(G, X.elements())
+            trivial += stab.cardinality == 1
+        assert right_stabilizer(G, U).mask & H.mask == H.mask
+    assert 30 <= trivial < 120
+
+
 def test_doubling_examples():
     Z20 = cyclic(20)
     rep = doubling_ratio(Z20, Z20.subset(range(5)))

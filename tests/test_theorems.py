@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -45,6 +46,7 @@ from smalldoubling.theorems import (
     _minimize_by_flow,
     _minimize_by_loop,
     _orbit_representatives,
+    _right_representatives,
     _right_tables,
 )
 
@@ -552,6 +554,23 @@ def test_orbit_labels_are_two_sided_orbit_minima(G, step):
         assert (m in reps) == (m != 0 and m == orbit_min)
 
 
+@pytest.mark.parametrize(
+    "G,step",
+    [(symmetric(3), 1), (dihedral(4), 1), (dihedral(6), 7)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_right_representatives_are_right_orbit_minima(G, step):
+    # The B side of the scan: m is a representative exactly when it is
+    # nonempty and the smallest of the m*y, computed here with plain sets.
+    reps = _right_representatives(_right_tables(G)[0]).tolist()
+    assert reps == sorted(reps)
+    reps = set(reps)
+    for m in range(0, 1 << G.order, step):
+        A = [i for i in range(G.order) if m >> i & 1]
+        right_min = min(sum(1 << G.mul[a][y] for a in A) for y in range(G.order))
+        assert (m in reps) == (m != 0 and m == right_min)
+
+
 def test_d6_has_125_orbit_representatives():
     D6 = dihedral(6)
     assert len(_orbit_representatives(D6, _right_tables(D6)[0])) == 125
@@ -564,6 +583,29 @@ def test_d6_has_125_orbit_representatives():
 )
 def test_exhaustive_finding_counts(G, count):
     assert len(kneser_violation_scan(G, "exhaustive").findings) == count
+
+
+@pytest.mark.parametrize(
+    "G,count,digest",
+    [
+        (dihedral(7), 1372, "df4f90bcdacde4dff67b15749802cd675abdee879da5a2937ba92cc1b14d05ec"),
+        (dihedral(8), 6144, "425a2452f92da352c6f4554c2d8cd47313f7879d950802c85c265f76c87b828a"),
+        (
+            direct_product([dihedral(4), cyclic(2)]),
+            6144,
+            "cc1abcd915332646d2e96fc5de4f548fa5ba730d068a7d2c7dc8c9d3704a513f",
+        ),
+        (quaternion(4), 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_exhaustive_findings_past_order_12_are_pinned(G, count, digest):
+    # A full prefix walk at order 16 is 2^32 pairs, so above catalogue(12)
+    # the ordered findings are pinned instead: the SHA-256 of the JSON list
+    # of (A mask, B mask), as computed by the one-row-per-A-orbit scan.
+    pairs = [[r.A.mask, r.B.mask] for r in kneser_violation_scan(G, "exhaustive").findings]
+    assert len(pairs) == count
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
