@@ -72,9 +72,6 @@ class GroupTable:
     def subset(self, elements: Iterable[int]) -> Subset:
         return Subset.from_elements(self.order, elements)
 
-    def singleton(self, element: int) -> Subset:
-        return Subset.from_elements(self.order, (element,))
-
     def full_subset(self) -> Subset:
         return Subset.full(self.order)
 

@@ -205,8 +205,8 @@ def mask_table_from_rows(rows: list[int]) -> np.ndarray:
 def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
     """`mask_table_from_rows` for each row of a 2-D array at once, in its
     dtype: out[i, m] is the OR of rows[i, g] over the set bits g of m.  The
-    1-D form stays separate: it is called per set, where the array set-up
-    would cost more than the doubling."""
+    1-D form stays separate for its one per-set caller, `product_mask_table`,
+    where the array set-up would cost more than the doubling."""
     import numpy as np
 
     count, width = rows.shape

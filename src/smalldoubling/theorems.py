@@ -15,15 +15,13 @@ from typing import TYPE_CHECKING, Optional
 
 from .connectivity import CostParams, _cover, _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
-from .groups import DEFAULT_SUBSET_SEARCH_CAP, GroupTable, _check_member, image, right_coset
+from .groups import DEFAULT_SUBSET_SEARCH_CAP, GroupTable, _check_member, right_coset
 from .setalg import (
     CoverCertificate,
     coset_cover,
     expansion_rows,
     fixed_factor_product,
-    mask_table_from_rows,
     mask_tables_from_rows,
-    popcount_table,
     product_mask,
     product_set,
     product_size_table,
@@ -422,71 +420,68 @@ class SearchReport:
     findings: tuple[KneserReport, ...]
 
 
-def _right_tables(G: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """(rmin, stab) for every mask m: rmin[m] is the smallest mask among m*z
-    over z in G, and stab[m] = #{h : m*h = m}, as uint8.  Each right
-    translation table is built once, feeds both and is dropped."""
+def _half_tables(G: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The right (G.cols) and left (G.mul) translations of every mask, as a
+    pair (lo, hi) of per-element OR tables each: lo[g] over bits 0..h-1 of
+    the mask and hi[g] over bits h..n-1, h = n // 2, in uint32."""
     import numpy as np
 
-    masks = np.arange(1 << G.order, dtype=np.uint64)
+    h = G.order // 2
+
+    def halves(perms) -> tuple[np.ndarray, np.ndarray]:
+        bits = np.left_shift(np.uint32(1), np.array(perms, dtype=np.uint32))
+        return mask_tables_from_rows(bits[:, :h]), mask_tables_from_rows(bits[:, h:])
+
+    return halves(G.cols), halves(G.mul)
+
+
+def _orbit_tables(
+    G: GroupTable, right: tuple[np.ndarray, np.ndarray], left: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rmin, stab, areps, breps) from the half tables of `_half_tables`.
+
+    For every mask m, rmin[m] is the smallest mask among m*z over z in G
+    and stab[m] = #{h : m*h = m}, as uint8.  areps are the nonempty masks,
+    ascending, that are the smallest of their orbit under m -> x*m*z (the
+    least rmin[x*m] over x), and breps those under m -> m*y (rmin[m] == m).
+    The full table of one translation is the outer OR of its two halves.
+    """
+    import numpy as np
+
+    def full(halves, g):  # image(perms[g], m) for every mask m
+        return (halves[1][g][:, None] | halves[0][g][None, :]).ravel()
+
+    masks = np.arange(1 << G.order, dtype=np.uint32)
     rmin = masks.copy()
-    stab = np.zeros(1 << G.order, dtype=np.uint8)
-    for col in G.cols:
-        right = mask_table_from_rows([1 << y for y in col])
-        stab += right == masks
-        np.minimum(rmin, right, out=rmin)
-    return rmin, stab
-
-
-def _orbit_representatives(G: GroupTable, rmin: np.ndarray) -> list[int]:
-    """The nonempty masks m, ascending, that are the smallest of their orbit
-    under m -> x*m*z: that minimum is the least rmin[x*m] over x in G."""
-    import numpy as np
-
+    stab = np.zeros(len(masks), dtype=np.uint8)
+    for g in G.elements():
+        right_g = full(right, g)
+        stab += right_g == masks
+        np.minimum(rmin, right_g, out=rmin)
     label = rmin.copy()
-    for row in G.mul:
-        np.minimum(label, rmin[mask_table_from_rows([1 << y for y in row])], out=label)
-    masks = np.arange(len(label), dtype=np.uint64)
-    return np.nonzero(label == masks)[0][1:].tolist()  # [0] is the empty set
-
-
-def _right_representatives(rmin: np.ndarray) -> np.ndarray:
-    """The nonempty masks m, ascending as uint32, that are the smallest of
-    their orbit under m -> m*y."""
-    import numpy as np
-
-    return np.nonzero(rmin == np.arange(len(rmin), dtype=np.uint64))[0][1:].astype(np.uint32)
-
-
-def _failing_partners(
-    G: GroupTable, amask: int, limit: int, cards: np.ndarray, stab: np.ndarray
-) -> np.ndarray:
-    """The masks B in 1..limit, ascending, with |A*B| + |stab(A*B)| < |A| + |B|."""
-    import numpy as np
-
-    rows = [image(col, amask) for col in G.cols]
-    prod = mask_table_from_rows(rows)[1 : limit + 1]
-    lhs = np.bitwise_count(prod) + stab[prod]
-    return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1
+    for x in G.elements():
+        np.minimum(label, rmin[full(left, x)], out=label)
+    # [1:] drops the empty set, mask 0; the masks come back as np.intp
+    return rmin, stab, np.flatnonzero(label == masks)[1:], np.flatnonzero(rmin == masks)[1:]
 
 
 SCAN_BLOCK = 1 << 16  # products R*B held at once by `_orbit_scan`
 
 
-def _orbit_scan(G: GroupTable, rmin: np.ndarray, stab: np.ndarray) -> list[tuple[int, int]]:
+def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
     """Every failing pair, from the products of orbit representatives.
 
     A failure at (A, B) is one at (x*A*z, z^-1*B*y): the product becomes
     x*(A*B)*y, every size is kept, and stab(x*T*y) = y^-1*stab(T)*y.  So it
     is enough to test R*b for R a representative of A -> x*A*z and b one of
-    B -> B*y.  If F_R is the union of the orbits b*G of the failing b, then
-    the failing partners of x*R*z are exactly z^-1*F_R, whichever (x, z) is
-    taken.
+    B -> B*y (`_orbit_tables`).  If F_R is the union of the orbits b*G of
+    the failing b, then the failing partners of x*R*z are exactly z^-1*F_R,
+    whichever (x, z) is taken.
 
-    Every translate is read from half tables, bits 0..h-1 and h..n-1 of the
-    mask, one pair per group element and side.  The products come in blocks
-    of at most SCAN_BLOCK: for a block of representatives R, the rows R*g
-    are OR-tabulated by half as well, so R*b = lo[b & low] | hi[b >> h].
+    Every translate, here and in `_orbit_tables`, is read from the one set
+    of half tables of `_half_tables`.  The products come in blocks of at
+    most SCAN_BLOCK: for a block of representatives R, the rows R*g are
+    OR-tabulated by half as well, so R*b = lo[b & low] | hi[b >> h].
     """
     import numpy as np
 
@@ -494,24 +489,19 @@ def _orbit_scan(G: GroupTable, rmin: np.ndarray, stab: np.ndarray) -> list[tuple
     h = n // 2
     low = np.uint32((1 << h) - 1)
 
-    def halves(perms) -> tuple[np.ndarray, np.ndarray]:
-        bits = np.left_shift(np.uint32(1), np.array(perms, dtype=np.uint32))
-        return mask_tables_from_rows(bits[:, :h]), mask_tables_from_rows(bits[:, h:])
+    def translate(halves, g, masks):  # image(perms[g], masks), broadcast
+        return halves[0][g, masks & low] | halves[1][g, masks >> h]
 
-    def translate(tables, g, masks):  # image(perms[g], masks), broadcast
-        return tables[0][g, masks & low] | tables[1][g, masks >> h]
-
-    right, left = halves(G.cols), halves(G.mul)
+    right, left = _half_tables(G)
+    _, stab, areps, breps = _orbit_tables(G, right, left)
     elements = np.arange(n)
-    areps = np.array(_orbit_representatives(G, rmin), dtype=np.uint32)
-    breps = _right_representatives(rmin)
     rows = translate(right, elements, areps[:, None])  # rows[i, g] = R_i*g
     acard, bcard = np.bitwise_count(areps), np.bitwise_count(breps)
 
     failing: dict[int, list[int]] = {}  # index of R -> indices of its failing b
     step = max(1, SCAN_BLOCK // len(breps))
     width = SCAN_BLOCK // step
-    blo, bhi = (breps & low).astype(np.intp), (breps >> h).astype(np.intp)
+    blo, bhi = breps & low, breps >> h
     for i in range(0, len(areps), step):
         lo = mask_tables_from_rows(rows[i : i + step, :h])
         hi = mask_tables_from_rows(rows[i : i + step, h:])
@@ -564,11 +554,12 @@ def kneser_violation_scan(
 ) -> SearchReport:
     """Scan pairs (A, B) for |A*B| < |A| + |B| - |stab(A*B)|.
 
-    The exhaustive strategy covers all nonempty pairs.  Without a budget it
-    tests only the products of orbit representatives, A under A -> x*A*z
-    and B under B -> B*y, and recovers every other failure by translation
-    (see `_orbit_scan`).  With a budget it walks full table rows in mask
-    order up to `budget` pairs (`_failing_partners`).  The random strategy
+    The exhaustive strategy tests only the products of orbit
+    representatives, A under A -> x*A*z and B under B -> B*y, and recovers
+    every other failure by translation (see `_orbit_scan`).  It covers all
+    nonempty pairs, or with a budget the first `budget` of them in mask
+    order, A major: the pair (A, B) is number (A - 1)*(2^n - 1) + B, and
+    the orbit pass keeps the findings up to that number.  The random strategy
     draws `budget` seeded pairs and tests each with `_fails`.  Every hit is
     re-verified from scratch before it is reported.
 
@@ -583,19 +574,8 @@ def kneser_violation_scan(
     pairs_checked = 0
 
     if strategy == "exhaustive":
-        rmin, stab = _right_tables(G)
-        if budget is None:
-            found = _orbit_scan(G, rmin, stab)
-            pairs_checked = total_pairs
-        else:
-            cards = popcount_table(n)
-            for amask in range(1, size):
-                if pairs_checked >= budget:
-                    break
-                limit = min(size - 1, budget - pairs_checked)
-                partners = _failing_partners(G, amask, limit, cards, stab)
-                found.extend((amask, b) for b in partners.tolist())
-                pairs_checked += limit
+        pairs_checked = total_pairs if budget is None else max(0, min(budget, total_pairs))
+        found = [(a, b) for a, b in _orbit_scan(G) if (a - 1) * (size - 1) + b <= pairs_checked]
         exhausted = pairs_checked >= total_pairs
     elif strategy == "random":
         if seed is None:

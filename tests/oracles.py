@@ -1,9 +1,11 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here works on plain Python sets with direct definitional loops:
-no bitmasks, no tables, no pruning.  Deliberately slow and obvious.  The one
-exception is `subgroup_atom`, the subgroup loop that the connectivity solver
-ran before its min cut, kept as it stood.
+no bitmasks, no tables, no pruning.  Deliberately slow and obvious.  The two
+exceptions are kept as they stood when their fast paths replaced them:
+`subgroup_atom`, the subgroup loop that the connectivity solver ran before
+its min cut, and `kneser_prefix_walk`, the row walk that a budgeted
+exhaustive Kneser scan ran before the orbit pass took budgets.
 """
 
 from fractions import Fraction
@@ -176,6 +178,44 @@ def subgroup_atom(G, S, K):
             ties += 1
     assert ties == 1, "theory guarantees a unique identity atom for K < 1"
     return Fraction(best, q), atom
+
+
+def failing_partners(G, amask, limit, cards, stab):
+    """The masks B in 1..limit, ascending, with |A*B| + |stab(A*B)| < |A| + |B|."""
+    import numpy as np
+    from smalldoubling.groups import image
+    from smalldoubling.setalg import mask_table_from_rows
+
+    rows = [image(col, amask) for col in G.cols]
+    prod = mask_table_from_rows(rows)[1 : limit + 1]
+    lhs = np.bitwise_count(prod) + stab[prod]
+    return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1
+
+
+def kneser_prefix_walk(G, budget):
+    """(pairs_checked, exhausted, failing pairs) over the first `budget` pairs
+    (A, B) in mask order, A major, one full table row A*B per A; the pairs
+    come in that order.  stab[m] = #{h : m*h = m} for every mask m."""
+    import numpy as np
+    from smalldoubling.setalg import mask_table_from_rows, popcount_table
+
+    n = G.order
+    size = 1 << n
+    masks = np.arange(size, dtype=np.uint64)
+    stab = np.zeros(size, dtype=np.uint8)
+    for col in G.cols:
+        stab += mask_table_from_rows([1 << y for y in col]) == masks
+    cards = popcount_table(n)
+    found = []
+    pairs_checked = 0
+    for amask in range(1, size):
+        if pairs_checked >= budget:
+            break
+        limit = min(size - 1, budget - pairs_checked)
+        partners = failing_partners(G, amask, limit, cards, stab)
+        found.extend((amask, b) for b in partners.tolist())
+        pairs_checked += limit
+    return pairs_checked, pairs_checked >= (size - 1) ** 2, found
 
 
 def naive_convolve(G, u, v):

@@ -4,13 +4,13 @@ Each digest is the SHA-256 of `json.dumps(run(command, config),
 sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
-orbit scan with and without findings, the min-cut path of the Petridis
-minimizer (the key "petridis-table" names the numpy table pass it
-replaced), sampled Petridis verification, the minimizer at the subset and
-order caps, brute force and atoms at order 16, the multi-coset branch of
-the structure theorem, both branches and the subgroup-restricted solver at
-order 64 (the identity atom's min cut), and an explicit table whose
-identity is not index 0.
+orbit scan with and without findings, and cut by a budget in mid-row, the
+min-cut path of the Petridis minimizer (the key "petridis-table" names the
+numpy table pass it replaced), sampled Petridis verification, the minimizer
+at the subset and order caps, brute force and atoms at order 16, the
+multi-coset branch of the structure theorem, both branches and the
+subgroup-restricted solver at order 64 (the identity atom's min cut), and an
+explicit table whose identity is not index 0.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
 plan at seed 1 (30 `certify`, 6 `lattice`, 7 `powerset`), each with the
@@ -51,6 +51,10 @@ FIXED = {
     "kneser-scan-D6": (  # 432 findings
         "search-kneser-failure",
         {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive"},
+    ),
+    "kneser-scan-D6-budget": (  # 6 findings; the last pair counted is the 6th
+        "search-kneser-failure",
+        {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive", "budget": 263788},
     ),
     "petridis-table": (  # |A| = 10 takes the min-cut path
         "petridis",
@@ -173,6 +177,7 @@ DIGESTS = {
     "search-kneser-failure": "aab4516f6ad2caba1ae95e15837ff9508dc55ecf7be7009e361672cda12f052a",
     "kneser-scan-D4": "7f3b6a66becc305a97262be80b1006b43d1d0816d3213a9b18fdef1a7b185cda",
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
+    "kneser-scan-D6-budget": "16340c4e723caf2ee42166181266921f71b9c46cc7a60c7b7ba65eb2c3bc80df",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
     "petridis-sampled": "80cddc43fe0220fd8380b8207c56b439523afead0d52876e6cd47e80b6544a5e",
     "petridis-sampled-D32-caps": "d092756d5e47ce76dbda50867f6864ca40be0d59eb48ef88609dcaf6e35b0687",

@@ -34,20 +34,20 @@ from smalldoubling import (
     weak_kneser_check,
 )
 from oracles import (
+    kneser_prefix_walk,
     naive_kneser_fails,
     naive_petridis_minimizer,
     naive_product,
     naive_right_stabilizer,
 )
-from smalldoubling.certificates import kneser_payload, run
+from smalldoubling.certificates import run
 from smalldoubling.schema import COMMANDS
 from smalldoubling.setalg import expansion_rows
 from smalldoubling.theorems import (
     _minimize_by_flow,
     _minimize_by_loop,
-    _orbit_representatives,
-    _right_representatives,
-    _right_tables,
+    _half_tables,
+    _orbit_tables,
 )
 
 
@@ -516,18 +516,50 @@ def test_scan_classification_matches_plain_path_on_s3():
             assert holds == ((amask, bmask) not in flagged)
 
 
+def _walk(G, budget):
+    """The oracle row walk over the first `budget` pairs, its findings in
+    the order `kneser_violation_scan` reports them."""
+    pairs_checked, exhausted, found = kneser_prefix_walk(G, budget)
+    subset = lambda mask: Subset(G.order, mask)
+    found.sort(
+        key=lambda p: (p[0].bit_count(), p[1].bit_count(), subset(p[0]).sort_key(),
+                       subset(p[1]).sort_key())
+    )
+    return pairs_checked, exhausted, found
+
+
+def _scanned(scan):
+    return scan.pairs_checked, scan.exhausted, [(r.A.mask, r.B.mask) for r in scan.findings]
+
+
 @pytest.mark.parametrize("G", catalogue(12), ids=lambda g: g.name)
 def test_orbit_scan_matches_prefix_walk(G):
-    # Without a budget the scan runs one row per orbit of A -> x*A*z; with a
-    # budget covering every pair it walks all rows in mask order.
+    # The orbit pass tests one product per pair of orbit representatives;
+    # the oracle walks every row A*B in mask order.
     full = ((1 << G.order) - 1) ** 2
     orbit = kneser_violation_scan(G, "exhaustive")
-    walk = kneser_violation_scan(G, "exhaustive", budget=full)
-    assert orbit.pairs_checked == walk.pairs_checked == full
-    assert orbit.exhausted and walk.exhausted
-    assert json.dumps([kneser_payload(G, r) for r in orbit.findings]) == json.dumps(
-        [kneser_payload(G, r) for r in walk.findings]
-    )
+    assert orbit.pairs_checked == full and orbit.exhausted
+    assert _scanned(orbit) == _walk(G, full)
+
+
+@pytest.mark.parametrize(
+    "G", [G for G in catalogue(12) if not G.is_abelian], ids=lambda g: g.name
+)
+def test_budgeted_scan_matches_truncated_walk(G):
+    # A budget b keeps the pairs numbered (A - 1)*(2^n - 1) + B <= b; the last
+    # budget is the number of a failing pair, so the boundary pair counts.
+    size = 1 << G.order
+    full = (size - 1) ** 2
+    _, _, failing = kneser_prefix_walk(G, full)
+    budgets = [0, 1, size - 2, size - 1, size, 3 * (size - 1) + 5,
+               random.Random(G.name).randrange(full + 1), 1 << 24]
+    if failing:
+        a, b = failing[len(failing) // 2]
+        budgets.append((a - 1) * (size - 1) + b)
+    for budget in budgets:
+        scan = kneser_violation_scan(G, "exhaustive", budget=budget)
+        assert scan.budget == budget
+        assert _scanned(scan) == _walk(G, budget), budget
 
 
 @pytest.mark.parametrize(
@@ -539,8 +571,8 @@ def test_orbit_labels_are_two_sided_orbit_minima(G, step):
     # rmin[m] is the smallest mask among the m*z, stab[m] the size of the right
     # stabilizer of m, and m is a representative exactly when it is the
     # smallest of the x*m*z; all computed here with plain sets.
-    rmin, stab = _right_tables(G)
-    reps = set(_orbit_representatives(G, rmin))
+    rmin, stab, areps, _ = _orbit_tables(G, *_half_tables(G))
+    reps = set(areps.tolist())
     rmin, stab = rmin.tolist(), stab.tolist()
     for m in range(0, 1 << G.order, step):
         A = [i for i in range(G.order) if m >> i & 1]
@@ -562,7 +594,7 @@ def test_orbit_labels_are_two_sided_orbit_minima(G, step):
 def test_right_representatives_are_right_orbit_minima(G, step):
     # The B side of the scan: m is a representative exactly when it is
     # nonempty and the smallest of the m*y, computed here with plain sets.
-    reps = _right_representatives(_right_tables(G)[0]).tolist()
+    reps = _orbit_tables(G, *_half_tables(G))[3].tolist()
     assert reps == sorted(reps)
     reps = set(reps)
     for m in range(0, 1 << G.order, step):
@@ -573,7 +605,7 @@ def test_right_representatives_are_right_orbit_minima(G, step):
 
 def test_d6_has_125_orbit_representatives():
     D6 = dihedral(6)
-    assert len(_orbit_representatives(D6, _right_tables(D6)[0])) == 125
+    assert len(_orbit_tables(D6, *_half_tables(D6))[2]) == 125
 
 
 @pytest.mark.parametrize(
