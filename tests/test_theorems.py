@@ -634,7 +634,7 @@ def test_exhaustive_finding_counts(G, count):
 def test_exhaustive_findings_past_order_12_are_pinned(G, count, digest):
     # A full prefix walk at order 16 is 2^32 pairs, so above catalogue(12)
     # the ordered findings are pinned instead: the SHA-256 of the JSON list
-    # of (A mask, B mask), as computed by the one-row-per-A-orbit scan.
+    # of (A mask, B mask), as computed by the orbit scan.
     pairs = [[r.A.mask, r.B.mask] for r in kneser_violation_scan(G, "exhaustive").findings]
     assert len(pairs) == count
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
