@@ -28,6 +28,7 @@ from .schema import (
     COMMANDS,
     DEFAULT_CAPS,
     SCHEMA_VERSION,
+    TOOL_NAME,
     Option,
     check_envelope,
     command,
@@ -54,7 +55,6 @@ conn_mod = _lazy("connectivity")
 conv_mod = _lazy("convolution")
 theorems = _lazy("theorems")
 
-TOOL_NAME = "smalldoubling"
 TOOL_VERSION = "0.1.0"
 
 # The most work a budget may ask for: as many C-sets or pairs as the largest

@@ -21,10 +21,9 @@ from .groups import (
     DEFAULT_FRAGMENT_CAP,
     GroupTable,
     _check_member,
-    image,
     is_subgroup_mask,
 )
-from .setalg import popcount_table, product_mask, product_size_table
+from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
 
@@ -103,6 +102,7 @@ def connectivity_bruteforce(
     cost of M depends only on (|M*S|, |M|), both at most n, so for K = p/q
     the scaled costs q*s - p*c of those (n+1)^2 pairs are ranked once in
     Python ints, exactly for every K, and the 2^n masks only index the ranks.
+    Both index tables, |M*S| and |M|, are uint8 and built afresh.
     """
     import numpy as np
 
@@ -118,9 +118,12 @@ def connectivity_bruteforce(
     scaled = [q * s - p * c for s in range(n + 1) for c in range(n + 1)]
     levels = sorted(set(scaled))
     index = {v: i for i, v in enumerate(levels)}
-    rank = np.array([index[v] for v in scaled], dtype=np.int16).reshape(n + 1, n + 1)
-    cards = popcount_table(n)
-    ranks = rank[product_size_table(G, params.S), cards]
+    rank = np.array([index[v] for v in scaled], dtype=np.int16)
+    sizes = product_size_table(G, params.S)
+    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    # rank of (s, c) at s*(n+1) + c, in uint16 so that it cannot wrap; at
+    # orders 12-16 this flat index is twice as fast as a 2-D rank[s, c]
+    ranks = rank[sizes * np.uint16(n + 1) + cards]
     best = ranks[1:].min()
     kappa = Fraction(levels[best], q)
 
@@ -179,7 +182,7 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
         raise KOutOfRange("the subgroup-restricted solver requires K < 1")
     atom = 1 << G.identity
     if K >= 0:  # the row of e is empty, so only p = 0 leaves e out of the side
-        rows = [image(row, S) & ~S for row in G.mul]
+        rows = [row & ~S for row in expansion_rows(G, params.S)]
         atom |= _min_cut_sides(rows, K.numerator, K.denominator)[0]
     H = Subset(G.order, atom)
     if not is_subgroup_mask(G, atom):
@@ -193,13 +196,6 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
         fragment_total=None,
         solver="subgroup_restricted",
     )
-
-
-def _cover(rows: list[int], X: int) -> int:
-    out = 0
-    for i in iter_bits(X):
-        out |= rows[i]
-    return out
 
 
 def _low_bit(mask: int) -> int:
@@ -223,7 +219,7 @@ def _min_cut_sides(rows: list[int], p: int, q: int) -> tuple[int, int]:
     """
     k = len(rows)
     full = (1 << k) - 1
-    free = _cover(rows, full)  # the y whose edge y -> sink is not saturated
+    free = or_of_rows(rows, full)  # the y whose edge y -> sink is not saturated
     slack = [p] * k  # residual capacity of source -> x
     room = [q] * free.bit_length()  # residual capacity of y -> sink
     flow: list[dict[int, int]] = [{} for _ in range(k)]  # flow[x][y] on x -> y
@@ -248,7 +244,7 @@ def _min_cut_sides(rows: list[int], p: int, q: int) -> tuple[int, int]:
         xs, ys = [sources], [0]
         seen_x, seen_y = sources, 0
         while xs[-1]:
-            ny = _cover(rows, xs[-1]) & ~seen_y
+            ny = or_of_rows(rows, xs[-1]) & ~seen_y
             seen_y |= ny
             ys.append(ny)
             if ny & free:
@@ -359,7 +355,7 @@ def verify_atom_proposition(
     atoms = tuple(f for f in fragments if f.cardinality == atom_card)
 
     H = res.identity_atom
-    expected = {image(row, H.mask) for row in G.mul}
+    expected = set(expansion_rows(G, H))
     are_cosets = {a.mask for a in atoms} == expected
     disjoint = all(
         a.mask & b.mask == 0 for i, a in enumerate(atoms) for b in atoms[i + 1 :]

@@ -25,6 +25,7 @@ from .errors import UsageError
 from .rationals import parse_rational, rational_str
 
 SCHEMA_VERSION = 1
+TOOL_NAME = "smalldoubling"  # the one tool.name a record may carry
 # Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
 MAX_GROUP_NESTING = 64
 
@@ -276,6 +277,8 @@ def check_envelope(record) -> Command:
     tool = _object(record["tool"], "tool")
     if not all(isinstance(tool.get(key), str) for key in ("name", "version")):
         raise UsageError("tool needs string name and version")
+    if tool["name"] != TOOL_NAME:  # any version replays
+        raise UsageError(f"tool.name {tool['name']!r} is not {TOOL_NAME!r}")
     entry = _entry(record["command"])
     _require(_object(record["payload"], "payload"), entry.payload, f"{entry.name} payload")
     _object(record.get("meta", {}), "meta")

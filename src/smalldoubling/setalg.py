@@ -4,20 +4,19 @@ Everything here is integer/bitmask arithmetic; ratios come out as
 `fractions.Fraction`.  `product_mask` is the one-off product: a loop over
 the pairs, and the reference for the faster kernels below.
 
-When one factor F of many products is fixed, `fixed_factor_product`
-tabulates the rows g*F (`expansion_rows`) by 8-bit chunk: tab[k][b] is the
-OR of the rows 8k + i over the set bits i of b, so M*F is the OR of
-tab[k][(M >> 8k) & 255] over the ceil(n/8) chunks.  The tables are plain
-lists of at most 256 entries, built with the doubling of
-`mask_table_from_rows`, and need no numpy.
+Subset tables are built here, with one doubling loop per representation:
+entry m is the OR of rows[i] over the set bits i of m, and the masks with
+top bit i are those below 2^i with bit i added, so each row doubles the
+filled prefix.  `or_table` does it on a plain list; `mask_tables_from_rows`
+on numpy rows of any leading shape, in their dtype; `mask_table_from_rows`
+on one list of rows, in the narrowest dtype that holds them (uint8 up to
+order 8, uint16 up to 16, uint32 up to 24).  Nothing is cached: a table
+belongs to one certificate's group, which no later call shares.
 
-The subset-table helpers at the bottom compute |A*S| for *every* subset A
-of the group at once with the same doubling, which is what makes the
-exhaustive sweeps cheap.  `product_size_table` is the one table of these
-sizes, as uint8, and the exhaustive Petridis check and brute-force
-connectivity both read it.  It is built afresh on every call: a table
-belongs to one certificate's group, which no later call shares.  Only
-`popcount_table`, keyed on the width n, is cached.
+`fixed_factor_product` tabulates the rows g*F by 8-bit chunk with
+`or_table`, so m*F takes ceil(n/8) lookups and needs no numpy.  The numpy
+tables give |A*S| for *every* subset A at once, which makes the exhaustive
+sweeps cheap; `product_size_table` is that size table, as uint8.
 
 numpy is imported inside the functions that touch arrays, here and in
 `connectivity` and `theorems`, so that a command without a subset table
@@ -140,14 +139,6 @@ def coset_cover(G: GroupTable, H: Subset, T: Subset, side: str = "right") -> Cov
 # --- whole-powerset product tables -----------------------------------------
 
 
-def _require_table_size(n: int) -> None:
-    if n > SUBSET_TABLE_LIMIT:
-        raise SizeLimitExceeded(
-            f"subset tables need 2^{n} entries; supported only up to order "
-            f"{SUBSET_TABLE_LIMIT}"
-        )
-
-
 def expansion_rows(
     G: GroupTable, S: Subset, elements: Optional[Iterable[int]] = None
 ) -> list[int]:
@@ -160,6 +151,22 @@ def expansion_rows(
     return [image(row, S.mask) for row in rows]
 
 
+def or_of_rows(rows: list[int], X: int) -> int:
+    """The OR of rows[i] over the set bits i of X."""
+    out = 0
+    for i in iter_bits(X):
+        out |= rows[i]
+    return out
+
+
+def or_table(rows: list[int]) -> list[int]:
+    """`or_of_rows(rows, m)` at every mask m, as a plain list."""
+    table = [0]
+    for row in rows:
+        table += [m | row for m in table]
+    return table
+
+
 def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
     """The map m -> bitmask of m*F, for many masks m against one F.
 
@@ -168,12 +175,7 @@ def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
     takes ceil(n/8) lookups instead of a loop over the pairs.
     """
     rows = expansion_rows(G, F)
-    tables = []
-    for k in range(0, len(rows), 8):
-        tab = [0]
-        for row in rows[k : k + 8]:
-            tab += [m | row for m in tab]
-        tables.append(tab)
+    tables = [or_table(rows[k : k + 8]) for k in range(0, len(rows), 8)]
 
     def product(mask: int) -> int:
         out = 0
@@ -185,39 +187,42 @@ def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
     return product
 
 
-def mask_table_from_rows(rows: list[int]) -> np.ndarray:
-    """prod[m] = OR of rows[g] over set bits g of m, for every mask m.
-
-    The masks with top bit k are those below 2^k with bit k added, so each
-    row doubles the filled prefix with one contiguous slice operation.
-    """
+def mask_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned numpy dtype that holds a `bits`-bit mask, bits <= 64."""
     import numpy as np
 
-    n = len(rows)
-    _require_table_size(n)
-    prod = np.zeros(1 << n, dtype=np.uint64)
-    for k, row in enumerate(rows):
-        np.bitwise_or(prod[: 1 << k], np.uint64(row), out=prod[1 << k : 2 << k])
-    prod.flags.writeable = False
-    return prod
+    return np.dtype(f"uint{next(w for w in (8, 16, 32, 64) if bits <= w)}")
 
 
 def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
-    """`mask_table_from_rows` for each row of a 2-D array at once, in its
-    dtype: out[i, m] is the OR of rows[i, g] over the set bits g of m.  The
-    1-D form stays separate for its one per-set caller, `product_mask_table`,
-    where the array set-up would cost more than the doubling."""
+    """out[..., m] is the OR of rows[..., g] over the set bits g of m: the
+    rows run along the last axis, and their leading shape and dtype are kept."""
     import numpy as np
 
-    count, width = rows.shape
-    out = np.zeros((count, 1 << width), dtype=rows.dtype)
+    width = rows.shape[-1]
+    if width > SUBSET_TABLE_LIMIT:
+        raise SizeLimitExceeded(
+            f"subset tables need 2^{width} entries; supported only up to order "
+            f"{SUBSET_TABLE_LIMIT}"
+        )
+    out = np.zeros(rows.shape[:-1] + (1 << width,), dtype=rows.dtype)
     for k in range(width):
-        np.bitwise_or(out[:, : 1 << k], rows[:, k : k + 1], out=out[:, 1 << k : 2 << k])
+        np.bitwise_or(out[..., : 1 << k], rows[..., k : k + 1], out=out[..., 1 << k : 2 << k])
     return out
 
 
+def mask_table_from_rows(rows: list[int]) -> np.ndarray:
+    """`mask_tables_from_rows` of one list of rows, in the narrowest dtype
+    that holds the largest row.  Only lists reach this name, since
+    bench/tracing.py counts 2^len(rows) entries per call."""
+    import numpy as np
+
+    dtype = mask_dtype(max(rows, default=0).bit_length())
+    return mask_tables_from_rows(np.array(rows, dtype=dtype))
+
+
 # maxsize=0 stores nothing; the decorators stay only because
-# bench/tracing.py reads their cache_info() (ROADMAP item 3).
+# bench/tracing.py reads their cache_info() (ROADMAP item 2).
 @functools.lru_cache(maxsize=0)
 def product_mask_table(G: GroupTable, S: Subset) -> np.ndarray:
     """Bitmask of A*S for every subset-mask A of G (index = A's mask)."""
@@ -230,14 +235,3 @@ def product_size_table(G: GroupTable, S: Subset) -> np.ndarray:
     import numpy as np
 
     return np.bitwise_count(product_mask_table(G, S))
-
-
-@functools.lru_cache(maxsize=8)
-def popcount_table(n: int) -> np.ndarray:
-    """|A| for every mask of width n."""
-    import numpy as np
-
-    _require_table_size(n)
-    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    cards.flags.writeable = False
-    return cards

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .connectivity import CostParams, _cover, _min_cut_sides, connectivity_subgroup_solver
+from .connectivity import CostParams, _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
 from .groups import DEFAULT_SUBSET_SEARCH_CAP, GroupTable, _check_member, right_coset
 from .setalg import (
@@ -21,10 +21,12 @@ from .setalg import (
     coset_cover,
     expansion_rows,
     fixed_factor_product,
+    mask_dtype,
     mask_tables_from_rows,
+    or_of_rows,
+    or_table,
     product_mask,
     product_set,
-    product_size_table,
     right_stabilizer,
 )
 from .subsets import Subset, iter_bits
@@ -300,13 +302,10 @@ def petridis_minimizer(
 
 def _minimize_by_loop(rows: list[int]) -> tuple[int, int, int]:
     """(local mask, |X*S|, |X|) of the largest minimizer."""
-    prods = [0] * (1 << len(rows))
+    prods = or_table(rows)
     best_size = best_card = best = 0
     for m in range(1, len(prods)):
-        low = m & -m
-        pm = prods[m ^ low] | rows[low.bit_length() - 1]
-        prods[m] = pm
-        size = pm.bit_count()
+        size = prods[m].bit_count()
         card = m.bit_count()
         lhs, rhs = size * best_card, best_size * card
         if best == 0 or lhs < rhs or (lhs == rhs and card > best_card):
@@ -324,10 +323,10 @@ def _minimize_by_flow(rows: list[int]) -> tuple[int, int, int]:
     is the largest minimizer of the ratio.  Every step is integer arithmetic.
     """
     X = (1 << len(rows)) - 1
-    size, card = _cover(rows, X).bit_count(), X.bit_count()
+    size, card = or_of_rows(rows, X).bit_count(), X.bit_count()
     while True:
         Z = _min_cut_sides(rows, size, card)[1]
-        z_size, z_card = _cover(rows, Z).bit_count(), Z.bit_count()
+        z_size, z_card = or_of_rows(rows, Z).bit_count(), Z.bit_count()
         if card * z_size == size * z_card:
             return Z, z_size, z_card
         size, card = z_size, z_card
@@ -357,8 +356,9 @@ def petridis_verify(
     `budget` seeded-random C (sampled).  Any violation is fatal counterevidence.
 
     Both modes compare through `_limit_table`, exactly.  The exhaustive
-    mode reads |C*X| and |C*XS| over every mask C from
-    `product_size_table`, one table when XS = X.  The sampled mode computes
+    mode reads |C*X| and |C*XS| over every mask C from one
+    `mask_tables_from_rows` call in the order's dtype (one row set when
+    XS = X) and one `np.bitwise_count`.  The sampled mode computes
     C*XS and C*X with `fixed_factor_product`, ceil(n/8) table lookups per
     product.
     """
@@ -377,8 +377,10 @@ def petridis_verify(
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
-        size_cx = product_size_table(G, X)
-        size_cxs = size_cx if XS == X else product_size_table(G, XS)
+        factors = [X] if XS == X else [X, XS]
+        rows = np.array([expansion_rows(G, F) for F in factors], dtype=mask_dtype(n))
+        sizes = np.bitwise_count(mask_tables_from_rows(rows))
+        size_cx, size_cxs = sizes[0], sizes[-1]
         bad = np.nonzero(size_cxs[1:] > np.array(limit, dtype=np.uint8)[size_cx[1:]])[0]
         for idx in bad[:16]:
             violations.append(Subset(n, int(idx) + 1))

@@ -197,7 +197,7 @@ def kneser_prefix_walk(G, budget):
     (A, B) in mask order, A major, one full table row A*B per A; the pairs
     come in that order.  stab[m] = #{h : m*h = m} for every mask m."""
     import numpy as np
-    from smalldoubling.setalg import mask_table_from_rows, popcount_table
+    from smalldoubling.setalg import mask_table_from_rows
 
     n = G.order
     size = 1 << n
@@ -205,7 +205,7 @@ def kneser_prefix_walk(G, budget):
     stab = np.zeros(size, dtype=np.uint8)
     for col in G.cols:
         stab += mask_table_from_rows([1 << y for y in col]) == masks
-    cards = popcount_table(n)
+    cards = np.bitwise_count(masks)
     found = []
     pairs_checked = 0
     for amask in range(1, size):

@@ -303,6 +303,15 @@ def test_recheck_cycle(tmp_path, capsys):
     assert report["ok"] is False
     assert report["diffs"][0]["path"] == "payload.kappa"
 
+    # Any tool.version replays; a record of another tool is refused.
+    record = json.loads(cert.read_text())
+    record["tool"]["version"] = "0.0.1"
+    tampered.write_text(json.dumps(record))
+    assert run_cli(capsys, "recheck", str(tampered))[0] == 0
+    record["tool"]["name"] = "otherdoubling"
+    tampered.write_text(json.dumps(record))
+    assert_usage_error(capsys, "recheck", str(tampered))
+
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json")
     code, _, err = run_cli(capsys, "recheck", str(garbage))

@@ -64,7 +64,10 @@ def test_star_import():
 
 def test_benchmark_tracer_finds_every_module():
     """Import the package as the benchmark's worker does, then build, install
-    and remove its tracer, which looks each wrapped module up in sys.modules."""
+    and remove its tracer, which looks each wrapped module up in sys.modules.
+    A traced table-building certificate (brute-force connectivity on D4)
+    counts 2^8 entries per `mask_table_from_rows` call: only lists of rows
+    may reach that name, since the tracer counts 2^len(rows) entries."""
     script = (
         "import importlib.util, sys\n"
         "from smalldoubling import certificates, groups\n"
@@ -76,9 +79,15 @@ def test_benchmark_tracer_finds_every_module():
         "tracer.install()\n"
         "config = {'group': {'preset': 'dihedral', 'n': 3}, 'sets': {'A': [0, 1]}}\n"
         "assert certificates.run('doubling', config)['ratio'] == '3/2'\n"
+        "config = {'group': {'preset': 'dihedral', 'n': 4}, 'sets': {'S': [0, 1]},\n"
+        "          'K': '1/2', 'solver': 'brute_force'}\n"
+        "certificates.run('connectivity', config)\n"
         "tracer.uninstall()\n"
         "assert certificates.run is run\n"
-        "assert tracer.totals()['certificates.run.calls'] == 1\n"
+        "totals = tracer.totals()\n"
+        "assert totals['certificates.run.calls'] == 2\n"
+        "calls = totals['setalg.mask_table_from_rows.calls']\n"
+        "assert calls > 0 and totals['setalg.mask_table_from_rows.entries'] == calls << 8, totals\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

@@ -126,6 +126,7 @@ SCHEMA_REJECTIONS = {
     "schema_version-bool": _set("schema_version", value=True),
     "tool-not-object": _set("tool", value="smalldoubling"),
     "tool-name-not-string": _set("tool", "name", value=3),
+    "tool-name-other": _set("tool", "name", value="otherdoubling"),
     "command-unknown": _set("command", value="bogus"),
     "config-not-object": _set("config", value=[]),
     "group-not-object": _set("config", "group", value="cyclic:8"),
