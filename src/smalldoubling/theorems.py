@@ -15,7 +15,13 @@ from typing import TYPE_CHECKING, Optional
 
 from .connectivity import CostParams, _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
-from .groups import DEFAULT_SUBSET_SEARCH_CAP, GroupTable, _check_member, right_coset
+from .groups import (
+    DEFAULT_SUBSET_SEARCH_CAP,
+    SUBSET_TABLE_LIMIT,
+    GroupTable,
+    _check_member,
+    right_coset,
+)
 from .setalg import (
     CoverCertificate,
     coset_cover,
@@ -317,10 +323,12 @@ def _minimize_by_flow(rows: list[int]) -> tuple[int, int, int]:
     """The same as `_minimize_by_loop`, by Dinkelbach's iteration on min cuts.
 
     For K = p/q, q|N(X)| - p|X| is minimized over X (N(X) the OR of the rows
-    over X) by `connectivity._min_cut_sides`.  A negative minimum gives a set
-    of smaller ratio, which becomes the next K; at the optimal K the minimum
-    is 0 and the kernel's largest side is the union of all minimizers, which
-    is the largest minimizer of the ratio.  Every step is integer arithmetic.
+    over X) by `connectivity._min_cut_sides`, one maximum flow by shortest
+    augmenting paths.  A negative minimum gives a set of smaller ratio, which
+    becomes the next K; at the optimal K the minimum is 0 and the kernel's
+    largest side is the union of all minimizers, which is the largest
+    minimizer of the ratio.  That side does not depend on which maximum flow
+    the kernel finds.  Every step is integer arithmetic.
     """
     X = (1 << len(rows)) - 1
     size, card = or_of_rows(rows, X).bit_count(), X.bit_count()
@@ -563,7 +571,8 @@ def kneser_violation_scan(
     order, A major: the pair (A, B) is number (A - 1)*(2^n - 1) + B, and
     the orbit pass keeps the findings up to that number.  The random strategy
     draws `budget` seeded pairs and tests each with `_fails`.  Every hit is
-    re-verified from scratch before it is reported.
+    re-verified from scratch before it is reported.  An exhaustive scan
+    refuses an order above SUBSET_TABLE_LIMIT, whatever the budget.
 
     In an abelian group the inequality is Kneser's theorem and the scan finds
     nothing.  An empty finding list in a nonabelian group is a valid outcome
@@ -576,6 +585,11 @@ def kneser_violation_scan(
     pairs_checked = 0
 
     if strategy == "exhaustive":
+        if n > SUBSET_TABLE_LIMIT:  # checked before any 2^n-entry table is built
+            raise SizeLimitExceeded(
+                f"an exhaustive scan of {G.name} needs 2^{n}-entry tables; "
+                f"supported only up to order {SUBSET_TABLE_LIMIT}"
+            )
         pairs_checked = total_pairs if budget is None else max(0, min(budget, total_pairs))
         found = [(a, b) for a, b in _orbit_scan(G) if (a - 1) * (size - 1) + b <= pairs_checked]
         exhausted = pairs_checked >= total_pairs

@@ -315,7 +315,7 @@ def test_solvers_agree(G):
     rng = random.Random(G.order * 31 + 5)
     for trial in range(10):
         S = Subset(G.order, rng.randrange(1, 1 << G.order))
-        for K in (Fraction(1, 4), HALF, Fraction(5, 6)):
+        for K in (Fraction(1, 4), HALF, Fraction(5, 6), *(K for K in EXACT_KS if 0 < K < 1)):
             params = CostParams(S=S, K=K)
             brute = connectivity_bruteforce(G, params)
             sub = connectivity_subgroup_solver(G, params)

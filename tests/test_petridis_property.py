@@ -49,6 +49,12 @@ def test_min_cut_matches_loop_on_arbitrary_rows(rows):
 @example(rows=[0], p=0, q=1)
 @example(rows=[0, 0, 6], p=0, q=3)
 @example(rows=[0, 5, 3], p=2, q=1)
+# Capacities near 2^61-2^64: shortest augmenting paths bound the rounds
+# whatever the capacities, and the arithmetic must stay exact.
+@example(rows=[1, 1, 3, 4], p=1 << 61, q=(1 << 61) + 1)
+@example(rows=[1, 1, 2, 6], p=1 << 63, q=1 << 63)
+@example(rows=[1, 3, 7, 15, 1 << 63], p=1 << 64, q=(1 << 63) + 1)
+@example(rows=[(1 << 64) - 1, 1, 2], p=(1 << 62) + 3, q=1 << 62)
 def test_min_cut_sides_are_meet_and_join_of_all_minimizers(rows, p, q):
     # Every X, the empty set included, with N(X) the OR of its rows.
     cover = [0] * (1 << len(rows))

@@ -40,7 +40,9 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
+from smalldoubling import theorems
 from smalldoubling.certificates import run
+from smalldoubling.cli import main
 from smalldoubling.schema import COMMANDS
 from smalldoubling.setalg import expansion_rows
 from smalldoubling.theorems import (
@@ -484,6 +486,21 @@ def test_failure_search_budget_and_random():
         kneser_violation_scan(S3, "random", budget=10)
     with pytest.raises(ValueError):
         kneser_violation_scan(S3, "random", seed=1)
+
+
+def test_exhaustive_scan_refuses_an_order_above_the_table_limit(monkeypatch, capsys):
+    # Its tables have 2^order entries, so neither the brute-force cap nor the
+    # budget lets an exhaustive scan past SUBSET_TABLE_LIMIT (24, lowered to
+    # 8 here); it refuses before building any table.  Sampling builds none.
+    monkeypatch.setattr(theorems, "SUBSET_TABLE_LIMIT", 8)
+    D5 = dihedral(5)
+    with pytest.raises(SizeLimitExceeded, match=r"needs 2\^10-entry tables"):
+        kneser_violation_scan(D5, "exhaustive", budget=1)
+    assert kneser_violation_scan(D5, "random", seed=1, budget=10).pairs_checked == 10
+    code = main(["search", "kneser-failure", "--group", "dihedral:5", "--bruteforce-cap", "10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
 
 
 def test_violation_scan_agrees_with_kneser_check_on_abelian():
