@@ -3,6 +3,10 @@
 Elements are dense indices 0..n-1 and the identity sits at index 0 in every
 preset.  Tables are immutable after construction; every operation here is a
 pure function, so concurrent readers need no coordination.
+
+The cyclic, dihedral and generalized quaternion presets share one
+presentation, <a, b | a^m = e, b^2 = a^t, ba = a^-1 b> with t = 0 for D_m and
+m = 2t for Q_2m, or <a | a^m> alone for Z_m; `_dicyclic` builds its rows.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ class GroupTable:
     left and right translations by x as permutations) and `is_abelian`.  The
     table must already be a group (`validate_table` checks a raw one); only
     the labels are checked here, for being distinct.  `spec` is a
-    JSON-serializable description sufficient to rebuild the table, used by
-    certificates.
+    JSON-serializable description sufficient to rebuild the table, which
+    `direct_product` reads to describe its factors.
     """
 
     mul: tuple[tuple[int, ...], ...]
@@ -138,14 +142,26 @@ def validate_table(mul: Sequence[Sequence[int]]) -> int:
     return identity
 
 
+def _dicyclic(m: int, twist: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
+    """Rows of <a | a^m> (twist None) or of <a, b | a^m = e, b^2 = a^twist, ba = a^-1 b>,
+    a^i at index i and a^i b at m + i: row a^i turns 0..m-1 and m..2m-1 forward by i,
+    and row a^i b reads m..2m-1 backward from i, then 0..m-1 backward from i + twist."""
+    up = tuple(range(m)) * 2  # up[i:i + m] turns 0..m-1 forward by i, up[i + m:i:-1] backward
+    if twist is None:
+        return tuple(up[i:i + m] for i in range(m))
+    up_b = tuple(x + m for x in up)
+    return tuple(up[i:i + m] + up_b[i:i + m] for i in range(m)) + tuple(
+        up_b[i + m:i:-1] + up[k + m:k:-1] for i, k in zip(range(m), up[twist % m:])
+    )
+
+
 def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Integers mod n under addition."""
     if n < 1:
         raise InvalidTable(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, order_cap, f"cyclic({n})")
-    mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     labels = tuple(str(i) for i in range(n))
-    return GroupTable(mul, 0, labels, f"Z{n}", {"preset": "cyclic", "n": n})
+    return GroupTable(_dicyclic(n), 0, labels, f"Z{n}", {"preset": "cyclic", "n": n})
 
 
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -153,17 +169,8 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if n < 1:
         raise InvalidTable(f"dihedral group needs n >= 1, got {n}")
     _check_cap(2 * n, order_cap, f"dihedral({n})")
-    size = 2 * n
-    mul = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j] = (i + j) % n            # r_i r_j = r_{i+j}
-            mul[i][j + n] = (i + j) % n + n    # r_i s_j = s_{i+j}
-            mul[i + n][j] = (i - j) % n + n    # s_i r_j = s_{i-j}
-            mul[i + n][j + n] = (i - j) % n    # s_i s_j = r_{i-j}
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
-    table = tuple(tuple(row) for row in mul)
-    return GroupTable(table, 0, labels, f"D{n}", {"preset": "dihedral", "n": n})
+    return GroupTable(_dicyclic(n, 0), 0, labels, f"D{n}", {"preset": "dihedral", "n": n})
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -203,30 +210,15 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
 def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Generalized quaternion group of order 4n (n=2 gives the quaternions Q8).
 
-    Presentation <a, b | a^(2n) = e, b^2 = a^n, b a = a^-1 b>; element i < 2n
-    is a^i, element 2n + i is a^i b.
+    <a, b | a^2n = e, b^2 = a^n, ba = a^-1 b>: a^i is index i, a^i b is 2n + i.
     """
     if n < 2:
         raise InvalidTable(f"quaternion group needs n >= 2, got {n}")
     _check_cap(4 * n, order_cap, f"quaternion({n})")
-    m = 2 * n
-    size = 4 * n
-    mul = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            mul[i][j] = (i + j) % m                     # a^i a^j
-            mul[i][j + m] = (i + j) % m + m             # a^i (a^j b)
-            mul[i + m][j] = (i - j) % m + m             # (a^i b) a^j
-            mul[i + m][j + m] = (i - j + n) % m         # (a^i b)(a^j b) = a^{i-j+n}
-    def power_label(i: int, tail: str) -> str:
-        head = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-        text = head + tail
-        return text if text else "e"
-    labels = tuple(power_label(i, "") for i in range(m)) + tuple(
-        power_label(i, "b") for i in range(m)
-    )
-    table = tuple(tuple(row) for row in mul)
-    return GroupTable(table, 0, labels, f"Q{4 * n}", {"preset": "quaternion", "n": n})
+    powers = ["", "a", *(f"a{i}" for i in range(2, 2 * n))]  # a^i; a^0 b is "b"
+    labels = ("e", *powers[1:], *(power + "b" for power in powers))
+    spec = {"preset": "quaternion", "n": n}
+    return GroupTable(_dicyclic(2 * n, n), 0, labels, f"Q{4 * n}", spec)
 
 
 def direct_product(
@@ -292,22 +284,31 @@ PRESETS = {
 
 
 def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Build a group from its JSON description (preset dict or explicit table)."""
+    """Build a group from its JSON description (preset dict or explicit table).
+
+    InvalidTable for an unknown key, an `n` that is not a JSON int or `factors`
+    that are not a nonempty list, as `schema.check_group` refuses them."""
     if not isinstance(spec, dict):
         raise InvalidTable(f"group spec must be an object, got {type(spec).__name__}")
-    if "table" in spec:
-        return from_table(
-            spec["table"], spec.get("labels"), name=spec.get("name", "table"),
-            order_cap=order_cap,
-        )
     preset = spec.get("preset")
+    keys = {"preset", "factors" if preset == "direct_product" else "n"}
+    unknown = spec.keys() - ({"table", "labels", "name"} if "table" in spec else keys)
+    if unknown:
+        raise InvalidTable(f"group spec has unknown key(s): {sorted(unknown, key=str)}")
+    if "table" in spec:
+        name = spec.get("name", "table")
+        return from_table(spec["table"], spec.get("labels"), name=name, order_cap=order_cap)
     if preset == "direct_product":
-        factors = [from_spec(s, order_cap=order_cap) for s in spec.get("factors", [])]
+        factors = spec.get("factors")
+        if not isinstance(factors, list):
+            raise InvalidTable(f"direct product needs a list of factors, got {factors!r}")
+        factors = [from_spec(s, order_cap=order_cap) for s in factors]
         return direct_product(factors, order_cap=order_cap)
-    if preset in PRESETS:
-        if "n" not in spec:
-            raise InvalidTable(f"preset {preset!r} needs parameter 'n'")
-        return PRESETS[preset][0](int(spec["n"]), order_cap=order_cap)
+    if isinstance(preset, str) and preset in PRESETS:
+        n = spec.get("n")
+        if type(n) is not int:
+            raise InvalidTable(f"preset {preset!r} needs an integer parameter 'n', got {n!r}")
+        return PRESETS[preset][0](n, order_cap=order_cap)
     raise InvalidTable(f"unknown group spec: {spec!r}")
 
 
@@ -424,20 +425,12 @@ def catalogue(max_order: int) -> tuple[GroupTable, ...]:
     """The preset sweep catalogue: cyclic groups, two-factor cyclic products,
     dihedral and generalized quaternion groups, and symmetric groups, up to
     `max_order`.  Deterministic order: (group order, name)."""
-    out: list[GroupTable] = []
-    for n in range(1, max_order + 1):
-        out.append(cyclic(n))
-    for a in range(2, max_order + 1):
-        for b in range(a, max_order + 1):
-            if a * b <= max_order:
-                out.append(direct_product([cyclic(a), cyclic(b)]))
-    for n in range(3, max_order // 2 + 1):
-        out.append(dihedral(n))
-    for n in range(3, 7):
-        if math.factorial(n) <= max_order:
-            out.append(symmetric(n))
-    n = 2
-    while 4 * n <= max_order:
-        out.append(quaternion(n))
-        n += 1
+    out = [cyclic(n) for n in range(1, max_order + 1)]
+    out += [
+        direct_product([cyclic(a), cyclic(b)])
+        for a in range(2, max_order + 1) for b in range(a, max_order // a + 1)
+    ]
+    out += [dihedral(n) for n in range(3, max_order // 2 + 1)]
+    out += [symmetric(n) for n in range(3, 7) if math.factorial(n) <= max_order]
+    out += [quaternion(n) for n in range(2, max_order // 4 + 1)]
     return tuple(sorted(out, key=lambda g: (g.order, g.name)))

@@ -5,7 +5,8 @@ certificates.py: its command-line path and help, the names of its sets, its
 typed options, the keys its payload must carry and the predicate behind its
 exit code.  The command-line parser, `parse_config` (the one config check
 of both `run` and `recheck`), `validate_record` and the exit codes are all
-derived from COMMANDS.
+derived from COMMANDS, which is complete whenever this module is imported:
+its last line imports certificates, which runs no theory module.
 
 A config has one accepted form: ints are JSON ints (never strings or
 booleans), rationals are reduced "p/q" strings, set lists are sorted,
@@ -290,3 +291,6 @@ def validate_record(record) -> None:
     standalone check of a whole record, `check_envelope` and the typed form
     of its config (without building the group)."""
     _check_config(check_envelope(record), record["config"], None)
+
+
+from . import certificates  # noqa: E402,F401  (last: it imports the names above)

@@ -231,3 +231,32 @@ def naive_autocorrelation(G, A):
     return [
         Fraction(len(A & naive_left_translate(G, x, A)), len(A)) for x in range(G.order)
     ]
+
+
+def naive_preset(preset, n):
+    """(mul, labels, name, spec) of the cyclic, dihedral or quaternion preset
+    with parameter n, entry by entry from the formulas the presets were first
+    built with: a + b mod n for Z_n, and for D_n (m = n, t = 0) and Q_4n
+    (m = 2n, t = n) four formulas on a^i (index i) and a^i b (index m + i)."""
+    def power_label(i, tail):
+        head = "" if i == 0 else ("a" if i == 1 else f"a{i}")
+        return (head + tail) or "e"
+
+    spec = {"preset": preset, "n": n}
+    if preset == "cyclic":
+        mul = [[(a + b) % n for b in range(n)] for a in range(n)]
+        return tuple(map(tuple, mul)), tuple(map(str, range(n))), f"Z{n}", spec
+    m, t = (n, 0) if preset == "dihedral" else (2 * n, n)
+    mul = [[0] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m):
+            mul[i][j] = (i + j) % m              # a^i a^j
+            mul[i][j + m] = (i + j) % m + m      # a^i (a^j b)
+            mul[i + m][j] = (i - j) % m + m      # (a^i b) a^j
+            mul[i + m][j + m] = (i - j + t) % m  # (a^i b)(a^j b) = a^(i-j+t)
+    if preset == "dihedral":
+        labels, name = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)], f"D{n}"
+    else:
+        labels = [power_label(i, "") for i in range(m)] + [power_label(i, "b") for i in range(m)]
+        name = f"Q{4 * n}"
+    return tuple(map(tuple, mul)), tuple(labels), name, spec

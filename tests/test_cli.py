@@ -616,6 +616,33 @@ def test_start_up_executes_no_theory_module(tmp_path):
     assert json.loads(cert.read_text())["payload"]["ratio"] == "3/2"
 
 
+def test_schema_alone_checks_a_record_of_every_command(tmp_path):
+    """A process that imports `schema` and nothing else has the whole command
+    table: it validates one record per command, and no theory module runs."""
+    records = {}
+    for _, command, config in all_cases():
+        if isinstance(config, dict) and command not in records:
+            payload = certificates.run(command, config)
+            records[command] = certificates.make_record(command, config, payload)
+    assert set(records) == set(schema.COMMANDS)
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(records))
+    script = (
+        "import json, sys, types\n"
+        "from smalldoubling import schema\n"
+        f"records = json.load(open({str(path)!r}))\n"
+        "for record in records.values():\n"
+        "    schema.validate_record(record)\n"
+        "    schema.parse_config(record['command'], record['config'])\n"
+        "assert sorted(schema.COMMANDS) == sorted(records), sorted(schema.COMMANDS)\n"
+        f"theory = {THEORY!r}\n"
+        "executed = [m for m in theory if type(sys.modules[f'smalldoubling.{m}']) is types.ModuleType]\n"
+        "assert executed == [], executed\n"
+    )
+    done = _run_python(script)
+    assert done.returncode == 0, done.stderr
+
+
 def test_issue_and_recheck_without_jsonschema(tmp_path):
     """Neither jsonschema nor numpy is needed to issue and recheck a
     certificate that uses no powerset table."""

@@ -10,6 +10,7 @@ from smalldoubling import (
     InvalidTable,
     SizeLimitExceeded,
     Subset,
+    UsageError,
     catalogue,
     closure,
     cyclic,
@@ -21,6 +22,7 @@ from smalldoubling import (
     is_subgroup,
     quaternion,
     right_coset,
+    schema,
     symmetric,
     validate_table,
 )
@@ -32,6 +34,7 @@ from oracles import (
     naive_closure,
     naive_inverse,
     naive_left_translate,
+    naive_preset,
     naive_right_translate,
     naive_subgroups,
     naive_table_violation,
@@ -228,6 +231,36 @@ def test_from_spec_round_trip():
         from_spec({"preset": "nope", "n": 3})
     with pytest.raises(InvalidTable):
         from_spec({"preset": "cyclic"})
+
+
+@pytest.mark.parametrize("spec", [
+    {"preset": "cyclic", "n": True},
+    {"preset": "cyclic", "n": 12.7},
+    {"preset": "cyclic", "n": "12"},
+    {"preset": "cyclic", "n": 12, "order": 12},
+    {"preset": "cyclic", "n": "abc"},
+    {"preset": "direct_product", "factors": 5},
+], ids=["bool-n", "float-n", "string-n", "unknown-key", "word-n", "int-factors"])
+def test_from_spec_refuses_what_the_config_check_refuses(spec):
+    with pytest.raises(UsageError):
+        schema.check_group(spec)
+    with pytest.raises(InvalidTable):
+        from_spec(spec)
+
+
+PINNED_PRESETS = [
+    pytest.param(build, n, id=f"{build.__name__}-{n}")
+    for build, least, most in ((cyclic, 1, 64), (dihedral, 1, 32), (quaternion, 2, 16))
+    for n in range(least, most + 1)
+]
+
+
+@pytest.mark.parametrize("build,n", PINNED_PRESETS)
+def test_preset_tables_match_their_entry_formulas(build, n):
+    """Every entry, label, name and spec of the cyclic, dihedral and
+    quaternion presets, against the per-entry formulas of `naive_preset`."""
+    G = build(n)
+    assert (G.mul, G.labels, G.name, G.spec) == naive_preset(build.__name__, n)
 
 
 def _check_product(P, factors):
