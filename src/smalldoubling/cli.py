@@ -213,9 +213,9 @@ def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
     entry = COMMANDS[args.command]
     caps = _resolve_caps(args)
     group_spec = parse_group_spec(args.group)
-    # Building the group resolves set labels and surfaces cap violations and
-    # invalid tables before any solver runs.  The run reuses it.
-    G = groups.from_spec(group_spec, order_cap=caps["order_cap"])
+    # Building the checked spec resolves set labels and surfaces cap violations
+    # and invalid tables before any solver runs.  The run reuses the group.
+    G = groups._build_spec(group_spec, caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G, entry.sets)
     if sets:

@@ -14,10 +14,9 @@ class SmallDoublingError(Exception):
 
 
 class InvalidTable(SmallDoublingError):
-    """A raw multiplication table violates a group axiom.
-
-    `witness` pins down the first offending tuple, e.g. ``("associativity",
-    (a, b, c))`` or ``("closure", (a, b))``.
+    """A raw multiplication table violates a group axiom, or a group spec is
+    malformed.  An axiom's `witness` pins down the first offending tuple, e.g.
+    ``("associativity", (a, b, c))`` or ``("closure", (a, b))``.
     """
 
     def __init__(self, message: str, witness=None):

@@ -7,6 +7,7 @@ pure function, so concurrent readers need no coordination.
 The cyclic, dihedral and generalized quaternion presets share one
 presentation, <a, b | a^m = e, b^2 = a^t, ba = a^-1 b> with t = 0 for D_m and
 m = 2t for Q_2m, or <a | a^m> alone for Z_m; `_dicyclic` builds its rows.
+The JSON group-spec format is this module's: `check_spec` holds its rules.
 """
 
 from __future__ import annotations
@@ -199,10 +200,10 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise SizeLimitExceeded(f"symmetric({n}) has order {n}! — preset supports n <= 6")
     _check_cap(math.factorial(n), order_cap, f"symmetric({n})")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    mul = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms
-    )
+    # pq is itemgetter(*q)(p), an item rather than a tuple for n = 1: key alike.
+    compose = [itemgetter(*q) for q in perms]
+    index = {q(perms[0]): i for i, q in enumerate(compose)}
+    mul = tuple(tuple(index[q(p)] for q in compose) for p in perms)
     labels = tuple(_cycle_label(p) for p in perms)
     return GroupTable(mul, 0, labels, f"S{n}", {"preset": "symmetric", "n": n})
 
@@ -274,42 +275,81 @@ def from_table(
 
 
 # Every one-parameter preset: its builder and the least n it accepts.  The
-# schema's spec check and the command line's inline grammar read this too.
+# spec check and the command line's inline grammar read this too.
 PRESETS = {
     "cyclic": (cyclic, 1),
     "dihedral": (dihedral, 1),
     "symmetric": (symmetric, 1),
     "quaternion": (quaternion, 2),
 }
+# Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
+MAX_GROUP_NESTING = 64
 
 
-def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Build a group from its JSON description (preset dict or explicit table).
+def check_spec(spec, where: str = "group spec") -> None:
+    """Raise InvalidTable unless `spec` is a group spec in its accepted form.
+    Factors are checked from an explicit stack and nest at most
+    MAX_GROUP_NESTING levels, so no spec that passes overflows the builder."""
+    stack = [(spec, where, 0)]  # (spec, where, direct_product levels above it)
+    while stack:
+        spec, where, depth = stack.pop()
+        if not isinstance(spec, dict):
+            raise InvalidTable(f"{where} must be an object")
+        preset = spec.get("preset")
+        if "table" in spec:
+            keys = ("table", "labels", "name")
+        elif preset == "direct_product" or (isinstance(preset, str) and preset in PRESETS):
+            keys = ("preset", "factors" if preset == "direct_product" else "n")
+        else:
+            raise InvalidTable(f"{where} has unknown preset {preset!r}")
+        unknown = sorted(str(k) for k in spec if k not in keys)
+        if unknown:
+            raise InvalidTable(f"{where} has unknown key(s): {', '.join(unknown)}")
+        if "table" in spec:
+            table, labels = spec["table"], spec.get("labels", [])
+            if not isinstance(table, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in table
+            ):
+                raise InvalidTable(f"{where}.table must be a list of rows of element indices")
+            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+                raise InvalidTable(f"{where}.labels must be a list of strings")
+            if not isinstance(spec.get("name", ""), str):
+                raise InvalidTable(f"{where}.name must be a string")
+        elif preset == "direct_product":
+            factors = spec.get("factors")
+            if not isinstance(factors, list) or not factors:
+                raise InvalidTable(f"{where}.factors must be a nonempty list of group specs")
+            if depth == MAX_GROUP_NESTING:
+                raise InvalidTable(
+                    f"{where} nests direct_product more than {MAX_GROUP_NESTING} levels deep"
+                )
+            nested = [(f, f"{where}.factors[{i}]", depth + 1) for i, f in enumerate(factors)]
+            stack += reversed(nested)  # the first factor is checked first
+        else:
+            if "n" not in spec:
+                raise InvalidTable(f"{where} is missing n")
+            n, least = spec["n"], PRESETS[preset][1]
+            if type(n) is not int or n < least:
+                raise InvalidTable(f"{where}.n must be a JSON integer >= {least}, got {n!r}")
 
-    InvalidTable for an unknown key, an `n` that is not a JSON int or `factors`
-    that are not a nonempty list, as `schema.check_group` refuses them."""
-    if not isinstance(spec, dict):
-        raise InvalidTable(f"group spec must be an object, got {type(spec).__name__}")
-    preset = spec.get("preset")
-    keys = {"preset", "factors" if preset == "direct_product" else "n"}
-    unknown = spec.keys() - ({"table", "labels", "name"} if "table" in spec else keys)
-    if unknown:
-        raise InvalidTable(f"group spec has unknown key(s): {sorted(unknown, key=str)}")
+
+def _build_spec(spec: dict, order_cap: int) -> GroupTable:
+    """The group of a spec that `check_spec` has passed; checks nothing of its own."""
     if "table" in spec:
         name = spec.get("name", "table")
         return from_table(spec["table"], spec.get("labels"), name=name, order_cap=order_cap)
-    if preset == "direct_product":
-        factors = spec.get("factors")
-        if not isinstance(factors, list):
-            raise InvalidTable(f"direct product needs a list of factors, got {factors!r}")
-        factors = [from_spec(s, order_cap=order_cap) for s in factors]
+    if spec["preset"] == "direct_product":
+        factors = [_build_spec(factor, order_cap) for factor in spec["factors"]]
         return direct_product(factors, order_cap=order_cap)
-    if isinstance(preset, str) and preset in PRESETS:
-        n = spec.get("n")
-        if type(n) is not int:
-            raise InvalidTable(f"preset {preset!r} needs an integer parameter 'n', got {n!r}")
-        return PRESETS[preset][0](n, order_cap=order_cap)
-    raise InvalidTable(f"unknown group spec: {spec!r}")
+    return PRESETS[spec["preset"]][0](spec["n"], order_cap=order_cap)
+
+
+def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Build a group from its JSON description (preset dict or explicit table)
+    once `check_spec` has passed it: a malformed spec is InvalidTable, as it
+    is for `schema.check_group`, and no table is built for it."""
+    check_spec(spec)
+    return _build_spec(spec, order_cap)
 
 
 # --- set-level navigation -------------------------------------------------

@@ -10,9 +10,11 @@ its last line imports certificates, which runs no theory module.
 
 A config has one accepted form: ints are JSON ints (never strings or
 booleans), rationals are reduced "p/q" strings, set lists are sorted,
-distinct element indices, and no key or set name is unknown.  Omitted options
-take their default.  Payload checks stay key-presence only: values are
-checked by `recheck`'s replay, so a tampered value shows up as a diff.
+distinct element indices, and no key or set name is unknown.  The group
+spec's rules are `groups.check_spec`'s alone; `check_group` refuses what it
+refuses, as a UsageError.  Omitted options take their default.  Payload
+checks stay key-presence only: values are checked by `recheck`'s replay, so
+a tampered value shows up as a diff.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from . import groups
-from .errors import UsageError
+from .errors import InvalidTable, UsageError
 from .rationals import parse_rational, rational_str
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "smalldoubling"  # the one tool.name a record may carry
-# Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
-MAX_GROUP_NESTING = 64
 
 # The caps are defined in groups, so reading them loads no theory module.
 DEFAULT_CAPS = {
@@ -113,12 +113,6 @@ def _require(value: dict, keys, where: str) -> None:
         raise UsageError(f"{where} is missing {', '.join(missing)}")
 
 
-def _int(value, where: str, lo: int) -> int:
-    if type(value) is not int or value < lo:
-        raise UsageError(f"{where} must be a JSON integer of at least {lo}, got {value!r}")
-    return value
-
-
 def _reduced_rational(raw) -> Optional[Fraction]:
     if not isinstance(raw, str):
         return None
@@ -164,44 +158,11 @@ def _option(name: str, opt: Option, config: dict):
 # --- group specs, sets and caps --------------------------------------------
 
 def check_group(spec, where: str = "config.group") -> None:
-    """Raise UsageError unless `spec` is a group spec in its accepted form.
-
-    Factors are checked from an explicit stack, and direct_product may nest
-    at most MAX_GROUP_NESTING levels, so that the spec is refused here
-    rather than overflowing the recursion of `groups.from_spec`.
-    """
-    stack = [(spec, where, 0)]  # (spec, where, direct_product levels above it)
-    while stack:
-        spec, where, depth = stack.pop()
-        preset = _object(spec, where).get("preset")
-        if "table" in spec:
-            _object(spec, where, ("table", "labels", "name"))
-            table, labels = spec["table"], spec.get("labels", [])
-            if not isinstance(table, list) or not all(
-                isinstance(row, list) and all(type(x) is int for x in row) for row in table
-            ):
-                raise UsageError(f"{where}.table must be a list of rows of element indices")
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-                raise UsageError(f"{where}.labels must be a list of strings")
-            if not isinstance(spec.get("name", ""), str):
-                raise UsageError(f"{where}.name must be a string")
-        elif preset == "direct_product":
-            factors = _object(spec, where, ("preset", "factors")).get("factors")
-            if not isinstance(factors, list) or not factors:
-                raise UsageError(f"{where}.factors must be a nonempty list of group specs")
-            if depth == MAX_GROUP_NESTING:
-                raise UsageError(
-                    f"{where} nests direct_product more than {MAX_GROUP_NESTING} levels deep"
-                )
-            stack += [
-                (factor, f"{where}.factors[{i}]", depth + 1)
-                for i, factor in reversed(list(enumerate(factors)))
-            ]
-        elif isinstance(preset, str) and preset in groups.PRESETS:
-            _require(_object(spec, where, ("preset", "n")), ("n",), where)
-            _int(spec["n"], f"{where}.n", lo=groups.PRESETS[preset][1])
-        else:
-            raise UsageError(f"{where} has unknown preset {preset!r}")
+    """Raise UsageError for a group spec that `groups.check_spec` refuses."""
+    try:
+        groups.check_spec(spec, where)
+    except InvalidTable as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_sets(entry: Command, sets) -> dict:
@@ -219,7 +180,8 @@ def _check_sets(entry: Command, sets) -> dict:
 def _check_caps(caps, ceiling: Optional[dict]) -> dict:
     out = {**DEFAULT_CAPS, **(ceiling or {})}
     for key, value in _object(caps, "config.caps", DEFAULT_CAPS).items():
-        _int(value, f"caps.{key}", lo=0)
+        if type(value) is not int or value < 0:
+            raise UsageError(f"caps.{key} must be a JSON integer of at least 0, got {value!r}")
         if ceiling is not None and value > out[key]:
             raise UsageError(
                 f"caps.{key} = {value} is above this rechecker's cap {out[key]}; "
@@ -246,19 +208,17 @@ def parse_config(
 ):
     """(group, sets, options, caps) of a config in its one accepted form.
 
-    The group is built under the config's order cap, unless the caller passes
-    the `group` it already built from `config["group"]` under that cap; each
-    set becomes a Subset of it.  Options come back typed (Fraction for
-    rationals), with omitted ones at their default.  `ceiling` bounds the
-    caps: a config may lower a cap but not raise it.  Omitted caps, and caps
-    the ceiling leaves out, take the ceiling's value or DEFAULT_CAPS.  Raises
-    UsageError on anything else.
+    The checked spec is built without a second check, under the config's
+    order cap, unless the caller passes the `group` it already built from
+    `config["group"]` under that cap; each set becomes a Subset of it.  Options
+    come back typed (Fraction for rationals), with omitted ones at their
+    default.  `ceiling` bounds the caps: a config may lower a cap but not raise
+    it.  Omitted caps, and caps the ceiling leaves out, take the ceiling's value
+    or DEFAULT_CAPS.  Raises UsageError on anything else.
     """
     entry = _entry(command)
     sets, options, caps = _check_config(entry, config, ceiling)
-    G = group if group is not None else groups.from_spec(
-        config["group"], order_cap=caps["order_cap"]
-    )
+    G = group if group is not None else groups._build_spec(config["group"], caps["order_cap"])
     for name, indices in sets.items():
         if indices and indices[-1] >= G.order:
             raise UsageError(f"set {name!r} has index {indices[-1]}, outside {G.name}")

@@ -9,7 +9,7 @@ exhaustive Kneser scan ran before the orbit pass took budgets.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def naive_product(G, A, B):
@@ -233,16 +233,37 @@ def naive_autocorrelation(G, A):
     ]
 
 
+def naive_cycles(perm):
+    """Cycle notation of a permutation of 0..n-1 on points 1..n, each cycle
+    from its least point, cycles by least point, fixed points left out; "e"
+    for the identity."""
+    cycles = []
+    for start in range(len(perm)):
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        if len(cycle) > 1 and min(cycle) == start:
+            cycles.append("(" + " ".join(str(x + 1) for x in cycle) + ")")
+    return "".join(cycles) or "e"
+
+
 def naive_preset(preset, n):
-    """(mul, labels, name, spec) of the cyclic, dihedral or quaternion preset
-    with parameter n, entry by entry from the formulas the presets were first
-    built with: a + b mod n for Z_n, and for D_n (m = n, t = 0) and Q_4n
-    (m = 2n, t = n) four formulas on a^i (index i) and a^i b (index m + i)."""
+    """(mul, labels, name, spec) of the cyclic, dihedral, quaternion or
+    symmetric preset with parameter n, entry by entry from the formulas the
+    presets were first built with: a + b mod n for Z_n, for D_n (m = n, t = 0)
+    and Q_4n (m = 2n, t = n) four formulas on a^i (index i) and a^i b (index
+    m + i), and for S_n the composition pq (q first) of the permutations in
+    lexicographic order, point by point."""
     def power_label(i, tail):
         head = "" if i == 0 else ("a" if i == 1 else f"a{i}")
         return (head + tail) or "e"
 
     spec = {"preset": preset, "n": n}
+    if preset == "symmetric":
+        perms = list(permutations(range(n)))
+        mul = [[perms.index(tuple(p[q[i]] for i in range(n))) for q in perms] for p in perms]
+        labels = tuple(naive_cycles(p) for p in perms)
+        return tuple(map(tuple, mul)), labels, f"S{n}", spec
     if preset == "cyclic":
         mul = [[(a + b) % n for b in range(n)] for a in range(n)]
         return tuple(map(tuple, mul)), tuple(map(str, range(n))), f"Z{n}", spec

@@ -336,7 +336,8 @@ def test_unreadable_files_exit_2(tmp_path, capsys, content, use):
 
 
 def test_group_file_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(groups, "from_spec", lambda *a, **k: pytest.fail("built unchecked"))
+    for builder in ("from_spec", "_build_spec"):
+        monkeypatch.setattr(groups, builder, lambda *a, **k: pytest.fail("built unchecked"))
     path = tmp_path / "string_n.json"
     path.write_text(json.dumps({"preset": "cyclic", "n": "abc"}))
     assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
@@ -353,12 +354,12 @@ def _nested_product(levels: int) -> str:
 
 
 def test_group_nesting_is_capped():
-    schema.check_group(json.loads(_nested_product(schema.MAX_GROUP_NESTING)))
+    schema.check_group(json.loads(_nested_product(groups.MAX_GROUP_NESTING)))
     with pytest.raises(UsageError, match="nests direct_product"):
-        schema.check_group(json.loads(_nested_product(schema.MAX_GROUP_NESTING + 1)))
+        schema.check_group(json.loads(_nested_product(groups.MAX_GROUP_NESTING + 1)))
 
 
-@pytest.mark.parametrize("levels", [schema.MAX_GROUP_NESTING, 493])
+@pytest.mark.parametrize("levels", [groups.MAX_GROUP_NESTING, 493])
 def test_nested_group_issues_and_rechecks_or_exits_2(tmp_path, levels):
     """What the command line issues it also rechecks: a group nested too deep
     for `groups.from_spec` is refused from a group file and from a
@@ -376,7 +377,7 @@ def test_nested_group_issues_and_rechecks_or_exits_2(tmp_path, levels):
     group, cert = tmp_path / "group.json", tmp_path / "cert.json"
     group.write_text(nested)
     issued = cli("doubling", "--group", str(group), "--setA", "0", "--out", str(cert))
-    if levels <= schema.MAX_GROUP_NESTING:
+    if levels <= groups.MAX_GROUP_NESTING:
         assert issued.returncode == 0, issued.stderr
         assert cli("recheck", str(cert)).returncode == 0
         return
@@ -682,19 +683,19 @@ def test_numpy_loads_only_with_a_powerset_table(tmp_path):
 def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
     built = []
     depth = 0
-    original = groups.from_spec
+    original = groups._build_spec  # what the command line builds a checked spec with
 
-    def counting(spec, **kwargs):  # counts top-level builds, not factor recursion
+    def counting(spec, *args, **kwargs):  # counts top-level builds, not factor recursion
         nonlocal depth
         if depth == 0:
             built.append(spec)
         depth += 1
         try:
-            return original(spec, **kwargs)
+            return original(spec, *args, **kwargs)
         finally:
             depth -= 1
 
-    monkeypatch.setattr(groups, "from_spec", counting)
+    monkeypatch.setattr(groups, "_build_spec", counting)
     cert = tmp_path / "cert.json"
     assert main(["doubling", "--group", "dihedral:8", "--setA", "r0,r1", "--out", str(cert)]) == 0
     assert built == [{"preset": "dihedral", "n": 8}]
@@ -711,31 +712,46 @@ def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
 
 
 def test_each_record_is_checked_once(monkeypatch, tmp_path):
-    """One config check per issue and one per recheck: `parse_config`'s."""
-    calls = []
-    original = schema._check_config
+    """One config check per issue and one per recheck: `parse_config`'s.  The
+    group spec is checked once per run or recheck, and at most twice per
+    command-line issue (its --group, then its config)."""
+    calls, spec_checks = [], []
+    original, original_spec = schema._check_config, groups.check_spec
 
     def counting(*args):
         calls.append(args[0].name)
         return original(*args)
 
+    def counting_spec(spec, *args):
+        spec_checks.append(spec)
+        return original_spec(spec, *args)
+
     monkeypatch.setattr(schema, "_check_config", counting)
+    monkeypatch.setattr(groups, "check_spec", counting_spec)
     config = {"group": {"preset": "symmetric", "n": 3}, "sets": {"A": [0, 2], "S": [0, 2]},
               "epsilon": "1/1"}
     payload = certificates.run("theorem-main", config)
     record = certificates.make_record("theorem-main", config, payload)
     assert calls == ["theorem-main"]
+    assert spec_checks == [config["group"]]
 
     calls.clear()
+    spec_checks.clear()
     assert certificates.recheck(record).ok
     assert calls == ["theorem-main"]
+    assert spec_checks == [config["group"]]
 
     calls.clear()
+    spec_checks.clear()
     cert = tmp_path / "cert.json"
     argv = ["--group", "sym:3", "--setA", "0,2", "--setS", "0,2", "--epsilon", "1/1"]
     assert main(["theorem-main", *argv, "--out", str(cert)]) == 0
     assert calls == ["theorem-main"]
+    assert 1 <= len(spec_checks) <= 2
+    assert all(spec == config["group"] for spec in spec_checks)
 
     calls.clear()
+    spec_checks.clear()
     assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
     assert calls == ["theorem-main"]
+    assert spec_checks == [config["group"]]

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +28,7 @@ from smalldoubling import (
     symmetric,
     validate_table,
 )
-from smalldoubling.groups import image
+from smalldoubling.groups import check_spec, image
 from smalldoubling.subsets import iter_bits
 from oracles import (
     is_subgroup_naive,
@@ -39,6 +41,7 @@ from oracles import (
     naive_subgroups,
     naive_table_violation,
 )
+from test_cli import _nested_product
 
 PRESET_SAMPLE = [
     cyclic(1),
@@ -233,6 +236,9 @@ def test_from_spec_round_trip():
         from_spec({"preset": "cyclic"})
 
 
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
 @pytest.mark.parametrize("spec", [
     {"preset": "cyclic", "n": True},
     {"preset": "cyclic", "n": 12.7},
@@ -240,7 +246,14 @@ def test_from_spec_round_trip():
     {"preset": "cyclic", "n": 12, "order": 12},
     {"preset": "cyclic", "n": "abc"},
     {"preset": "direct_product", "factors": 5},
-], ids=["bool-n", "float-n", "string-n", "unknown-key", "word-n", "int-factors"])
+    {"table": [[0, True], [True, 0]]},
+    {"table": Z2_TABLE, "labels": [1, 2]},
+    {"table": Z2_TABLE, "labels": "ab"},
+    {"table": Z2_TABLE, "name": 5},
+    json.loads(_nested_product(65)),
+    json.loads(_nested_product(70)),
+], ids=["bool-n", "float-n", "string-n", "unknown-key", "word-n", "int-factors",
+        "bool-entries", "int-labels", "string-labels", "int-name", "nested-65", "nested-70"])
 def test_from_spec_refuses_what_the_config_check_refuses(spec):
     with pytest.raises(UsageError):
         schema.check_group(spec)
@@ -248,18 +261,47 @@ def test_from_spec_refuses_what_the_config_check_refuses(spec):
         from_spec(spec)
 
 
+def test_from_spec_refuses_a_deep_product_without_recursing():
+    """A product nested 3,000 levels deep is InvalidTable, not RecursionError:
+    the check walks an explicit stack and stops at MAX_GROUP_NESTING."""
+    levels = 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * levels)  # for the JSON parser only
+    try:
+        spec = json.loads(_nested_product(levels))
+    finally:
+        sys.setrecursionlimit(limit)
+    with pytest.raises(InvalidTable, match="nests direct_product"):
+        from_spec(spec)
+    with pytest.raises(UsageError, match="nests direct_product"):
+        schema.check_group(spec)
+
+
+ROUND_TRIP = [*catalogue(24), direct_product([
+    quaternion(2), from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]], ["e", "a", "a2"]), cyclic(2)
+])]
+
+
+@pytest.mark.parametrize("G", ROUND_TRIP, ids=lambda g: g.name)
+def test_every_spec_passes_the_check_and_rebuilds_its_table(G):
+    check_spec(G.spec)
+    assert from_spec(G.spec).mul == G.mul
+
+
 PINNED_PRESETS = [
     pytest.param(build, n, id=f"{build.__name__}-{n}")
-    for build, least, most in ((cyclic, 1, 64), (dihedral, 1, 32), (quaternion, 2, 16))
+    for build, least, most in (
+        (cyclic, 1, 64), (dihedral, 1, 32), (quaternion, 2, 16), (symmetric, 1, 5)
+    )
     for n in range(least, most + 1)
 ]
 
 
 @pytest.mark.parametrize("build,n", PINNED_PRESETS)
 def test_preset_tables_match_their_entry_formulas(build, n):
-    """Every entry, label, name and spec of the cyclic, dihedral and
-    quaternion presets, against the per-entry formulas of `naive_preset`."""
-    G = build(n)
+    """Every entry, label, name and spec of the cyclic, dihedral, quaternion
+    and symmetric presets, against the per-entry formulas of `naive_preset`."""
+    G = build(n, order_cap=120)
     assert (G.mul, G.labels, G.name, G.spec) == naive_preset(build.__name__, n)
 
 
