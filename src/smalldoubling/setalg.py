@@ -8,10 +8,12 @@ Subset tables are built here, with one doubling loop per representation:
 entry m is the OR of rows[i] over the set bits i of m, and the masks with
 top bit i are those below 2^i with bit i added, so each row doubles the
 filled prefix.  `or_table` does it on a plain list; `mask_tables_from_rows`
-on numpy rows of any leading shape, in their dtype; `mask_table_from_rows`
-on one list of rows, in the narrowest dtype that holds them (uint8 up to
-order 8, uint16 up to 16, uint32 up to 24).  Nothing is cached: a table
-belongs to one certificate's group, which no later call shares.
+on numpy rows of any leading shape; `mask_table_from_rows` on one list of
+rows.  Every numpy mask table is uint32: a table has at most
+SUBSET_TABLE_LIMIT = 24 rows, so no mask it holds needs more than 32 bits,
+and a wider table is refused with SizeLimitExceeded before any row is
+converted.  Nothing is cached: a table belongs to one certificate's group,
+which no later call shares.
 
 `fixed_factor_product` tabulates the rows g*F by 8-bit chunk with
 `or_table`, so m*F takes ceil(n/8) lookups and needs no numpy.  The numpy
@@ -187,38 +189,35 @@ def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
     return product
 
 
-def mask_dtype(bits: int) -> np.dtype:
-    """The narrowest unsigned numpy dtype that holds a `bits`-bit mask, bits <= 64."""
-    import numpy as np
-
-    return np.dtype(f"uint{next(w for w in (8, 16, 32, 64) if bits <= w)}")
-
-
-def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
-    """out[..., m] is the OR of rows[..., g] over the set bits g of m: the
-    rows run along the last axis, and their leading shape and dtype are kept."""
-    import numpy as np
-
-    width = rows.shape[-1]
+def _check_width(width: int) -> None:
     if width > SUBSET_TABLE_LIMIT:
         raise SizeLimitExceeded(
             f"subset tables need 2^{width} entries; supported only up to order "
             f"{SUBSET_TABLE_LIMIT}"
         )
-    out = np.zeros(rows.shape[:-1] + (1 << width,), dtype=rows.dtype)
+
+
+def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
+    """out[..., m] is the OR of rows[..., g] over the set bits g of m: the
+    rows, uint32, run along the last axis, and their leading shape is kept."""
+    import numpy as np
+
+    width = rows.shape[-1]
+    _check_width(width)
+    out = np.zeros(rows.shape[:-1] + (1 << width,), dtype=np.uint32)
     for k in range(width):
         np.bitwise_or(out[..., : 1 << k], rows[..., k : k + 1], out=out[..., 1 << k : 2 << k])
     return out
 
 
 def mask_table_from_rows(rows: list[int]) -> np.ndarray:
-    """`mask_tables_from_rows` of one list of rows, in the narrowest dtype
-    that holds the largest row.  Only lists reach this name, since
-    bench/tracing.py counts 2^len(rows) entries per call."""
+    """`mask_tables_from_rows` of one list of rows, whose length is checked
+    before the rows are converted to uint32.  Only lists reach this name,
+    since bench/tracing.py counts 2^len(rows) entries per call."""
     import numpy as np
 
-    dtype = mask_dtype(max(rows, default=0).bit_length())
-    return mask_tables_from_rows(np.array(rows, dtype=dtype))
+    _check_width(len(rows))
+    return mask_tables_from_rows(np.array(rows, dtype=np.uint32))
 
 
 # maxsize=0 stores nothing; the decorators stay only because

@@ -27,7 +27,6 @@ from .setalg import (
     coset_cover,
     expansion_rows,
     fixed_factor_product,
-    mask_dtype,
     mask_tables_from_rows,
     or_of_rows,
     or_table,
@@ -365,10 +364,9 @@ def petridis_verify(
 
     Both modes compare through `_limit_table`, exactly.  The exhaustive
     mode reads |C*X| and |C*XS| over every mask C from one
-    `mask_tables_from_rows` call in the order's dtype (one row set when
-    XS = X) and one `np.bitwise_count`.  The sampled mode computes
-    C*XS and C*X with `fixed_factor_product`, ceil(n/8) table lookups per
-    product.
+    `mask_tables_from_rows` call (one row set when XS = X) and one
+    `np.bitwise_count`.  The sampled mode computes C*XS and C*X with
+    `fixed_factor_product`, ceil(n/8) table lookups per product.
     """
     X, S, K = result.X, result.S, result.K
     XS = product_set(G, X, S)
@@ -386,7 +384,7 @@ def petridis_verify(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
         factors = [X] if XS == X else [X, XS]
-        rows = np.array([expansion_rows(G, F) for F in factors], dtype=mask_dtype(n))
+        rows = np.array([expansion_rows(G, F) for F in factors], dtype=np.uint32)
         sizes = np.bitwise_count(mask_tables_from_rows(rows))
         size_cx, size_cxs = sizes[0], sizes[-1]
         bad = np.nonzero(size_cxs[1:] > np.array(limit, dtype=np.uint8)[size_cx[1:]])[0]
@@ -433,7 +431,7 @@ class SearchReport:
 def _half_tables(G: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The right (G.cols) and left (G.mul) translations of every mask, as a
     pair (lo, hi) of per-element OR tables each: lo[g] over bits 0..h-1 of
-    the mask and hi[g] over bits h..n-1, h = n // 2, in uint32."""
+    the mask and hi[g] over bits h..n-1, h = n // 2."""
     import numpy as np
 
     h = G.order // 2
@@ -495,7 +493,7 @@ def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
     """
     import numpy as np
 
-    n = G.order  # at most SUBSET_TABLE_LIMIT < 32, so masks are uint32
+    n = G.order
     h = n // 2
     low = np.uint32((1 << h) - 1)
 

@@ -115,6 +115,18 @@ def test_theorem_main_run_with_labels(capsys):
     assert json.loads(out)["config"]["epsilon"] == "1/1"
 
 
+@pytest.mark.parametrize("n", [40, 70])
+@pytest.mark.parametrize("command", [("connectivity", "--solver", "brute"), ("atoms",)],
+                         ids=["connectivity", "atoms"])
+def test_subset_tables_past_the_limit_exit_2(capsys, command, n):
+    code, out, err = run_cli(
+        capsys, *command, "--group", f"cyclic:{n}", "--setS", "0,1", "--K", "1/2",
+        "--order-cap", str(n), "--bruteforce-cap", str(n),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
+
+
 def test_named_set_flag_equivalent(capsys):
     code1, out1, _ = run_cli(capsys, "kneser", "--group", "cyclic:6", "--set", "A=0,1", "--set", "B=0,1")
     code2, out2, _ = run_cli(capsys, "kneser", "--group", "cyclic:6", "--setA", "0,1", "--setB", "0,1")

@@ -227,6 +227,18 @@ def test_bruteforce_size_cap():
     assert res.kappa == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("n", [40, 70])
+def test_bruteforce_refuses_tables_past_the_limit_whatever_the_cap(n):
+    # Masks of order 40 need 33-64 bits and those of order 70 more than any
+    # numpy integer holds; both are refused before a 2^n table is started.
+    G = cyclic(n, order_cap=n)
+    params = CostParams(S=G.subset([0, 1]), K=HALF)
+    with pytest.raises(SizeLimitExceeded):
+        connectivity_bruteforce(G, params, bruteforce_cap=n)
+    with pytest.raises(SizeLimitExceeded):
+        verify_atom_proposition(G, params, bruteforce_cap=n)
+
+
 EXACT_KS = (
     Fraction((1 << 45) - 1, 1 << 45),
     Fraction(1 << 64, (1 << 64) + 1),

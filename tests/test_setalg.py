@@ -8,6 +8,7 @@ from smalldoubling import (
     EmptySet,
     GroupMismatch,
     NotASubgroup,
+    SizeLimitExceeded,
     Subset,
     coset_cover,
     cyclic,
@@ -21,6 +22,7 @@ from smalldoubling import (
     right_stabilizer,
     symmetric,
 )
+from smalldoubling import certificates, setalg, theorems
 from smalldoubling.groups import image
 from smalldoubling.setalg import (
     expansion_rows,
@@ -241,27 +243,63 @@ def _or_of_set_bits(rows, m):
     return out
 
 
-# (n rows, bits of the largest row, the dtype that holds it)
-MASK_TABLE_CASES = [(0, 64, np.uint8), (1, 8, np.uint8), (2, 9, np.uint16), (5, 64, np.uint64),
-                    (10, 24, np.uint32)]
+# (n rows, bits of the largest row); every table is uint32, and 32-bit rows
+# use its top bit
+MASK_TABLE_CASES = [(0, 32), (1, 8), (2, 9), (5, 32), (10, 24)]
 
 
-@pytest.mark.parametrize("n, bits, dtype", MASK_TABLE_CASES, ids=[str(c[0]) for c in MASK_TABLE_CASES])
-def test_mask_table_is_the_or_of_rows_at_every_mask(n, bits, dtype):
+@pytest.mark.parametrize("n, bits", MASK_TABLE_CASES, ids=[str(c[0]) for c in MASK_TABLE_CASES])
+def test_mask_table_is_the_or_of_rows_at_every_mask(n, bits):
     rng = random.Random(n)
     rows = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(n)]
     table = mask_table_from_rows(rows)
-    assert len(table) == 1 << n and table.dtype == dtype
+    assert len(table) == 1 << n and table.dtype == np.uint32
     for m in range(1 << n):
         assert int(table[m]) == _or_of_set_bits(rows, m)
 
     # A 2-D block of uint32 rows, as the Kneser scan passes: each row set
-    # gets its own table, in the block's dtype.
+    # gets its own table.
     block = [[rng.getrandbits(32) for _ in range(n)] for _ in range(3)]
     tables = mask_tables_from_rows(np.array(block, dtype=np.uint32).reshape(3, n))
     assert tables.shape == (3, 1 << n) and tables.dtype == np.uint32
     for rows, table in zip(block, tables):
         assert table.tolist() == [_or_of_set_bits(rows, m) for m in range(1 << n)]
+
+
+@pytest.mark.parametrize("bits", [25, 40, 70])
+def test_mask_table_refuses_more_rows_than_the_limit(bits):
+    # 25 rows is one past SUBSET_TABLE_LIMIT; rows wider than 32 or 64 bits
+    # are refused by the count, before numpy is asked to convert them.
+    with pytest.raises(SizeLimitExceeded):
+        mask_table_from_rows([1 << (bits - 1)] * 25)
+
+
+# One certificate of each command that builds numpy mask tables.
+TABLE_COMMANDS = [
+    ("connectivity", {"group": {"preset": "dihedral", "n": 4}, "sets": {"S": [0, 1]},
+                      "K": "1/2", "solver": "brute_force"}),
+    ("atoms", {"group": {"preset": "dihedral", "n": 4}, "sets": {"S": [0, 1]}, "K": "1/2"}),
+    ("petridis", {"group": {"preset": "dihedral", "n": 5}, "sets": {"A": [0, 1, 5], "S": [0, 5]},
+                  "mode": "exhaustive"}),
+    ("search-kneser-failure", {"group": {"preset": "symmetric", "n": 3}, "strategy": "exhaustive"}),
+]
+
+
+@pytest.mark.parametrize("command, config", TABLE_COMMANDS, ids=[c[0] for c in TABLE_COMMANDS])
+def test_every_mask_table_is_uint32(monkeypatch, command, config):
+    # Spied in every namespace that binds it, as bench/tracing.py patches.
+    original = setalg.mask_tables_from_rows
+    dtypes = []
+
+    def spy(rows):
+        table = original(rows)
+        dtypes.append((rows.dtype.name, table.dtype.name))
+        return table
+
+    for module in (setalg, theorems):
+        monkeypatch.setattr(module, "mask_tables_from_rows", spy)
+    certificates.run(command, config)
+    assert dtypes and set(dtypes) == {("uint32", "uint32")}
 
 
 def test_expansion_rows_for_chosen_elements():
