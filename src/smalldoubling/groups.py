@@ -38,7 +38,8 @@ class GroupTable:
     `mul[a][b]` is the index of a*b.  Everything else about the table is
     derived from `mul` and `identity` at construction: `order`, `inv[a]` (the
     index of a^-1), `cols[b][a]` (a*b again, so `mul[x]` and `cols[x]` are the
-    left and right translations by x as permutations) and `is_abelian`.  The
+    left and right translations by x as permutations), `is_abelian` and
+    `bits[a]` (1 << a, the mask of {a}, shared by the batched kernels).  The
     table must already be a group (`validate_table` checks a raw one); only
     the labels are checked here, for being distinct.  `spec` is a
     JSON-serializable description sufficient to rebuild the table, which
@@ -54,6 +55,7 @@ class GroupTable:
     inv: tuple[int, ...] = field(init=False, repr=False)
     cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     is_abelian: bool = field(init=False)
+    bits: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.mul):
@@ -64,6 +66,7 @@ class GroupTable:
             "inv": tuple(row.index(self.identity) for row in self.mul),
             "cols": cols,
             "is_abelian": self.mul == cols,
+            "bits": tuple(1 << a for a in range(len(self.mul))),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -230,7 +233,9 @@ def direct_product(
     The first factor is the most significant digit.  The table is refined one
     factor at a time: pairing index p of the product so far with index q of
     the next factor (order n) gives index p*n + q, and rows multiply
-    componentwise, so no index is ever decoded.
+    componentwise, so no index is ever decoded.  Row (a, b) maps x*n + y to
+    a[x]*n + b[y]: it is row (a, e), which maps x*n + y to a[x]*n + y, read
+    at the positions x*n + b[y], so each row is one `itemgetter` call.
     """
     if not factors:
         raise InvalidTable("direct product needs at least one factor")
@@ -241,10 +246,14 @@ def direct_product(
 
     mul = factors[0].mul
     for g in factors[1:]:
-        n = g.order
-        mul = tuple(
-            tuple(p * n + q for p in prow for q in grow) for prow in mul for grow in g.mul
-        )
+        n, m = g.order, len(mul)
+        if n == 1:  # p*1 + 0 = p; it also keeps every getter below at two or more items
+            continue
+        blocks = [range(p * n, p * n + n) for p in range(m)]
+        spread = itertools.chain.from_iterable
+        lefts = [tuple(spread(map(blocks.__getitem__, prow))) for prow in mul]
+        reads = [itemgetter(*[p * n + q for p in range(m) for q in grow]) for grow in g.mul]
+        mul = tuple(read(left) for left in lefts for read in reads)
     parts = itertools.product(*(g.labels for g in factors))
     labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)

@@ -3,6 +3,10 @@
 Everything here is integer/bitmask arithmetic; ratios come out as
 `fractions.Fraction`.  `product_mask` is the one-off product: a loop over
 the pairs, and the reference for the faster kernels below.
+`expansion_rows` is the batched one: the translates g*S for many g at once,
+built a column of S at a time from `GroupTable.cols` and `GroupTable.bits`,
+with no Python loop over the rows; `groups.image` stays the kernel for one
+translation.
 
 Subset tables are built here, with one doubling loop per representation:
 entry m is the OR of rows[i] over the set bits i of m, and the masks with
@@ -16,9 +20,11 @@ converted.  Nothing is cached: a table belongs to one certificate's group,
 which no later call shares.
 
 `fixed_factor_product` tabulates the rows g*F by 8-bit chunk with
-`or_table`, so m*F takes ceil(n/8) lookups and needs no numpy.  The numpy
-tables give |A*S| for *every* subset A at once, which makes the exhaustive
-sweeps cheap; `product_size_table` is that size table, as uint8.
+`or_table`, so m*F takes ceil(n/8) lookups and needs no numpy; given several
+factors it packs their rows n bits apart, so the same ceil(n/8) lookups give
+every product m*F at once.  The numpy tables give |A*S| for *every* subset A
+at once, which makes the exhaustive sweeps cheap; `product_size_table` is
+that size table, as uint8.
 
 numpy is imported inside the functions that touch arrays, here and in
 `connectivity` and `theorems`, so that a command without a subset table
@@ -146,11 +152,24 @@ def expansion_rows(
 ) -> list[int]:
     """Row masks g -> g*S for each g of `elements` (default: all of G).
 
-    OR-ing the rows over A gives A*S.
+    OR-ing the rows over A gives A*S.  The rows are built together, one
+    column of S at a time (g*s is cols[s][g]), with no Python loop over the
+    rows: a row of a group table is a permutation, so the bits G.bits[g*s] of
+    one row are distinct and their sum is their OR.  `image` stays the kernel
+    for one translation.
     """
     _check_member(G, S, "S")
-    rows = G.mul if elements is None else [G.mul[g] for g in elements]
-    return [image(row, S.mask) for row in rows]
+    cols = [G.cols[s] for s in iter_bits(S.mask)]
+    if elements is None:
+        count = G.order
+    else:
+        elements = tuple(elements)  # read once per column
+        count = len(elements)
+        cols = [map(col.__getitem__, elements) for col in cols]
+    if not cols:
+        return [0] * count
+    bit = G.bits.__getitem__
+    return list(map(sum, zip(*[map(bit, col) for col in cols])))
 
 
 def or_of_rows(rows: list[int], X: int) -> int:
@@ -169,15 +188,19 @@ def or_table(rows: list[int]) -> list[int]:
     return table
 
 
-def fixed_factor_product(G: GroupTable, F: Subset) -> Callable[[int], int]:
-    """The map m -> bitmask of m*F, for many masks m against one F.
+def fixed_factor_product(G: GroupTable, *factors: Subset) -> Callable[[int], int]:
+    """The map m -> the products m*F of one mask m (below 2^n, n = G.order) by
+    each of `factors`, packed n bits apart: m*factors[i] sits at bit i*n.
 
-    Chunk k of the rows g*F is tabulated over all values of bits 8k..8k+7
-    of m (fewer in the last chunk when 8 does not divide n), so a product
-    takes ceil(n/8) lookups instead of a loop over the pairs.
+    The rows g*F of the factors are packed the same way, and chunk k of them
+    is tabulated with `or_table` over all values of bits 8k..8k+7 of m (fewer
+    in the last chunk when 8 does not divide n), so a call takes ceil(n/8)
+    lookups, however many factors there are, instead of a loop over pairs.
     """
-    rows = expansion_rows(G, F)
-    tables = [or_table(rows[k : k + 8]) for k in range(0, len(rows), 8)]
+    n = G.order
+    packed = [[row << i * n for row in expansion_rows(G, F)] for i, F in enumerate(factors)]
+    rows = list(map(sum, zip(*packed)))
+    tables = [or_table(rows[k : k + 8]) for k in range(0, n, 8)]
 
     def product(mask: int) -> int:
         out = 0

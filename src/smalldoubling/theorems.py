@@ -301,7 +301,7 @@ def petridis_minimizer(
     rows = expansion_rows(G, S, elems)  # local bit i stands for elems[i]
     minimize = _minimize_by_flow if k >= PETRIDIS_FLOW_MIN else _minimize_by_loop
     best, size, card = minimize(rows)
-    X = Subset.from_elements(G.order, [elems[i] for i in iter_bits(best)])
+    X = Subset(G.order, sum(G.bits[elems[i]] for i in iter_bits(best)))
     return PetridisResult(A=A, S=S, X=X, K=Fraction(size, card))
 
 
@@ -339,16 +339,31 @@ def _minimize_by_flow(rows: list[int]) -> tuple[int, int, int]:
         size, card = z_size, z_card
 
 
-def _limit_table(K: Fraction, n: int) -> list[int]:
-    """limit[s] = min(floor(K*s), n) for s = 0..n.
+def _narrow_ratio(p: int, q: int, n: int) -> tuple[int, int]:
+    """(p', q'), both at most n, with q'a > p's exactly when qa > ps, for all
+    integers a, s in [0, n] (p >= 0, q > 0).
 
-    For integers a, s and K = p/q with q > 0, q*a > p*s exactly when
-    a > floor(p*s/q), and capping at n changes nothing for a <= n.  So
-    |C*X*S| > K|C*X| is `size_cxs > limit[size_cx]`: the arithmetic is done
-    once here in Python ints, and the uint8 size tables are only compared.
+    A ratio whose terms are already at most n is kept.  Otherwise K' = p'/q'
+    is the largest of min(floor(K*s), n)/s over 1 <= s <= n, for K = p/q:
+    K' <= K, so a > K*s gives a > K'*s; and a <= K*s with a <= n gives
+    a <= min(floor(K*s), n) <= K'*s.  Only integers are used.
     """
-    p, q = K.numerator, K.denominator
-    return [min(p * s // q, n) for s in range(n + 1)]
+    if p <= n and q <= n:
+        return p, q
+    best = (0, 1)
+    for s in range(1, n + 1):
+        limit = min(p * s // q, n)
+        if limit * best[1] > best[0] * s:
+            best = (limit, s)
+    return best
+
+
+def _exceeds(a: np.ndarray, s: np.ndarray, p: int, q: int) -> np.ndarray:
+    """q*a > p*s elementwise, for uint8 sizes a, s <= n <= 24 and a ratio p/q
+    from `_narrow_ratio`: no product passes 24*24, so uint16 is exact."""
+    import numpy as np
+
+    return np.multiply(a, q, dtype=np.uint16) > np.multiply(s, p, dtype=np.uint16)
 
 
 def petridis_verify(
@@ -362,18 +377,20 @@ def petridis_verify(
     """Check |C*X*S| <= K |C*X| over all nonempty C (exhaustive) or over
     `budget` seeded-random C (sampled).  Any violation is fatal counterevidence.
 
-    Both modes compare through `_limit_table`, exactly.  The exhaustive
-    mode reads |C*X| and |C*XS| over every mask C from one
+    Both modes compare q*|C*X*S| > p*|C*X| in integers, exactly, for the
+    ratio p/q that `_narrow_ratio` makes of K, whose terms are at most n.
+    The exhaustive mode reads |C*X| and |C*XS| over every mask C from one
     `mask_tables_from_rows` call (one row set when XS = X) and one
-    `np.bitwise_count`.  The sampled mode computes C*XS and C*X with
-    `fixed_factor_product`, ceil(n/8) table lookups per product.
+    `np.bitwise_count`, and compares them in uint16 (`_exceeds`).  The
+    sampled mode reads C*X and C*XS together from one `fixed_factor_product`
+    of both factors, ceil(n/8) table lookups per drawn C.
     """
     X, S, K = result.X, result.S, result.K
     XS = product_set(G, X, S)
     n = G.order
-    limit = _limit_table(K, n)
-
-    eq_identity = XS.cardinality == K * X.cardinality  # C = {e}: e*XS = XS, e*X = X
+    # C = {e}: e*XS = XS and e*X = X, so equality there is |XS| = K|X|
+    eq_identity = XS.cardinality * K.denominator == K.numerator * X.cardinality
+    p, q = _narrow_ratio(K.numerator, K.denominator, n)
 
     violations: list[Subset] = []
     if mode == "exhaustive":
@@ -386,21 +403,25 @@ def petridis_verify(
         factors = [X] if XS == X else [X, XS]
         rows = np.array([expansion_rows(G, F) for F in factors], dtype=np.uint32)
         sizes = np.bitwise_count(mask_tables_from_rows(rows))
-        size_cx, size_cxs = sizes[0], sizes[-1]
-        bad = np.nonzero(size_cxs[1:] > np.array(limit, dtype=np.uint8)[size_cx[1:]])[0]
-        for idx in bad[:16]:
-            violations.append(Subset(n, int(idx) + 1))
+        cx, cxs = sizes[0], sizes[-1]
+        # Blocks keep the uint16 temporaries small: full-length ones raised the
+        # peak memory.  C = 0 is never flagged, since 0 > 0 is false.
+        for start in range(0, 1 << n, 1 << 16):
+            stop = start + (1 << 16)
+            bad = _exceeds(cxs[start:stop], cx[start:stop], p, q).nonzero()[0]
+            violations += [Subset(n, start + int(c)) for c in bad[: 16 - len(violations)]]
         checked = (1 << n) - 1
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled verification requires a seed")
         rng = random.Random(seed)
-        times_xs = fixed_factor_product(G, XS)
-        times_x = times_xs if XS == X else fixed_factor_product(G, X)
+        times_x_xs = fixed_factor_product(G, X, XS)  # C*X, then C*XS above bit n
+        full = (1 << n) - 1
         for _ in range(budget):
             cmask = rng.randrange(1, 1 << n)
-            lhs, rhs = times_xs(cmask).bit_count(), times_x(cmask).bit_count()
-            if lhs > limit[rhs] and len(violations) < 16:
+            both = times_x_xs(cmask)
+            size_cx = (both & full).bit_count()
+            if q * (both.bit_count() - size_cx) > p * size_cx and len(violations) < 16:
                 violations.append(Subset(n, cmask))
         checked = budget
     else:

@@ -2,8 +2,9 @@
 Kneser search, each against its plain reference.
 
 - `setalg.fixed_factor_product` against `product_mask`, at widths that are
-  and are not multiples of 8, up to order 64;
-- `theorems._limit_table` against the integer comparison q*a > p*s;
+  and are not multiples of 8, up to order 64, with one and two factors;
+- `theorems._narrow_ratio`, and the uint16 comparison `_exceeds` of the
+  exhaustive Petridis check, against the Fraction comparison a > K*s;
 - `theorems._fails` against the plain-set oracle.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from smalldoubling import Subset, dihedral
 from smalldoubling.setalg import fixed_factor_product, product_mask
-from smalldoubling.theorems import _fails, _limit_table
+from smalldoubling.theorems import _exceeds, _fails, _narrow_ratio
 from oracles import naive_kneser_fails
 from test_setalg import GROUPS
 
@@ -33,8 +34,11 @@ def _mask(data, G, label):
 def test_fixed_factor_product_matches_product_mask(data):
     G = data.draw(st.sampled_from(WIDE), label="group")
     F = _mask(data, G, "F")
+    E = _mask(data, G, "E")
     C = _mask(data, G, "C")
     assert fixed_factor_product(G, Subset(G.order, F))(C) == product_mask(G, C, F)
+    both = fixed_factor_product(G, Subset(G.order, F), Subset(G.order, E))(C)
+    assert both == product_mask(G, C, F) | product_mask(G, C, E) << G.order
 
 
 @pytest.mark.parametrize("G", WIDE, ids=lambda g: g.name)
@@ -48,28 +52,37 @@ def test_fixed_factor_product_of_the_empty_and_the_full_set(G):
 
 
 HUGE = Fraction(2**61 + 1, 2**61)
+TERM = st.one_of(st.integers(0, 30), st.integers(0, 2**70))
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 2**70),
-    st.integers(1, 2**70),
-    st.integers(1, 64),
-)
+@given(TERM, TERM.map(lambda q: q + 1), st.integers(1, 70))
 @example(HUGE.numerator, HUGE.denominator, 64)
+@example(HUGE.numerator, HUGE.denominator, 24)
+@example(2**62 - 1, 2**62 - 3, 24)
 @example(2**61 + 1, 1, 64)
 @example(1, 2**61 + 1, 64)
+@example(25, 1, 24)  # K > n: nothing exceeds it
+@example(24, 1, 24)
+@example(3, 7, 20)  # K < 1
+@example(0, 1, 5)
 def test_limit_table_comparison_is_the_exact_one(p, q, n):
+    """Every pair (a, s) = (|C*X*S|, |C*X|) in [0, n]^2: the narrowed ratio,
+    in Python ints and, for n <= 24, in the exhaustive uint16 comparison,
+    agrees with a > K*s in Fractions."""
     import numpy as np
 
     K = Fraction(p, q)
-    limit = _limit_table(K, n)
-    table = np.array(limit, dtype=np.uint8)
-    sizes = np.arange(n + 1, dtype=np.uint8)
-    for a in range(n + 1):
-        exact = [K.denominator * a > K.numerator * s for s in range(n + 1)]
-        assert [a > limit[s] for s in range(n + 1)] == exact
-        assert (np.full(n + 1, a, dtype=np.uint8) > table[sizes]).tolist() == exact
+    narrow_p, narrow_q = _narrow_ratio(p, q, n)
+    assert 0 <= narrow_p <= max(p, n) and 1 <= narrow_q <= max(q, n)
+    if max(p, q) > n:
+        assert narrow_p <= n and narrow_q <= n
+    pairs = [(a, s) for a in range(n + 1) for s in range(n + 1)]
+    exact = [a > K * s for a, s in pairs]
+    assert [narrow_q * a > narrow_p * s for a, s in pairs] == exact
+    if n <= 24:
+        a, s = np.array(pairs, dtype=np.uint8).T
+        assert _exceeds(a, s, narrow_p, narrow_q).tolist() == exact
 
 
 @settings(max_examples=300, deadline=None)

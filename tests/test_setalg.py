@@ -302,6 +302,22 @@ def test_every_mask_table_is_uint32(monkeypatch, command, config):
     assert dtypes and set(dtypes) == {("uint32", "uint32")}
 
 
+@pytest.mark.parametrize(
+    "G", [cyclic(8), dihedral(5), symmetric(4), cyclic(70, order_cap=70)], ids=lambda g: g.name
+)
+def test_expansion_rows_match_image_row_by_row(G):
+    n = G.order
+    rng = random.Random(n)
+    chosen = rng.sample(range(n), 5)
+    for size in (0, 1, 2, n // 2, n):
+        S = Subset(n, sum(1 << s for s in rng.sample(range(n), size)))
+        expect = [image(row, S.mask) for row in G.mul]
+        assert expansion_rows(G, S) == expect
+        assert expansion_rows(G, S, chosen) == [expect[g] for g in chosen]
+        assert expansion_rows(G, S, iter(chosen)) == [expect[g] for g in chosen]
+        assert expansion_rows(G, S, []) == []
+
+
 def test_expansion_rows_for_chosen_elements():
     G = dihedral(5)
     S = G.subset([1, 6, 8])

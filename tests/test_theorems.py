@@ -44,7 +44,7 @@ from smalldoubling import theorems
 from smalldoubling.certificates import run
 from smalldoubling.cli import main
 from smalldoubling.schema import COMMANDS
-from smalldoubling.setalg import expansion_rows
+from smalldoubling.setalg import expansion_rows, product_mask
 from smalldoubling.theorems import (
     _minimize_by_flow,
     _minimize_by_loop,
@@ -399,6 +399,35 @@ def test_petridis_verify_reports_the_violations_of_a_lowered_k(factor):
     draws = [rng.randrange(1, 1 << n) for _ in range(400)]
     ver = petridis_verify(G, low, "sampled", budget=400, seed=11)
     assert [c.mask for c in ver.violations] == [c for c in draws if violated(c)][:16]
+
+
+SAMPLED_GROUPS = {
+    "D8": dihedral(8),
+    "D8xZ4": direct_product([dihedral(8), cyclic(4)]),
+    "Z70": cyclic(70, order_cap=70),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLED_GROUPS))
+def test_sampled_petridis_flags_what_a_reference_loop_flags(name):
+    # K' = 1 + 2^-62 is exceeded exactly where |C*X*S| > |C*X|, so some of
+    # the draws violate it and some do not; its terms are narrowed first.
+    G = SAMPLED_GROUPS[name]
+    n = G.order
+    res = petridis_minimizer(G, G.subset(range(5)), G.subset([0, 1, n - 1]))
+    low = dataclasses.replace(res, K=Fraction(2**62 + 1, 2**62))
+    XS = product_mask(G, res.X.mask, res.S.mask)
+    rng = random.Random(n)
+    flagged = []
+    for _ in range(200):
+        cmask = rng.randrange(1, 1 << n)
+        cxs, cx = product_mask(G, cmask, XS), product_mask(G, cmask, res.X.mask)
+        if cxs.bit_count() > low.K * cx.bit_count():
+            flagged.append(cmask)
+    assert 16 < len(flagged) < 200
+    ver = petridis_verify(G, low, "sampled", budget=200, seed=n)
+    assert [c.mask for c in ver.violations] == flagged[:16]
+    assert (ver.checked, ver.ok) == (200, False)
 
 
 TABLE_CONFIGS = {
