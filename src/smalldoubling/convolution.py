@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import EmptySet, GroupMismatch
-from .groups import GroupTable, _check_member, image
-from .setalg import inverse_set, product_set
+from .groups import GroupTable, _check_member
+from .setalg import expansion_rows, inverse_set, product_set
 from .subsets import Subset
 
 
@@ -96,10 +96,8 @@ def autocorrelation(G: GroupTable, A: Subset) -> GroupFunction:
     _check_member(G, A, "A")
     if A.is_empty:
         raise EmptySet("autocorrelation of the empty set")
-    card = A.cardinality
-    values = tuple(
-        Fraction((A.mask & image(row, A.mask)).bit_count(), card) for row in G.mul
-    )
+    mask, card = A.mask, A.cardinality
+    values = tuple(Fraction((mask & xA).bit_count(), card) for xA in expansion_rows(G, A))
     return GroupFunction(G.order, values)
 
 

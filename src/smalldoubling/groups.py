@@ -1,8 +1,9 @@
 """Finite groups as explicit Cayley tables.
 
-Elements are dense indices 0..n-1 and the identity sits at index 0 in every
-preset.  Tables are immutable after construction; every operation here is a
-pure function, so concurrent readers need no coordination.
+Elements are dense indices 0..n-1.  The presets put the identity at index 0,
+but no builder declares it: every table reads its identity from its rows.
+Tables are immutable after construction; every operation here is a pure
+function, so concurrent readers need no coordination.
 
 The cyclic, dihedral and generalized quaternion presets share one
 presentation, <a, b | a^m = e, b^2 = a^t, ba = a^-1 b> with t = 0 for D_m and
@@ -36,22 +37,23 @@ class GroupTable:
     """A finite group presented by its multiplication table.
 
     `mul[a][b]` is the index of a*b.  Everything else about the table is
-    derived from `mul` and `identity` at construction: `order`, `inv[a]` (the
-    index of a^-1), `cols[b][a]` (a*b again, so `mul[x]` and `cols[x]` are the
-    left and right translations by x as permutations), `is_abelian` and
-    `bits[a]` (1 << a, the mask of {a}, shared by the batched kernels).  The
-    table must already be a group (`validate_table` checks a raw one); only
-    the labels are checked here, for being distinct.  `spec` is a
-    JSON-serializable description sufficient to rebuild the table, which
-    `direct_product` reads to describe its factors.
+    derived from `mul` at construction: `order`, `identity` (the index whose
+    row is the identity permutation), `inv[a]` (the index of a^-1),
+    `cols[b][a]` (a*b again, so `mul[x]` and `cols[x]` are the left and right
+    translations by x as permutations), `is_abelian` and `bits[a]` (1 << a,
+    the mask of {a}, shared by the batched kernels).  The table must already
+    be a group (`validate_table` checks a raw one); only the labels are
+    checked here, for being distinct.  `spec` is a JSON-serializable
+    description sufficient to rebuild the table, which `direct_product`
+    reads to describe its factors.
     """
 
     mul: tuple[tuple[int, ...], ...]
-    identity: int
     labels: tuple[str, ...]
     name: str
     spec: dict = field(repr=False)
     order: int = field(init=False)
+    identity: int = field(init=False)
     inv: tuple[int, ...] = field(init=False, repr=False)
     cols: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     is_abelian: bool = field(init=False)
@@ -61,9 +63,12 @@ class GroupTable:
         if len(set(self.labels)) != len(self.mul):
             raise InvalidTable("labels are not distinct", witness=("labels", ()))
         cols = tuple(zip(*self.mul))
+        # In a group only the identity's row is the identity permutation.
+        identity = self.mul.index(tuple(range(len(self.mul))))
         derived = {
             "order": len(self.mul),
-            "inv": tuple(row.index(self.identity) for row in self.mul),
+            "identity": identity,
+            "inv": tuple(row.index(identity) for row in self.mul),
             "cols": cols,
             "is_abelian": self.mul == cols,
             "bits": tuple(1 << a for a in range(len(self.mul))),
@@ -165,7 +170,7 @@ def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise InvalidTable(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, order_cap, f"cyclic({n})")
     labels = tuple(str(i) for i in range(n))
-    return GroupTable(_dicyclic(n), 0, labels, f"Z{n}", {"preset": "cyclic", "n": n})
+    return GroupTable(_dicyclic(n), labels, f"Z{n}", {"preset": "cyclic", "n": n})
 
 
 def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -174,7 +179,7 @@ def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise InvalidTable(f"dihedral group needs n >= 1, got {n}")
     _check_cap(2 * n, order_cap, f"dihedral({n})")
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
-    return GroupTable(_dicyclic(n, 0), 0, labels, f"D{n}", {"preset": "dihedral", "n": n})
+    return GroupTable(_dicyclic(n, 0), labels, f"D{n}", {"preset": "dihedral", "n": n})
 
 
 def _cycle_label(perm: tuple[int, ...]) -> str:
@@ -208,7 +213,7 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     index = {q(perms[0]): i for i, q in enumerate(compose)}
     mul = tuple(tuple(index[q(p)] for q in compose) for p in perms)
     labels = tuple(_cycle_label(p) for p in perms)
-    return GroupTable(mul, 0, labels, f"S{n}", {"preset": "symmetric", "n": n})
+    return GroupTable(mul, labels, f"S{n}", {"preset": "symmetric", "n": n})
 
 
 def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -222,7 +227,7 @@ def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     powers = ["", "a", *(f"a{i}" for i in range(2, 2 * n))]  # a^i; a^0 b is "b"
     labels = ("e", *powers[1:], *(power + "b" for power in powers))
     spec = {"preset": "quaternion", "n": n}
-    return GroupTable(_dicyclic(2 * n, n), 0, labels, f"Q{4 * n}", spec)
+    return GroupTable(_dicyclic(2 * n, n), labels, f"Q{4 * n}", spec)
 
 
 def direct_product(
@@ -258,7 +263,7 @@ def direct_product(
     labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)
     spec = {"preset": "direct_product", "factors": [g.spec for g in factors]}
-    return GroupTable(mul, 0, labels, name, spec)
+    return GroupTable(mul, labels, name, spec)
 
 
 def from_table(
@@ -271,7 +276,7 @@ def from_table(
     """Build a group from an explicit table, validating every axiom first."""
     n = len(mul)
     _check_cap(n, order_cap, "table group")
-    identity = validate_table(mul)
+    validate_table(mul)
     table = tuple(tuple(map(int, row)) for row in mul)
     if labels is None:
         label_tuple = tuple(str(i) for i in range(n))
@@ -280,7 +285,7 @@ def from_table(
             raise InvalidTable(f"got {len(labels)} labels for order {n}")
         label_tuple = tuple(str(x) for x in labels)
     spec = {"table": [list(row) for row in table], "labels": list(label_tuple)}
-    return GroupTable(table, identity, label_tuple, name, spec)
+    return GroupTable(table, label_tuple, name, spec)
 
 
 # Every one-parameter preset: its builder and the least n it accepts.  The

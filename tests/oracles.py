@@ -37,6 +37,15 @@ def mixed_radix_decode(x, radices):
     return tuple(reversed(digits))
 
 
+def relabel(mul, perm):
+    """The table `mul` with each element a renamed perm[a]."""
+    out = [[None] * len(mul) for _ in mul]
+    for a, row in enumerate(mul):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
 def naive_table_violation(mul):
     """The first violated group axiom of a raw table, as (axiom, witness), or None.
 

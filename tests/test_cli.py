@@ -11,6 +11,7 @@ from smalldoubling.cli import main, parse_group_spec, parse_set_elements
 from smalldoubling.errors import TheoryViolation, UsageError
 from smalldoubling.groups import from_spec, symmetric
 from test_certificates import all_cases
+from test_payload_digests import TABLE_S3
 
 
 def run_cli(capsys, *argv):
@@ -501,6 +502,26 @@ def test_group_file_input(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["holds"] is True
     assert payload["sum"]["labels"] == ["e", "a", "b", "ab"]
+
+
+def test_a_product_of_a_table_reads_its_identity_atom(tmp_path, capsys):
+    """The identity of TABLE_S3 is index 1, and so is that of its one-factor product."""
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"preset": "direct_product", "factors": [TABLE_S3]}))
+    code, out, _ = run_cli(capsys, "atoms", "--group", str(path), "--setS", "0", "--K", "1/2")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["ok"] is True
+    assert payload["identity_atom"] == {"indices": [1], "labels": ["(e)"]}
+
+
+def test_a_negative_rational_needs_the_equals_form(capsys):
+    """argparse reads the -1/2 of `--K -1/2` as a flag, not as the value."""
+    argv = ("connectivity", "--group", "cyclic:8", "--setS", "0,1")
+    assert_usage_error(capsys, *argv, "--K", "-1/2")
+    code, out, _ = run_cli(capsys, *argv, "--K=-1/2")
+    assert code == 0
+    assert json.loads(out)["config"]["K"] == "-1/2"
 
 
 def test_determinism_across_invocations(capsys):

@@ -42,6 +42,7 @@ from oracles import (
     naive_table_violation,
 )
 from test_cli import _nested_product
+from test_payload_digests import TABLE_S3
 
 PRESET_SAMPLE = [
     cyclic(1),
@@ -320,7 +321,8 @@ def _check_product(P, factors):
     )
     assert P.name == "x".join(g.name for g in factors)
     assert P.spec == {"preset": "direct_product", "factors": [g.spec for g in factors]}
-    assert P.identity == 0
+    assert coords[P.identity] == tuple(g.identity for g in factors)
+    assert P.mul[P.identity] == tuple(range(P.order))
     assert P.is_abelian == all(g.is_abelian for g in factors)
 
 
@@ -332,6 +334,10 @@ def test_direct_product_is_componentwise():
     nested = from_spec({"preset": "direct_product", "factors": [{"preset": "quaternion", "n": 2}, klein]})
     _check_product(nested, [quaternion(2), from_spec(klein)])
     assert nested.label(3) == "(e,(1,1))"
+    # Factors whose identity is not index 0: Z3 at index 2, S3 at index 1.
+    z3, s3 = from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]]), from_spec(TABLE_S3)
+    for factors in ([z3], [s3], [z3, cyclic(2)], [cyclic(2), s3], [s3, z3], [z3, s3, z3]):
+        _check_product(direct_product(factors), factors)
 
 
 def test_direct_product_of_many_factors():

@@ -10,7 +10,8 @@ numpy table pass it replaced), sampled Petridis verification, the minimizer
 at the subset and order caps, brute force and atoms at order 16, the
 multi-coset branch of the structure theorem, both branches and the
 subgroup-restricted solver at order 64 (the identity atom's min cut), and an
-explicit table whose identity is not index 0.
+explicit table whose identity is not index 0.  A product of such tables must
+certify exactly as the explicit table it builds.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
 plan at seed 1 (30 `certify`, 6 `lattice`, 7 `powerset`), each with the
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from smalldoubling.certificates import make_record, run
+from smalldoubling.groups import from_spec
 from smalldoubling.schema import validate_record
 from test_certificates import all_cases
 
@@ -221,3 +223,58 @@ def test_workload_payload_digest(case):
     assert hashlib.sha256(payload.encode()).hexdigest() == case["sha256"]
     # make_record checks nothing; the whole record must still pass the check.
     validate_record(make_record(case["command"], case["config"], recomputed))
+
+
+# Products whose factors have their identity off index 0.  SWAP is Z2 with
+# its identity at index 1, so (e, 0) is index 2 of SWAP x Z2.
+SWAP = {"table": [[1, 0], [0, 1]]}
+PRODUCTS = {
+    "S3": {"preset": "direct_product", "factors": [TABLE_S3]},
+    "S3xZ2": {"preset": "direct_product", "factors": [TABLE_S3, Z2]},
+    "SWAPxZ2": {"preset": "direct_product", "factors": [SWAP, Z2]},
+}
+
+# One config per command (two solvers for connectivity, two strategies for
+# the scan), with sets that fit every product above.
+ANY_GROUP = [
+    ("doubling", {"sets": {"A": [0, 1]}}),
+    ("connectivity", {"sets": {"S": [0, 1]}, "K": "1/2"}),
+    ("connectivity", {"sets": {"S": [0, 3]}, "K": "2/3", "solver": "brute_force",
+                      "fragments": True}),
+    ("atoms", {"sets": {"S": [0]}, "K": "1/2"}),
+    ("kneser", {"sets": {"A": [0], "B": [0]}}),
+    ("corollary-kn", {"sets": {"A": [0, 1]}, "epsilon": "1/2"}),
+    ("theorem-main", {"sets": {"A": [0, 1], "S": [0, 1]}, "epsilon": "1/1"}),
+    ("petridis", {"sets": {"A": [0, 1, 3], "S": [0, 2]}, "mode": "exhaustive", "budget": 4095}),
+    ("conv-gap", {"sets": {"A": [0, 1]}}),
+    ("conv-smooth", {"sets": {"A": [0, 1], "S": [0, 1]}, "threshold": "1/3"}),
+    ("search-kneser-failure", {"strategy": "exhaustive"}),
+    ("search-kneser-failure", {"strategy": "random", "seed": 5, "budget": 200}),
+]
+
+
+def _outcome(command, config):
+    """The payload without its group name, or the class of the error raised."""
+    try:
+        payload = run(command, config)
+    except Exception as exc:
+        return type(exc).__name__
+    del payload["group"]
+    return payload
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_a_product_certifies_as_its_own_table(name):
+    spec = PRODUCTS[name]
+    P = from_spec(spec)
+    table = {"table": [list(row) for row in P.mul], "labels": list(P.labels)}
+    for command, config in ANY_GROUP:
+        assert _outcome(command, {**config, "group": spec}) == _outcome(
+            command, {**config, "group": table}
+        ), (command, config)
+
+
+def test_the_stabilizer_of_a_product_is_read_from_its_identity():
+    payload = run("kneser", {"group": PRODUCTS["SWAPxZ2"], "sets": {"A": [0], "B": [0]}})
+    assert payload["sum"]["indices"] == payload["stabilizer"]["indices"] == [2]
+    assert payload["holds"] is True
