@@ -146,6 +146,8 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
     else:
         if fragments:
             raise UsageError("fragment inventories need the brute_force solver")
+        if not classify_atom:
+            raise UsageError("fragments-only output needs the brute_force solver")
         res = conn_mod.connectivity_subgroup_solver(G, params)
     return {
         "set_s": subset_payload(G, S),

@@ -119,8 +119,8 @@ def _add_common(parser: argparse.ArgumentParser, *, sets: tuple[str, ...]) -> No
     )
     for name in sets:
         parser.add_argument(
-            f"--set{name}", dest=f"set_{name}", metavar="ELEMS",
-            help=f"shorthand for --set {name}=...",
+            f"--set{name}", action="append", dest="set", type=f"{name}={{}}".format,
+            metavar="ELEMS", help=f"shorthand for --set {name}=...",
         )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", help="write the record to this file (atomically)")
@@ -137,7 +137,7 @@ def _add_option(parser: argparse.ArgumentParser, name: str, opt: Option) -> None
     kwargs = {
         "int": {"type": int},
         "rational": {"type": _rational_arg},
-        "choice": {"choices": list(opt.aliases or opt.choices)},
+        "choice": {"choices": [*opt.choices, *(opt.aliases or ())]},
     }[opt.kind]
     parser.add_argument(
         flag, dest=name, required=opt.required, default=opt.default, help=opt.help, **kwargs
@@ -187,20 +187,14 @@ def _resolve_caps(args) -> dict:
     return caps
 
 
-def _collect_sets(args, G: groups.GroupTable, names: tuple[str, ...]) -> dict:
-    given: list[tuple[str, str]] = []
-    for entry in args.set:
+def _collect_sets(args, G: groups.GroupTable) -> dict:
+    raw: dict[str, str] = {}
+    for entry in args.set:  # --set NAME=ELEMS and --setNAME ELEMS alike
         if "=" not in entry:
             raise UsageError(f"--set needs NAME=ELEMS, got {entry!r}")
         name, _, elems = entry.partition("=")
-        given.append((name.strip(), elems))
-    for name in names:
-        alias = getattr(args, f"set_{name}", None)
-        if alias is not None:
-            given.append((name, alias))
-    raw: dict[str, str] = {}
-    for name, elems in given:
-        if name in raw:  # through --set twice, or --set and its shorthand
+        name = name.strip()
+        if name in raw:
             raise UsageError(f"set {name!r} is given more than once")
         raw[name] = elems
     # Missing and unknown set names are refused with the rest of the config.
@@ -217,7 +211,7 @@ def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
     # and invalid tables before any solver runs.  The run reuses the group.
     G = groups._build_spec(group_spec, caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
-    sets = _collect_sets(args, G, entry.sets)
+    sets = _collect_sets(args, G)
     if sets:
         config["sets"] = sets
     for name, opt in entry.options.items():

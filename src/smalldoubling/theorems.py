@@ -14,13 +14,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .connectivity import CostParams, _min_cut_sides, connectivity_subgroup_solver
-from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded
+from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
 from .groups import (
     DEFAULT_SUBSET_SEARCH_CAP,
     SUBSET_TABLE_LIMIT,
     GroupTable,
     _check_member,
-    right_coset,
 )
 from .setalg import (
     CoverCertificate,
@@ -196,12 +195,11 @@ def weak_kneser_check(
     assert H is not None
     sharp_bound = (Fraction(2) / epsilon - 1) * S.cardinality
 
-    s0 = S.elements()[0]
-    single = S.issubset(right_coset(G, H, s0))
+    cover = coset_cover(G, H, S, side="right")
     violations: list[str] = []
-    cover = None
-    if single:
+    if cover.count == 1:  # S lies in one right coset of H
         branch = "single_right_coset"
+        cover = None
         bound_H = Fraction(2) / epsilon * S.cardinality
         if H.cardinality > bound_H:
             violations.append(
@@ -210,7 +208,6 @@ def weak_kneser_check(
     else:
         branch = "multi_coset_cover"
         bound_H = Fraction(S.cardinality)
-        cover = coset_cover(G, H, S, side="right")
         if H.cardinality > S.cardinality:
             violations.append(
                 f"multi-coset branch: |H| = {H.cardinality} > |S| = {S.cardinality}"
@@ -633,7 +630,7 @@ def kneser_violation_scan(
         # Independent re-verification through the plain (non-tabulated) path.
         report = _kneser_report(G, Subset(n, amask), Subset(n, bmask))
         if report.holds:
-            raise AssertionError(
+            raise TheoryViolation(
                 f"scan flagged ({amask:#x}, {bmask:#x}) but recomputation passes"
             )
         reports.append(report)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from smalldoubling import certificates, groups, schema
+from smalldoubling import certificates, groups, schema, theorems
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
 from smalldoubling.errors import TheoryViolation, UsageError
 from smalldoubling.groups import from_spec, symmetric
@@ -165,11 +165,6 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "nonsense")
     assert code == 2
 
-    # A set given twice is refused, not silently replaced by one of the two.
-    twice = ("doubling", "--group", "cyclic:4", "--set", "A=0,1,2")
-    assert_usage_error(capsys, *twice, "--set", "A=0,1")
-    assert_usage_error(capsys, *twice, "--setA", "0")
-
     # An inline spec gets the group check of a certificate's config.
     assert_usage_error(capsys, "doubling", "--group", "quaternion:1", "--setA", "0")
     assert_usage_error(capsys, "doubling", "--group", "cyclic:4xdihedral:0", "--setA", "0")
@@ -177,6 +172,23 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "kneser", "--group", "sym:3", "--setA", "0", "--setB", "0")
     assert code == 2  # NotAbelian surfaces as a precondition error
     assert json.loads(err)["error"]["code"] == "NotAbelian"
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [(("--set", "A=0,1,2"), ("--set", "A=0,1")),
+     (("--setA", "0"), ("--setA", "1,2")),
+     (("--setA", "0"), ("--set", "A=1")),
+     (("--set", "A=0"), ("--setA", "1"))],
+)
+def test_a_set_named_twice_is_refused(capsys, first, second):
+    # A set given twice is refused, not silently replaced by one of the two,
+    # through any mix of --set and its shorthand.
+    code, out, err = run_cli(capsys, "doubling", "--group", "cyclic:4", *first, *second)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "code": "UsageError", "message": "set 'A' is given more than once"
+    }
 
 
 def test_connectivity_solvers_and_fragments(capsys):
@@ -233,6 +245,37 @@ def test_connectivity_solvers_and_fragments(capsys):
     )
     assert code == 0
     assert json.loads(out)["payload"]["kappa"] == "0/1"
+
+
+def test_solver_takes_the_config_spelling_and_its_alias(capsys):
+    argv = ("connectivity", "--group", "dihedral:4", "--setS", "0,1", "--K", "1/2")
+    for alias, spelling in [("brute", "brute_force"), ("subgroup", "subgroup_restricted")]:
+        records = []
+        for solver in (alias, spelling):
+            code, out, _ = run_cli(capsys, *argv, "--solver", solver)
+            assert code == 0
+            record = json.loads(out)
+            del record["meta"]  # wall time
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["config"]["solver"] == spelling
+
+
+def test_no_atom_needs_the_brute_force_solver(tmp_path, capsys):
+    argv = ("connectivity", "--group", "cyclic:8", "--setS", "0,1", "--K", "1/2")
+    code, _, err = run_cli(capsys, *argv, "--no-atom")
+    assert code == 2
+    assert json.loads(err)["error"] == {
+        "code": "UsageError", "message": "fragments-only output needs the brute_force solver"
+    }
+
+    # A stored record that asks for it is refused on replay too.
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, *argv, "--out", str(cert))[0] == 0
+    record = json.loads(cert.read_text())
+    record["config"]["classify_atom"] = False
+    cert.write_text(json.dumps(record))
+    assert_usage_error(capsys, "recheck", str(cert))
 
 
 def test_atoms_run(capsys):
@@ -447,6 +490,19 @@ def test_theory_violation_exits_1(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:4", "--setA", "0")
     assert code == 1
     assert json.loads(err)["error"] == {"code": "TheoryViolation", "message": "two identity atoms"}
+
+
+def test_a_flagged_pair_that_holds_is_a_theory_violation(monkeypatch, capsys):
+    # {e} * {e} = {e} satisfies Kneser, so the scan's re-verification refuses it.
+    monkeypatch.setattr(theorems, "_orbit_scan", lambda G: [(1, 1)])
+    config = {"group": {"preset": "symmetric", "n": 3}, "strategy": "exhaustive"}
+    with pytest.raises(TheoryViolation, match="recomputation passes"):
+        certificates.run("search-kneser-failure", config)
+    code, out, err = run_cli(
+        capsys, "search", "kneser-failure", "--group", "sym:3", "--strategy", "exhaustive"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "TheoryViolation"
 
 
 def test_text_format(capsys):

@@ -41,9 +41,11 @@ def test_parser_commands_are_the_table():
     assert commands.pop("recheck") == ("recheck",)
     assert commands == {name: entry.path for name, entry in COMMANDS.items()}
     for entry in COMMANDS.values():
-        dests = {a.dest for a in leaves[entry.path]._actions}
-        assert set(entry.options) <= dests
-        assert {f"set_{name}" for name in entry.sets} <= dests
+        actions = leaves[entry.path]._actions
+        assert set(entry.options) <= {a.dest for a in actions}
+        # Each --set<name> shorthand appends to the one --set list.
+        flag_dests = {flag: a.dest for a in actions for flag in a.option_strings}
+        assert {flag_dests.get(f"--set{name}") for name in entry.sets} <= {"set"}
 
 
 def _argv(command, config, tmp_path):
