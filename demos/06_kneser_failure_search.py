@@ -11,7 +11,7 @@ from smalldoubling import dihedral, kneser_violation_scan, quaternion, symmetric
 
 
 def show(G, subset):
-    return "{" + ", ".join(G.label(i) for i in subset.elements()) + "}"
+    return "{" + ", ".join(G.labels[i] for i in subset.elements()) + "}"
 
 
 D6 = dihedral(6)

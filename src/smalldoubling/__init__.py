@@ -17,8 +17,6 @@ _EXPORTS = {
         "AtomPropositionReport",
         "ConnectivityResult",
         "CostParams",
-        "SubmodularityReport",
-        "check_submodularity",
         "connectivity_bruteforce",
         "connectivity_subgroup_solver",
         "cost",
@@ -49,16 +47,13 @@ _EXPORTS = {
     "groups": (
         "GroupTable",
         "catalogue",
-        "closure",
         "cyclic",
         "dihedral",
         "direct_product",
         "enumerate_subgroups",
         "from_spec",
         "from_table",
-        "is_subgroup",
         "quaternion",
-        "right_coset",
         "symmetric",
         "validate_table",
     ),

@@ -43,13 +43,6 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class SubmodularityReport:
-    lhs: Fraction  # c(A|B) + c(A&B)
-    rhs: Fraction  # c(A) + c(B)
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ConnectivityResult:
     params: CostParams
     kappa: Fraction
@@ -68,15 +61,6 @@ def cost(G: GroupTable, params: CostParams, A: Subset) -> Fraction:
         return Fraction(0)
     size = product_mask(G, A.mask, params.S.mask).bit_count()
     return size - params.K * A.cardinality
-
-
-def check_submodularity(
-    G: GroupTable, params: CostParams, A: Subset, B: Subset
-) -> SubmodularityReport:
-    """c(A|B) + c(A&B) <= c(A) + c(B); a False result signals a bug."""
-    lhs = cost(G, params, A | B) + cost(G, params, A & B)
-    rhs = cost(G, params, A) + cost(G, params, B)
-    return SubmodularityReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
 
 
 def _check_k(K: Fraction, classify_atom: bool) -> None:

@@ -49,12 +49,8 @@ class KOutOfRange(SmallDoublingError):
 
 
 class HypothesisFailed(SmallDoublingError):
-    """A theorem checker's hypothesis does not hold; carries the inequality."""
-
-    def __init__(self, message: str, lhs=None, rhs=None):
-        super().__init__(message)
-        self.lhs = lhs
-        self.rhs = rhs
+    """A theorem checker's hypothesis does not hold; its message states the
+    failed inequality with both sides evaluated."""
 
 
 class TheoryViolation(SmallDoublingError):

@@ -79,14 +79,8 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
-    def label(self, index: int) -> str:
-        return self.labels[index]
-
     def subset(self, elements: Iterable[int]) -> Subset:
         return Subset.from_elements(self.order, elements)
-
-    def full_subset(self) -> Subset:
-        return Subset.full(self.order)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
@@ -396,10 +390,6 @@ def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
     )
 
 
-def is_subgroup(G: GroupTable, H: Subset) -> bool:
-    return H.group_order == G.order and is_subgroup_mask(G, H.mask)
-
-
 def _generate(G: GroupTable, H: int, members: Sequence[int], gens: Sequence[int]) -> int:
     """Mask of the subgroup generated by `gens`, given the mask `H` (elements
     `members`) of a subgroup of it.
@@ -420,13 +410,6 @@ def _generate(G: GroupTable, H: int, members: Sequence[int], gens: Sequence[int]
                     H |= 1 << mul[h][z]
                 reps.append(z)
     return H
-
-
-def closure(G: GroupTable, gens: Subset) -> Subset:
-    """Smallest subgroup containing `gens`; the empty set generates {e}."""
-    _check_member(G, gens, "gens")
-    e = G.identity
-    return Subset(G.order, _generate(G, 1 << e, (e,), tuple(iter_bits(gens.mask))))
 
 
 def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
@@ -467,12 +450,6 @@ def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
 def enumerate_subgroups(G: GroupTable) -> tuple[Subset, ...]:
     """All subgroups of G, sorted by (cardinality, bit-lexicographic order)."""
     return tuple(Subset(G.order, m) for m in _subgroup_masks(G))
-
-
-def right_coset(G: GroupTable, H: Subset, g: int) -> Subset:
-    """H*g."""
-    _check_member(G, H, "H")
-    return Subset(G.order, image(G.cols[g], H.mask))
 
 
 def catalogue(max_order: int) -> tuple[GroupTable, ...]:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import EmptySet, NotASubgroup, SizeLimitExceeded
-from .groups import SUBSET_TABLE_LIMIT, GroupTable, _check_member, image, is_subgroup
+from .groups import SUBSET_TABLE_LIMIT, GroupTable, _check_member, image, is_subgroup_mask
 from .subsets import Subset, iter_bits
 
 if TYPE_CHECKING:
@@ -133,7 +133,7 @@ def coset_cover(G: GroupTable, H: Subset, T: Subset, side: str = "right") -> Cov
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if T.is_empty:
         raise EmptySet("cannot cover the empty set")
-    if not is_subgroup(G, H):
+    if not is_subgroup_mask(G, H.mask):
         raise NotASubgroup(f"{H!r} is not a subgroup of {G.name}")
     perms = G.cols if side == "right" else G.mul  # H*t or t*H
     reps = set()

@@ -51,10 +51,6 @@ class Subset:
         return cls(group_order, mask_of(elems))
 
     @classmethod
-    def empty(cls, group_order: int) -> "Subset":
-        return cls(group_order, 0)
-
-    @classmethod
     def full(cls, group_order: int) -> "Subset":
         return cls(group_order, (1 << group_order) - 1)
 
@@ -96,14 +92,6 @@ class Subset:
     def __and__(self, other: "Subset") -> "Subset":
         self._check_same(other)
         return Subset(self.group_order, self.mask & other.mask)
-
-    def __sub__(self, other: "Subset") -> "Subset":
-        self._check_same(other)
-        return Subset(self.group_order, self.mask & ~other.mask)
-
-    def issubset(self, other: "Subset") -> bool:
-        self._check_same(other)
-        return self.mask & ~other.mask == 0
 
     def __repr__(self) -> str:
         return f"Subset({set(self.elements()) if self.mask else '{}'} of {self.group_order})"

@@ -119,9 +119,7 @@ def kneser_corollary_check(G: GroupTable, A: Subset, epsilon: Fraction) -> Corol
     hypothesis_bound = (2 - epsilon) * A.cardinality
     if square.cardinality > hypothesis_bound:
         raise HypothesisFailed(
-            f"|A+A| = {square.cardinality} > (2 - {epsilon})|A| = {hypothesis_bound}",
-            lhs=square.cardinality,
-            rhs=hypothesis_bound,
+            f"|A+A| = {square.cardinality} > (2 - {epsilon})|A| = {hypothesis_bound}"
         )
     H = right_stabilizer(G, square)
     H_bound_ok = H.cardinality <= hypothesis_bound
@@ -175,19 +173,11 @@ def weak_kneser_check(
     _check_member(G, S, "S")
     epsilon = _check_epsilon(epsilon)
     if A.cardinality < S.cardinality:
-        raise HypothesisFailed(
-            f"|A| = {A.cardinality} < |S| = {S.cardinality}",
-            lhs=A.cardinality,
-            rhs=S.cardinality,
-        )
+        raise HypothesisFailed(f"|A| = {A.cardinality} < |S| = {S.cardinality}")
     prod = product_set(G, A, S)
     hyp_bound = (2 - epsilon) * S.cardinality
     if prod.cardinality > hyp_bound:
-        raise HypothesisFailed(
-            f"|A*S| = {prod.cardinality} > (2 - {epsilon})|S| = {hyp_bound}",
-            lhs=prod.cardinality,
-            rhs=hyp_bound,
-        )
+        raise HypothesisFailed(f"|A*S| = {prod.cardinality} > (2 - {epsilon})|S| = {hyp_bound}")
 
     K = 1 - epsilon / 2
     conn = connectivity_subgroup_solver(G, CostParams(S=S, K=K))

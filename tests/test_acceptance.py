@@ -19,7 +19,7 @@ from smalldoubling import (
     Subset,
     autocorrelation,
     catalogue,
-    check_submodularity,
+    cost,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
     convolve,
@@ -135,8 +135,9 @@ def test_criterion_3_submodularity():
         B = Subset(n, rng.randrange(0, 1 << n))
         S = Subset(n, rng.randrange(1, 1 << n))
         K = SUBMODULARITY_KS[rng.randrange(4)]
-        rep = check_submodularity(G, CostParams(S=S, K=K), A, B)
-        assert rep.holds, f"submodularity fails in {G.name}"
+        params = CostParams(S=S, K=K)
+        lhs = cost(G, params, A | B) + cost(G, params, A & B)
+        assert lhs <= cost(G, params, A) + cost(G, params, B), f"submodularity fails in {G.name}"
     _report(
         3,
         True,

@@ -16,7 +16,6 @@ from smalldoubling import (
     doubling_ratio,
     enumerate_subgroups,
     inverse_set,
-    is_subgroup,
     product_set,
     quaternion,
     right_stabilizer,
@@ -32,6 +31,7 @@ from smalldoubling.setalg import (
     product_size_table,
 )
 from oracles import (
+    is_subgroup_naive,
     naive_inverse,
     naive_product,
     naive_right_stabilizer,
@@ -77,7 +77,7 @@ def test_product_matches_oracle(G):
         if not A.is_empty and not B.is_empty:
             assert got.cardinality >= max(A.cardinality, B.cardinality)
         bigger = product_set(G, A | B, B)
-        assert got.issubset(bigger)
+        assert got & bigger == got
         if G.is_abelian:
             assert got == product_set(G, B, A)
 
@@ -104,7 +104,7 @@ def test_inverse_examples_and_laws():
 
 def test_stabilizer_examples():
     Z6 = cyclic(6)
-    assert right_stabilizer(Z6, Z6.full_subset()) == Z6.full_subset()
+    assert right_stabilizer(Z6, Subset.full(Z6.order)) == Subset.full(Z6.order)
     assert right_stabilizer(Z6, Z6.subset([0, 3])).elements() == (0, 3)
     assert right_stabilizer(Z6, Z6.subset([0, 1, 2])).elements() == (0,)
     with pytest.raises(EmptySet):
@@ -120,7 +120,7 @@ def test_stabilizers_match_oracle_and_are_subgroups(G):
         T = random_subset(rng, G)
         right = right_stabilizer(G, T)
         assert set(right.elements()) == naive_right_stabilizer(G, T.elements())
-        assert is_subgroup(G, right)
+        assert is_subgroup_naive(G, right)
         assert T.cardinality % right.cardinality == 0
         # T*H = T makes T a union of left cosets t*H of the right stabilizer.
         for t in T:
@@ -178,7 +178,7 @@ def test_cover_examples():
 
     S3 = symmetric(3)
     H2 = S3.subset([0, S3.labels.index("(1 2)")])
-    assert coset_cover(S3, H2, S3.full_subset(), side="right").count == 3
+    assert coset_cover(S3, H2, Subset.full(S3.order), side="right").count == 3
 
     with pytest.raises(NotASubgroup):
         coset_cover(Z6, Z6.subset([1, 2]), Z6.subset([0]))
@@ -199,18 +199,18 @@ def test_cover_certificate_invariants(G):
         cert = coset_cover(G, H, T, side=side)
         perms = G.cols if side == "right" else G.mul
         cosets = [Subset(G.order, image(perms[r], H.mask)) for r in cert.representatives]
-        union = Subset.empty(G.order)
+        union = Subset(G.order, 0)
         for rep, coset in zip(cert.representatives, cosets):
             assert rep == coset.elements()[0]  # canonical minimum-index member
             assert (union & coset).is_empty
             union = union | coset
-        assert T.issubset(union)
+        assert T & union == T
         # every listed coset really meets T
         assert all(not (coset & T).is_empty for coset in cosets)
         assert cert.representatives == tuple(sorted(cert.representatives))
         # trivial subgroup and whole-group targets
         assert coset_cover(G, subgroups[0], T, side=side).count == T.cardinality
-        full = coset_cover(G, H, G.full_subset(), side=side)
+        full = coset_cover(G, H, Subset.full(G.order), side=side)
         assert full.count == G.order // H.cardinality
 
 
@@ -230,7 +230,7 @@ def test_subset_tables_match_direct_products(G):
     sizes = product_size_table(G, S)
     for _ in range(50):
         A = random_subset(rng, G, allow_empty=True)
-        direct = product_set(G, A, S) if not A.is_empty else Subset.empty(G.order)
+        direct = product_set(G, A, S) if not A.is_empty else Subset(G.order, 0)
         assert int(masks[A.mask]) == direct.mask
         assert int(sizes[A.mask]) == direct.cardinality
 

@@ -14,9 +14,9 @@ def test_construction_and_cardinality():
 
 
 def test_empty_and_full():
-    assert Subset.empty(5).is_empty
+    assert Subset(5, 0).is_empty
     assert Subset.full(5).cardinality == 5
-    assert Subset.empty(5).elements() == ()
+    assert Subset(5, 0).elements() == ()
 
 
 def test_rejects_out_of_range():
@@ -33,10 +33,11 @@ def test_set_operations():
     b = Subset.from_elements(6, [2, 3])
     assert (a | b).elements() == (0, 1, 2, 3)
     assert (a & b).elements() == (2,)
-    assert (a - b).elements() == (0, 1)
-    assert b.issubset(a | b)
+    assert b & (a | b) == b
     with pytest.raises(GroupMismatch):
         a | Subset.from_elements(7, [0])
+    with pytest.raises(GroupMismatch):
+        a & Subset.from_elements(7, [0])
 
 
 def test_sort_key_orders_by_smallest_differing_element():

@@ -205,12 +205,12 @@ def test_weak_kneser_progression_in_z20():
     params = CostParams(S=S, K=Fraction(9, 10))
     brute = connectivity_bruteforce(Z20, params, bruteforce_cap=20)
     assert brute.kappa == 2
-    assert brute.identity_atom == Z20.full_subset()
+    assert brute.identity_atom == Subset.full(Z20.order)
 
     rep = weak_kneser_check(Z20, S, S, Fraction(1, 5))
     assert rep.hypotheses_ok
     assert rep.kappa == 2
-    assert rep.atom == Z20.full_subset()
+    assert rep.atom == Subset.full(Z20.order)
     assert rep.branch == "single_right_coset"
     assert rep.atom.cardinality <= rep.bound_H_size == 50
     assert rep.sharp_H_bound == 45
@@ -350,7 +350,7 @@ def test_petridis_minimum_bounds_full_ratio():
             res = petridis_minimizer(G, A, S)
             full = Fraction(product_set(G, A, S).cardinality, A.cardinality)
             assert res.K <= full
-            assert res.X.issubset(A) and not res.X.is_empty
+            assert res.X & A == res.X and not res.X.is_empty
 
 
 def test_petridis_exhaustive_verification():
