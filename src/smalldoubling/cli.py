@@ -122,10 +122,18 @@ def _add_common(parser: argparse.ArgumentParser, *, sets: tuple[str, ...]) -> No
             f"--set{name}", action="append", dest="set", type=f"{name}={{}}".format,
             metavar="ELEMS", help=f"shorthand for --set {name}=...",
         )
+    _add_output_and_caps(parser)
+
+
+def _add_output_and_caps(parser: argparse.ArgumentParser) -> None:
+    """--format, --out and the three caps, each defaulting to DEFAULT_CAPS."""
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--out", help="write the record to this file (atomically)")
-    for key in DEFAULT_CAPS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=int, default=None)
+    parser.add_argument("--out", help="write the output to this file (atomically)")
+    for key, default in DEFAULT_CAPS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=int, default=default,
+            help=f"default {default}; on recheck, the ceiling a certificate may only lower",
+        )
 
 
 def _add_option(parser: argparse.ArgumentParser, name: str, opt: Option) -> None:
@@ -169,22 +177,8 @@ def build_parser() -> _Parser:
     p = top.add_parser("recheck", help="replay a certificate and compare field by field")
     p.set_defaults(command="recheck")
     p.add_argument("certificate", help="path to a run-record JSON file")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", help="write the recheck report to this file")
+    _add_output_and_caps(p)
     return parser
-
-
-def _resolve_caps(args) -> dict:
-    """Caps from the flags (run commands only), else the environment, else the defaults."""
-    caps = dict(DEFAULT_CAPS)
-    for key in DEFAULT_CAPS:
-        env = f"SMALLDOUBLING_{key.upper()}"
-        value = getattr(args, key, None)
-        try:
-            caps[key] = value if value is not None else int(os.environ.get(env, caps[key]))
-        except ValueError as exc:
-            raise UsageError(f"{env} must be an integer, got {os.environ[env]!r}") from exc
-    return caps
 
 
 def _collect_sets(args, G: groups.GroupTable) -> dict:
@@ -205,7 +199,7 @@ def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
     """The replayable config of a run command, in its one accepted form, and
     its group."""
     entry = COMMANDS[args.command]
-    caps = _resolve_caps(args)
+    caps = {key: getattr(args, key) for key in DEFAULT_CAPS}
     group_spec = parse_group_spec(args.group)
     # Building the checked spec resolves set labels and surfaces cap violations
     # and invalid tables before any solver runs.  The run reuses the group.
@@ -264,7 +258,7 @@ def _emit(document: dict, fmt: str, out: Optional[str]) -> None:
 def _run_recheck(args) -> int:
     path = Path(args.certificate)
     record = _read_json(path, "certificate")
-    report = certificates.recheck(record, _resolve_caps(args))
+    report = certificates.recheck(record, {key: getattr(args, key) for key in DEFAULT_CAPS})
     document = {
         "command": "recheck",
         "certificate": str(path),

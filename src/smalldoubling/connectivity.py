@@ -175,7 +175,7 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
         raise TheoryViolation(f"the identity atom {list(H.elements())} is not a subgroup")
     return ConnectivityResult(
         params=params,
-        kappa=product_mask(G, atom, S).bit_count() - K * H.cardinality,
+        kappa=cost(G, params, H),
         identity_atom=H,
         atom_is_subgroup=True,
         fragments=None,

@@ -278,7 +278,7 @@ def from_table(
         if len(labels) != n:
             raise InvalidTable(f"got {len(labels)} labels for order {n}")
         label_tuple = tuple(str(x) for x in labels)
-    spec = {"table": [list(row) for row in table], "labels": list(label_tuple)}
+    spec = {"table": [list(row) for row in table], "labels": list(label_tuple), "name": name}
     return GroupTable(table, label_tuple, name, spec)
 
 

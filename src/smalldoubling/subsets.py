@@ -50,10 +50,6 @@ class Subset:
                 raise ValueError(f"element {e} outside [0, {group_order})")
         return cls(group_order, mask_of(elems))
 
-    @classmethod
-    def full(cls, group_order: int) -> "Subset":
-        return cls(group_order, (1 << group_order) - 1)
-
     @property
     def cardinality(self) -> int:
         return self.mask.bit_count()

@@ -515,32 +515,37 @@ def test_text_format(capsys):
     assert "{" not in out.splitlines()[0]
 
 
-def test_env_cap_override(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("SMALLDOUBLING_ORDER_CAP", "200")
-    cert = tmp_path / "cert.json"
-    code, out, _ = run_cli(capsys, "doubling", "--group", "sym:5", "--setA", "0,1")
+def test_cap_flags(capsys, monkeypatch, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "doubling", "--group", "sym:5", "--setA", "0,1", "--order-cap", "200"
+    )
     assert code == 0
     assert json.loads(out)["config"]["caps"]["order_cap"] == 200
 
-    # recheck takes its caps from the environment; a certificate may only lower them.
+    # recheck takes its caps from the same flags; a certificate may only lower them.
+    cert = tmp_path / "cert.json"
     code, _, _ = run_cli(
-        capsys, "doubling", "--group", "cyclic:100", "--setA", "0,1", "--out", str(cert)
+        capsys, "doubling", "--group", "cyclic:100", "--setA", "0,1", "--order-cap", "100",
+        "--out", str(cert),
     )
     assert code == 0
-    assert run_cli(capsys, "recheck", str(cert))[0] == 0
+    assert run_cli(capsys, "recheck", str(cert), "--order-cap", "100")[0] == 0
+    assert_usage_error(capsys, "recheck", str(cert))
     raised = tmp_path / "raised.json"
     record = json.loads(cert.read_text())
     record["config"]["caps"]["order_cap"] = 500
     raised.write_text(json.dumps(record))
-    assert run_cli(capsys, "recheck", str(raised))[0] == 2
-    monkeypatch.delenv("SMALLDOUBLING_ORDER_CAP")
-    code, _, err = run_cli(capsys, "recheck", str(cert))
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == "UsageError"
+    assert run_cli(capsys, "recheck", str(raised), "--order-cap", "200")[0] == 2
+    assert_usage_error(
+        capsys, "doubling", "--group", "cyclic:6", "--setA", "0", "--order-cap", "abc"
+    )
 
-    monkeypatch.setenv("SMALLDOUBLING_ORDER_CAP", "not-a-number")
-    code, _, _ = run_cli(capsys, "doubling", "--group", "cyclic:6", "--setA", "0")
-    assert code == 2
+    # The environment sets no cap.
+    for key in schema.DEFAULT_CAPS:
+        monkeypatch.setenv(f"SMALLDOUBLING_{key.upper()}", "1")
+    code, out, _ = run_cli(capsys, "doubling", "--group", "cyclic:6", "--setA", "0")
+    assert code == 0
+    assert json.loads(out)["config"]["caps"] == schema.DEFAULT_CAPS
 
 
 def test_group_file_input(tmp_path, capsys):

@@ -166,7 +166,7 @@ def test_smoothed_examples():
 
     assert smoothed(Z8, Z8.subset([0]), f) == f  # S = {e} is the identity map
 
-    flat = smoothed(Z8, Subset.full(Z8.order), f)
+    flat = smoothed(Z8, Subset(Z8.order, (1 << Z8.order) - 1), f)
     assert flat == GroupFunction.constant(8, Fraction(2, 8))  # mass(f)/|G|
 
     F = smoothed(Z8, A, f)
@@ -193,6 +193,6 @@ def test_level_set_examples():
     Z8 = cyclic(8)
     f = autocorrelation(Z8, Z8.subset([0, 1]))
     assert level_set(Z8, f, Fraction(1, 3)).elements() == (0, 1, 7)
-    assert level_set(Z8, f, Fraction(-1)) == Subset.full(Z8.order)
+    assert level_set(Z8, f, Fraction(-1)) == Subset(Z8.order, (1 << Z8.order) - 1)
     assert level_set(Z8, f, Fraction(1)).is_empty
     assert level_set(Z8, f, Fraction(1, 2)).elements() == (0,)  # strict comparison

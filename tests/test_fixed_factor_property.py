@@ -66,7 +66,7 @@ TERM = st.one_of(st.integers(0, 30), st.integers(0, 2**70))
 @example(24, 1, 24)
 @example(3, 7, 20)  # K < 1
 @example(0, 1, 5)
-def test_limit_table_comparison_is_the_exact_one(p, q, n):
+def test_narrowed_ratio_comparison_is_the_exact_one(p, q, n):
     """Every pair (a, s) = (|C*X*S|, |C*X|) in [0, n]^2: the narrowed ratio,
     in Python ints and, for n <= 24, in the exhaustive uint16 comparison,
     agrees with a > K*s in Fractions."""

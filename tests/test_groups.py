@@ -12,6 +12,7 @@ from smalldoubling import (
     SizeLimitExceeded,
     UsageError,
     catalogue,
+    certificates,
     cyclic,
     dihedral,
     direct_product,
@@ -282,6 +283,16 @@ ROUND_TRIP = [*catalogue(24), direct_product([
 def test_every_spec_passes_the_check_and_rebuilds_its_table(G):
     check_spec(G.spec)
     assert from_spec(G.spec).mul == G.mul
+
+
+def test_a_named_table_rebuilds_from_its_spec_under_its_name():
+    Z3t = from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]], name="Z3t")
+    P = direct_product([Z3t, cyclic(2)])
+    assert P.name == "Z3txZ2"
+    for G in (Z3t, P):
+        assert from_spec(G.spec).name == G.name
+    payload = certificates.run("doubling", {"group": P.spec, "sets": {"A": [0, 1]}})
+    assert payload["group"] == "Z3txZ2"
 
 
 PINNED_PRESETS = [

@@ -3,7 +3,9 @@ module defines, has a caller outside the tests, and the benchmark's tracer
 still finds every module it wraps."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -55,6 +57,20 @@ UNCALLED_EXPORTS = {
 }
 
 
+# Public methods, properties and classmethods of exported classes that no
+# command, demo or benchmark needs to call.
+UNCALLED_METHODS = {
+    "GroupFunction.indicator": "deleting it would only move its body into the tests",
+    "GroupFunction.constant": "deleting it would only move its body into the tests",
+}
+
+
+def _caller_paths():
+    package = ROOT / "src" / "smalldoubling"
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    return paths + [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+
+
 def _referenced_names(path):
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -67,15 +83,36 @@ def _referenced_names(path):
     return names
 
 
+def _attribute_names(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_every_export_has_a_caller():
     """A public entry point that nothing in the package, the demos or the
     benchmark reaches is dead weight: delete it, or list it above with why."""
-    package = ROOT / "src" / "smalldoubling"
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    referenced = set().union(*map(_referenced_names, paths))
+    referenced = set().union(*map(_referenced_names, _caller_paths()))
     uncalled = sorted(set(smalldoubling._MODULE_OF) - referenced)
     assert uncalled == sorted(UNCALLED_EXPORTS)
+
+
+def test_every_public_method_has_a_caller():
+    """The same for the methods, properties and classmethods of each exported
+    class (dataclass fields aside): each must be reached as `x.name` somewhere."""
+    attributes = set().union(*map(_attribute_names, _caller_paths()))
+    uncalled = []
+    for name in smalldoubling._MODULE_OF:
+        cls = getattr(smalldoubling, name)
+        if not isinstance(cls, type):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+        for attr, value in vars(cls).items():
+            if attr.startswith("_") or attr in fields or attr in attributes:
+                continue
+            kinds = (property, classmethod, staticmethod)
+            if inspect.isfunction(value) or isinstance(value, kinds):
+                uncalled.append(f"{name}.{attr}")
+    assert sorted(uncalled) == sorted(UNCALLED_METHODS)
 
 
 def test_unknown_names_raise_attribute_error():

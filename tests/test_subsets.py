@@ -15,7 +15,7 @@ def test_construction_and_cardinality():
 
 def test_empty_and_full():
     assert Subset(5, 0).is_empty
-    assert Subset.full(5).cardinality == 5
+    assert Subset(5, 0b11111).cardinality == 5
     assert Subset(5, 0).elements() == ()
 
 

@@ -9,7 +9,7 @@ import pytest
 from smalldoubling import UsageError
 from smalldoubling.certificates import make_record, recheck, run
 from smalldoubling.cli import build_parser, main
-from smalldoubling.schema import COMMANDS, validate_record
+from smalldoubling.schema import COMMANDS, DEFAULT_CAPS, validate_record
 from test_certificates import CONFIGS, all_cases
 
 # A search that finds Kneser failures, so that one case exits 1: the first
@@ -39,6 +39,8 @@ def test_parser_commands_are_the_table():
     leaves = dict(_leaf_parsers(build_parser()))
     commands = {p.get_default("command"): path for path, p in leaves.items()}
     assert commands.pop("recheck") == ("recheck",)
+    recheck_defaults = {a.dest: a.default for a in leaves[("recheck",)]._actions}
+    assert {key: recheck_defaults.get(key) for key in DEFAULT_CAPS} == DEFAULT_CAPS
     assert commands == {name: entry.path for name, entry in COMMANDS.items()}
     for entry in COMMANDS.values():
         actions = leaves[entry.path]._actions

@@ -205,12 +205,12 @@ def test_weak_kneser_progression_in_z20():
     params = CostParams(S=S, K=Fraction(9, 10))
     brute = connectivity_bruteforce(Z20, params, bruteforce_cap=20)
     assert brute.kappa == 2
-    assert brute.identity_atom == Subset.full(Z20.order)
+    assert brute.identity_atom == Subset(Z20.order, (1 << Z20.order) - 1)
 
     rep = weak_kneser_check(Z20, S, S, Fraction(1, 5))
     assert rep.hypotheses_ok
     assert rep.kappa == 2
-    assert rep.atom == Subset.full(Z20.order)
+    assert rep.atom == Subset(Z20.order, (1 << Z20.order) - 1)
     assert rep.branch == "single_right_coset"
     assert rep.atom.cardinality <= rep.bound_H_size == 50
     assert rep.sharp_H_bound == 45
