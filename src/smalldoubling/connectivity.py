@@ -119,7 +119,7 @@ def connectivity_bruteforce(
     fragments = None
     if collect_fragments:
         keyed = sorted(
-            (int(cards[m]), Subset(n, int(m)).sort_key(), int(m)) for m in frag_idx
+            (int(cards[m]), tuple(iter_bits(int(m))), int(m)) for m in frag_idx
         )
         fragments = tuple(Subset(n, m) for _, _, m in keyed[:fragment_cap])
 

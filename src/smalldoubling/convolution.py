@@ -58,14 +58,6 @@ class GroupFunction:
     def mass(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
-    def support(self) -> Subset:
-        return Subset.from_elements(
-            self.group_order, (i for i, v in enumerate(self.values) if v != 0)
-        )
-
-    def __call__(self, x: int) -> Fraction:
-        return self.values[x]
-
 
 def _check_function(G: GroupTable, f: GroupFunction, what: str) -> None:
     if f.group_order != G.order:

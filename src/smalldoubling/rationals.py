@@ -26,5 +26,4 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(value: Fraction | int) -> str:
     """Canonical "p/q" rendering (always with an explicit denominator)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{value.numerator}/{value.denominator}"

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import GroupMismatch
-
 
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
@@ -61,33 +59,11 @@ class Subset:
     def elements(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.mask))
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Bit-lexicographic key: compare element lists in increasing order."""
-        return self.elements()
-
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
 
-    def __len__(self) -> int:
-        return self.cardinality
-
     def __contains__(self, element: int) -> bool:
         return 0 <= element < self.group_order and (self.mask >> element) & 1 == 1
-
-    def _check_same(self, other: "Subset") -> None:
-        if self.group_order != other.group_order:
-            raise GroupMismatch(
-                f"subsets of different groups: order {self.group_order} vs "
-                f"{other.group_order}"
-            )
-
-    def __or__(self, other: "Subset") -> "Subset":
-        self._check_same(other)
-        return Subset(self.group_order, self.mask | other.mask)
-
-    def __and__(self, other: "Subset") -> "Subset":
-        self._check_same(other)
-        return Subset(self.group_order, self.mask & other.mask)
 
     def __repr__(self) -> str:
         return f"Subset({set(self.elements()) if self.mask else '{}'} of {self.group_order})"

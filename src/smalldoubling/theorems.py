@@ -625,7 +625,7 @@ def kneser_violation_scan(
             )
         reports.append(report)
     reports.sort(
-        key=lambda r: (r.A.cardinality, r.B.cardinality, r.A.sort_key(), r.B.sort_key())
+        key=lambda r: (r.A.cardinality, r.B.cardinality, r.A.elements(), r.B.elements())
     )
     return SearchReport(
         strategy=strategy,

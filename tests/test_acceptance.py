@@ -136,7 +136,8 @@ def test_criterion_3_submodularity():
         S = Subset(n, rng.randrange(1, 1 << n))
         K = SUBMODULARITY_KS[rng.randrange(4)]
         params = CostParams(S=S, K=K)
-        lhs = cost(G, params, A | B) + cost(G, params, A & B)
+        union, meet = Subset(n, A.mask | B.mask), Subset(n, A.mask & B.mask)
+        lhs = cost(G, params, union) + cost(G, params, meet)
         assert lhs <= cost(G, params, A) + cost(G, params, B), f"submodularity fails in {G.name}"
     _report(
         3,

@@ -1,14 +1,17 @@
 """The package namespace: every public name resolves lazily to the object its
-module defines, has a caller outside the tests, and the benchmark's tracer
-still finds every module it wraps."""
+module defines and has a caller outside the tests, every function of the
+package is entered when the commands, the command line and the demos run,
+and the benchmark's tracer still finds every module it wraps."""
 
 import ast
-import dataclasses
 import importlib
-import inspect
+import io
+import json
 import os
+import runpy
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import smalldoubling
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "smalldoubling"
 
 PUBLIC = [
     "AtomPropositionReport", "ConnectivityResult", "CorollaryReport", "CostParams",
@@ -57,17 +61,8 @@ UNCALLED_EXPORTS = {
 }
 
 
-# Public methods, properties and classmethods of exported classes that no
-# command, demo or benchmark needs to call.
-UNCALLED_METHODS = {
-    "GroupFunction.indicator": "deleting it would only move its body into the tests",
-    "GroupFunction.constant": "deleting it would only move its body into the tests",
-}
-
-
 def _caller_paths():
-    package = ROOT / "src" / "smalldoubling"
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     return paths + [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
 
 
@@ -83,11 +78,6 @@ def _referenced_names(path):
     return names
 
 
-def _attribute_names(path):
-    tree = ast.parse(path.read_text(), str(path))
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-
-
 def test_every_export_has_a_caller():
     """A public entry point that nothing in the package, the demos or the
     benchmark reaches is dead weight: delete it, or list it above with why."""
@@ -96,23 +86,114 @@ def test_every_export_has_a_caller():
     assert uncalled == sorted(UNCALLED_EXPORTS)
 
 
-def test_every_public_method_has_a_caller():
-    """The same for the methods, properties and classmethods of each exported
-    class (dataclass fields aside): each must be reached as `x.name` somewhere."""
-    attributes = set().union(*map(_attribute_names, _caller_paths()))
-    uncalled = []
-    for name in smalldoubling._MODULE_OF:
-        cls = getattr(smalldoubling, name)
-        if not isinstance(cls, type):
-            continue
-        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
-        for attr, value in vars(cls).items():
-            if attr.startswith("_") or attr in fields or attr in attributes:
-                continue
-            kinds = (property, classmethod, staticmethod)
-            if inspect.isfunction(value) or isinstance(value, kinds):
-                uncalled.append(f"{name}.{attr}")
-    assert sorted(uncalled) == sorted(UNCALLED_METHODS)
+# Functions of the package that the run in `test_every_function_is_reached`
+# never enters, each with why it stays.
+UNREACHED = {
+    "__init__.__dir__": "serves dir(smalldoubling)",
+    "certificates._lazy": "runs at import, to register the theory modules",
+    "schema.command": "runs at import, to register each runner in the command table",
+    "groups.GroupTable.__repr__": "a debugging aid",
+    "subsets.Subset.__repr__": "a debugging aid",
+    "convolution.GroupFunction.indicator": "deleting it would only move its body into the tests",
+    "convolution.GroupFunction.constant": "deleting it would only move its body into the tests",
+    "groups.catalogue": UNCALLED_EXPORTS["catalogue"],
+    "groups.from_spec": "called by bench/probe.py",
+    "schema.validate_record": "wrapped by bench/tracing.py and called by the tests",
+}
+
+def _package_functions():
+    """(file, first line) -> "module.qualname" of every module- and
+    class-level `def` of the package.  A decorated function's code object
+    starts at its first decorator, so that line is the key."""
+    functions = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(path.stem, tree.body)]
+        scopes += [
+            (f"{path.stem}.{c.name}", c.body) for c in tree.body if isinstance(c, ast.ClassDef)
+        ]
+        for prefix, body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                    functions[(str(path), first)] = f"{prefix}.{node.name}"
+    return functions
+
+
+def _drive_everything(tmp_path, configs):
+    """Issue, write, read back and recheck each (command, config), recheck a
+    tampered record, run the command line down each of its paths, and run
+    every demo."""
+    from smalldoubling import cli
+    from smalldoubling.certificates import make_record, recheck, run
+
+    path = tmp_path / "record.json"
+    for command, config in configs:
+        path.write_text(json.dumps(make_record(command, config, run(command, config))))
+        record = json.loads(path.read_text())
+        assert recheck(record).ok, (command, config)
+    record["payload"]["group"] += "?"
+    assert not recheck(record).ok
+
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": [[0, 1], [0, 1]]}))
+    out, rec = str(tmp_path / "out"), str(tmp_path / "rec.json")
+    runs = {
+        0: [
+            ["doubling", "--group", "cyclic:8", "--setA", "0,1", "--format", "text", "--out", out],
+            ["kneser", "--group", "cyclic:6", "--set", "A=0,1", "--setB", "3", "--out", rec],
+            ["recheck", rec, "--out", out],
+            ["connectivity", "--group", "cyclic:8", "--setS", "0,1", "--K", "1/2", "--out", out],
+        ],
+        2: [
+            ["doubling", "--setA", "0", "--out", out],
+            ["doubling", "--group", "cyclic:0", "--setA", "0", "--out", out],
+            ["doubling", "--group", str(table), "--setA", "0", "--out", out],
+        ],
+    }
+    for code, argvs in runs.items():
+        for argv in argvs:
+            assert cli.main(argv) == code, argv
+
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        with redirect_stdout(io.StringIO()):
+            runpy.run_path(str(script), run_name="__main__")
+
+
+def test_every_function_is_reached(tmp_path, monkeypatch):
+    """Every function the package defines is entered by what the commands,
+    the command line and the demos do, or is listed in UNREACHED with why:
+    one that nothing reaches is dead weight, to delete with its tests.  A
+    profile hook sees every call, dunders and private helpers too."""
+    functions = _package_functions()
+    gone = sorted(UNREACHED.keys() - set(functions.values()))
+    assert not gone, f"UNREACHED names {gone}, which the package no longer defines"
+    for module in [*smalldoubling._EXPORTS, "cli"]:  # run every module body now
+        getattr(importlib.import_module(f"smalldoubling.{module}"), "__name__")
+    for name in smalldoubling._MODULE_OF:  # uncached, as in a fresh process
+        monkeypatch.delattr(smalldoubling, name, raising=False)
+    from test_payload_digests import CASES, WORKLOAD_CASES
+
+    configs = [(command, config) for _, command, config in CASES]
+    configs += [(case["command"], case["config"]) for case in WORKLOAD_CASES]
+
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        _drive_everything(tmp_path, configs)
+    finally:
+        sys.setprofile(previous)
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
+    unreached = {name for key, name in functions.items() if key not in reached}
+    dead, stale = sorted(unreached - UNREACHED.keys()), sorted(UNREACHED.keys() - unreached)
+    assert not dead, f"nothing reaches {dead}: delete them, or list them in UNREACHED"
+    assert not stale, f"{stale} are reached: drop them from UNREACHED"
 
 
 def test_unknown_names_raise_attribute_error():

@@ -350,7 +350,7 @@ def test_petridis_minimum_bounds_full_ratio():
             res = petridis_minimizer(G, A, S)
             full = Fraction(product_set(G, A, S).cardinality, A.cardinality)
             assert res.K <= full
-            assert res.X & A == res.X and not res.X.is_empty
+            assert res.X.mask & A.mask == res.X.mask and not res.X.is_empty
 
 
 def test_petridis_exhaustive_verification():
@@ -568,8 +568,8 @@ def _walk(G, budget):
     pairs_checked, exhausted, found = kneser_prefix_walk(G, budget)
     subset = lambda mask: Subset(G.order, mask)
     found.sort(
-        key=lambda p: (p[0].bit_count(), p[1].bit_count(), subset(p[0]).sort_key(),
-                       subset(p[1]).sort_key())
+        key=lambda p: (p[0].bit_count(), p[1].bit_count(), subset(p[0]).elements(),
+                       subset(p[1]).elements())
     )
     return pairs_checked, exhausted, found
 
