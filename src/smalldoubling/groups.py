@@ -30,6 +30,10 @@ DEFAULT_BRUTEFORCE_CAP = 16  # largest order of a 2^n sweep: brute-force atoms, 
 DEFAULT_SUBSET_SEARCH_CAP = 20  # largest |A| of the Petridis minimizer
 DEFAULT_FRAGMENT_CAP = 100_000  # most fragments a brute-force inventory lists
 SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
+# Every int of a config lies strictly between -2^63 and 2^63, so every config
+# that is accepted can be written: Python refuses to print an int of more
+# than 4,300 digits.
+INT_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,8 @@ def validate_table(mul: Sequence[Sequence[int]]) -> int:
     for a, row in enumerate(mul):
         for b, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
-                raise _violation("closure", (a, b), f"mul({a},{b}) = {v!r} outside [0,{n})")
+                shown = "an int past 2^63" if isinstance(v, int) and abs(v) >= INT_LIMIT else repr(v)
+                raise _violation("closure", (a, b), f"mul({a},{b}) = {shown} outside [0,{n})")
 
     rows = tuple(map(tuple, mul))
     ids = tuple(range(n))
@@ -337,6 +342,8 @@ def check_spec(spec, where: str = "group spec") -> None:
             if "n" not in spec:
                 raise InvalidTable(f"{where} is missing n")
             n, least = spec["n"], PRESETS[preset][1]
+            if type(n) is int and not -INT_LIMIT < n < INT_LIMIT:  # too long to print
+                raise InvalidTable(f"{where}.n must lie strictly between -2^63 and 2^63")
             if type(n) is not int or n < least:
                 raise InvalidTable(f"{where}.n must be a JSON integer >= {least}, got {n!r}")
 

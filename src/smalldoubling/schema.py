@@ -9,12 +9,12 @@ derived from COMMANDS, which is complete whenever this module is imported:
 its last line imports certificates, which runs no theory module.
 
 A config has one accepted form: ints are JSON ints (never strings or
-booleans), rationals are reduced "p/q" strings, set lists are sorted,
-distinct element indices, and no key or set name is unknown.  The group
-spec's rules are `groups.check_spec`'s alone; `check_group` refuses what it
-refuses, as a UsageError.  Omitted options take their default.  Payload
-checks stay key-presence only: values are checked by `recheck`'s replay, so
-a tampered value shows up as a diff.
+booleans) strictly between -2^63 and 2^63, rationals are reduced "p/q"
+strings, set lists are sorted, distinct element indices, and no key or set
+name is unknown.  The group spec's rules are `groups.check_spec`'s alone;
+`check_group` refuses what it refuses, as a UsageError.  Omitted options
+take their default.  Payload checks stay key-presence only: values are
+checked by `recheck`'s replay, so a tampered value shows up as a diff.
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def _reduced_rational(raw) -> Optional[Fraction]:
 _FORMS = {"int": "a JSON integer", "bool": "true or false", "rational": 'a reduced "p/q" string'}
 
 
+def _check_int_size(value, where: str) -> None:
+    """Refuse an int outside (-2^63, 2^63) (`groups.INT_LIMIT`), before any
+    message prints it."""
+    if type(value) is int and not -groups.INT_LIMIT < value < groups.INT_LIMIT:
+        raise UsageError(f"{where} must lie strictly between -2^63 and 2^63")
+
+
 def _option(name: str, opt: Option, config: dict):
     if name not in config:
         if opt.required:
@@ -133,6 +140,7 @@ def _option(name: str, opt: Option, config: dict):
         return opt.default
     raw = value = config[name]
     if opt.kind == "int":
+        _check_int_size(raw, name)
         ok = type(raw) is int
     elif opt.kind == "bool":
         ok = type(raw) is bool
@@ -169,7 +177,7 @@ def _check_sets(entry: Command, sets) -> dict:
     _require(_object(sets, "config.sets", entry.sets), entry.sets, "config.sets")
     for name, indices in sets.items():
         if not isinstance(indices, list) or not all(
-            type(i) is int and i >= 0 for i in indices
+            type(i) is int and 0 <= i < groups.INT_LIMIT for i in indices
         ):
             raise UsageError(f"set {name!r} must be a list of element indices")
         if any(a >= b for a, b in zip(indices, indices[1:])):
@@ -180,6 +188,7 @@ def _check_sets(entry: Command, sets) -> dict:
 def _check_caps(caps, ceiling: Optional[dict]) -> dict:
     out = {**DEFAULT_CAPS, **(ceiling or {})}
     for key, value in _object(caps, "config.caps", DEFAULT_CAPS).items():
+        _check_int_size(value, f"caps.{key}")
         if type(value) is not int or value < 0:
             raise UsageError(f"caps.{key} must be a JSON integer of at least 0, got {value!r}")
         if ceiling is not None and value > out[key]:

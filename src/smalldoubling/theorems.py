@@ -353,6 +353,44 @@ def _exceeds(a: np.ndarray, s: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.multiply(a, q, dtype=np.uint16) > np.multiply(s, p, dtype=np.uint16)
 
 
+BLOCK_BITS = 16  # `_violating_masks` compares at most 2^16 masks at once
+
+
+def _violating_masks(
+    rows: np.ndarray, p: int, q: int, fixed: np.ndarray, limit: int
+) -> list[int]:
+    """The first `limit` masks m, ascending, with q|C*XS| > p|C*X|, where C*F
+    is the OR of fixed[i] and of rows[i, g] over the set bits g of m, for
+    F = X (i = 0) and F = XS (i = -1; one row set when XS = X).
+
+    Each C*F is the OR of a table over the low BLOCK_BITS columns and one over
+    the rest, both from `mask_tables_from_rows`, so no table has more than
+    2^16 entries.  The high table's entries are taken one at a time: each ORs
+    into the whole low table, and that block of 2^16 masks is counted and
+    compared.  With BLOCK_BITS columns or fewer, the low table is the only
+    block.  The fixed rows are ORed into every column, which gives them to
+    every m but 0, and entry 0 of the low table is set to them.  With no
+    fixed rows (zeros), m = 0 is the empty C, never flagged since 0 > 0 is
+    false.
+    """
+    import numpy as np
+
+    rows = rows | fixed[:, None]
+    lo = mask_tables_from_rows(rows[:, :BLOCK_BITS])
+    lo[:, 0] = fixed
+    blocks = (lo,)
+    if rows.shape[1] > BLOCK_BITS:
+        blocks = (lo | hi[:, None] for hi in mask_tables_from_rows(rows[:, BLOCK_BITS:]).T)
+    found: list[int] = []
+    for j, block in enumerate(blocks):
+        sizes = np.bitwise_count(block)
+        bad = _exceeds(sizes[-1], sizes[0], p, q).nonzero()[0]
+        found += [j << BLOCK_BITS | int(m) for m in bad[: limit - len(found)]]
+        if len(found) == limit:
+            break
+    return found
+
+
 def petridis_verify(
     G: GroupTable,
     result: PetridisResult,
@@ -366,11 +404,22 @@ def petridis_verify(
 
     Both modes compare q*|C*X*S| > p*|C*X| in integers, exactly, for the
     ratio p/q that `_narrow_ratio` makes of K, whose terms are at most n.
-    The exhaustive mode reads |C*X| and |C*XS| over every mask C from one
-    `mask_tables_from_rows` call (one row set when XS = X) and one
-    `np.bitwise_count`, and compares them in uint16 (`_exceeds`).  The
-    sampled mode reads C*X and C*XS together from one `fixed_factor_product`
-    of both factors, ceil(n/8) table lookups per drawn C.
+
+    The exhaustive mode decides on the C that hold element 0 alone.
+    Translation keeps both sizes: (g*C)*X = g*(C*X), and likewise for XS.
+    Every nonempty C has a translate that holds element 0, g*C for
+    g = 0*c^-1 with c in C (when 0 is e, that is c^-1*C), so some C violates
+    the inequality exactly when some C holding 0 does.  The deciding pass
+    covers those 2^(n-1) masks with `_violating_masks`, the rows of element 0
+    fixed and the other n - 1 columns free; that settles every one of the
+    2^n - 1 nonempty C, so `checked` is 2^n - 1.  Only if it finds a
+    violation does a second pass walk all masks, nothing fixed and in
+    ascending order, to list the first 16 violations.  Both passes build
+    tables of at most 2^16 entries.
+
+    The sampled mode reads C*X and C*XS together from one
+    `fixed_factor_product` of both factors, ceil(n/8) table lookups per drawn
+    C.
     """
     X, S, K = result.X, result.S, result.K
     XS = product_set(G, X, S)
@@ -387,16 +436,16 @@ def petridis_verify(
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
+        if n > SUBSET_TABLE_LIMIT:
+            raise SizeLimitExceeded(
+                f"exhaustive verification of {G.name} is supported only up to order "
+                f"{SUBSET_TABLE_LIMIT}"
+            )
         factors = [X] if XS == X else [X, XS]
         rows = np.array([expansion_rows(G, F) for F in factors], dtype=np.uint32)
-        sizes = np.bitwise_count(mask_tables_from_rows(rows))
-        cx, cxs = sizes[0], sizes[-1]
-        # Blocks keep the uint16 temporaries small: full-length ones raised the
-        # peak memory.  C = 0 is never flagged, since 0 > 0 is false.
-        for start in range(0, 1 << n, 1 << 16):
-            stop = start + (1 << 16)
-            bad = _exceeds(cxs[start:stop], cx[start:stop], p, q).nonzero()[0]
-            violations += [Subset(n, start + int(c)) for c in bad[: 16 - len(violations)]]
+        if _violating_masks(rows[:, 1:], p, q, rows[:, 0], 1):  # the C that hold element 0
+            masks = _violating_masks(rows, p, q, np.zeros_like(rows[:, 0]), 16)
+            violations = [Subset(n, m) for m in masks]
         checked = (1 << n) - 1
     elif mode == "sampled":
         if seed is None:

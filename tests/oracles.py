@@ -6,6 +6,9 @@ exceptions are kept as they stood when their fast paths replaced them:
 `subgroup_atom`, the subgroup loop that the connectivity solver ran before
 its min cut, and `kneser_prefix_walk`, the row walk that a budgeted
 exhaustive Kneser scan ran before the orbit pass took budgets.
+`full_table_petridis` does use masks: it tabulates C*X and C*X*S at every
+mask C in plain lists, as the exhaustive Petridis check did before it took
+blocks, and imports nothing from the package.
 """
 
 from fractions import Fraction
@@ -124,6 +127,32 @@ def naive_petridis_minimizer(G, A, S):
         for X in combinations(sorted(A), size)
     )
     return set(X), K
+
+
+def full_table_petridis(G, X, S, K):
+    """(checked, ok, equality_at_identity, first 16 violations) of the
+    exhaustive check |C*X*S| <= K|C*X| over every nonempty C, as masks C in
+    ascending order.  One plain-list table per factor F in (X, X*S): entry m
+    is the OR of the masks of g*F over the set bits g of m."""
+    n = G.order
+    XS = naive_product(G, X, S)
+    tables = []
+    for F in (X, XS):
+        table = [0]
+        for g in range(n):
+            row = sum(1 << y for y in naive_left_translate(G, g, F))
+            table += [m | row for m in table]
+        tables.append(table)
+    cx, cxs = tables
+    p, q = K.numerator, K.denominator
+    violations = []
+    for c in range(1, 1 << n):
+        if q * cxs[c].bit_count() > p * cx[c].bit_count():
+            violations.append(c)
+            if len(violations) == 16:
+                break
+    equality = q * len(XS) == p * len(set(X))
+    return (1 << n) - 1, equality and not violations, equality, violations
 
 
 def naive_cost(G, S, K, A):

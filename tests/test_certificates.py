@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from smalldoubling import SizeLimitExceeded, UsageError, rational_str
+from smalldoubling import InvalidTable, SizeLimitExceeded, UsageError, rational_str
 from smalldoubling.certificates import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
@@ -326,6 +326,64 @@ def test_recheck_caps_come_from_the_rechecker():
     with pytest.raises(UsageError):
         recheck(record)
     assert recheck(record, caps={"order_cap": 100}).ok
+
+
+# Every int of a config lies strictly between -2^63 and 2^63: past about
+# 4,300 digits Python refuses to print an int, so a record holding one could
+# not be written.  Each entry places `value` in a config of its command.
+INT_VALUES = {
+    "seed-petridis": ("petridis", lambda v: {
+        "group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1], "S": [0, 1]},
+        "mode": "sampled", "seed": v, "budget": 3}),
+    "seed-search": ("search-kneser-failure", lambda v: {
+        "group": {"preset": "symmetric", "n": 3}, "strategy": "random", "seed": v,
+        "budget": 3}),
+    "fragment_cap": ("connectivity", lambda v: {
+        "group": {"preset": "cyclic", "n": 6}, "sets": {"S": [0, 1]}, "K": "1/2",
+        "solver": "brute_force", "fragments": True, "fragment_cap": v}),
+    "order_cap": ("petridis", lambda v: {
+        "group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1], "S": [0, 1]},
+        "budget": 255, "caps": {"order_cap": v}}),
+    "subset_cap": ("petridis", lambda v: {
+        "group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1], "S": [0, 1]},
+        "budget": 255, "caps": {"subset_cap": v}}),
+    "bruteforce_cap": ("connectivity", lambda v: {
+        "group": {"preset": "cyclic", "n": 6}, "sets": {"S": [0, 1]}, "K": "1/2",
+        "solver": "brute_force", "caps": {"bruteforce_cap": v}}),
+}
+TOO_LARGE = [1 << 63, -(1 << 63), 10**5000, -(10**5000)]
+
+
+@pytest.mark.parametrize("name", sorted(INT_VALUES))
+def test_an_int_of_magnitude_2_63_or_more_is_refused(name):
+    command, config = INT_VALUES[name]
+    for value in TOO_LARGE:
+        with pytest.raises(UsageError):
+            run(command, config(value))
+
+
+@pytest.mark.parametrize("name", sorted(INT_VALUES))
+def test_the_largest_int_issues_writes_and_rechecks(name):
+    command, config = INT_VALUES[name]
+    config = config((1 << 63) - 1)
+    record = json.loads(json.dumps(make_record(command, config, run(command, config))))
+    assert recheck(record, caps={**DEFAULT_CAPS, **config.get("caps", {})}).ok
+
+
+@pytest.mark.parametrize(
+    "group,sets,error",
+    [
+        ({"preset": "cyclic", "n": 10**5000}, {"A": [0]}, UsageError),
+        ({"preset": "cyclic", "n": -(10**5000)}, {"A": [0]}, UsageError),
+        ({"preset": "cyclic", "n": 4}, {"A": [0, 10**5000]}, UsageError),
+        # A table entry outside [0, n) breaks closure, however long it is.
+        ({"table": [[0, 1], [1, 10**5000]]}, {"A": [0]}, InvalidTable),
+    ],
+    ids=["n", "negative-n", "set-index", "table-entry"],
+)
+def test_a_group_or_set_int_past_2_63_is_refused(group, sets, error):
+    with pytest.raises(error):
+        run("doubling", {"group": group, "sets": sets})
 
 
 @pytest.mark.parametrize(

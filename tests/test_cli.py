@@ -336,6 +336,14 @@ def test_petridis_run(capsys):
     assert payload["k"] == "3/2" and payload["ok"] is True
 
 
+def test_a_seed_of_2_63_exits_2(capsys):
+    base = ("petridis", "--group", "cyclic:8", "--setA", "0,1", "--setS", "0,1",
+            "--mode", "sampled", "--budget", "3", "--seed")
+    assert_usage_error(capsys, *base, str(1 << 63))
+    code, out, _ = run_cli(capsys, *base, str((1 << 63) - 1))
+    assert code == 0 and json.loads(out)["config"]["seed"] == (1 << 63) - 1
+
+
 def test_recheck_cycle(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, _, _ = run_cli(

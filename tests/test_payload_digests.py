@@ -6,8 +6,10 @@ so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
 orbit scan with and without findings, and cut by a budget in mid-row, the
 min-cut path of the Petridis minimizer (the key "petridis-table" names the
-numpy table pass it replaced), sampled Petridis verification, the minimizer
-at the subset and order caps, brute force and atoms at order 16, the
+numpy table pass it replaced), sampled Petridis verification, exhaustive
+Petridis verification with K > 1 in more than one block of 2^16 masks (at
+orders 18, 20 and 24, the order-18 group with its identity off index 0),
+the minimizer at the subset and order caps, brute force and atoms at order 16, the
 multi-coset branch of the structure theorem, both branches and the
 subgroup-restricted solver at order 64 (the identity atom's min cut), and an
 explicit table whose identity is not index 0.  A product of such tables must
@@ -65,6 +67,32 @@ FIXED = {
             "sets": {"A": [0, 1, 2, 3, 5, 8, 9, 11, 12, 14], "S": [0, 4, 9]},
             "mode": "exhaustive",
             "budget": 1 << 16,
+        },
+    ),
+    "petridis-exhaustive-D10": (  # K = 10/7 at order 20: X and X*S, eight blocks
+        "petridis",
+        {
+            "group": {"preset": "dihedral", "n": 10},
+            "sets": {"A": [0, 1, 3, 4, 7, 10, 12, 13, 16, 18], "S": [0, 2, 11]},
+            "mode": "exhaustive",
+        },
+    ),
+    "petridis-exhaustive-S3xZ3": (  # K = 5/3 at order 18, the identity at index 3
+        "petridis",
+        {
+            "group": {"preset": "direct_product",
+                      "factors": [TABLE_S3, {"preset": "cyclic", "n": 3}]},
+            "sets": {"A": [0, 2, 4, 5, 7, 9, 10, 14, 15, 17], "S": [1, 3, 8]},
+            "mode": "exhaustive",
+        },
+    ),
+    "petridis-exhaustive-S4": (  # K = 11/8 at order 24, under the largest budget
+        "petridis",
+        {
+            "group": {"preset": "symmetric", "n": 4},
+            "sets": {"A": [0, 1, 2, 5, 6, 9, 11, 14, 17, 20, 22, 23], "S": [0, 3, 7, 16]},
+            "mode": "exhaustive",
+            "budget": 1 << 24,
         },
     ),
     "petridis-sampled": (  # 2000 seeded C in an order-16 group
@@ -181,6 +209,9 @@ DIGESTS = {
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
     "kneser-scan-D6-budget": "16340c4e723caf2ee42166181266921f71b9c46cc7a60c7b7ba65eb2c3bc80df",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
+    "petridis-exhaustive-D10": "b99b84d311e14f2eec0541040097aa03ca588e392e1e3a0238c5a4135cbed953",
+    "petridis-exhaustive-S3xZ3": "8bb14788630933102360be825f6d51cfa8922f578e5f368b6bc978336c198eb5",
+    "petridis-exhaustive-S4": "5fd14ad806cc1c54f6c3e69ee2323d5475f077cd6d371c9f27ba231fa7533203",
     "petridis-sampled": "80cddc43fe0220fd8380b8207c56b439523afead0d52876e6cd47e80b6544a5e",
     "petridis-sampled-D32-caps": "d092756d5e47ce76dbda50867f6864ca40be0d59eb48ef88609dcaf6e35b0687",
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",

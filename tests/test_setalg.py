@@ -36,6 +36,7 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
+from test_payload_digests import FIXED
 
 GROUPS = [cyclic(9), cyclic(12), symmetric(3), dihedral(4), quaternion(2)]
 
@@ -301,6 +302,23 @@ def test_every_mask_table_is_uint32(monkeypatch, command, config):
         monkeypatch.setattr(module, "mask_tables_from_rows", spy)
     certificates.run(command, config)
     assert dtypes and set(dtypes) == {("uint32", "uint32")}
+
+
+@pytest.mark.parametrize("case", ["petridis-exhaustive-D10", "petridis-exhaustive-S4"])
+def test_exhaustive_petridis_builds_no_table_wider_than_16_columns(monkeypatch, case):
+    # Orders 20 and 24 with K > 1: one 2^n-entry table per factor would have
+    # 20 or 24 columns, 4-64 MB each.  The check is made 2^16 masks at a time.
+    original = setalg.mask_tables_from_rows
+    widths = []
+
+    def spy(rows):
+        widths.append(rows.shape[-1])
+        return original(rows)
+
+    for module in (setalg, theorems):
+        monkeypatch.setattr(module, "mask_tables_from_rows", spy)
+    certificates.run(*FIXED[case])
+    assert widths and max(widths) <= 16
 
 
 @pytest.mark.parametrize(

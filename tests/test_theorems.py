@@ -362,6 +362,13 @@ def test_petridis_exhaustive_verification():
     assert ver.ok and ver.equality_at_identity and not ver.violations
     with pytest.raises(SizeLimitExceeded):
         petridis_verify(Z8, res, "exhaustive", budget=200)
+    # Past SUBSET_TABLE_LIMIT (24) no budget buys the exhaustive check; at
+    # order 70 a row would not fit uint32 either.
+    for n in (25, 70):
+        Zn = cyclic(n, order_cap=n)
+        res = petridis_minimizer(Zn, Zn.subset([0, 1]), Zn.subset([0, 1]))
+        with pytest.raises(SizeLimitExceeded):
+            petridis_verify(Zn, res, "exhaustive", budget=1 << n)
 
 
 def test_petridis_sampled_verification_reproducible():
