@@ -45,11 +45,12 @@ print(f"    atom H = {rep.atom.elements()}, |H| = {rep.atom.cardinality} <= {rep
 print("\nMulti-coset branch: a short progression in Z6, e = 1/2")
 Z6 = cyclic(6)
 S = Z6.subset([0, 1])
-rep = weak_kneser_check(Z6, S, S, Fraction(1, 2))
+eps = Fraction(1, 2)
+rep = weak_kneser_check(Z6, S, S, eps)
 print(f"  branch {rep.branch}: atom {rep.atom.elements()}, kappa {rep.kappa}")
 print(
     f"  cover of S by right cosets: representatives {rep.cover.representatives} "
-    f"(count {rep.cover.count} <= 2/e - 1 = {Fraction(2) / rep.epsilon - 1})"
+    f"(count {rep.cover.count} <= 2/e - 1 = {2 / eps - 1})"
 )
 
 print("\nIn a finite ambient group the whole group competes for the atom:")

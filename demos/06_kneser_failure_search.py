@@ -33,9 +33,10 @@ print(
 )
 
 print("\nSeeded random search in the same group, replayable from its seed:")
-rep = kneser_violation_scan(D6, "random", seed=2026, budget=20_000)
+seed = 2026
+rep = kneser_violation_scan(D6, "random", seed=seed, budget=20_000)
 print(
     f"  D6: {rep.pairs_checked} sampled pairs, {len(rep.findings)} failures "
-    f"(seed {rep.seed})"
+    f"(seed {seed})"
 )
 print("Every reported failure was recomputed independently before being listed.")

@@ -16,7 +16,6 @@ _EXPORTS = {
     "connectivity": (
         "AtomPropositionReport",
         "ConnectivityResult",
-        "CostParams",
         "connectivity_bruteforce",
         "connectivity_subgroup_solver",
         "cost",

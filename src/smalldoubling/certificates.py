@@ -107,9 +107,9 @@ _SEED = Option("int")
 def _run_doubling(G, caps, A):
     rep = setalg.doubling_ratio(G, A)
     return {
-        "set_a": subset_payload(G, rep.A),
+        "set_a": subset_payload(G, A),
         "square": subset_payload(G, rep.square),
-        "cardinality_a": rep.A.cardinality,
+        "cardinality_a": A.cardinality,
         "cardinality_square": rep.square.cardinality,
         "ratio": rational_str(rep.ratio),
         "epsilon": rational_str(rep.epsilon),
@@ -133,26 +133,21 @@ def _run_doubling(G, caps, A):
     ok=lambda p: p["atom_is_subgroup"] in (True, None),
 )
 def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_atom):
-    params = conn_mod.CostParams(S=S, K=K)
     if solver == "brute_force":
         res = conn_mod.connectivity_bruteforce(
-            G,
-            params,
-            collect_fragments=fragments,
-            fragment_cap=fragment_cap,
-            classify_atom=classify_atom,
-            bruteforce_cap=caps["bruteforce_cap"],
+            G, S, K, collect_fragments=fragments, fragment_cap=fragment_cap,
+            classify_atom=classify_atom, bruteforce_cap=caps["bruteforce_cap"],
         )
     else:
         if fragments:
             raise UsageError("fragment inventories need the brute_force solver")
         if not classify_atom:
             raise UsageError("fragments-only output needs the brute_force solver")
-        res = conn_mod.connectivity_subgroup_solver(G, params)
+        res = conn_mod.connectivity_subgroup_solver(G, S, K)
     return {
         "set_s": subset_payload(G, S),
-        "k": rational_str(params.K),
-        "solver": res.solver,
+        "k": rational_str(K),
+        "solver": solver,
         "kappa": rational_str(res.kappa),
         "identity_atom": (
             None if res.identity_atom is None else subset_payload(G, res.identity_atom)
@@ -175,12 +170,10 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
     ok=lambda p: p["ok"],
 )
 def _run_atoms(G, caps, S, K):
-    rep = conn_mod.verify_atom_proposition(
-        G, conn_mod.CostParams(S=S, K=K), bruteforce_cap=caps["bruteforce_cap"]
-    )
+    rep = conn_mod.verify_atom_proposition(G, S, K, bruteforce_cap=caps["bruteforce_cap"])
     return {
         "set_s": subset_payload(G, S),
-        "k": rational_str(rep.params.K),
+        "k": rational_str(K),
         "kappa": rational_str(rep.kappa),
         "identity_atom": subset_payload(G, rep.identity_atom),
         "atom_is_subgroup": rep.atom_is_subgroup,
@@ -210,8 +203,8 @@ def _run_kneser(G, caps, A, B):
 def _run_corollary(G, caps, A, epsilon):
     rep = theorems.kneser_corollary_check(G, A, epsilon)
     return {
-        "set_a": subset_payload(G, rep.A),
-        "epsilon": rational_str(rep.epsilon),
+        "set_a": subset_payload(G, A),
+        "epsilon": rational_str(epsilon),
         "square": subset_payload(G, rep.square),
         "stabilizer": subset_payload(G, rep.H),
         "h_bound": rational_str(rep.H_bound),
@@ -234,11 +227,11 @@ def _run_corollary(G, caps, A, epsilon):
 def _run_theorem_main(G, caps, A, S, epsilon):
     rep = theorems.weak_kneser_check(G, A, S, epsilon)
     return {
-        "set_a": subset_payload(G, rep.A),
-        "set_s": subset_payload(G, rep.S),
-        "epsilon": rational_str(rep.epsilon),
+        "set_a": subset_payload(G, A),
+        "set_s": subset_payload(G, S),
+        "epsilon": rational_str(epsilon),
         "k": rational_str(rep.K),
-        "hypotheses_ok": rep.hypotheses_ok,
+        "hypotheses_ok": True,  # weak_kneser_check raises HypothesisFailed otherwise
         "kappa": rational_str(rep.kappa),
         "atom": subset_payload(G, rep.atom),
         "branch": rep.branch,
@@ -269,9 +262,9 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
         "set_s": subset_payload(G, S),
         "x": subset_payload(G, result.X),
         "k": rational_str(result.K),
-        "mode": verification.mode,
+        "mode": mode,
         "verified_c_count": verification.checked,
-        "exhaustive": verification.mode == "exhaustive",
+        "exhaustive": mode == "exhaustive",
         "equality_at_identity": verification.equality_at_identity,
         "violations": [subset_payload(G, v) for v in verification.violations],
         "ok": verification.ok,
@@ -288,7 +281,7 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
 def _run_conv_gap(G, caps, A):
     rep = conv_mod.gap_check(G, A)
     return {
-        "set_a": subset_payload(G, rep.A),
+        "set_a": subset_payload(G, A),
         "epsilon_star": rational_str(rep.epsilon_star),
         "support": subset_payload(G, rep.support),
         "min_on_support": rational_str(rep.min_on_support),
@@ -351,9 +344,9 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
         )
     rep = theorems.kneser_violation_scan(G, strategy, seed=seed, budget=budget)
     return {
-        "strategy": rep.strategy,
-        "seed": rep.seed,
-        "budget": rep.budget,
+        "strategy": strategy,
+        "seed": seed,
+        "budget": budget,
         "pairs_checked": rep.pairs_checked,
         "exhausted": rep.exhausted,
         "finding_count": len(rep.findings),

@@ -1,8 +1,9 @@
 """Connectivity of a set S at expansion rate K: cost, fragments, atoms.
 
-The cost of a finite set A against parameters (S, K) is |A*S| - K|A|.  The
-connectivity kappa is the minimum cost over nonempty sets, a fragment is a
-nonempty set attaining it, and an atom is a fragment of minimum cardinality.
+The cost of a finite set A is |A*S| - K|A|, for a nonempty S and a rational
+K that every function here takes as plain arguments.  The connectivity
+kappa is the minimum cost over nonempty sets, a fragment is a nonempty set
+attaining it, and an atom is a fragment of minimum cardinality.
 For K < 1 the atoms are exactly the left cosets of one subgroup.  The
 subgroup-restricted solver finds the one holding e by a min cut.  Its kernel
 `_min_cut_sides`, shared with the Petridis minimizer, is a maximum flow by
@@ -30,37 +31,29 @@ from .subsets import Subset, iter_bits
 
 
 @dataclass(frozen=True)
-class CostParams:
-    """Fixed (S, K) for the cost functional c(A) = |A*S| - K|A|."""
-
-    S: Subset
-    K: Fraction
-
-    def __post_init__(self):
-        if self.S.is_empty:
-            raise EmptySet("cost parameters need a nonempty S")
-        object.__setattr__(self, "K", Fraction(self.K))
-
-
-@dataclass(frozen=True)
 class ConnectivityResult:
-    params: CostParams
     kappa: Fraction
     identity_atom: Optional[Subset]
     atom_is_subgroup: Optional[bool]
     fragments: Optional[tuple[Subset, ...]]
     fragment_total: Optional[int]
-    solver: str
 
 
-def cost(G: GroupTable, params: CostParams, A: Subset) -> Fraction:
+def _cost_params(G: GroupTable, S: Subset, K: Fraction) -> Fraction:
+    """K as a Fraction, once S is a nonempty subset of G."""
+    if S.is_empty:
+        raise EmptySet("cost parameters need a nonempty S")
+    _check_member(G, S, "S")
+    return Fraction(K)
+
+
+def cost(G: GroupTable, S: Subset, K: Fraction, A: Subset) -> Fraction:
     """|A*S| - K|A|, exactly; the empty set costs 0."""
+    K = _cost_params(G, S, K)
     _check_member(G, A, "A")
-    _check_member(G, params.S, "S")
     if A.is_empty:
         return Fraction(0)
-    size = product_mask(G, A.mask, params.S.mask).bit_count()
-    return size - params.K * A.cardinality
+    return product_mask(G, A.mask, S.mask).bit_count() - K * A.cardinality
 
 
 def _check_k(K: Fraction, classify_atom: bool) -> None:
@@ -74,7 +67,8 @@ def _check_k(K: Fraction, classify_atom: bool) -> None:
 
 def connectivity_bruteforce(
     G: GroupTable,
-    params: CostParams,
+    S: Subset,
+    K: Fraction,
     *,
     collect_fragments: bool = False,
     fragment_cap: int = DEFAULT_FRAGMENT_CAP,
@@ -92,20 +86,20 @@ def connectivity_bruteforce(
     """
     import numpy as np
 
+    K = _cost_params(G, S, K)
     n = G.order
     if n > bruteforce_cap:
         raise SizeLimitExceeded(
             f"brute force over 2^{n} subsets exceeds the cap {bruteforce_cap}"
         )
-    _check_member(G, params.S, "S")
-    _check_k(params.K, classify_atom)
+    _check_k(K, classify_atom)
 
-    p, q = params.K.numerator, params.K.denominator
+    p, q = K.numerator, K.denominator
     scaled = [q * s - p * c for s in range(n + 1) for c in range(n + 1)]
     levels = sorted(set(scaled))
     index = {v: i for i, v in enumerate(levels)}
     rank = np.array([index[v] for v in scaled], dtype=np.int16)
-    sizes = product_size_table(G, params.S)
+    sizes = product_size_table(G, S)
     cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     # rank of (s, c) at s*(n+1) + c, in uint16 so that it cannot wrap; at
     # orders 12-16 this flat index is twice as fast as a 2-D rank[s, c]
@@ -142,17 +136,15 @@ def connectivity_bruteforce(
         atom_is_subgroup = is_subgroup_mask(G, atom_mask)
 
     return ConnectivityResult(
-        params=params,
         kappa=kappa,
         identity_atom=identity_atom,
         atom_is_subgroup=atom_is_subgroup,
         fragments=fragments,
         fragment_total=fragment_total if collect_fragments else None,
-        solver="brute_force",
     )
 
 
-def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> ConnectivityResult:
+def connectivity_subgroup_solver(G: GroupTable, S: Subset, K: Fraction) -> ConnectivityResult:
     """kappa and the identity atom by one min cut (valid for K < 1).
 
     The cost is left invariant, so the identity atom is the smallest fragment
@@ -162,25 +154,22 @@ def connectivity_subgroup_solver(G: GroupTable, params: CostParams) -> Connectiv
     the payload's "subgroup_restricted" predate the min cut, which scans no
     subgroups.  Must agree exactly with `connectivity_bruteforce`.
     """
-    _check_member(G, params.S, "S")
-    K, S = params.K, params.S.mask
+    K = _cost_params(G, S, K)
     if K >= 1:
         raise KOutOfRange("the subgroup-restricted solver requires K < 1")
     atom = 1 << G.identity
     if K >= 0:  # the row of e is empty, so only p = 0 leaves e out of the side
-        rows = [row & ~S for row in expansion_rows(G, params.S)]
+        rows = [row & ~S.mask for row in expansion_rows(G, S)]
         atom |= _min_cut_sides(rows, K.numerator, K.denominator)[0]
     H = Subset(G.order, atom)
     if not is_subgroup_mask(G, atom):
         raise TheoryViolation(f"the identity atom {list(H.elements())} is not a subgroup")
     return ConnectivityResult(
-        params=params,
-        kappa=cost(G, params, H),
+        kappa=cost(G, S, K, H),
         identity_atom=H,
         atom_is_subgroup=True,
         fragments=None,
         fragment_total=None,
-        solver="subgroup_restricted",
     )
 
 
@@ -288,7 +277,6 @@ def _min_cut_sides(rows: list[int], p: int, q: int) -> tuple[int, int]:
 class AtomPropositionReport:
     """Brute-force evidence that the atoms are the left cosets of one subgroup."""
 
-    params: CostParams
     kappa: Fraction
     identity_atom: Subset
     atom_is_subgroup: bool
@@ -300,20 +288,18 @@ class AtomPropositionReport:
 
 def verify_atom_proposition(
     G: GroupTable,
-    params: CostParams,
+    S: Subset,
+    K: Fraction,
     *,
     bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP,
 ) -> AtomPropositionReport:
     """Check, from the exhaustive fragment inventory, that the minimum-size
     fragments are exactly the left cosets of the identity atom and that
     distinct atoms are disjoint."""
-    if params.K >= 1:
+    if _cost_params(G, S, K) >= 1:
         raise KOutOfRange("the atom proposition is stated for K < 1")
     res = connectivity_bruteforce(
-        G,
-        params,
-        collect_fragments=True,
-        bruteforce_cap=bruteforce_cap,
+        G, S, K, collect_fragments=True, bruteforce_cap=bruteforce_cap
     )
     fragments = res.fragments
     assert fragments is not None and res.identity_atom is not None
@@ -328,7 +314,6 @@ def verify_atom_proposition(
     )
     ok = bool(res.atom_is_subgroup) and are_cosets and disjoint
     return AtomPropositionReport(
-        params=params,
         kappa=res.kappa,
         identity_atom=H,
         atom_is_subgroup=bool(res.atom_is_subgroup),

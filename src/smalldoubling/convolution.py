@@ -103,7 +103,6 @@ class GapReport:
     When it is nonpositive the hypothesis is vacuous and no gap is claimed.
     """
 
-    A: Subset
     autocorrelation: GroupFunction  # f
     epsilon_star: Fraction
     support: Subset  # A * A^-1
@@ -126,7 +125,6 @@ def gap_check(G: GroupTable, A: Subset) -> GapReport:
     gap_holds = min_on_support >= epsilon_star
     clean = all(not (0 < v < epsilon_star) for v in f.values)
     return GapReport(
-        A=A,
         autocorrelation=f,
         epsilon_star=epsilon_star,
         support=support,

@@ -92,7 +92,6 @@ def right_stabilizer(G: GroupTable, T: Subset) -> Subset:
 class DoublingReport:
     """Exact doubling data for one set: |A*A| / |A| and the best epsilon."""
 
-    A: Subset
     square: Subset
     ratio: Fraction
     epsilon: Fraction  # 2 - ratio; may be <= 0 when doubling is at least 2
@@ -104,7 +103,7 @@ def doubling_ratio(G: GroupTable, A: Subset) -> DoublingReport:
         raise EmptySet("doubling ratio of the empty set")
     square = product_set(G, A, A)
     ratio = Fraction(square.cardinality, A.cardinality)
-    return DoublingReport(A=A, square=square, ratio=ratio, epsilon=2 - ratio)
+    return DoublingReport(square=square, ratio=ratio, epsilon=2 - ratio)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .connectivity import CostParams, _min_cut_sides, connectivity_subgroup_solver
+from .connectivity import _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
 from .groups import (
     DEFAULT_SUBSET_SEARCH_CAP,
@@ -98,8 +98,6 @@ class CorollaryReport:
     """For |A+A| <= (2-e)|A|: the symmetry group H of A+A has |H| <= (2-e)|A|
     and A+A is covered by at most 2/e - 1 of its cosets."""
 
-    A: Subset
-    epsilon: Fraction
     square: Subset
     H: Subset
     H_bound: Fraction  # (2 - epsilon)|A|
@@ -129,8 +127,6 @@ def kneser_corollary_check(G: GroupTable, A: Subset, epsilon: Fraction) -> Corol
     cover_bound = Fraction(2) / epsilon - 1
     cover_bound_ok = cover.count <= cover_bound
     return CorollaryReport(
-        A=A,
-        epsilon=epsilon,
         square=square,
         H=H,
         H_bound=hypothesis_bound,
@@ -151,11 +147,7 @@ class WeakKneserReport:
     subgroup H with |H| <= (2/e)|S|, or is covered by at most 2/e - 1 right
     cosets of an H with |H| <= |S|.  H is the identity atom at K = 1 - e/2."""
 
-    A: Subset
-    S: Subset
-    epsilon: Fraction
     K: Fraction
-    hypotheses_ok: bool
     kappa: Fraction
     atom: Subset
     branch: str  # single_right_coset | multi_coset_cover | violation
@@ -180,7 +172,7 @@ def weak_kneser_check(
         raise HypothesisFailed(f"|A*S| = {prod.cardinality} > (2 - {epsilon})|S| = {hyp_bound}")
 
     K = 1 - epsilon / 2
-    conn = connectivity_subgroup_solver(G, CostParams(S=S, K=K))
+    conn = connectivity_subgroup_solver(G, S, K)
     H = conn.identity_atom
     assert H is not None
     sharp_bound = (Fraction(2) / epsilon - 1) * S.cardinality
@@ -211,11 +203,7 @@ def weak_kneser_check(
     if violations:
         branch = "violation"
     return WeakKneserReport(
-        A=A,
-        S=S,
-        epsilon=epsilon,
         K=K,
-        hypotheses_ok=True,
         kappa=conn.kappa,
         atom=H,
         branch=branch,
@@ -242,7 +230,6 @@ class PetridisResult:
 
 @dataclass(frozen=True)
 class PetridisVerification:
-    mode: str
     checked: int
     equality_at_identity: bool
     violations: tuple[Subset, ...]
@@ -464,7 +451,6 @@ def petridis_verify(
         raise ValueError(f"unknown verification mode {mode!r}")
 
     return PetridisVerification(
-        mode=mode,
         checked=checked,
         equality_at_identity=eq_identity,
         violations=tuple(violations),
@@ -477,9 +463,6 @@ def petridis_verify(
 
 @dataclass(frozen=True)
 class SearchReport:
-    strategy: str
-    seed: Optional[int]
-    budget: Optional[int]
     pairs_checked: int
     exhausted: bool
     findings: tuple[KneserReport, ...]
@@ -677,10 +660,5 @@ def kneser_violation_scan(
         key=lambda r: (r.A.cardinality, r.B.cardinality, r.A.elements(), r.B.elements())
     )
     return SearchReport(
-        strategy=strategy,
-        seed=seed,
-        budget=budget,
-        pairs_checked=pairs_checked,
-        exhausted=exhausted,
-        findings=tuple(reports),
+        pairs_checked=pairs_checked, exhausted=exhausted, findings=tuple(reports)
     )

@@ -1,14 +1,19 @@
 """Naive reference implementations used as independent oracles.
 
 Everything here works on plain Python sets with direct definitional loops:
-no bitmasks, no tables, no pruning.  Deliberately slow and obvious.  The two
+no bitmasks, no tables, no pruning.  Deliberately slow and obvious.  Three
 exceptions are kept as they stood when their fast paths replaced them:
-`subgroup_atom`, the subgroup loop that the connectivity solver ran before
-its min cut, and `kneser_prefix_walk`, the row walk that a budgeted
-exhaustive Kneser scan ran before the orbit pass took budgets.
-`full_table_petridis` does use masks: it tabulates C*X and C*X*S at every
-mask C in plain lists, as the exhaustive Petridis check did before it took
-blocks, and imports nothing from the package.
+- `subgroup_atom`, the subgroup loop that the connectivity solver ran before
+  its min cut, takes the subgroup list from its caller and measures each
+  H*S with `naive_product`;
+- `kneser_prefix_walk`, the row walk that a budgeted exhaustive Kneser scan
+  ran before the orbit pass took budgets, builds its rows A*g from `G.cols`
+  (in `failing_partners`).  It still tabulates them with
+  `setalg.mask_table_from_rows`, until the benchmark no longer binds that
+  name (ROADMAP items 2 and 12);
+- `full_table_petridis` tabulates C*X and C*X*S at every mask C in plain
+  lists, as the exhaustive Petridis check did before it took blocks, and
+  imports nothing from the package.
 """
 
 from fractions import Fraction
@@ -186,30 +191,27 @@ def naive_identity_atom(G, S, K):
     return kappa, atoms[0]
 
 
-def subgroup_atom(G, S, K):
-    """(kappa, identity atom) as the least cost over the subgroups of G, K < 1.
+def subgroup_atom(G, subgroups, S, K):
+    """(kappa, identity atom) as the least cost over `subgroups`, all the
+    subgroups of G by increasing cardinality, for K < 1.
 
     The identity atom is a subgroup and a fragment, so the subgroup minimum
     attains kappa; among subgroups attaining it, the smallest is the identity
     atom because two identity-containing fragments intersect in a fragment.
-    The package is imported here, so loading this module by path needs none.
     """
-    from smalldoubling.groups import enumerate_subgroups
-    from smalldoubling.setalg import product_mask
-
     p, q = K.numerator, K.denominator
+    elems = S.elements()
 
     # Subgroups arrive by cardinality, so the first one to reach the least
     # cost is the smallest attaining it; `ties` counts those of its size.
     best = atom = None
     ties = 0
-    for H in enumerate_subgroups(G):
+    for H in subgroups:
         # cost(H) >= (1-K)|H|, so once that floor exceeds the best cost the
         # subgroup cannot matter (not even as an equal-cost tie).
         if best is not None and (q - p) * H.cardinality > best:
             continue
-        size = product_mask(G, H.mask, S.mask).bit_count()
-        val = q * size - p * H.cardinality
+        val = q * len(naive_product(G, H.elements(), elems)) - p * H.cardinality
         if best is None or val < best:
             best, atom, ties = val, H, 1
         elif val == best and H.cardinality == atom.cardinality:
@@ -221,10 +223,10 @@ def subgroup_atom(G, S, K):
 def failing_partners(G, amask, limit, cards, stab):
     """The masks B in 1..limit, ascending, with |A*B| + |stab(A*B)| < |A| + |B|."""
     import numpy as np
-    from smalldoubling.groups import image
     from smalldoubling.setalg import mask_table_from_rows
 
-    rows = [image(col, amask) for col in G.cols]
+    A = [a for a in range(G.order) if amask >> a & 1]
+    rows = [sum(1 << col[a] for a in A) for col in G.cols]  # A*g, col[a] = a*g
     prod = mask_table_from_rows(rows)[1 : limit + 1]
     lhs = np.bitwise_count(prod) + stab[prod]
     return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from smalldoubling import (
-    CostParams,
     Subset,
     autocorrelation,
     catalogue,
@@ -135,10 +134,9 @@ def test_criterion_3_submodularity():
         B = Subset(n, rng.randrange(0, 1 << n))
         S = Subset(n, rng.randrange(1, 1 << n))
         K = SUBMODULARITY_KS[rng.randrange(4)]
-        params = CostParams(S=S, K=K)
         union, meet = Subset(n, A.mask | B.mask), Subset(n, A.mask & B.mask)
-        lhs = cost(G, params, union) + cost(G, params, meet)
-        assert lhs <= cost(G, params, A) + cost(G, params, B), f"submodularity fails in {G.name}"
+        lhs = cost(G, S, K, union) + cost(G, S, K, meet)
+        assert lhs <= cost(G, S, K, A) + cost(G, S, K, B), f"submodularity fails in {G.name}"
     _report(
         3,
         True,
@@ -164,9 +162,8 @@ def test_criterion_4_oracle_equivalence(oracle_sweep_cases):
     compared = 0
     for G, S in oracle_sweep_cases:
         for K in ORACLE_KS:
-            params = CostParams(S=S, K=K)
-            brute = connectivity_bruteforce(G, params)
-            sub = connectivity_subgroup_solver(G, params)
+            brute = connectivity_bruteforce(G, S, K)
+            sub = connectivity_subgroup_solver(G, S, K)
             assert brute.kappa == sub.kappa, f"{G.name} S={S} K={K}"
             assert brute.identity_atom == sub.identity_atom, f"{G.name} S={S} K={K}"
             compared += 1
@@ -183,7 +180,7 @@ def test_criterion_5_atom_proposition(oracle_sweep_cases):
     verified = 0
     for G, S in oracle_sweep_cases:
         for K in ORACLE_KS:
-            rep = verify_atom_proposition(G, CostParams(S=S, K=K))
+            rep = verify_atom_proposition(G, S, K)
             assert rep.atom_is_subgroup, f"{G.name} S={S} K={K}: atom not a subgroup"
             assert rep.atoms_are_left_cosets, f"{G.name} S={S} K={K}: atoms != cosets"
             assert rep.atoms_pairwise_disjoint, f"{G.name} S={S} K={K}: atoms overlap"

@@ -416,3 +416,11 @@ def test_hostile_work_requests_are_refused_at_once(command, config):
     with pytest.raises((UsageError, SizeLimitExceeded)):
         recheck(record)
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("option", [{"fragments": True}, {"classify_atom": False}])
+def test_an_option_the_subgroup_solver_lacks_is_refused_before_s_is_checked(option):
+    # The runner refuses the option before the solver checks S.
+    config = {"group": {"preset": "cyclic", "n": 6}, "sets": {"S": []}, "K": "1/2", **option}
+    with pytest.raises(UsageError, match="need.? the brute_force solver"):
+        run("connectivity", config)

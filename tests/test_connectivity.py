@@ -6,8 +6,8 @@ from functools import partial
 import pytest
 
 from smalldoubling import (
-    CostParams,
     EmptySet,
+    GroupMismatch,
     KOutOfRange,
     SizeLimitExceeded,
     Subset,
@@ -44,18 +44,32 @@ def subsets_of(G):
 
 def test_cost_examples():
     Z8 = cyclic(8)
-    params = CostParams(S=Z8.subset([0, 1]), K=HALF)
-    assert cost(Z8, params, Z8.subset([])) == 0
-    assert cost(Z8, params, Z8.subset([3])) == Fraction(3, 2)
+    S = Z8.subset([0, 1])
+    assert cost(Z8, S, HALF, Z8.subset([])) == 0
+    assert cost(Z8, S, HALF, Z8.subset([3])) == Fraction(3, 2)
     # S = {e} makes the cost |A| - K|A|
-    id_params = CostParams(S=Z8.subset([0]), K=HALF)
     for A in (Z8.subset([1, 2]), Z8.subset([0, 3, 5])):
-        assert cost(Z8, id_params, A) == Fraction(A.cardinality, 2)
+        assert cost(Z8, Z8.subset([0]), HALF, A) == Fraction(A.cardinality, 2)
 
 
-def test_cost_params_require_nonempty_s():
-    with pytest.raises(EmptySet):
-        CostParams(S=Subset(4, 0), K=HALF)
+# Every entry that takes (S, K) checks S first and reads K as a Fraction.
+TAKE_S_AND_K = {
+    "cost": lambda G, S, K: cost(G, S, K, G.subset([0, 1])),
+    "brute_force": connectivity_bruteforce,
+    "subgroup_restricted": connectivity_subgroup_solver,
+    "atoms": verify_atom_proposition,
+}
+
+
+@pytest.mark.parametrize("solve", TAKE_S_AND_K.values(), ids=TAKE_S_AND_K)
+def test_s_is_checked_and_k_may_be_an_int(solve):
+    G = cyclic(6)
+    with pytest.raises(EmptySet, match="^cost parameters need a nonempty S$"):
+        solve(G, Subset(6, 0), HALF)
+    with pytest.raises(GroupMismatch, match="S has group order 4, expected 6"):
+        solve(G, cyclic(4).subset([0, 1]), HALF)
+    for K in (-1, 0):
+        assert solve(G, G.subset([0, 1]), K) == solve(G, G.subset([0, 1]), Fraction(K))
 
 
 def test_cost_lower_bound_exhaustive():
@@ -63,9 +77,8 @@ def test_cost_lower_bound_exhaustive():
     for G in (cyclic(6), symmetric(3)):
         for S in (G.subset([0, 1]), G.subset([1])):
             for K in (Fraction(0), HALF, Fraction(5, 6)):
-                params = CostParams(S=S, K=K)
                 for A in subsets_of(G):
-                    assert cost(G, params, A) >= (1 - K) * A.cardinality
+                    assert cost(G, S, K, A) >= (1 - K) * A.cardinality
 
 
 def test_cost_lower_bound_random_large_group():
@@ -76,43 +89,43 @@ def test_cost_lower_bound_random_large_group():
         S = Subset(G.order, rng.randrange(1, 1 << G.order))
         A = Subset(G.order, rng.randrange(0, 1 << G.order))
         K = Fraction(rng.randrange(0, 100), 100)
-        assert cost(G, CostParams(S=S, K=K), A) >= (1 - K) * A.cardinality
+        assert cost(G, S, K, A) >= (1 - K) * A.cardinality
 
 
 def test_solvers_accept_negative_k():
     # K < 0 takes the solver's closed form, K = 0 a min cut with no flow.
     G = cyclic(8)
+    S = G.subset([0, 1])
     for K in (Fraction(-1), Fraction(0)):
-        params = CostParams(S=G.subset([0, 1]), K=K)
-        brute = connectivity_bruteforce(G, params)
-        sub = connectivity_subgroup_solver(G, params)
+        brute = connectivity_bruteforce(G, S, K)
+        sub = connectivity_subgroup_solver(G, S, K)
         assert brute.kappa == sub.kappa == 2 - K  # singleton: |A*S| - K|A|
         assert brute.identity_atom == sub.identity_atom == G.subset([0])
 
 
 def test_left_invariance_exhaustive_s3():
     G = symmetric(3)
-    params = CostParams(S=G.subset([0, 2]), K=HALF)
+    S, K = G.subset([0, 2]), HALF
     rng = random.Random(2)
     for _ in range(40):
         A = Subset(G.order, rng.randrange(0, 1 << G.order))
         for x in G.elements():
             xA = Subset(G.order, image(G.mul[x], A.mask))
-            assert cost(G, params, xA) == cost(G, params, A)
+            assert cost(G, S, K, xA) == cost(G, S, K, A)
 
 
 def test_left_invariance_concrete():
     Z8 = cyclic(8)
-    params = CostParams(S=Z8.subset([0, 1]), K=HALF)
+    S, K = Z8.subset([0, 1]), HALF
     A = Z8.subset([3])
     for x in (0, 5):  # x = e, and a proper shift
         xA = Subset(Z8.order, image(Z8.mul[x], A.mask))
-        assert cost(Z8, params, xA) == cost(Z8, params, A)
+        assert cost(Z8, S, K, xA) == cost(Z8, S, K, A)
 
 
 def test_submodularity_examples():
     Z6 = cyclic(6)
-    c = partial(cost, Z6, CostParams(S=Z6.subset([0, 1]), K=HALF))
+    c = partial(cost, Z6, Z6.subset([0, 1]), HALF)
 
     def c_union_meet(X, Y):  # c(X ∪ Y) + c(X ∩ Y)
         return c(Subset(6, X.mask | Y.mask)) + c(Subset(6, X.mask & Y.mask))
@@ -129,12 +142,12 @@ def test_submodularity_examples():
 def test_submodularity_exhaustive_small():
     G = cyclic(5)
     for smask in (0b00011, 0b10101):
-        params = CostParams(S=Subset(5, smask), K=Fraction(3, 4))
+        S, K = Subset(5, smask), Fraction(3, 4)
         for amask, bmask in itertools.product(range(1 << 5), repeat=2):
             A, B = Subset(5, amask), Subset(5, bmask)
             union, meet = Subset(5, amask | bmask), Subset(5, amask & bmask)
-            lhs = cost(G, params, union) + cost(G, params, meet)
-            assert lhs <= cost(G, params, A) + cost(G, params, B)
+            lhs = cost(G, S, K, union) + cost(G, S, K, meet)
+            assert lhs <= cost(G, S, K, A) + cost(G, S, K, B)
 
 
 BRUTE_GROUPS = [
@@ -149,19 +162,18 @@ BRUTE_GROUPS = [
 
 def test_bruteforce_examples():
     Z8 = cyclic(8)
-    res = connectivity_bruteforce(Z8, CostParams(S=Z8.subset([0]), K=HALF))
+    res = connectivity_bruteforce(Z8, Z8.subset([0]), HALF)
     assert res.kappa == HALF and res.identity_atom.elements() == (0,)
 
-    res = connectivity_bruteforce(Z8, CostParams(S=Z8.subset([0, 1]), K=HALF))
+    res = connectivity_bruteforce(Z8, Z8.subset([0, 1]), HALF)
     assert res.kappa == Fraction(3, 2)
     assert res.identity_atom.elements() == (0,)
     assert res.atom_is_subgroup
-    assert res.solver == "brute_force"
 
     # S a subgroup: kappa = |H|/2 and the atom is H itself
     for G, h_elems in ((cyclic(6), (0, 3)), (symmetric(3), (0, 2)), (cyclic(8), (0, 2, 4, 6))):
         H = G.subset(h_elems)
-        res = connectivity_bruteforce(G, CostParams(S=H, K=HALF))
+        res = connectivity_bruteforce(G, H, HALF)
         assert res.kappa == Fraction(H.cardinality, 2)
         assert res.identity_atom == H
 
@@ -173,8 +185,7 @@ def test_bruteforce_matches_naive_oracle(G):
         smask = rng.randrange(1, 1 << G.order)
         S = Subset(G.order, smask)
         for K in (Fraction(1, 4), HALF, Fraction(5, 6)):
-            params = CostParams(S=S, K=K)
-            res = connectivity_bruteforce(G, params, collect_fragments=True)
+            res = connectivity_bruteforce(G, S, K, collect_fragments=True)
             kappa, fragments = naive_connectivity(G, S.elements(), K)
             assert res.kappa == kappa
             assert {frozenset(f.elements()) for f in res.fragments} == set(fragments)
@@ -185,9 +196,9 @@ def test_bruteforce_matches_naive_oracle(G):
 
 def test_bruteforce_fragment_properties():
     G = cyclic(8)
-    params = CostParams(S=G.subset([0, 1]), K=HALF)
-    res = connectivity_bruteforce(G, params, collect_fragments=True)
-    assert all(cost(G, params, f) == res.kappa for f in res.fragments)
+    S, K = G.subset([0, 1]), HALF
+    res = connectivity_bruteforce(G, S, K, collect_fragments=True)
+    assert all(cost(G, S, K, f) == res.kappa for f in res.fragments)
     # fragment lattice closure: intersecting fragments give fragments
     frags = {f.mask for f in res.fragments}
     for a, b in itertools.combinations(res.fragments, 2):
@@ -198,8 +209,9 @@ def test_bruteforce_fragment_properties():
 
 def test_bruteforce_fragment_cap():
     G = cyclic(8)
-    params = CostParams(S=G.subset([0, 1]), K=HALF)
-    res = connectivity_bruteforce(G, params, collect_fragments=True, fragment_cap=3)
+    res = connectivity_bruteforce(
+        G, G.subset([0, 1]), HALF, collect_fragments=True, fragment_cap=3
+    )
     assert len(res.fragments) == 3
     assert res.fragment_total == 8  # all singletons attain kappa here
 
@@ -208,11 +220,11 @@ def test_bruteforce_k_edge_cases():
     G = cyclic(6)
     S = G.subset([0, 1])
     with pytest.raises(KOutOfRange):
-        connectivity_bruteforce(G, CostParams(S=S, K=Fraction(3, 2)))
+        connectivity_bruteforce(G, S, Fraction(3, 2))
     with pytest.raises(KOutOfRange):
-        connectivity_bruteforce(G, CostParams(S=S, K=Fraction(1)))
+        connectivity_bruteforce(G, S, Fraction(1))
     res = connectivity_bruteforce(
-        G, CostParams(S=S, K=Fraction(1)), classify_atom=False, collect_fragments=True
+        G, S, Fraction(1), classify_atom=False, collect_fragments=True
     )
     # at K = 1 the whole group costs 0, the minimum
     assert res.kappa == 0
@@ -223,11 +235,11 @@ def test_bruteforce_k_edge_cases():
 def test_bruteforce_size_cap():
     with pytest.raises(SizeLimitExceeded):
         connectivity_bruteforce(
-            cyclic(18, order_cap=64), CostParams(S=cyclic(18, order_cap=64).subset([0]), K=HALF)
+            cyclic(18, order_cap=64), cyclic(18, order_cap=64).subset([0]), HALF
         )
     res = connectivity_bruteforce(
         cyclic(17, order_cap=64),
-        CostParams(S=cyclic(17, order_cap=64).subset([0, 1]), K=HALF),
+        cyclic(17, order_cap=64).subset([0, 1]), HALF,
         bruteforce_cap=17,
     )
     assert res.kappa == Fraction(3, 2)
@@ -238,11 +250,11 @@ def test_bruteforce_refuses_tables_past_the_limit_whatever_the_cap(n):
     # Masks of order 40 need 33-64 bits and those of order 70 more than any
     # numpy integer holds; both are refused before a 2^n table is started.
     G = cyclic(n, order_cap=n)
-    params = CostParams(S=G.subset([0, 1]), K=HALF)
+    S, K = G.subset([0, 1]), HALF
     with pytest.raises(SizeLimitExceeded):
-        connectivity_bruteforce(G, params, bruteforce_cap=n)
+        connectivity_bruteforce(G, S, K, bruteforce_cap=n)
     with pytest.raises(SizeLimitExceeded):
-        verify_atom_proposition(G, params, bruteforce_cap=n)
+        verify_atom_proposition(G, S, K, bruteforce_cap=n)
 
 
 EXACT_KS = (
@@ -261,7 +273,7 @@ def test_bruteforce_is_exact_at_any_k(G):
     S = G.subset([0, 1])
     for K in EXACT_KS:
         res = connectivity_bruteforce(
-            G, CostParams(S=S, K=K), collect_fragments=True, fragment_cap=1 << G.order
+            G, S, K, collect_fragments=True, fragment_cap=1 << G.order
         )
         kappa, fragments = naive_connectivity(G, [0, 1], K)
         assert res.kappa == kappa
@@ -270,7 +282,7 @@ def test_bruteforce_is_exact_at_any_k(G):
         assert set(res.identity_atom.elements()) == naive_identity_atom(G, [0, 1], K)[1]
     res = connectivity_bruteforce(
         G,
-        CostParams(S=S, K=Fraction(1)),
+        S, Fraction(1),
         collect_fragments=True,
         fragment_cap=1 << G.order,
         classify_atom=False,
@@ -282,17 +294,16 @@ def test_bruteforce_is_exact_at_any_k(G):
 
 def test_subgroup_solver_examples():
     Z8 = cyclic(8)
-    res = connectivity_subgroup_solver(Z8, CostParams(S=Z8.subset([0]), K=HALF))
+    res = connectivity_subgroup_solver(Z8, Z8.subset([0]), HALF)
     assert res.kappa == HALF and res.identity_atom.elements() == (0,)
-    res = connectivity_subgroup_solver(Z8, CostParams(S=Z8.subset([0, 1]), K=HALF))
+    res = connectivity_subgroup_solver(Z8, Z8.subset([0, 1]), HALF)
     assert res.kappa == Fraction(3, 2) and res.identity_atom.elements() == (0,)
     S3 = symmetric(3)
     H = S3.subset([0, 2])
-    res = connectivity_subgroup_solver(S3, CostParams(S=H, K=HALF))
+    res = connectivity_subgroup_solver(S3, H, HALF)
     assert res.kappa == 1 and res.identity_atom == H
-    assert res.solver == "subgroup_restricted"
     with pytest.raises(KOutOfRange):
-        connectivity_subgroup_solver(S3, CostParams(S=H, K=Fraction(1)))
+        connectivity_subgroup_solver(S3, H, Fraction(1))
 
 
 def test_subgroup_solver_refuses_a_non_subgroup_atom(monkeypatch):
@@ -302,7 +313,7 @@ def test_subgroup_solver_refuses_a_non_subgroup_atom(monkeypatch):
     assert S3.labels[3] == "(1 2 3)"
     monkeypatch.setattr(connectivity, "_min_cut_sides", lambda rows, p, q: (1 << 3, 0))
     with pytest.raises(TheoryViolation, match="not a subgroup"):
-        connectivity_subgroup_solver(S3, CostParams(S=S3.subset([0, 2]), K=HALF))
+        connectivity_subgroup_solver(S3, S3.subset([0, 2]), HALF)
 
 
 # Beyond the reach of brute force, the min cut is checked against the
@@ -321,11 +332,12 @@ ORACLE_KS = tuple(Fraction(k) for k in ("-1/4", "0", "1/4", "1/2", "3/4", "59/60
 @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.name)
 def test_subgroup_solver_matches_subgroup_loop(G):
     rng = random.Random(G.order * 17 + 2)
+    subgroups = enumerate_subgroups(G)
     for size in sorted({1, max(1, G.order // 3), G.order // 2 + 1, G.order}):
         S = G.subset(rng.sample(range(G.order), size))
         for K in ORACLE_KS:
-            res = connectivity_subgroup_solver(G, CostParams(S=S, K=K))
-            assert (res.kappa, res.identity_atom) == subgroup_atom(G, S, K)
+            res = connectivity_subgroup_solver(G, S, K)
+            assert (res.kappa, res.identity_atom) == subgroup_atom(G, subgroups, S, K)
 
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)
@@ -334,30 +346,29 @@ def test_solvers_agree(G):
     for trial in range(10):
         S = Subset(G.order, rng.randrange(1, 1 << G.order))
         for K in (Fraction(1, 4), HALF, Fraction(5, 6), *(K for K in EXACT_KS if 0 < K < 1)):
-            params = CostParams(S=S, K=K)
-            brute = connectivity_bruteforce(G, params)
-            sub = connectivity_subgroup_solver(G, params)
+            brute = connectivity_bruteforce(G, S, K)
+            sub = connectivity_subgroup_solver(G, S, K)
             assert brute.kappa == sub.kappa
             assert brute.identity_atom == sub.identity_atom
 
 
 def test_atom_proposition_examples():
     Z8 = cyclic(8)
-    rep = verify_atom_proposition(Z8, CostParams(S=Z8.subset([0]), K=HALF))
+    rep = verify_atom_proposition(Z8, Z8.subset([0]), HALF)
     assert rep.ok
     assert {a.elements() for a in rep.atoms} == {(i,) for i in range(8)}
 
-    rep = verify_atom_proposition(Z8, CostParams(S=Z8.subset([0, 1]), K=HALF))
+    rep = verify_atom_proposition(Z8, Z8.subset([0, 1]), HALF)
     assert rep.ok and len(rep.atoms) == 8
 
     Z6 = cyclic(6)
-    rep = verify_atom_proposition(Z6, CostParams(S=Z6.subset([0, 3]), K=HALF))
+    rep = verify_atom_proposition(Z6, Z6.subset([0, 3]), HALF)
     assert rep.ok
     assert {a.elements() for a in rep.atoms} == {(0, 3), (1, 4), (2, 5)}
     assert rep.identity_atom.elements() == (0, 3)
 
     with pytest.raises(KOutOfRange):
-        verify_atom_proposition(Z6, CostParams(S=Z6.subset([0, 3]), K=Fraction(1)))
+        verify_atom_proposition(Z6, Z6.subset([0, 3]), Fraction(1))
 
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)
@@ -365,7 +376,7 @@ def test_atom_proposition_sampled(G):
     rng = random.Random(G.order * 13)
     for _ in range(5):
         S = Subset(G.order, rng.randrange(1, 1 << G.order))
-        rep = verify_atom_proposition(G, CostParams(S=S, K=Fraction(2, 3)))
+        rep = verify_atom_proposition(G, S, Fraction(2, 3))
         assert rep.ok
         assert rep.atom_is_subgroup
         assert is_subgroup_naive(G, rep.identity_atom)
@@ -377,9 +388,9 @@ def test_kappa_bounded_by_every_subgroup_cost():
         rng = random.Random(4)
         for _ in range(5):
             S = Subset(G.order, rng.randrange(1, 1 << G.order))
-            params = CostParams(S=S, K=Fraction(3, 4))
-            res = connectivity_subgroup_solver(G, params)
+            K = Fraction(3, 4)
+            res = connectivity_subgroup_solver(G, S, K)
             assert res.kappa > 0
-            costs = [cost(G, params, H) for H in enumerate_subgroups(G)]
+            costs = [cost(G, S, K, H) for H in enumerate_subgroups(G)]
             assert all(res.kappa <= c for c in costs)
             assert res.kappa in costs

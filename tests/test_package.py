@@ -4,7 +4,9 @@ package is entered when the commands, the command line and the demos run,
 and the benchmark's tracer still finds every module it wraps."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import io
 import json
 import os
@@ -22,12 +24,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "smalldoubling"
 
 PUBLIC = [
-    "AtomPropositionReport", "ConnectivityResult", "CorollaryReport", "CostParams",
-    "CoverCertificate", "DoublingReport", "EmptySet", "GapReport", "GroupFunction",
-    "GroupMismatch", "GroupTable", "HypothesisFailed", "InvalidTable", "KOutOfRange",
-    "KneserReport", "NotASubgroup", "NotAbelian", "PetridisResult", "PetridisVerification",
-    "SearchReport", "SizeLimitExceeded", "SmallDoublingError", "Subset", "TheoryViolation",
-    "UsageError", "WeakKneserReport", "autocorrelation", "catalogue", "certificates",
+    "AtomPropositionReport", "ConnectivityResult", "CorollaryReport", "CoverCertificate",
+    "DoublingReport", "EmptySet", "GapReport", "GroupFunction", "GroupMismatch",
+    "GroupTable", "HypothesisFailed", "InvalidTable", "KOutOfRange", "KneserReport",
+    "NotASubgroup", "NotAbelian", "PetridisResult", "PetridisVerification", "SearchReport",
+    "SizeLimitExceeded", "SmallDoublingError", "Subset", "TheoryViolation", "UsageError",
+    "WeakKneserReport", "autocorrelation", "catalogue", "certificates",
     "connectivity", "connectivity_bruteforce", "connectivity_subgroup_solver", "convolution",
     "convolve", "coset_cover", "cost", "cyclic", "dihedral", "direct_product", "doubling_ratio",
     "enumerate_subgroups", "errors", "from_spec", "from_table", "gap_check", "groups",
@@ -40,7 +42,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 68
+    assert len(PUBLIC) == 67
     assert smalldoubling.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(smalldoubling))
 
@@ -53,6 +55,39 @@ def test_each_name_is_its_defining_modules_object(name):
         assert value is importlib.import_module(f"smalldoubling.{name}")
     else:
         assert value is getattr(importlib.import_module(f"smalldoubling.{module}"), name)
+
+
+# Result fields that may share a name with a parameter of the exported
+# function that returns them, each with why.
+ECHOED_FIELDS = {
+    "PetridisResult": ({"A", "S"}, "petridis_verify takes the result whole, and the "
+                       "benchmark's tracer reads its A"),
+    "KneserReport": ({"A", "B"}, "every finding of a Kneser scan has this type, and "
+                     "there A and B are what the scan found"),
+    "CoverCertificate": ({"side"}, "the runners read the side of covers that "
+                         "weak_kneser_check and kneser_corollary_check chose"),
+    "GroupTable": ({"spec", "mul", "labels", "name"}, "a group is made of its table, "
+                   "labels and name: from_table and from_spec build it from them"),
+}
+
+
+def test_results_do_not_echo_arguments():
+    """A verifier returns what it computed, not what it was given: the caller
+    holds its own arguments."""
+    echoed = {}
+    for name in smalldoubling._MODULE_OF:
+        func = getattr(smalldoubling, name)
+        if not inspect.isfunction(func):
+            continue
+        returns = inspect.signature(func).return_annotation  # a string (PEP 563)
+        cls = getattr(smalldoubling, returns) if returns in smalldoubling._MODULE_OF else None
+        if dataclasses.is_dataclass(cls):
+            fields = {field.name for field in dataclasses.fields(cls)}
+            shared = fields & set(inspect.signature(func).parameters)
+            echoed[returns] = echoed.get(returns, set()) | shared
+    assert {cls: names for cls, names in echoed.items() if names} == {
+        cls: names for cls, (names, _) in ECHOED_FIELDS.items()
+    }
 
 
 # Exported names that no command, demo or benchmark needs to call.

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from smalldoubling import catalogue, direct_product, from_table
 from smalldoubling.connectivity import (
-    CostParams,
     connectivity_bruteforce,
     connectivity_subgroup_solver,
 )
@@ -26,9 +25,8 @@ KS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)]
 
 
 def _solve(G, S, K):
-    params = CostParams(G.subset(S), K)
-    sub = connectivity_subgroup_solver(G, params)
-    brute = connectivity_bruteforce(G, params)
+    sub = connectivity_subgroup_solver(G, G.subset(S), K)
+    brute = connectivity_bruteforce(G, G.subset(S), K)
     assert brute.identity_atom == sub.identity_atom
     return sub.kappa, set(sub.identity_atom.elements()), brute.kappa
 
