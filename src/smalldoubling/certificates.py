@@ -4,7 +4,11 @@ A run record is {schema_version, tool, command, config, payload}; the config
 is everything needed to replay the run, and replaying must reproduce the
 payload byte for byte.  `recheck` does exactly that and reports field-level
 diffs, so any tampered certificate is rejected.  Each runner below is one
-entry of the command table (see schema.py).
+entry of the command table (see schema.py).  The runners alone check the
+config's caps: the brute-force cap before any search over all 2^order
+subsets, and the subset cap before the Petridis minimizer.  No library
+function takes a cap; the library's own size limit is SUBSET_TABLE_LIMIT,
+the widest subset table.
 
 The four theory modules are registered in `sys.modules` here but run only
 when a runner first uses them, so a command loads only the theory it needs.
@@ -82,6 +86,15 @@ def function_payload(f: conv_mod.GroupFunction) -> list[str]:
     return [rational_str(v) for v in f.values]
 
 
+def _check_bruteforce(G: groups.GroupTable, caps: dict) -> None:
+    """Refuse a search over all 2^order subsets of G above the brute-force cap."""
+    if G.order > caps["bruteforce_cap"]:
+        raise SizeLimitExceeded(
+            f"a brute-force search of {G.name} covers 2^{G.order} subsets, "
+            f"above the brute-force cap {caps['bruteforce_cap']}"
+        )
+
+
 def kneser_payload(G: groups.GroupTable, rep: theorems.KneserReport) -> dict:
     return {
         "set_a": subset_payload(G, rep.A),
@@ -134,9 +147,10 @@ def _run_doubling(G, caps, A):
 )
 def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_atom):
     if solver == "brute_force":
+        _check_bruteforce(G, caps)
         res = conn_mod.connectivity_bruteforce(
             G, S, K, collect_fragments=fragments, fragment_cap=fragment_cap,
-            classify_atom=classify_atom, bruteforce_cap=caps["bruteforce_cap"],
+            classify_atom=classify_atom,
         )
     else:
         if fragments:
@@ -170,7 +184,8 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
     ok=lambda p: p["ok"],
 )
 def _run_atoms(G, caps, S, K):
-    rep = conn_mod.verify_atom_proposition(G, S, K, bruteforce_cap=caps["bruteforce_cap"])
+    _check_bruteforce(G, caps)
+    rep = conn_mod.verify_atom_proposition(G, S, K)
     return {
         "set_s": subset_payload(G, S),
         "k": rational_str(K),
@@ -255,7 +270,11 @@ def _run_theorem_main(G, caps, A, S, epsilon):
 def _run_petridis(G, caps, A, S, mode, budget, seed):
     if mode == "sampled" and seed is None:
         raise UsageError("sampled mode requires a seed")
-    result = theorems.petridis_minimizer(G, A, S, subset_cap=caps["subset_cap"])
+    if A.cardinality > caps["subset_cap"]:
+        raise SizeLimitExceeded(
+            f"|A| = {A.cardinality} exceeds the subset-search cap {caps['subset_cap']}"
+        )
+    result = theorems.petridis_minimizer(G, A, S)
     verification = theorems.petridis_verify(G, result, mode, budget=budget, seed=seed)
     return {
         "set_a": subset_payload(G, A),
@@ -331,12 +350,8 @@ def _run_conv_smooth(G, caps, A, S, threshold):
 def _run_search_kneser_failure(G, caps, strategy, seed, budget):
     if strategy == "random" and (seed is None or budget is None):
         raise UsageError("random strategy requires a seed and a budget")
-    if strategy == "exhaustive" and G.order > caps["bruteforce_cap"]:
-        # Every exhaustive scan builds 2^order-entry tables, whatever the budget.
-        raise SizeLimitExceeded(
-            f"an exhaustive scan of {G.name} covers 2^{G.order} sets per row, "
-            f"above the brute-force cap {caps['bruteforce_cap']}"
-        )
+    if strategy == "exhaustive":  # it builds 2^order-entry tables, whatever the budget
+        _check_bruteforce(G, caps)
     if G.is_abelian:
         raise NotAbelian(
             f"{G.name} is abelian, where the inequality is a theorem; "

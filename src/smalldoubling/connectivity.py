@@ -18,14 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EmptySet, KOutOfRange, SizeLimitExceeded, TheoryViolation
-from .groups import (
-    DEFAULT_BRUTEFORCE_CAP,
-    DEFAULT_FRAGMENT_CAP,
-    GroupTable,
-    _check_member,
-    is_subgroup_mask,
-)
+from .errors import EmptySet, KOutOfRange, TheoryViolation
+from .groups import DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, is_subgroup_mask
 from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
@@ -73,25 +67,22 @@ def connectivity_bruteforce(
     collect_fragments: bool = False,
     fragment_cap: int = DEFAULT_FRAGMENT_CAP,
     classify_atom: bool = True,
-    bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP,
 ) -> ConnectivityResult:
     """Exact kappa by scanning every nonempty subset of G.
 
     This is the oracle path: no structure theory is assumed.  The scan runs
-    over the full powerset table, so it is limited to small groups.  The
-    cost of M depends only on (|M*S|, |M|), both at most n, so for K = p/q
-    the scaled costs q*s - p*c of those (n+1)^2 pairs are ranked once in
-    Python ints, exactly for every K, and the 2^n masks only index the ranks.
+    over the full powerset table, so a group above SUBSET_TABLE_LIMIT (24)
+    is refused with SizeLimitExceeded; the certificate runners apply the
+    config's lower brute-force cap.  The cost of M depends only on
+    (|M*S|, |M|), both at most n, so for K = p/q the scaled costs
+    q*s - p*c of those (n+1)^2 pairs are ranked once in Python ints,
+    exactly for every K, and the 2^n masks only index the ranks.
     Both index tables, |M*S| and |M|, are uint8 and built afresh.
     """
     import numpy as np
 
     K = _cost_params(G, S, K)
     n = G.order
-    if n > bruteforce_cap:
-        raise SizeLimitExceeded(
-            f"brute force over 2^{n} subsets exceeds the cap {bruteforce_cap}"
-        )
     _check_k(K, classify_atom)
 
     p, q = K.numerator, K.denominator
@@ -286,21 +277,14 @@ class AtomPropositionReport:
     ok: bool
 
 
-def verify_atom_proposition(
-    G: GroupTable,
-    S: Subset,
-    K: Fraction,
-    *,
-    bruteforce_cap: int = DEFAULT_BRUTEFORCE_CAP,
-) -> AtomPropositionReport:
+def verify_atom_proposition(G: GroupTable, S: Subset, K: Fraction) -> AtomPropositionReport:
     """Check, from the exhaustive fragment inventory, that the minimum-size
     fragments are exactly the left cosets of the identity atom and that
-    distinct atoms are disjoint."""
+    distinct atoms are disjoint.  The inventory is `connectivity_bruteforce`'s,
+    so the same order limit applies."""
     if _cost_params(G, S, K) >= 1:
         raise KOutOfRange("the atom proposition is stated for K < 1")
-    res = connectivity_bruteforce(
-        G, S, K, collect_fragments=True, bruteforce_cap=bruteforce_cap
-    )
+    res = connectivity_bruteforce(G, S, K, collect_fragments=True)
     fragments = res.fragments
     assert fragments is not None and res.identity_atom is not None
     atom_card = fragments[0].cardinality  # fragments sorted by cardinality

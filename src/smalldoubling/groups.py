@@ -22,12 +22,11 @@ from typing import Iterable, Optional, Sequence
 from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
 from .subsets import Subset, iter_bits
 
-# Every size limit lives here, beside the order cap, so that the command table
-# and the config checks (schema, certificates) read them without loading the
-# theory modules that enforce them.
+# The limits that the group builders, the subset tables and the command table
+# share live here, so that reading them loads no theory module.  The
+# certificate caps of brute force and the subset search are schema.DEFAULT_CAPS
+# alone, checked by the runners in certificates.
 DEFAULT_ORDER_CAP = 64
-DEFAULT_BRUTEFORCE_CAP = 16  # largest order of a 2^n sweep: brute-force atoms, exhaustive scans
-DEFAULT_SUBSET_SEARCH_CAP = 20  # largest |A| of the Petridis minimizer
 DEFAULT_FRAGMENT_CAP = 100_000  # most fragments a brute-force inventory lists
 SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
 # Every int of a config lies strictly between -2^63 and 2^63, so every config

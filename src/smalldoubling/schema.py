@@ -30,12 +30,10 @@ from .rationals import parse_rational, rational_str
 SCHEMA_VERSION = 1
 TOOL_NAME = "smalldoubling"  # the one tool.name a record may carry
 
-# The caps are defined in groups, so reading them loads no theory module.
-DEFAULT_CAPS = {
-    "order_cap": groups.DEFAULT_ORDER_CAP,
-    "bruteforce_cap": groups.DEFAULT_BRUTEFORCE_CAP,
-    "subset_cap": groups.DEFAULT_SUBSET_SEARCH_CAP,
-}
+# The certificate caps: the largest group order, the largest order of a search
+# over all 2^order subsets (brute-force connectivity, atoms, exhaustive Kneser
+# scans) and the largest |A| of the Petridis minimizer.
+DEFAULT_CAPS = {"order_cap": groups.DEFAULT_ORDER_CAP, "bruteforce_cap": 16, "subset_cap": 20}
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,10 @@ from typing import TYPE_CHECKING, Optional
 
 from .connectivity import _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
-from .groups import (
-    DEFAULT_SUBSET_SEARCH_CAP,
-    SUBSET_TABLE_LIMIT,
-    GroupTable,
-    _check_member,
-)
+from .groups import GroupTable, _check_member
 from .setalg import (
     CoverCertificate,
+    _check_width,
     coset_cover,
     expansion_rows,
     fixed_factor_product,
@@ -236,13 +232,7 @@ class PetridisVerification:
     ok: bool
 
 
-def petridis_minimizer(
-    G: GroupTable,
-    A: Subset,
-    S: Subset,
-    *,
-    subset_cap: int = DEFAULT_SUBSET_SEARCH_CAP,
-) -> PetridisResult:
+def petridis_minimizer(G: GroupTable, A: Subset, S: Subset) -> PetridisResult:
     """Exact minimizer of |X*S|/|X| over nonempty X inside A.
 
     Ties break toward larger |X|, and that settles them: the minimizers are
@@ -263,17 +253,15 @@ def petridis_minimizer(
     0.25-0.28).  At |A| = 20 in D32 and (Z2)^6, with |S| from 1 to 64, the
     worst of four random draws takes 0.1-0.5 ms, where the numpy pass over
     the whole subset table that the min cut replaced took 12-24 ms and the
-    loop takes 320-420 ms.
+    loop takes 320-420 ms.  So any |A| is accepted here; the certificate
+    runner applies the config's subset cap.
     """
     _require_nonempty(A, S)
     _check_member(G, A, "A")
     _check_member(G, S, "S")
     elems = A.elements()
-    k = len(elems)
-    if k > subset_cap:
-        raise SizeLimitExceeded(f"|A| = {k} exceeds the subset-search cap {subset_cap}")
     rows = expansion_rows(G, S, elems)  # local bit i stands for elems[i]
-    minimize = _minimize_by_flow if k >= PETRIDIS_FLOW_MIN else _minimize_by_loop
+    minimize = _minimize_by_flow if len(elems) >= PETRIDIS_FLOW_MIN else _minimize_by_loop
     best, size, card = minimize(rows)
     X = Subset(G.order, sum(G.bits[elems[i]] for i in iter_bits(best)))
     return PetridisResult(A=A, S=S, X=X, K=Fraction(size, card))
@@ -423,11 +411,7 @@ def petridis_verify(
             raise SizeLimitExceeded(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
-        if n > SUBSET_TABLE_LIMIT:
-            raise SizeLimitExceeded(
-                f"exhaustive verification of {G.name} is supported only up to order "
-                f"{SUBSET_TABLE_LIMIT}"
-            )
+        _check_width(n)
         factors = [X] if XS == X else [X, XS]
         rows = np.array([expansion_rows(G, F) for F in factors], dtype=np.uint32)
         if _violating_masks(rows[:, 1:], p, q, rows[:, 0], 1):  # the C that hold element 0
@@ -610,7 +594,8 @@ def kneser_violation_scan(
     the orbit pass keeps the findings up to that number.  The random strategy
     draws `budget` seeded pairs and tests each with `_fails`.  Every hit is
     re-verified from scratch before it is reported.  An exhaustive scan
-    refuses an order above SUBSET_TABLE_LIMIT, whatever the budget.
+    refuses an order above SUBSET_TABLE_LIMIT (`setalg._check_width`),
+    whatever the budget.
 
     In an abelian group the inequality is Kneser's theorem and the scan finds
     nothing.  An empty finding list in a nonabelian group is a valid outcome
@@ -623,11 +608,7 @@ def kneser_violation_scan(
     pairs_checked = 0
 
     if strategy == "exhaustive":
-        if n > SUBSET_TABLE_LIMIT:  # checked before any 2^n-entry table is built
-            raise SizeLimitExceeded(
-                f"an exhaustive scan of {G.name} needs 2^{n}-entry tables; "
-                f"supported only up to order {SUBSET_TABLE_LIMIT}"
-            )
+        _check_width(n)  # before any 2^n-entry table is built
         pairs_checked = total_pairs if budget is None else max(0, min(budget, total_pairs))
         found = [(a, b) for a, b in _orbit_scan(G) if (a - 1) * (size - 1) + b <= pairs_checked]
         exhausted = pairs_checked >= total_pairs

@@ -8,12 +8,11 @@ exceptions are kept as they stood when their fast paths replaced them:
   H*S with `naive_product`;
 - `kneser_prefix_walk`, the row walk that a budgeted exhaustive Kneser scan
   ran before the orbit pass took budgets, builds its rows A*g from `G.cols`
-  (in `failing_partners`).  It still tabulates them with
-  `setalg.mask_table_from_rows`, until the benchmark no longer binds that
-  name (ROADMAP items 2 and 12);
+  (in `failing_partners`) and tabulates them with its own numpy doubling
+  loop, `np_or_table`, not the package's table kernel;
 - `full_table_petridis` tabulates C*X and C*X*S at every mask C in plain
-  lists, as the exhaustive Petridis check did before it took blocks, and
-  imports nothing from the package.
+  lists, as the exhaustive Petridis check did before it took blocks.
+Nothing here imports the package.
 """
 
 from fractions import Fraction
@@ -220,14 +219,23 @@ def subgroup_atom(G, subgroups, S, K):
     return Fraction(best, q), atom
 
 
+def np_or_table(rows):
+    """t[m] is the OR of rows[i] over the set bits i of m, as numpy uint32."""
+    import numpy as np
+
+    t = np.zeros(1 << len(rows), dtype=np.uint32)
+    for k, row in enumerate(rows):
+        t[1 << k : 2 << k] = t[: 1 << k] | row
+    return t
+
+
 def failing_partners(G, amask, limit, cards, stab):
     """The masks B in 1..limit, ascending, with |A*B| + |stab(A*B)| < |A| + |B|."""
     import numpy as np
-    from smalldoubling.setalg import mask_table_from_rows
 
     A = [a for a in range(G.order) if amask >> a & 1]
     rows = [sum(1 << col[a] for a in A) for col in G.cols]  # A*g, col[a] = a*g
-    prod = mask_table_from_rows(rows)[1 : limit + 1]
+    prod = np_or_table(rows)[1 : limit + 1]
     lhs = np.bitwise_count(prod) + stab[prod]
     return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1
 
@@ -237,14 +245,13 @@ def kneser_prefix_walk(G, budget):
     (A, B) in mask order, A major, one full table row A*B per A; the pairs
     come in that order.  stab[m] = #{h : m*h = m} for every mask m."""
     import numpy as np
-    from smalldoubling.setalg import mask_table_from_rows
 
     n = G.order
     size = 1 << n
     masks = np.arange(size, dtype=np.uint64)
     stab = np.zeros(size, dtype=np.uint8)
     for col in G.cols:
-        stab += mask_table_from_rows([1 << y for y in col]) == masks
+        stab += np_or_table([1 << y for y in col]) == masks
     cards = np.bitwise_count(masks)
     found = []
     pairs_checked = 0

@@ -326,6 +326,60 @@ def test_recheck_caps_come_from_the_rechecker():
     with pytest.raises(UsageError):
         recheck(record)
     assert recheck(record, caps={"order_cap": 100}).ok
+    # So does a cap that a runner checks: a record of |A| = 21 under a raised
+    # subset cap.
+    config = {"group": {"preset": "cyclic", "n": 24}, "sets": {"A": list(range(21)), "S": [0]},
+              "mode": "sampled", "seed": 1, "budget": 10, "caps": {"subset_cap": 21}}
+    record = json.loads(json.dumps(make_record("petridis", config, run("petridis", config))))
+    with pytest.raises(UsageError, match="above this rechecker's cap 20"):
+        recheck(record)
+    assert recheck(record, caps={"subset_cap": 21}).ok
+
+
+# The runs that a certificate cap bounds, each as (command, the cap's key,
+# the size compared with it, a config of that size).  S3 has order 6, and
+# the runner checks the cap, not the library.
+CAPPED_RUNS = {
+    "connectivity": ("connectivity", "bruteforce_cap", 6, {
+        "group": {"preset": "symmetric", "n": 3}, "sets": {"S": [0, 1]}, "K": "1/2",
+        "solver": "brute_force"}),
+    "atoms": ("atoms", "bruteforce_cap", 6, {
+        "group": {"preset": "symmetric", "n": 3}, "sets": {"S": [0, 1]}, "K": "1/2"}),
+    "exhaustive-scan": ("search-kneser-failure", "bruteforce_cap", 6, {
+        "group": {"preset": "symmetric", "n": 3}}),
+    "petridis": ("petridis", "subset_cap", 3, {
+        "group": {"preset": "symmetric", "n": 3}, "sets": {"A": [0, 1, 2], "S": [0, 1]},
+        "budget": 63}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_RUNS))
+def test_a_capped_run_stops_one_past_its_cap(name):
+    command, key, size, config = CAPPED_RUNS[name]
+    assert COMMANDS[command].ok(run(command, {**config, "caps": {key: size}}))
+    with pytest.raises(SizeLimitExceeded, match=f" cap {size - 1}$"):
+        run(command, {**config, "caps": {key: size - 1}})
+
+
+# A run past its cap is refused before its sets or K are checked: each of
+# these configs is past a default cap and also wrong in another way.
+CAP_FIRST = {
+    "empty-s-past-the-bruteforce-cap": ("connectivity", {
+        "group": {"preset": "cyclic", "n": 17}, "sets": {"S": []}, "K": "1/2",
+        "solver": "brute_force"}),
+    "k-1-past-the-bruteforce-cap": ("atoms", {
+        "group": {"preset": "cyclic", "n": 17}, "sets": {"S": [0, 1]}, "K": "1/1"}),
+    "empty-s-past-the-subset-cap": ("petridis", {
+        "group": {"preset": "cyclic", "n": 24}, "sets": {"A": list(range(21)), "S": []},
+        "mode": "sampled", "seed": 1, "budget": 10}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_FIRST))
+def test_a_cap_is_checked_before_the_sets_and_k(name):
+    command, config = CAP_FIRST[name]
+    with pytest.raises(SizeLimitExceeded):
+        run(command, config)
 
 
 # Every int of a config lies strictly between -2^63 and 2^63: past about

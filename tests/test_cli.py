@@ -146,6 +146,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
 
+    code, _, err = run_cli(
+        capsys, "atoms", "--group", "sym:3", "--setS", "0,1", "--K", "1/2", "--bruteforce-cap", "5"
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
+
     code, _, err = run_cli(capsys, "doubling", "--group", "cyclic:6")
     assert code == 2  # missing required set
 

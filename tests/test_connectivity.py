@@ -25,6 +25,7 @@ from smalldoubling import (
     verify_atom_proposition,
 )
 from smalldoubling import connectivity
+from smalldoubling.certificates import run
 from smalldoubling.groups import image
 from oracles import (
     is_subgroup_naive,
@@ -233,28 +234,28 @@ def test_bruteforce_k_edge_cases():
 
 
 def test_bruteforce_size_cap():
-    with pytest.raises(SizeLimitExceeded):
-        connectivity_bruteforce(
-            cyclic(18, order_cap=64), cyclic(18, order_cap=64).subset([0]), HALF
-        )
-    res = connectivity_bruteforce(
-        cyclic(17, order_cap=64),
-        cyclic(17, order_cap=64).subset([0, 1]), HALF,
-        bruteforce_cap=17,
-    )
-    assert res.kappa == Fraction(3, 2)
+    # The brute-force cap is the command's, not the solver's: the solver runs
+    # at order 17, which the command refuses under the default cap of 16.
+    Z17 = cyclic(17)
+    assert connectivity_bruteforce(Z17, Z17.subset([0, 1]), HALF).kappa == Fraction(3, 2)
+    config = {"group": {"preset": "cyclic", "n": 17}, "sets": {"S": [0, 1]}, "K": "1/2",
+              "solver": "brute_force"}
+    with pytest.raises(SizeLimitExceeded, match=r"2\^17 subsets, above the brute-force cap 16"):
+        run("connectivity", config)
+    assert run("connectivity", {**config, "caps": {"bruteforce_cap": 17}})["kappa"] == "3/2"
 
 
 @pytest.mark.parametrize("n", [40, 70])
 def test_bruteforce_refuses_tables_past_the_limit_whatever_the_cap(n):
-    # Masks of order 40 need 33-64 bits and those of order 70 more than any
-    # numpy integer holds; both are refused before a 2^n table is started.
+    # The solvers take no cap, but masks of order 40 need 33-64 bits and those
+    # of order 70 more than any numpy integer holds; both are refused before a
+    # 2^n table is started.
     G = cyclic(n, order_cap=n)
     S, K = G.subset([0, 1]), HALF
-    with pytest.raises(SizeLimitExceeded):
-        connectivity_bruteforce(G, S, K, bruteforce_cap=n)
-    with pytest.raises(SizeLimitExceeded):
-        verify_atom_proposition(G, S, K, bruteforce_cap=n)
+    with pytest.raises(SizeLimitExceeded, match=rf"need 2\^{n} entries"):
+        connectivity_bruteforce(G, S, K)
+    with pytest.raises(SizeLimitExceeded, match=rf"need 2\^{n} entries"):
+        verify_atom_proposition(G, S, K)
 
 
 EXACT_KS = (

@@ -90,6 +90,29 @@ def test_results_do_not_echo_arguments():
     }
 
 
+# The cap parameters that exported functions may take, each with the functions
+# that take it and why.  The certificate caps of brute force and the subset
+# search are checked by the runners in certificates.py, and by nothing else.
+CAP_PARAMETERS = {
+    "order_cap": ({"cyclic", "dihedral", "symmetric", "quaternion", "direct_product",
+                   "from_spec", "from_table"}, "a group past it is refused before its "
+                  "table is built"),
+    "fragment_cap": ({"connectivity_bruteforce"}, "a payload option: the most fragments "
+                     "an inventory lists"),
+}
+
+
+def test_only_the_group_builders_and_the_fragment_inventory_take_a_cap():
+    found = {}
+    for name in smalldoubling._MODULE_OF:
+        func = getattr(smalldoubling, name)
+        if inspect.isfunction(func):
+            for param in inspect.signature(func).parameters:
+                if param.endswith("_cap"):
+                    found.setdefault(param, set()).add(name)
+    assert found == {param: names for param, (names, _) in CAP_PARAMETERS.items()}
+
+
 # Exported names that no command, demo or benchmark needs to call.
 UNCALLED_EXPORTS = {
     "catalogue": "the preset sweep that the acceptance criteria and the tests share",
@@ -250,7 +273,9 @@ def test_benchmark_tracer_finds_every_module():
     and remove its tracer, which looks each wrapped module up in sys.modules.
     A traced table-building certificate (brute-force connectivity on D4)
     counts 2^8 entries per `mask_table_from_rows` call: only lists of rows
-    may reach that name, since the tracer counts 2^len(rows) entries."""
+    may reach that name, since the tracer counts 2^len(rows) entries.  The
+    tracer's work counts read the group, the minimizer's A and the checked
+    counts of Petridis verification and of an exhaustive scan."""
     script = (
         "import importlib.util, sys\n"
         "from smalldoubling import certificates, groups\n"
@@ -265,12 +290,24 @@ def test_benchmark_tracer_finds_every_module():
         "config = {'group': {'preset': 'dihedral', 'n': 4}, 'sets': {'S': [0, 1]},\n"
         "          'K': '1/2', 'solver': 'brute_force'}\n"
         "certificates.run('connectivity', config)\n"
+        "brute = tracer.totals()\n"
+        "del config['solver']\n"
+        "certificates.run('atoms', config)\n"
+        "config = {'group': {'preset': 'cyclic', 'n': 8}, 'sets': {'A': [0, 1], 'S': [0, 1]},\n"
+        "          'budget': 255}\n"
+        "certificates.run('petridis', config)\n"
+        "certificates.run('search-kneser-failure', {'group': {'preset': 'symmetric', 'n': 3}})\n"
         "tracer.uninstall()\n"
         "assert certificates.run is run\n"
         "totals = tracer.totals()\n"
-        "assert totals['certificates.run.calls'] == 2\n"
-        "calls = totals['setalg.mask_table_from_rows.calls']\n"
-        "assert calls > 0 and totals['setalg.mask_table_from_rows.entries'] == calls << 8, totals\n"
+        "assert totals['certificates.run.calls'] == 5\n"
+        "calls = brute['setalg.mask_table_from_rows.calls']\n"
+        "assert calls > 0 and brute['setalg.mask_table_from_rows.entries'] == calls << 8, brute\n"
+        "assert totals['connectivity.connectivity_bruteforce.subsets'] == 2 * 255, totals\n"
+        "assert totals['connectivity.verify_atom_proposition.self_ms'] > 0, totals\n"
+        "assert totals['theorems.petridis_minimizer.subsets_visited'] == 3, totals\n"
+        "assert totals['theorems.petridis_verify.c_sets_checked'] == 255, totals\n"
+        "assert totals['theorems.kneser_violation_scan.pairs_scanned'] == 63 * 63, totals\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)

@@ -39,7 +39,7 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
-from smalldoubling import theorems
+from smalldoubling import setalg
 from smalldoubling.certificates import run
 from smalldoubling.cli import main
 from smalldoubling.schema import COMMANDS
@@ -196,11 +196,11 @@ def test_weak_kneser_progression_in_z20():
     # A = S = {0..4}, eps = 1/5, K = 9/10.  In the finite group Z20 the whole
     # group has cost 20 - 18 = 2, below every proper subset (an interval
     # argument gives cost >= 4.1 for |A| <= 16), so the atom is Z20 itself
-    # and S sits inside its single coset.  The brute-force oracle at cap 20
-    # confirms.
+    # and S sits inside its single coset.  The brute-force oracle, which
+    # takes no cap, confirms.
     Z20 = cyclic(20)
     S = Z20.subset(range(5))
-    brute = connectivity_bruteforce(Z20, S, Fraction(9, 10), bruteforce_cap=20)
+    brute = connectivity_bruteforce(Z20, S, Fraction(9, 10))
     assert brute.kappa == 2
     assert brute.identity_atom == Subset(Z20.order, (1 << Z20.order) - 1)
 
@@ -469,9 +469,15 @@ def test_no_certificate_keeps_its_group_alive(command):
 
 
 def test_petridis_subset_cap():
-    Z8 = cyclic(8)
-    with pytest.raises(SizeLimitExceeded):
-        petridis_minimizer(Z8, Z8.subset(range(5)), Z8.subset([0]), subset_cap=4)
+    # The subset cap is the command's, not the minimizer's: the minimizer
+    # takes |A| = 21, which the command refuses under the default cap of 20.
+    Z24 = cyclic(24)
+    assert petridis_minimizer(Z24, Z24.subset(range(21)), Z24.subset([0])).K == 1
+    config = {"group": {"preset": "cyclic", "n": 24}, "sets": {"A": list(range(21)), "S": [0]},
+              "mode": "sampled", "seed": 1, "budget": 10}
+    with pytest.raises(SizeLimitExceeded, match=r"^\|A\| = 21 exceeds the subset-search cap 20$"):
+        run("petridis", config)
+    assert run("petridis", {**config, "caps": {"subset_cap": 21}})["k"] == "1/1"
 
 
 # --- Kneser failure search -----------------------------------------------------------
@@ -523,10 +529,11 @@ def test_failure_search_budget_and_random():
 def test_exhaustive_scan_refuses_an_order_above_the_table_limit(monkeypatch, capsys):
     # Its tables have 2^order entries, so neither the brute-force cap nor the
     # budget lets an exhaustive scan past SUBSET_TABLE_LIMIT (24, lowered to
-    # 8 here); it refuses before building any table.  Sampling builds none.
-    monkeypatch.setattr(theorems, "SUBSET_TABLE_LIMIT", 8)
+    # 8 here), the one table-width check of setalg; it refuses before
+    # building any table.  Sampling builds none.
+    monkeypatch.setattr(setalg, "SUBSET_TABLE_LIMIT", 8)
     D5 = dihedral(5)
-    with pytest.raises(SizeLimitExceeded, match=r"needs 2\^10-entry tables"):
+    with pytest.raises(SizeLimitExceeded, match=r"subset tables need 2\^10 entries"):
         kneser_violation_scan(D5, "exhaustive", budget=1)
     assert kneser_violation_scan(D5, "random", seed=1, budget=10).pairs_checked == 10
     code = main(["search", "kneser-failure", "--group", "dihedral:5", "--bruteforce-cap", "10"])
