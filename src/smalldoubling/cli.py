@@ -20,7 +20,7 @@ from typing import Optional
 from . import certificates, groups
 from .errors import SmallDoublingError, TheoryViolation, UsageError
 from .rationals import parse_rational, rational_str
-from .schema import COMMANDS, DEFAULT_CAPS, Option, check_group
+from .schema import COMMANDS, DEFAULT_CAPS, Option, _check_caps, check_group
 
 # Help of the command-line words that only group other commands.
 _GROUP_HELP = {"conv": "convolution tools", "search": "counterexample searches"}
@@ -195,11 +195,10 @@ def _collect_sets(args, G: groups.GroupTable) -> dict:
     return {name: parse_set_elements(G, text) for name, text in raw.items()}
 
 
-def _config_from_args(args) -> tuple[dict, groups.GroupTable]:
+def _config_from_args(args, caps: dict) -> tuple[dict, groups.GroupTable]:
     """The replayable config of a run command, in its one accepted form, and
     its group."""
     entry = COMMANDS[args.command]
-    caps = {key: getattr(args, key) for key in DEFAULT_CAPS}
     group_spec = parse_group_spec(args.group)
     # Building the checked spec resolves set labels and surfaces cap violations
     # and invalid tables before any solver runs.  The run reuses the group.
@@ -255,10 +254,10 @@ def _emit(document: dict, fmt: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _run_recheck(args) -> int:
+def _run_recheck(args, caps: dict) -> int:
     path = Path(args.certificate)
     record = _read_json(path, "certificate")
-    report = certificates.recheck(record, {key: getattr(args, key) for key in DEFAULT_CAPS})
+    report = certificates.recheck(record, caps)
     document = {
         "command": "recheck",
         "certificate": str(path),
@@ -275,9 +274,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # The cap flags are checked like a config's caps, before any group is built.
+        caps = _check_caps({key: getattr(args, key) for key in DEFAULT_CAPS}, None)
         if args.command == "recheck":
-            return _run_recheck(args)
-        config, G = _config_from_args(args)
+            return _run_recheck(args, caps)
+        config, G = _config_from_args(args, caps)
         started = time.perf_counter()
         payload = certificates.run(args.command, config, group=G)
         wall = time.perf_counter() - started

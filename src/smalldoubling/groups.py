@@ -22,10 +22,10 @@ from typing import Iterable, Optional, Sequence
 from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
 from .subsets import Subset, iter_bits
 
-# The limits that the group builders, the subset tables and the command table
-# share live here, so that reading them loads no theory module.  The
-# certificate caps of brute force and the subset search are schema.DEFAULT_CAPS
-# alone, checked by the runners in certificates.
+# The limits that group specs, the subset tables and the command table share
+# live here, so that reading them loads no theory module.  `_build_spec` alone
+# checks the order cap; the caps of brute force and the subset search are
+# schema.DEFAULT_CAPS alone, checked by the runners in certificates.
 DEFAULT_ORDER_CAP = 64
 DEFAULT_FRAGMENT_CAP = 100_000  # most fragments a brute-force inventory lists
 SUBSET_TABLE_LIMIT = 24  # 2^24 masks is the largest table we will materialize
@@ -87,13 +87,6 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
-
-
-def _check_cap(order: int, order_cap: int, what: str) -> None:
-    if order > order_cap:
-        raise SizeLimitExceeded(
-            f"{what} has order {order}, above the configured cap {order_cap}"
-        )
 
 
 def _violation(axiom: str, witness: tuple, detail: str) -> InvalidTable:
@@ -162,20 +155,18 @@ def _dicyclic(m: int, twist: Optional[int] = None) -> tuple[tuple[int, ...], ...
     )
 
 
-def cyclic(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def cyclic(n: int) -> GroupTable:
     """Integers mod n under addition."""
     if n < 1:
         raise InvalidTable(f"cyclic group needs n >= 1, got {n}")
-    _check_cap(n, order_cap, f"cyclic({n})")
     labels = tuple(str(i) for i in range(n))
     return GroupTable(_dicyclic(n), labels, f"Z{n}", {"preset": "cyclic", "n": n})
 
 
-def dihedral(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def dihedral(n: int) -> GroupTable:
     """Symmetries of a regular n-gon: n rotations r0..r(n-1), n reflections s0..s(n-1)."""
     if n < 1:
         raise InvalidTable(f"dihedral group needs n >= 1, got {n}")
-    _check_cap(2 * n, order_cap, f"dihedral({n})")
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"s{i}" for i in range(n))
     return GroupTable(_dicyclic(n, 0), labels, f"D{n}", {"preset": "dihedral", "n": n})
 
@@ -198,13 +189,12 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def symmetric(n: int) -> GroupTable:
     """All permutations of n points; product pq applies q first, then p."""
     if n < 1:
         raise InvalidTable(f"symmetric group needs n >= 1, got {n}")
     if n > 6:
         raise SizeLimitExceeded(f"symmetric({n}) has order {n}! — preset supports n <= 6")
-    _check_cap(math.factorial(n), order_cap, f"symmetric({n})")
     perms = list(itertools.permutations(range(n)))
     # pq is itemgetter(*q)(p), an item rather than a tuple for n = 1: key alike.
     compose = [itemgetter(*q) for q in perms]
@@ -214,23 +204,20 @@ def symmetric(n: int, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     return GroupTable(mul, labels, f"S{n}", {"preset": "symmetric", "n": n})
 
 
-def quaternion(n: int = 2, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def quaternion(n: int = 2) -> GroupTable:
     """Generalized quaternion group of order 4n (n=2 gives the quaternions Q8).
 
     <a, b | a^2n = e, b^2 = a^n, ba = a^-1 b>: a^i is index i, a^i b is 2n + i.
     """
     if n < 2:
         raise InvalidTable(f"quaternion group needs n >= 2, got {n}")
-    _check_cap(4 * n, order_cap, f"quaternion({n})")
     powers = ["", "a", *(f"a{i}" for i in range(2, 2 * n))]  # a^i; a^0 b is "b"
     labels = ("e", *powers[1:], *(power + "b" for power in powers))
     spec = {"preset": "quaternion", "n": n}
     return GroupTable(_dicyclic(2 * n, n), labels, f"Q{4 * n}", spec)
 
 
-def direct_product(
-    factors: Sequence[GroupTable], *, order_cap: int = DEFAULT_ORDER_CAP
-) -> GroupTable:
+def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
     """Componentwise product; element indices are mixed-radix over the factors.
 
     The first factor is the most significant digit.  The table is refined one
@@ -242,11 +229,6 @@ def direct_product(
     """
     if not factors:
         raise InvalidTable("direct product needs at least one factor")
-    order = 1
-    for g in factors:
-        order *= g.order
-    _check_cap(order, order_cap, "direct product")
-
     mul = factors[0].mul
     for g in factors[1:]:
         n, m = g.order, len(mul)
@@ -265,15 +247,10 @@ def direct_product(
 
 
 def from_table(
-    mul: Sequence[Sequence[int]],
-    labels: Optional[Sequence[str]] = None,
-    *,
-    name: str = "table",
-    order_cap: int = DEFAULT_ORDER_CAP,
+    mul: Sequence[Sequence[int]], labels: Optional[Sequence[str]] = None, *, name: str = "table"
 ) -> GroupTable:
     """Build a group from an explicit table, validating every axiom first."""
     n = len(mul)
-    _check_cap(n, order_cap, "table group")
     validate_table(mul)
     table = tuple(tuple(map(int, row)) for row in mul)
     if labels is None:
@@ -286,13 +263,14 @@ def from_table(
     return GroupTable(table, label_tuple, name, spec)
 
 
-# Every one-parameter preset: its builder and the least n it accepts.  The
-# spec check and the command line's inline grammar read this too.
+# Every one-parameter preset: its builder, the least n it accepts and its order
+# (symmetric refuses n > 6, so 7! stands for any larger n!: no factorial of an
+# unchecked n).  The spec check and the inline grammar read this too.
 PRESETS = {
-    "cyclic": (cyclic, 1),
-    "dihedral": (dihedral, 1),
-    "symmetric": (symmetric, 1),
-    "quaternion": (quaternion, 2),
+    "cyclic": (cyclic, 1, lambda n: n),
+    "dihedral": (dihedral, 1, lambda n: 2 * n),
+    "symmetric": (symmetric, 1, lambda n: math.factorial(min(n, 7))),
+    "quaternion": (quaternion, 2, lambda n: 4 * n),
 }
 # Order cap 64 leaves room for at most 6 nontrivial direct_product levels.
 MAX_GROUP_NESTING = 64
@@ -348,20 +326,39 @@ def check_spec(spec, where: str = "group spec") -> None:
 
 
 def _build_spec(spec: dict, order_cap: int) -> GroupTable:
-    """The group of a spec that `check_spec` has passed; checks nothing of its own."""
+    """The group of a spec that `check_spec` has passed.  Raises
+    SizeLimitExceeded before any table is built, as soon as the product of the
+    leaf orders (in build order) passes `order_cap`, so no number it prints
+    passes the cap times one leaf's order."""
+    order, stack = 1, [spec]
+    while stack:
+        node = stack.pop()
+        if "table" in node:
+            order *= len(node["table"])
+        elif node["preset"] == "direct_product":
+            stack += reversed(node["factors"])
+        else:
+            order *= PRESETS[node["preset"]][2](node["n"])
+        if order > order_cap:
+            raise SizeLimitExceeded(
+                f"group has order at least {order}, above the configured cap {order_cap}"
+            )
+    return _build(spec)
+
+
+def _build(spec: dict) -> GroupTable:
     if "table" in spec:
-        name = spec.get("name", "table")
-        return from_table(spec["table"], spec.get("labels"), name=name, order_cap=order_cap)
+        return from_table(spec["table"], spec.get("labels"), name=spec.get("name", "table"))
     if spec["preset"] == "direct_product":
-        factors = [_build_spec(factor, order_cap) for factor in spec["factors"]]
-        return direct_product(factors, order_cap=order_cap)
-    return PRESETS[spec["preset"]][0](spec["n"], order_cap=order_cap)
+        return direct_product([_build(factor) for factor in spec["factors"]])
+    return PRESETS[spec["preset"]][0](spec["n"])
 
 
 def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build a group from its JSON description (preset dict or explicit table)
     once `check_spec` has passed it: a malformed spec is InvalidTable, as it
-    is for `schema.check_group`, and no table is built for it."""
+    is for `schema.check_group`, and no table is built for it, nor for a spec
+    whose order passes `order_cap` (SizeLimitExceeded)."""
     check_spec(spec)
     return _build_spec(spec, order_cap)
 

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from smalldoubling import certificates, groups, schema, theorems
 from smalldoubling.cli import main, parse_group_spec, parse_set_elements
-from smalldoubling.errors import TheoryViolation, UsageError
+from smalldoubling.errors import InvalidTable, SizeLimitExceeded, TheoryViolation, UsageError
 from smalldoubling.groups import from_spec, symmetric
 from test_certificates import all_cases
 from test_payload_digests import TABLE_S3
@@ -135,7 +136,7 @@ def test_named_set_flag_equivalent(capsys):
     assert json.loads(out1)["payload"] == json.loads(out2)["payload"]
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "corollary-kn", "--group", "cyclic:12", "--setA", "0,1", "--epsilon", "3/2"
     )
@@ -178,6 +179,19 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "kneser", "--group", "sym:3", "--setA", "0", "--setB", "0")
     assert code == 2  # NotAbelian surfaces as a precondition error
     assert json.loads(err)["error"]["code"] == "NotAbelian"
+
+    # The cap flags are checked like a config's caps, before any group is
+    # built, on issue and on recheck, whether or not the record holds caps.
+    assert_usage_error(capsys, "doubling", "--group", "cyclic:4", "--setA", "0", "--order-cap", "-1")
+    cert = tmp_path / "cert.json"
+    assert main(["doubling", "--group", "cyclic:4", "--setA", "0", "--out", str(cert)]) == 0
+    bare = tmp_path / "bare.json"
+    record = json.loads(cert.read_text())
+    del record["config"]["caps"]
+    bare.write_text(json.dumps(record))
+    for path in (cert, bare):
+        assert_usage_error(capsys, "recheck", str(path), "--order-cap", "-1")
+    assert_usage_error(capsys, "recheck", str(cert), "--subset-cap", str(1 << 63))
 
 
 @pytest.mark.parametrize(
@@ -403,6 +417,59 @@ def test_unreadable_files_exit_2(tmp_path, capsys, content, use):
         assert_usage_error(capsys, "recheck", str(path))
     else:
         assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
+
+
+def _product_file(tmp_path, factors) -> Path:
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"preset": "direct_product", "factors": factors}))
+    return path
+
+
+@pytest.mark.parametrize("count", [2390, 5000])
+def test_a_product_past_the_order_cap_is_refused_at_once(tmp_path, capsys, count):
+    """A product of thousands of cyclic:64 factors, whose order has too many
+    digits to print, is SizeLimitExceeded before any factor is built, through
+    `run`, `recheck` and the command line alike."""
+    group = _product_file(tmp_path, [{"preset": "cyclic", "n": 64}] * count)
+    spec = json.loads(group.read_text())
+    cert = tmp_path / "cert.json"
+    assert main(["doubling", "--group", "cyclic:4", "--setA", "0", "--out", str(cert)]) == 0
+    record = json.loads(cert.read_text())
+    record["config"]["group"] = spec
+    cert.write_text(json.dumps(record))
+    started = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match=r"order at least 4096, above the configured cap 64$"):
+        certificates.run("doubling", {"group": spec, "sets": {"A": [0]}})
+    with pytest.raises(SizeLimitExceeded):
+        certificates.recheck(record)
+    for argv in (["doubling", "--group", str(group), "--setA", "0"], ["recheck", str(cert)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
+    assert time.perf_counter() - started < 1.0
+
+
+def test_table_factors_past_the_order_cap_are_never_validated(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(groups, "validate_table", lambda *a: pytest.fail("table validated"))
+    z64 = {"table": [[(a + b) % 64 for b in range(64)] for a in range(64)]}
+    group = _product_file(tmp_path, [z64] * 200)
+    with pytest.raises(SizeLimitExceeded):
+        from_spec(json.loads(group.read_text()))
+    code, _, err = run_cli(capsys, "doubling", "--group", str(group), "--setA", "0")
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
+
+
+def test_the_order_cap_comes_before_an_invalid_table(tmp_path, capsys):
+    # An invalid table in a product past the cap was InvalidTable while the
+    # builders checked the cap; the spec's order is now checked first.
+    bad = {"table": [[0, 1], [0, 1]]}
+    with pytest.raises(InvalidTable):
+        from_spec(bad)
+    group = _product_file(tmp_path, [bad, {"preset": "cyclic", "n": 64}])
+    code, _, err = run_cli(capsys, "doubling", "--group", str(group), "--setA", "0")
+    assert code == 2
+    assert json.loads(err)["error"]["code"] == "SizeLimitExceeded"
 
 
 def test_group_file_is_checked_before_it_is_built(tmp_path, capsys, monkeypatch):

@@ -250,7 +250,7 @@ def test_bruteforce_refuses_tables_past_the_limit_whatever_the_cap(n):
     # The solvers take no cap, but masks of order 40 need 33-64 bits and those
     # of order 70 more than any numpy integer holds; both are refused before a
     # 2^n table is started.
-    G = cyclic(n, order_cap=n)
+    G = cyclic(n)
     S, K = G.subset([0, 1]), HALF
     with pytest.raises(SizeLimitExceeded, match=rf"need 2\^{n} entries"):
         connectivity_bruteforce(G, S, K)

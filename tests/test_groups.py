@@ -3,7 +3,6 @@ import json
 import math
 import random
 import sys
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +18,7 @@ from smalldoubling import (
     enumerate_subgroups,
     from_spec,
     from_table,
+    groups,
     quaternion,
     schema,
     symmetric,
@@ -208,14 +208,20 @@ def test_labels_must_be_distinct():
 
 
 def test_size_caps():
+    # The order cap belongs to the spec; the builders take none.
+    z65, s5, s7 = ({"preset": "cyclic", "n": 65}, {"preset": "symmetric", "n": 5},
+                   {"preset": "symmetric", "n": 7})
     with pytest.raises(SizeLimitExceeded):
-        cyclic(65)
-    cyclic(65, order_cap=128)  # configurable past one machine word
+        from_spec(z65)
+    assert from_spec(z65, order_cap=128).order == 65  # configurable past one machine word
+    assert cyclic(65).order == 65
     with pytest.raises(SizeLimitExceeded):
-        symmetric(5)  # order 120 > default cap
-    assert symmetric(5, order_cap=120).order == 120
+        from_spec(s5)  # order 120 > default cap
+    assert from_spec(s5, order_cap=120).order == 120
     with pytest.raises(SizeLimitExceeded):
-        symmetric(7, order_cap=10**6)  # preset hard limit
+        from_spec(s7, order_cap=10**6)  # preset hard limit
+    with pytest.raises(SizeLimitExceeded):
+        symmetric(7)
 
 
 def test_from_spec_round_trip():
@@ -308,7 +314,7 @@ PINNED_PRESETS = [
 def test_preset_tables_match_their_entry_formulas(build, n):
     """Every entry, label, name and spec of the cyclic, dihedral, quaternion
     and symmetric presets, against the per-entry formulas of `naive_preset`."""
-    G = build(n, order_cap=120)
+    G = build(n)
     assert (G.mul, G.labels, G.name, G.spec) == naive_preset(build.__name__, n)
 
 
@@ -360,13 +366,22 @@ def test_direct_product_of_one_factor_keeps_its_table():
         assert P.labels == tuple(f"({label})" for label in G.labels)
 
 
-def test_direct_product_refuses_the_order_cap_before_building():
-    # Stand-ins with no table: the cap must be refused from the orders alone.
-    factors = [SimpleNamespace(order=8)] * 3
+def test_a_product_spec_past_the_order_cap_is_refused_before_building(monkeypatch):
+    # With every builder spied, the cap must be refused from the leaf orders alone.
+    def fail(*args, **kwargs):
+        pytest.fail("a builder ran")
+
+    for name, (_, least, order) in list(groups.PRESETS.items()):
+        monkeypatch.setitem(groups.PRESETS, name, (fail, least, order))
+    monkeypatch.setattr(groups, "direct_product", fail)
+    monkeypatch.setattr(groups, "from_table", fail)
+    product = {"preset": "direct_product", "factors": [{"preset": "cyclic", "n": 8}] * 3}
     with pytest.raises(SizeLimitExceeded):
-        direct_product(factors)
+        from_spec(product)
+    product["factors"] = [{"preset": "cyclic", "n": 4}] * 2
     with pytest.raises(SizeLimitExceeded):
-        direct_product([cyclic(4), cyclic(4)], order_cap=15)
+        from_spec(product, order_cap=15)
+    monkeypatch.undo()
     with pytest.raises(InvalidTable):
         direct_product([])
 

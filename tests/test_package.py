@@ -92,17 +92,16 @@ def test_results_do_not_echo_arguments():
 
 # The cap parameters that exported functions may take, each with the functions
 # that take it and why.  The certificate caps of brute force and the subset
-# search are checked by the runners in certificates.py, and by nothing else.
+# search are checked by the runners in certificates.py, and by nothing else;
+# the group builders take no cap.
 CAP_PARAMETERS = {
-    "order_cap": ({"cyclic", "dihedral", "symmetric", "quaternion", "direct_product",
-                   "from_spec", "from_table"}, "a group past it is refused before its "
-                  "table is built"),
+    "order_cap": ({"from_spec"}, "a spec past it is refused before any table is built"),
     "fragment_cap": ({"connectivity_bruteforce"}, "a payload option: the most fragments "
                      "an inventory lists"),
 }
 
 
-def test_only_the_group_builders_and_the_fragment_inventory_take_a_cap():
+def test_only_from_spec_and_the_fragment_inventory_take_a_cap():
     found = {}
     for name in smalldoubling._MODULE_OF:
         func = getattr(smalldoubling, name)

@@ -1,8 +1,13 @@
-"""Property test: one malformed node makes a group spec fail both checks.
+"""Property tests of group specs.
 
-`schema.check_group` (UsageError) and `groups.from_spec` (InvalidTable) run
-the same spec check, so they refuse exactly the same specs, and `from_spec`
-refuses before any table is built.
+One malformed node makes a group spec fail both checks: `schema.check_group`
+(UsageError) and `groups.from_spec` (InvalidTable) run the same spec check,
+so they refuse exactly the same specs, and `from_spec` refuses before any
+table is built.
+
+The order cap is checked from the spec alone: `from_spec` builds a valid spec
+exactly when the built group's order is at most the cap, and refuses it with
+SizeLimitExceeded before any builder runs otherwise.
 """
 
 import copy
@@ -13,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from smalldoubling import InvalidTable, UsageError, from_spec, groups, schema
+from smalldoubling import InvalidTable, SizeLimitExceeded, UsageError, from_spec, groups, schema
 
 LEAVES = st.sampled_from([
     {"preset": "cyclic", "n": 3},
@@ -103,3 +108,45 @@ def test_config_check_refuses_exactly_what_from_spec_refuses(spec, data):
     built = mock.patch.object(groups, "_build_spec", side_effect=AssertionError("table built"))
     with built, pytest.raises(InvalidTable):
         from_spec(spec)
+
+
+def _table(n):
+    return {"table": [[(a + b) % n for b in range(n)] for a in range(n)]}
+
+
+# Leaves of drawn n, up to order 24; products of at most two leaves stay
+# below 600 elements.
+DRAWN_LEAVES = st.one_of(
+    st.builds(lambda n: {"preset": "cyclic", "n": n}, st.integers(1, 12)),
+    st.builds(lambda n: {"preset": "dihedral", "n": n}, st.integers(1, 6)),
+    st.builds(lambda n: {"preset": "symmetric", "n": n}, st.integers(1, 4)),
+    st.builds(lambda n: {"preset": "quaternion", "n": n}, st.integers(2, 4)),
+    st.builds(_table, st.integers(1, 6)),
+)
+DRAWN_SPECS = st.recursive(
+    DRAWN_LEAVES,
+    lambda factors: st.lists(factors, min_size=1, max_size=2).map(
+        lambda fs: {"preset": "direct_product", "factors": fs}
+    ),
+    max_leaves=2,
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a builder ran")
+
+
+@settings(max_examples=200, deadline=None)
+@given(DRAWN_SPECS, st.data())
+def test_from_spec_builds_exactly_the_specs_within_the_order_cap(spec, data):
+    order = from_spec(spec, order_cap=1 << 20).order  # the real table's order
+    cap = data.draw(st.integers(max(0, order - 3), order + 3), label="cap")
+    if order <= cap:
+        assert from_spec(spec, order_cap=cap).order == order
+        return
+    spied = {name: (_refuse, least, size) for name, (_, least, size) in groups.PRESETS.items()}
+    with mock.patch.dict(groups.PRESETS, spied), \
+            mock.patch.object(groups, "direct_product", _refuse), \
+            mock.patch.object(groups, "from_table", _refuse), \
+            pytest.raises(SizeLimitExceeded, match=f"above the configured cap {cap}$"):
+        from_spec(spec, order_cap=cap)

@@ -291,7 +291,7 @@ def test_petridis_pinned_above_the_table_cutoff(name, A, S, X, K):
 
 def test_petridis_above_order_64_stays_exact():
     # Rows of order-70 elements are wider than 64 bits, on either path.
-    G = cyclic(70, order_cap=70)
+    G = cyclic(70)
     for A, S in ((list(range(0, 70, 9)), [0, 1, 35]), (list(range(0, 70, 7)), [0, 1, 66])):
         res = petridis_minimizer(G, G.subset(A), G.subset(S))
         assert (set(res.X.elements()), res.K) == naive_petridis_minimizer(G, A, S)
@@ -361,7 +361,7 @@ def test_petridis_exhaustive_verification():
     # Past SUBSET_TABLE_LIMIT (24) no budget buys the exhaustive check; at
     # order 70 a row would not fit uint32 either.
     for n in (25, 70):
-        Zn = cyclic(n, order_cap=n)
+        Zn = cyclic(n)
         res = petridis_minimizer(Zn, Zn.subset([0, 1]), Zn.subset([0, 1]))
         with pytest.raises(SizeLimitExceeded):
             petridis_verify(Zn, res, "exhaustive", budget=1 << n)
@@ -407,7 +407,7 @@ def test_petridis_verify_reports_the_violations_of_a_lowered_k(factor):
 SAMPLED_GROUPS = {
     "D8": dihedral(8),
     "D8xZ4": direct_product([dihedral(8), cyclic(4)]),
-    "Z70": cyclic(70, order_cap=70),
+    "Z70": cyclic(70),
 }
 
 
