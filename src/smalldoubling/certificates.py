@@ -4,11 +4,12 @@ A run record is {schema_version, tool, command, config, payload}; the config
 is everything needed to replay the run, and replaying must reproduce the
 payload byte for byte.  `recheck` does exactly that and reports field-level
 diffs, so any tampered certificate is rejected.  Each runner below is one
-entry of the command table (see schema.py).  The runners alone check the
-config's caps: the brute-force cap before any search over all 2^order
-subsets, and the subset cap before the Petridis minimizer.  No library
-function takes a cap; the library's own size limit is SUBSET_TABLE_LIMIT,
-the widest subset table.
+entry of the command table (see schema.py) and returns what its verifier
+computed; `run` alone writes the echo of the config, `group` and each input
+set, before it.  The runners alone check the config's caps: the brute-force
+cap before any search over all 2^order subsets, and the subset cap before
+the Petridis minimizer.  No library function takes a cap; the library's own
+size limit is SUBSET_TABLE_LIMIT, the widest subset table.
 
 The four theory modules are registered in `sys.modules` here but run only
 when a runner first uses them, so a command loads only the theory it needs.
@@ -37,6 +38,7 @@ from .schema import (
     check_envelope,
     command,
     parse_config,
+    set_key,
 )
 from .subsets import Subset
 
@@ -116,11 +118,10 @@ _SEED = Option("int")
 
 
 @command("doubling", "exact doubling ratio |A*A|/|A|", sets=("A",),
-         payload=("set_a", "square", "ratio", "epsilon"))
+         payload=("square", "ratio", "epsilon"))
 def _run_doubling(G, caps, A):
     rep = setalg.doubling_ratio(G, A)
     return {
-        "set_a": subset_payload(G, A),
         "square": subset_payload(G, rep.square),
         "cardinality_a": A.cardinality,
         "cardinality_square": rep.square.cardinality,
@@ -142,7 +143,7 @@ def _run_doubling(G, caps, A):
         "classify_atom": Option("bool", True, flag="--no-atom",
                                 help="fragments-only output (required for K = 1)"),
     },
-    payload=("set_s", "k", "solver", "kappa", "identity_atom", "atom_is_subgroup"),
+    payload=("k", "solver", "kappa", "identity_atom", "atom_is_subgroup"),
     ok=lambda p: p["atom_is_subgroup"] in (True, None),
 )
 def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_atom):
@@ -159,7 +160,6 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
             raise UsageError("fragments-only output needs the brute_force solver")
         res = conn_mod.connectivity_subgroup_solver(G, S, K)
     return {
-        "set_s": subset_payload(G, S),
         "k": rational_str(K),
         "solver": solver,
         "kappa": rational_str(res.kappa),
@@ -179,15 +179,14 @@ def _run_connectivity(G, caps, S, K, solver, fragments, fragment_cap, classify_a
 @command(
     "atoms", "verify that atoms are the left cosets of one subgroup", sets=("S",),
     options={"K": _K},
-    payload=("set_s", "k", "identity_atom", "atom_is_subgroup", "atoms",
-             "atoms_are_left_cosets", "atoms_pairwise_disjoint", "ok"),
+    payload=("k", "identity_atom", "atom_is_subgroup", "atoms", "atoms_are_left_cosets",
+             "atoms_pairwise_disjoint", "ok"),
     ok=lambda p: p["ok"],
 )
 def _run_atoms(G, caps, S, K):
     _check_bruteforce(G, caps)
     rep = conn_mod.verify_atom_proposition(G, S, K)
     return {
-        "set_s": subset_payload(G, S),
         "k": rational_str(K),
         "kappa": rational_str(rep.kappa),
         "identity_atom": subset_payload(G, rep.identity_atom),
@@ -201,7 +200,7 @@ def _run_atoms(G, caps, S, K):
 
 @command(
     "kneser", "Kneser sumset inequality in an abelian group", sets=("A", "B"),
-    payload=("set_a", "set_b", "sum", "stabilizer", "lhs", "rhs", "holds", "equality"),
+    payload=("sum", "stabilizer", "lhs", "rhs", "holds", "equality"),
     ok=lambda p: p["holds"],
 )
 def _run_kneser(G, caps, A, B):
@@ -211,14 +210,12 @@ def _run_kneser(G, caps, A, B):
 @command(
     "corollary-kn", "covering corollary for |A+A| <= (2-e)|A|", sets=("A",),
     options={"epsilon": _EPSILON},
-    payload=("set_a", "epsilon", "square", "stabilizer", "h_bound_ok", "cover",
-             "cover_bound_ok", "holds"),
+    payload=("epsilon", "square", "stabilizer", "h_bound_ok", "cover", "cover_bound_ok", "holds"),
     ok=lambda p: p["holds"],
 )
 def _run_corollary(G, caps, A, epsilon):
     rep = theorems.kneser_corollary_check(G, A, epsilon)
     return {
-        "set_a": subset_payload(G, A),
         "epsilon": rational_str(epsilon),
         "square": subset_payload(G, rep.square),
         "stabilizer": subset_payload(G, rep.H),
@@ -235,15 +232,13 @@ def _run_corollary(G, caps, A, epsilon):
     "theorem-main", "weak Kneser-type structure theorem for |A*S| <= (2-e)|S|",
     sets=("A", "S"),
     options={"epsilon": _EPSILON},
-    payload=("set_a", "set_s", "epsilon", "k", "hypotheses_ok", "atom", "branch",
-             "bound_h_size", "sharp_h_bound", "cover", "violations"),
+    payload=("epsilon", "k", "hypotheses_ok", "atom", "branch", "bound_h_size", "sharp_h_bound",
+             "cover", "violations"),
     ok=lambda p: p["branch"] != "violation",
 )
 def _run_theorem_main(G, caps, A, S, epsilon):
     rep = theorems.weak_kneser_check(G, A, S, epsilon)
     return {
-        "set_a": subset_payload(G, A),
-        "set_s": subset_payload(G, S),
         "epsilon": rational_str(epsilon),
         "k": rational_str(rep.K),
         "hypotheses_ok": True,  # weak_kneser_check raises HypothesisFailed otherwise
@@ -264,7 +259,7 @@ def _run_theorem_main(G, caps, A, S, epsilon):
         "budget": Option("int", 1 << 20, lo=0, hi=MAX_BUDGET),
         "seed": _SEED,
     },
-    payload=("set_a", "set_s", "x", "k", "verified_c_count", "exhaustive", "ok"),
+    payload=("x", "k", "verified_c_count", "exhaustive", "ok"),
     ok=lambda p: p["ok"],
 )
 def _run_petridis(G, caps, A, S, mode, budget, seed):
@@ -277,8 +272,6 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
     result = theorems.petridis_minimizer(G, A, S)
     verification = theorems.petridis_verify(G, result, mode, budget=budget, seed=seed)
     return {
-        "set_a": subset_payload(G, A),
-        "set_s": subset_payload(G, S),
         "x": subset_payload(G, result.X),
         "k": rational_str(result.K),
         "mode": mode,
@@ -293,14 +286,13 @@ def _run_petridis(G, caps, A, S, mode, budget, seed):
 @command(
     "conv-gap", "gap in the range of the autocorrelation of A", path=("conv", "gap"),
     sets=("A",),
-    payload=("set_a", "epsilon_star", "support", "min_on_support", "gap_holds",
-             "forbidden_interval_clean", "hypothesis_vacuous"),
+    payload=("epsilon_star", "support", "min_on_support", "gap_holds", "forbidden_interval_clean",
+             "hypothesis_vacuous"),
     ok=lambda p: p["hypothesis_vacuous"] or (p["gap_holds"] and p["forbidden_interval_clean"]),
 )
 def _run_conv_gap(G, caps, A):
     rep = conv_mod.gap_check(G, A)
     return {
-        "set_a": subset_payload(G, A),
         "epsilon_star": rational_str(rep.epsilon_star),
         "support": subset_payload(G, rep.support),
         "min_on_support": rational_str(rep.min_on_support),
@@ -315,14 +307,12 @@ def _run_conv_gap(G, caps, A):
     "conv-smooth", "double averaging of the autocorrelation by S", path=("conv", "smooth"),
     sets=("A", "S"),
     options={"threshold": Option("rational", help="optional level-set threshold p/q")},
-    payload=("set_a", "set_s", "autocorrelation", "smoothed", "mass"),
+    payload=("autocorrelation", "smoothed", "mass"),
 )
 def _run_conv_smooth(G, caps, A, S, threshold):
     f = conv_mod.autocorrelation(G, A)
     F = conv_mod.smoothed(G, S, f)
     payload = {
-        "set_a": subset_payload(G, A),
-        "set_s": subset_payload(G, S),
         "autocorrelation": function_payload(f),
         "smoothed": function_payload(F),
         "mass": rational_str(F.mass),
@@ -383,7 +373,9 @@ def run(
     `parse_config`).
     """
     G, sets, options, caps = parse_config(command, config, ceiling, group)
-    return {"group": G.name, **COMMANDS[command].runner(G, caps, **sets, **options)}
+    entry = COMMANDS[command]
+    echo = {set_key(name): subset_payload(G, sets[name]) for name in entry.sets}
+    return {"group": G.name, **echo, **entry.runner(G, caps, **sets, **options)}
 
 
 def make_record(command: str, config: dict, payload: dict, wall_time_s=None) -> dict:
@@ -435,8 +427,8 @@ def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
     """Replay a record's config and compare the payload field by field.
 
     Only the replay's `parse_config` checks the config.  `caps` are the
-    rechecker's own (DEFAULT_CAPS for any it leaves out): the record's caps
-    may lower them but never raise them.
+    rechecker's own (DEFAULT_CAPS for any it leaves out), checked like a
+    config's caps: the record's caps may lower them but never raise them.
     """
     check_envelope(record)
     stored = record["payload"]

@@ -2,9 +2,10 @@
 
 Every certificate command is declared once, by `command` on its runner in
 certificates.py: its command-line path and help, the names of its sets, its
-typed options, the keys its payload must carry and the predicate behind its
-exit code.  The command-line parser, `parse_config` (the one config check
-of both `run` and `recheck`), `validate_record` and the exit codes are all
+typed options, the keys its runner computes (after `group` and a `set_key`
+per set, which `certificates.run` writes) and the predicate behind its exit
+code.  The command-line parser, `parse_config` (the one config check of
+both `run` and `recheck`), `validate_record` and the exit codes are all
 derived from COMMANDS, which is complete whenever this module is imported:
 its last line imports certificates, which runs no theory module.
 
@@ -66,12 +67,17 @@ class Command:
     help: str
     sets: tuple[str, ...]
     options: dict[str, Option]
-    payload: tuple[str, ...]  # keys every payload must carry
+    payload: tuple[str, ...]  # keys every payload must carry: "group", the sets', the runner's
     ok: Callable[[dict], bool]  # False means exit code 1 (a finding)
-    runner: Callable  # runner(G, caps, **sets, **options) -> payload less "group"
+    runner: Callable  # runner(G, caps, **sets, **options) -> the keys it computed
 
 
 COMMANDS: dict[str, Command] = {}
+
+
+def set_key(name: str) -> str:
+    """The payload key that echoes input set `name`: "A" -> "set_a"."""
+    return f"set_{name.lower()}"
 
 
 def command(name, help, *, payload, path=None, sets=(), options=None, ok=None):
@@ -79,8 +85,8 @@ def command(name, help, *, payload, path=None, sets=(), options=None, ok=None):
 
     def register(runner):
         COMMANDS[name] = Command(
-            name, path or (name,), help, sets, options or {}, payload,
-            ok or (lambda p: True), runner,
+            name, path or (name,), help, sets, options or {},
+            ("group", *map(set_key, sets), *payload), ok or (lambda p: True), runner,
         )
         return runner
 
@@ -183,9 +189,10 @@ def _check_sets(entry: Command, sets) -> dict:
     return sets
 
 
-def _check_caps(caps, ceiling: Optional[dict]) -> dict:
-    out = {**DEFAULT_CAPS, **(ceiling or {})}
-    for key, value in _object(caps, "config.caps", DEFAULT_CAPS).items():
+def _check_caps(caps, ceiling: Optional[dict], where: str = "config.caps") -> dict:
+    """`caps` over DEFAULT_CAPS, or over a `ceiling` checked alike that they may only lower."""
+    out = dict(DEFAULT_CAPS) if ceiling is None else _check_caps(ceiling, None, "caps")
+    for key, value in _object(caps, where, DEFAULT_CAPS).items():
         _check_int_size(value, f"caps.{key}")
         if type(value) is not int or value < 0:
             raise UsageError(f"caps.{key} must be a JSON integer of at least 0, got {value!r}")

@@ -336,6 +336,30 @@ def test_recheck_caps_come_from_the_rechecker():
     assert recheck(record, caps={"subset_cap": 21}).ok
 
 
+# Ceilings that a config could not hold as its caps: each is refused before
+# the record's caps are read, so whether the record holds caps makes no odds.
+BAD_CEILINGS = {
+    "negative": ({"order_cap": -1}, "caps.order_cap must be a JSON integer of at least 0"),
+    "string": ({"order_cap": "64"}, "caps.order_cap must be a JSON integer of at least 0"),
+    "bool": ({"order_cap": True}, "caps.order_cap must be a JSON integer of at least 0"),
+    "2^70": ({"order_cap": 2**70}, "caps.order_cap must lie strictly between -2\\^63 and 2\\^63"),
+    "unknown-key": ({"bogus": 1}, "caps has unknown key\\(s\\): bogus"),
+    "not-object": (64, "caps must be an object"),
+}
+
+
+@pytest.mark.parametrize("held", [None, DEFAULT_CAPS], ids=["no-caps", "caps"])
+@pytest.mark.parametrize("name", sorted(BAD_CEILINGS))
+def test_the_rechecker_ceiling_is_checked_like_a_config_caps(name, held):
+    ceiling, message = BAD_CEILINGS[name]
+    config = {"group": {"preset": "cyclic", "n": 4}, "sets": {"A": [0, 1]}}
+    if held is not None:
+        config["caps"] = dict(held)
+    record = make_record("doubling", config, run("doubling", config))
+    with pytest.raises(UsageError, match=f"^{message}"):
+        recheck(record, ceiling)
+
+
 # The runs that a certificate cap bounds, each as (command, the cap's key,
 # the size compared with it, a config of that size).  S3 has order 6, and
 # the runner checks the cap, not the library.

@@ -274,7 +274,9 @@ def test_benchmark_tracer_finds_every_module():
     counts 2^8 entries per `mask_table_from_rows` call: only lists of rows
     may reach that name, since the tracer counts 2^len(rows) entries.  The
     tracer's work counts read the group, the minimizer's A and the checked
-    counts of Petridis verification and of an exhaustive scan."""
+    counts of Petridis verification and of an exhaustive scan.  One traced
+    record is rechecked, as the benchmark's recheck phase does, and its
+    replay counts as a call of `run`."""
     script = (
         "import importlib.util, sys\n"
         "from smalldoubling import certificates, groups\n"
@@ -285,7 +287,9 @@ def test_benchmark_tracer_finds_every_module():
         "tracer = tracing.Tracer()\n"
         "tracer.install()\n"
         "config = {'group': {'preset': 'dihedral', 'n': 3}, 'sets': {'A': [0, 1]}}\n"
-        "assert certificates.run('doubling', config)['ratio'] == '3/2'\n"
+        "payload = certificates.run('doubling', config)\n"
+        "assert payload['ratio'] == '3/2'\n"
+        "assert certificates.recheck(certificates.make_record('doubling', config, payload)).ok\n"
         "config = {'group': {'preset': 'dihedral', 'n': 4}, 'sets': {'S': [0, 1]},\n"
         "          'K': '1/2', 'solver': 'brute_force'}\n"
         "certificates.run('connectivity', config)\n"
@@ -299,7 +303,8 @@ def test_benchmark_tracer_finds_every_module():
         "tracer.uninstall()\n"
         "assert certificates.run is run\n"
         "totals = tracer.totals()\n"
-        "assert totals['certificates.run.calls'] == 5\n"
+        "assert totals['certificates.recheck.calls'] == 1, totals\n"
+        "assert totals['certificates.run.calls'] == 6, totals  # the recheck's replay too\n"
         "calls = brute['setalg.mask_table_from_rows.calls']\n"
         "assert calls > 0 and brute['setalg.mask_table_from_rows.entries'] == calls << 8, brute\n"
         "assert totals['connectivity.connectivity_bruteforce.subsets'] == 2 * 255, totals\n"

@@ -4,8 +4,9 @@ Each digest is the SHA-256 of `json.dumps(run(command, config),
 sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
-orbit scan with and without findings, and cut by a budget in mid-row, the
-min-cut path of the Petridis minimizer (the key "petridis-table" names the
+orbit scan with and without findings, and cut by a budget in mid-row, a
+random scan that finds a failure, the min-cut path of the Petridis
+minimizer (the key "petridis-table" names the
 numpy table pass it replaced), sampled Petridis verification, exhaustive
 Petridis verification with K > 1 in more than one block of 2^16 masks (at
 orders 18, 20 and 24, the order-18 group with its identity off index 0),
@@ -29,7 +30,7 @@ import pytest
 
 from smalldoubling.certificates import make_record, run
 from smalldoubling.groups import from_spec
-from smalldoubling.schema import validate_record
+from smalldoubling.schema import COMMANDS, validate_record
 from test_certificates import all_cases
 
 # S3 relabelled so that the identity is index 1.
@@ -59,6 +60,11 @@ FIXED = {
     "kneser-scan-D6-budget": (  # 6 findings; the last pair counted is the 6th
         "search-kneser-failure",
         {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive", "budget": 263788},
+    ),
+    "kneser-random-D6": (  # 1 finding, at draw 1,796
+        "search-kneser-failure",
+        {"group": {"preset": "dihedral", "n": 6}, "strategy": "random", "seed": 35,
+         "budget": 2000},
     ),
     "petridis-table": (  # |A| = 10 takes the min-cut path
         "petridis",
@@ -208,6 +214,7 @@ DIGESTS = {
     "kneser-scan-D4": "7f3b6a66becc305a97262be80b1006b43d1d0816d3213a9b18fdef1a7b185cda",
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
     "kneser-scan-D6-budget": "16340c4e723caf2ee42166181266921f71b9c46cc7a60c7b7ba65eb2c3bc80df",
+    "kneser-random-D6": "42c0f628e01d47ac77e3724167e9093a34ae7ae754aa1c6c42d263c443243d77",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",
     "petridis-exhaustive-D10": "b99b84d311e14f2eec0541040097aa03ca588e392e1e3a0238c5a4135cbed953",
     "petridis-exhaustive-S3xZ3": "8bb14788630933102360be825f6d51cfa8922f578e5f368b6bc978336c198eb5",
@@ -238,7 +245,11 @@ def test_every_case_has_a_digest():
 
 @pytest.mark.parametrize("case,command,config", CASES, ids=[c for c, _, _ in CASES])
 def test_payload_digest(case, command, config):
-    payload = json.dumps(run(command, config), sort_keys=True)
+    recomputed = run(command, config)
+    # The echo of the config comes first, in the order `--format text` prints.
+    echo = ["group", *(f"set_{name.lower()}" for name in COMMANDS[command].sets)]
+    assert list(recomputed)[: len(echo)] == echo
+    payload = json.dumps(recomputed, sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[case]
 
 

@@ -144,6 +144,7 @@ SCHEMA_REJECTIONS = {
     "budget-negative": _set("config", "budget", value=-1),
     "caps-not-object": _set("config", "caps", value=64),
     "payload-key-missing": _drop("payload", "ok"),
+    "payload-group-missing": _drop("payload", "group"),
 }
 
 
@@ -156,3 +157,30 @@ def test_schema_rejections_raise_usage_error(name):
         validate_record(record)
     with pytest.raises(UsageError):
         recheck(record)
+
+
+# The keys each payload must carry: the echo of the config (the group, then
+# each input set in declared order), then the keys its runner computes.
+REQUIRED_KEYS = {
+    "doubling": ("group", "set_a", "square", "ratio", "epsilon"),
+    "connectivity": ("group", "set_s", "k", "solver", "kappa", "identity_atom",
+                     "atom_is_subgroup"),
+    "atoms": ("group", "set_s", "k", "identity_atom", "atom_is_subgroup", "atoms",
+              "atoms_are_left_cosets", "atoms_pairwise_disjoint", "ok"),
+    "kneser": ("group", "set_a", "set_b", "sum", "stabilizer", "lhs", "rhs", "holds",
+               "equality"),
+    "corollary-kn": ("group", "set_a", "epsilon", "square", "stabilizer", "h_bound_ok",
+                     "cover", "cover_bound_ok", "holds"),
+    "theorem-main": ("group", "set_a", "set_s", "epsilon", "k", "hypotheses_ok", "atom",
+                     "branch", "bound_h_size", "sharp_h_bound", "cover", "violations"),
+    "petridis": ("group", "set_a", "set_s", "x", "k", "verified_c_count", "exhaustive", "ok"),
+    "conv-gap": ("group", "set_a", "epsilon_star", "support", "min_on_support", "gap_holds",
+                 "forbidden_interval_clean", "hypothesis_vacuous"),
+    "conv-smooth": ("group", "set_a", "set_s", "autocorrelation", "smoothed", "mass"),
+    "search-kneser-failure": ("group", "strategy", "seed", "budget", "pairs_checked",
+                              "exhausted", "finding_count", "findings"),
+}
+
+
+def test_required_payload_keys_are_pinned():
+    assert {name: entry.payload for name, entry in COMMANDS.items()} == REQUIRED_KEYS
