@@ -24,7 +24,7 @@ import importlib.util
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import groups
 from .errors import NotAbelian, SizeLimitExceeded, UsageError
@@ -97,17 +97,26 @@ def _check_bruteforce(G: groups.GroupTable, caps: dict) -> None:
         )
 
 
-def kneser_payload(G: groups.GroupTable, rep: theorems.KneserReport) -> dict:
-    return {
-        "set_a": subset_payload(G, rep.A),
-        "set_b": subset_payload(G, rep.B),
-        "sum": subset_payload(G, rep.sum),
-        "stabilizer": subset_payload(G, rep.H),
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "holds": rep.holds,
-        "equality": rep.equality,
-    }
+def kneser_payloads(
+    G: groups.GroupTable, reports: Sequence[theorems.KneserReport]
+) -> list[dict]:
+    """The payload of each report.  The subset payload of a mask is built once,
+    and every report that holds the mask shares it."""
+    masks = {X.mask: X for r in reports for X in (r.A, r.B, r.sum, r.H)}
+    subsets = {mask: subset_payload(G, X) for mask, X in masks.items()}
+    return [
+        {
+            "set_a": subsets[r.A.mask],
+            "set_b": subsets[r.B.mask],
+            "sum": subsets[r.sum.mask],
+            "stabilizer": subsets[r.H.mask],
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "holds": r.holds,
+            "equality": r.equality,
+        }
+        for r in reports
+    ]
 
 
 # --- the command table: one runner per command ------------------------------
@@ -204,7 +213,7 @@ def _run_atoms(G, caps, S, K):
     ok=lambda p: p["holds"],
 )
 def _run_kneser(G, caps, A, B):
-    return kneser_payload(G, theorems.kneser_check(G, A, B))
+    return kneser_payloads(G, [theorems.kneser_check(G, A, B)])[0]
 
 
 @command(
@@ -265,6 +274,8 @@ def _run_theorem_main(G, caps, A, S, epsilon):
 def _run_petridis(G, caps, A, S, mode, budget, seed):
     if mode == "sampled" and seed is None:
         raise UsageError("sampled mode requires a seed")
+    if mode == "exhaustive" and seed is not None:
+        raise UsageError("exhaustive mode draws nothing, so it takes no seed")
     if A.cardinality > caps["subset_cap"]:
         raise SizeLimitExceeded(
             f"|A| = {A.cardinality} exceeds the subset-search cap {caps['subset_cap']}"
@@ -340,8 +351,10 @@ def _run_conv_smooth(G, caps, A, S, threshold):
 def _run_search_kneser_failure(G, caps, strategy, seed, budget):
     if strategy == "random" and (seed is None or budget is None):
         raise UsageError("random strategy requires a seed and a budget")
-    if strategy == "exhaustive":  # it builds 2^order-entry tables, whatever the budget
-        _check_bruteforce(G, caps)
+    if strategy == "exhaustive":
+        if seed is not None:
+            raise UsageError("the exhaustive strategy draws nothing, so it takes no seed")
+        _check_bruteforce(G, caps)  # it builds 2^order-entry tables, whatever the budget
     if G.is_abelian:
         raise NotAbelian(
             f"{G.name} is abelian, where the inequality is a theorem; "
@@ -355,7 +368,7 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
         "pairs_checked": rep.pairs_checked,
         "exhausted": rep.exhausted,
         "finding_count": len(rep.findings),
-        "findings": [kneser_payload(G, r) for r in rep.findings],
+        "findings": kneser_payloads(G, rep.findings),
     }
 
 
@@ -370,7 +383,9 @@ def run(
 
     `ceiling` bounds the caps the config may ask for, and `group` saves
     building a group the caller already built from the config (see
-    `parse_config`).
+    `parse_config`).  The payload is read-only: one dict may sit at several
+    places in it (a scan's findings share the subset payload of each mask),
+    so a caller that would edit it edits a deep copy.
     """
     G, sets, options, caps = parse_config(command, config, ceiling, group)
     entry = COMMANDS[command]

@@ -65,9 +65,8 @@ class KneserReport:
     equality: bool
 
 
-def _kneser_report(G: GroupTable, A: Subset, B: Subset) -> KneserReport:
-    total = product_set(G, A, B)
-    H = right_stabilizer(G, total)
+def _kneser_report(A: Subset, B: Subset, total: Subset, H: Subset) -> KneserReport:
+    """The report of the pair (A, B), given A*B and its stabilizer H."""
     lhs = total.cardinality
     rhs = A.cardinality + B.cardinality - H.cardinality
     return KneserReport(
@@ -83,7 +82,8 @@ def kneser_check(G: GroupTable, A: Subset, B: Subset) -> KneserReport:
     if not G.is_abelian:
         raise NotAbelian(f"Kneser's inequality needs an abelian group, got {G.name}")
     _require_nonempty(A, B)
-    return _kneser_report(G, A, B)
+    total = product_set(G, A, B)
+    return _kneser_report(A, B, total, right_stabilizer(G, total))
 
 
 # --- covering corollary ------------------------------------------------------
@@ -593,7 +593,9 @@ def kneser_violation_scan(
     order, A major: the pair (A, B) is number (A - 1)*(2^n - 1) + B, and
     the orbit pass keeps the findings up to that number.  The random strategy
     draws `budget` seeded pairs and tests each with `_fails`.  Every hit is
-    re-verified from scratch before it is reported.  An exhaustive scan
+    re-verified before it is reported, by one plain product A*B per finding
+    (`product_mask`, no table) and one stabilizer per distinct product, as
+    stab(A*B) depends on A*B alone.  An exhaustive scan
     refuses an order above SUBSET_TABLE_LIMIT (`setalg._check_width`),
     whatever the budget.
 
@@ -628,17 +630,31 @@ def kneser_violation_scan(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    subsets: dict[int, Subset] = {}  # one Subset per distinct mask
+    stabilizers: dict[int, Subset] = {}  # stab(T) depends on T alone
+
+    def subset(mask: int) -> Subset:
+        X = subsets.get(mask)
+        if X is None:
+            X = subsets[mask] = Subset(n, mask)
+        return X
+
     reports = []
     for amask, bmask in dict.fromkeys(found):  # random draws may repeat a pair
         # Independent re-verification through the plain (non-tabulated) path.
-        report = _kneser_report(G, Subset(n, amask), Subset(n, bmask))
+        total = product_mask(G, amask, bmask)
+        H = stabilizers.get(total)
+        if H is None:
+            H = stabilizers[total] = subset(right_stabilizer(G, subset(total)).mask)
+        report = _kneser_report(subset(amask), subset(bmask), subset(total), H)
         if report.holds:
             raise TheoryViolation(
                 f"scan flagged ({amask:#x}, {bmask:#x}) but recomputation passes"
             )
         reports.append(report)
+    elements = {mask: X.elements() for mask, X in subsets.items()}
     reports.sort(
-        key=lambda r: (r.A.cardinality, r.B.cardinality, r.A.elements(), r.B.elements())
+        key=lambda r: (r.A.cardinality, r.B.cardinality, elements[r.A.mask], elements[r.B.mask])
     )
     return SearchReport(
         pairs_checked=pairs_checked, exhausted=exhausted, findings=tuple(reports)

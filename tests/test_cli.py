@@ -298,6 +298,29 @@ def test_no_atom_needs_the_brute_force_solver(tmp_path, capsys):
     assert_usage_error(capsys, "recheck", str(cert))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "kneser-failure", "--group", "dihedral:3"),
+        ("petridis", "--group", "dihedral:3", "--set", "A=0,1", "--set", "S=0,1",
+         "--mode", "exhaustive"),
+    ],
+    ids=["kneser-scan", "petridis"],
+)
+def test_an_exhaustive_run_refuses_a_seed(tmp_path, capsys, argv):
+    # An exhaustive run draws nothing, so a seed would only give the same
+    # computation more than one valid certificate.
+    assert_usage_error(capsys, *argv, "--seed", "9")
+
+    # A stored record that carries one is refused on replay too.
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, *argv, "--out", str(cert))[0] == 0
+    record = json.loads(cert.read_text())
+    record["config"]["seed"] = 9
+    cert.write_text(json.dumps(record))
+    assert_usage_error(capsys, "recheck", str(cert))
+
+
 def test_atoms_run(capsys):
     code, out, _ = run_cli(
         capsys, "atoms", "--group", "cyclic:6", "--setS", "0,3", "--K", "1/2"
@@ -584,6 +607,22 @@ def test_a_flagged_pair_that_holds_is_a_theory_violation(monkeypatch, capsys):
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"]["code"] == "TheoryViolation"
+
+
+def test_a_pair_that_holds_is_refused_after_a_failure_with_its_product(monkeypatch):
+    # ({e}, A*B) has the product of a real failure (A, B), and with it the
+    # same stabilizer, but |T| >= 1 + |T| - |stab(T)| always holds: the
+    # stabilizer is shared by product, the verdict is not.
+    G = groups.dihedral(6)
+    failure = theorems.kneser_violation_scan(G, "exhaustive").findings[0]
+    assert not failure.holds
+    held = (1 << G.identity, failure.sum.mask)
+    monkeypatch.setattr(
+        theorems, "_orbit_scan", lambda G: [(failure.A.mask, failure.B.mask), held]
+    )
+    config = {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive"}
+    with pytest.raises(TheoryViolation, match="recomputation passes"):
+        certificates.run("search-kneser-failure", config)
 
 
 def test_text_format(capsys):

@@ -4,7 +4,8 @@ Each digest is the SHA-256 of `json.dumps(run(command, config),
 sort_keys=True)`.  A refactor or speed-up must leave every payload unchanged,
 so a digest that moves is a bug in the change, not a number to update.  The
 fixed configs add the paths `all_cases()` does not reach: the exhaustive
-orbit scan with and without findings, and cut by a budget in mid-row, a
+orbit scan with and without findings (in D7 of several sizes, so its sort
+order shows), and cut by a budget in mid-row, a
 random scan that finds a failure, the min-cut path of the Petridis
 minimizer (the key "petridis-table" names the
 numpy table pass it replaced), sampled Petridis verification, exhaustive
@@ -56,6 +57,10 @@ FIXED = {
     "kneser-scan-D6": (  # 432 findings
         "search-kneser-failure",
         {"group": {"preset": "dihedral", "n": 6}, "strategy": "exhaustive"},
+    ),
+    "kneser-scan-D7": (  # 1,372 findings, 686 each of sizes (2, 6) and (2, 8)
+        "search-kneser-failure",
+        {"group": {"preset": "dihedral", "n": 7}, "strategy": "exhaustive"},
     ),
     "kneser-scan-D6-budget": (  # 6 findings; the last pair counted is the 6th
         "search-kneser-failure",
@@ -213,6 +218,7 @@ DIGESTS = {
     "search-kneser-failure": "aab4516f6ad2caba1ae95e15837ff9508dc55ecf7be7009e361672cda12f052a",
     "kneser-scan-D4": "7f3b6a66becc305a97262be80b1006b43d1d0816d3213a9b18fdef1a7b185cda",
     "kneser-scan-D6": "750ad592a4d854fb28555047c9bd23df94c4f2071f744b7afb0e15a40314ff35",
+    "kneser-scan-D7": "4ae9627356afe8e33f7e6459428667ab30e1e28982d587dcc2b1532d73e0328e",
     "kneser-scan-D6-budget": "16340c4e723caf2ee42166181266921f71b9c46cc7a60c7b7ba65eb2c3bc80df",
     "kneser-random-D6": "42c0f628e01d47ac77e3724167e9093a34ae7ae754aa1c6c42d263c443243d77",
     "petridis-table": "33d4dabb7e752600549baf42922ae0f8bf53aaaae22822eea9b0bac1addc8e90",

@@ -50,6 +50,7 @@ from smalldoubling.theorems import (
     _half_tables,
     _orbit_tables,
 )
+from test_payload_digests import FIXED
 
 
 # --- Kneser inequality -------------------------------------------------------
@@ -598,9 +599,10 @@ def test_orbit_scan_matches_prefix_walk(G):
     assert _scanned(orbit) == _walk(G, full)
 
 
-@pytest.mark.parametrize(
-    "G", [G for G in catalogue(12) if not G.is_abelian], ids=lambda g: g.name
-)
+NONABELIAN_12 = [G for G in catalogue(12) if not G.is_abelian]
+
+
+@pytest.mark.parametrize("G", NONABELIAN_12, ids=lambda g: g.name)
 def test_budgeted_scan_matches_truncated_walk(G):
     # A budget b keeps the pairs numbered (A - 1)*(2^n - 1) + B <= b; the last
     # budget is the number of a failing pair, so the boundary pair counts.
@@ -742,3 +744,29 @@ def test_d6_findings_agree_with_the_plain_set_oracle(d6_findings):
         if A and B and (A, B) not in findings:
             assert not naive_kneser_fails(G, A, B)
             held += 1
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        *[("search-kneser-failure", {"group": G.spec, "strategy": "exhaustive"})
+          for G in NONABELIAN_12],
+        FIXED["kneser-random-D6"],
+    ],
+    ids=[*(G.name for G in NONABELIAN_12), "kneser-random-D6"],
+)
+def test_every_reported_failure_agrees_with_the_plain_set_oracle(command, config):
+    # Each finding's product, stabilizer and sizes, recomputed with plain sets
+    # from its own A and B; the scan shares each mask's payload between findings.
+    G = from_spec(config["group"])
+    payload = run(command, config)
+    assert payload["finding_count"] == len(payload["findings"])
+    for finding in payload["findings"]:
+        A, B = finding["set_a"]["indices"], finding["set_b"]["indices"]
+        prod = naive_product(G, A, B)
+        stab = naive_right_stabilizer(G, prod)
+        assert finding["sum"]["indices"] == sorted(prod)
+        assert finding["stabilizer"]["indices"] == sorted(stab)
+        assert finding["lhs"] == len(prod)
+        assert finding["rhs"] == len(A) + len(B) - len(stab)
+        assert finding["holds"] is False and finding["equality"] is False
