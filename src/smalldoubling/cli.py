@@ -76,15 +76,34 @@ def parse_group_spec(text: str) -> dict:
 def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
     """Comma-separated element indices, or labels where unambiguous: a token
     that is an index and also the label of another element is refused, and
-    a decimal token that is no index but a label means that label."""
+    a decimal token that is no index but a label means that label.  A label
+    may hold commas, as every product label does: the longest run of pieces
+    whose join is a label, such as "(r1,0)", is read as that label, and
+    refused if its first piece alone also names an element."""
     label_index = {label: i for i, label in enumerate(G.labels)}
+    most = max(label.count(",") for label in G.labels) + 1  # pieces in one label
+    pieces = text.split(",")
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
+    start = 0
+    while start < len(pieces):
+        first = pieces[start].strip()
+        value = _decimal(first)
+        is_index = value is not None and value < G.order
+        ends = range(min(start + most, len(pieces)), start + 1, -1)
+        end = next((end for end in ends if ",".join(pieces[start:end]).strip() in label_index),
+                   start + 1)
+        token = ",".join(pieces[start:end]).strip()
+        start = end
+        if token != first:  # a label of two or more pieces
+            if is_index or first in label_index:
+                raise UsageError(
+                    f"element {token!r} of {G.name} is ambiguous: the element labelled "
+                    f"{token!r}, or a list that starts with {first!r}"
+                )
+            out.append(label_index[token])
+        elif not token:
             continue
-        value = _decimal(token)
-        if value is not None and value < G.order:
+        elif is_index:
             if label_index.get(token, value) != value:
                 raise UsageError(
                     f"element {token!r} of {G.name} is ambiguous: index {value}, or the "

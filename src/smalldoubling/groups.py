@@ -3,7 +3,11 @@
 Elements are dense indices 0..n-1.  The presets put the identity at index 0,
 but no builder declares it: every table reads its identity from its rows.
 Tables are immutable after construction; every operation here is a pure
-function, so concurrent readers need no coordination.
+function, so concurrent readers need no coordination.  That is what lets
+`_build_spec`, through which every config and group file is built, share one
+group among all equal specs: it keeps the last 32 groups of order at most
+DEFAULT_ORDER_CAP (an `lru_cache`, which locks itself).  A group's `spec` dict
+is therefore read-only, like the rest of it.
 
 The cyclic, dihedral and generalized quaternion presets share one
 presentation, <a, b | a^m = e, b^2 = a^t, ba = a^-1 b> with t = 0 for D_m and
@@ -13,6 +17,7 @@ The JSON group-spec format is this module's: `check_spec` holds its rules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,7 +28,7 @@ from .errors import GroupMismatch, InvalidTable, SizeLimitExceeded
 from .subsets import Subset, iter_bits
 
 # The limits that group specs, the subset tables and the command table share
-# live here, so that reading them loads no theory module.  `_build_spec` alone
+# live here, so that reading them loads no theory module.  `_order` alone
 # checks the order cap; the caps of brute force and the subset search are
 # schema.DEFAULT_CAPS alone, checked by the runners in certificates.
 DEFAULT_ORDER_CAP = 64
@@ -325,11 +330,11 @@ def check_spec(spec, where: str = "group spec") -> None:
                 raise InvalidTable(f"{where}.n must be a JSON integer >= {least}, got {n!r}")
 
 
-def _build_spec(spec: dict, order_cap: int) -> GroupTable:
-    """The group of a spec that `check_spec` has passed.  Raises
-    SizeLimitExceeded before any table is built, as soon as the product of the
-    leaf orders (in build order) passes `order_cap`, so no number it prints
-    passes the cap times one leaf's order."""
+def _order(spec: dict, order_cap: int) -> int:
+    """The order of a spec that `check_spec` has passed, read from its leaves
+    alone: the one order check.  Raises SizeLimitExceeded as soon as the
+    product of the leaf orders (in build order) passes `order_cap`, so no
+    number it prints passes the cap times one leaf's order."""
     order, stack = 1, [spec]
     while stack:
         node = stack.pop()
@@ -343,24 +348,62 @@ def _build_spec(spec: dict, order_cap: int) -> GroupTable:
             raise SizeLimitExceeded(
                 f"group has order at least {order}, above the configured cap {order_cap}"
             )
-    return _build(spec)
+    return order
 
 
-def _build(spec: dict) -> GroupTable:
+def _key(spec: dict) -> tuple:
+    """A hashable copy of a checked spec, which is all `_build` reads:
+    ("table", rows, labels or None, name), (preset, n), or ("direct_product",
+    the keys of the factors)."""
     if "table" in spec:
-        return from_table(spec["table"], spec.get("labels"), name=spec.get("name", "table"))
+        labels = spec.get("labels")
+        labels = None if labels is None else tuple(labels)
+        return ("table", tuple(map(tuple, spec["table"])), labels, spec.get("name", "table"))
     if spec["preset"] == "direct_product":
-        return direct_product([_build(factor) for factor in spec["factors"]])
-    return PRESETS[spec["preset"]][0](spec["n"])
+        return ("direct_product", tuple(map(_key, spec["factors"])))
+    return (spec["preset"], spec["n"])
+
+
+def _build(key: tuple) -> GroupTable:
+    if key[0] == "table":
+        return from_table(key[1], key[2], name=key[3])
+    if key[0] == "direct_product":
+        return direct_product([_build(factor) for factor in key[1]])
+    return PRESETS[key[0]][0](key[1])
+
+
+# A group is a pure function of its spec and holds only tuples, so one build
+# serves every later spec equal to it.  lru_cache keeps its own lock, and it
+# keeps no failed build: a bad table raises again, with the same witness.
+@functools.lru_cache(maxsize=32)
+def _memo(key: tuple) -> GroupTable:
+    return _build(key)
+
+
+def _build_spec(spec: dict, order_cap: int) -> GroupTable:
+    """The group of a spec that `check_spec` has passed, for the config check
+    and the command line.  `_order` refuses a spec past `order_cap` on every
+    call, before any lookup or build.  The groups of the last 32 distinct
+    specs of order at most DEFAULT_ORDER_CAP are kept, least recently used
+    first out, keyed on the whole spec read once, here: an equal spec gets
+    the same GroupTable, whose `spec` is read-only.  A larger group, which
+    only a raised cap admits, is built afresh and not kept, so the memo
+    holds at most 32 order-64 groups (an order-64 table with its key holds
+    about 150 KiB under tracemalloc)."""
+    order = _order(spec, order_cap)
+    key = _key(spec)
+    return _memo(key) if order <= DEFAULT_ORDER_CAP else _build(key)
 
 
 def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build a group from its JSON description (preset dict or explicit table)
     once `check_spec` has passed it: a malformed spec is InvalidTable, as it
     is for `schema.check_group`, and no table is built for it, nor for a spec
-    whose order passes `order_cap` (SizeLimitExceeded)."""
+    whose order passes `order_cap` (SizeLimitExceeded).  The group is built
+    afresh on every call; the memo is `_build_spec`'s."""
     check_spec(spec)
-    return _build_spec(spec, order_cap)
+    _order(spec, order_cap)
+    return _build(_key(spec))
 
 
 # --- set-level navigation -------------------------------------------------

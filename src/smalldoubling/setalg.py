@@ -16,8 +16,11 @@ on numpy rows of any leading shape; `mask_table_from_rows` on one list of
 rows.  Every numpy mask table is uint32: a table has at most
 SUBSET_TABLE_LIMIT = 24 rows, so no mask it holds needs more than 32 bits,
 and a wider table is refused with SizeLimitExceeded before any row is
-converted.  Nothing is cached: a table belongs to one certificate's group,
-which no later call shares.
+converted.  No table is cached.  Groups are shared: `groups._build_spec`
+keeps the last 32 it built, so equal specs get one GroupTable.  A subset
+table still belongs to one call, so the two `lru_cache(maxsize=0)` below
+must stay at 0: keyed on a kept group, they would keep its 2^n-entry tables
+alive with it.
 
 `fixed_factor_product` tabulates the rows g*F by 8-bit chunk with
 `or_table`, so m*F takes ceil(n/8) lookups and needs no numpy; given several

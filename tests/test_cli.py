@@ -85,6 +85,52 @@ def test_a_token_that_is_an_index_and_another_label_is_refused(tmp_path, capsys)
         parse_set_elements(G, "6")
 
 
+PRODUCTS = {
+    "Z2xZ4": "cyclic:2xcyclic:4",
+    "D4xZ2": "dihedral:4xcyclic:2",
+    "nested": {"preset": "direct_product", "factors": [
+        {"preset": "direct_product", "factors": [{"preset": "cyclic", "n": 2}] * 2},
+        {"preset": "quaternion", "n": 2}]},
+    "table-factor": {"preset": "direct_product", "factors": [TABLE_S3, {"preset": "cyclic", "n": 2}]},
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_a_product_element_is_named_by_its_label(name, tmp_path, capsys):
+    group = PRODUCTS[name]
+    if isinstance(group, dict):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(group))
+        group = str(path)
+    issued = []
+    for _ in range(2):
+        elements = ",".join(issued[-1]["labels"]) if issued else "0,3,5,6"
+        code, out, _ = run_cli(capsys, "doubling", "--group", group, "--setA", elements)
+        assert code == 0
+        issued.append(json.loads(out)["payload"]["set_a"])
+    assert issued[0]["indices"] == [0, 3, 5, 6] and issued[1] == issued[0]
+    assert all("," in label for label in issued[0]["labels"])
+
+
+def test_a_label_with_commas_is_read_whole_unless_its_first_piece_names_an_element(
+    tmp_path, capsys
+):
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    G = from_spec({"table": table, "labels": ["e", "x,y", "y"]})
+    assert parse_set_elements(G, "x,y") == [1]
+    assert parse_set_elements(G, " x,y ,e") == [0, 1]
+    for labels, first in ((["a", "a,b", "b"], "a"), (["x", "0,2", "y"], "0")):
+        group = tmp_path / "group.json"
+        group.write_text(json.dumps({"table": table, "labels": labels}))
+        text = labels[1]
+        assert_usage_error(capsys, "doubling", "--group", str(group), "--setA", text)
+        G = from_spec(json.loads(group.read_text()))
+        message = f"element '{text}' of table is ambiguous: the element labelled '{text}', " \
+            f"or a list that starts with '{first}'"
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            parse_set_elements(G, text)
+
+
 def test_doubling_run(capsys):
     code, out, err = run_cli(
         capsys, "doubling", "--group", "cyclic:20", "--setA", "0,1,2,3,4"

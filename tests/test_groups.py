@@ -1,8 +1,12 @@
+import copy
+import gc
 import itertools
 import json
 import math
 import random
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -535,3 +539,176 @@ def test_catalogue_contents():
     assert orders == sorted(orders)
     abelian_10 = [g for g in catalogue(10) if g.is_abelian]
     assert len(abelian_10) == 15  # 10 cyclic + 5 two-factor products
+
+
+# --- the group memo of `_build_spec` -------------------------------------------
+
+Z3_ROWS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.fixture
+def memo():
+    """An empty group memo, emptied again after the test."""
+    groups._memo.cache_clear()
+    yield groups._memo
+    groups._memo.cache_clear()
+
+
+def _spy_builds(monkeypatch) -> list:
+    """The groups `groups._build` returns from here on, top-level builds only."""
+    built, original, depth = [], groups._build, 0
+
+    def counting(key):
+        nonlocal depth
+        depth += 1
+        try:
+            G = original(key)
+        finally:
+            depth -= 1
+        if depth == 0:
+            built.append(G)
+        return G
+
+    monkeypatch.setattr(groups, "_build", counting)
+    return built
+
+
+@pytest.mark.parametrize("spec", [
+    {"table": Z3_ROWS, "labels": ["e", "a", "b"], "name": "T3"},
+    {"preset": "direct_product", "factors": [{"preset": "dihedral", "n": 4}, {"table": Z3_ROWS}]},
+], ids=["table", "product"])
+def test_equal_specs_share_one_build(spec, memo, monkeypatch):
+    built = _spy_builds(monkeypatch)
+    config = {"group": spec, "sets": {"A": [0, 1]}}
+    payload = certificates.run("doubling", copy.deepcopy(config))
+    assert certificates.run("doubling", copy.deepcopy(config)) == payload
+    record = json.loads(json.dumps(certificates.make_record("doubling", config, payload)))
+    assert certificates.recheck(record).ok
+    assert len(built) == 1
+    assert schema.parse_config("doubling", copy.deepcopy(config))[0] is built[0]
+    assert memo.cache_info().hits == 3
+    # from_spec builds afresh.
+    assert from_spec(copy.deepcopy(spec)) is not built[0]
+    assert len(built) == 2
+
+
+def test_a_lower_order_cap_is_refused_after_a_hit(memo, monkeypatch):
+    factors = [{"preset": "cyclic", "n": 4}, {"table": Z3_ROWS}]
+    spec = {"preset": "direct_product", "factors": factors}
+    G = groups._build_spec(spec, 64)
+    assert groups._build_spec(copy.deepcopy(spec), 12) is G
+    assert memo.cache_info().hits == 1
+
+    def fail(*args, **kwargs):
+        pytest.fail("a builder ran")
+
+    for name, (_, least, order) in list(groups.PRESETS.items()):
+        monkeypatch.setitem(groups.PRESETS, name, (fail, least, order))
+    monkeypatch.setattr(groups, "direct_product", fail)
+    monkeypatch.setattr(groups, "from_table", fail)
+    message = r"^group has order at least 12, above the configured cap 11$"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        groups._build_spec(spec, 11)
+    config = {"group": spec, "sets": {"A": [0]}, "caps": {"order_cap": 11}}
+    with pytest.raises(SizeLimitExceeded, match="above the configured cap 11$"):
+        certificates.run("doubling", config)
+    assert memo.cache_info().hits == 1
+
+
+def test_an_invalid_table_is_refused_on_every_call(memo, monkeypatch):
+    calls = []
+    original = groups.validate_table
+    monkeypatch.setattr(groups, "validate_table", lambda mul: calls.append(mul) or original(mul))
+    config = {"group": {"table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]}, "sets": {"A": [0]}}
+    witnesses = []
+    for _ in range(2):
+        with pytest.raises(InvalidTable) as exc:
+            certificates.run("doubling", copy.deepcopy(config))
+        witnesses.append(exc.value.witness)
+    assert witnesses[0] == witnesses[1] and witnesses[0][0] == "associativity"
+    assert len(calls) == 2
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("entry", [1 << 63, 10**5000], ids=["2^63", "10^5000"])
+def test_a_table_entry_past_2_63_is_invalid_not_unprintable(entry, memo):
+    spec = {"table": [[0, 1], [1, entry]]}
+    for _ in range(2):
+        with pytest.raises(InvalidTable, match="an int past 2\\^63"):
+            groups._build_spec(spec, 64)
+        with pytest.raises(InvalidTable):
+            certificates.run("doubling", {"group": spec, "sets": {"A": [0]}})
+
+
+def test_the_memo_keeps_32_groups_of_order_at_most_64(memo):
+    first = weakref.ref(groups._build_spec({"preset": "cyclic", "n": 1}, 64))
+    for n in range(2, 33):
+        groups._build_spec({"preset": "cyclic", "n": n}, 64)
+    gc.collect()
+    assert first() is not None and memo.cache_info().currsize == 32
+    groups._build_spec({"preset": "cyclic", "n": 33}, 64)  # the 33rd spec
+    gc.collect()
+    assert first() is None and memo.cache_info().currsize == 32
+    # A group past the default order cap is built under a raised cap, not kept.
+    large = groups._build_spec({"preset": "dihedral", "n": 36}, 72)
+    assert large.order == 72
+    assert groups._build_spec({"preset": "dihedral", "n": 36}, 72) is not large
+    alive = weakref.ref(large)
+    del large
+    gc.collect()
+    assert alive() is None and memo.cache_info().currsize == 32
+
+
+def test_threads_share_the_memo(memo):
+    """Eight threads over 40 specs, so that groups are evicted while others
+    are looked up: every call gets its own spec's group, and the memo stays
+    at 32 groups with one hit or miss per call."""
+    specs = [{"preset": "cyclic", "n": n} for n in range(1, 41)]
+    wrong = []
+
+    def work(offset):
+        for i in range(400):
+            n = specs[(offset + i) % len(specs)]["n"]
+            G = groups._build_spec({"preset": "cyclic", "n": n}, 64)
+            if (G.order, G.name) != (n, f"Z{n}"):
+                wrong.append(n)
+
+    threads = [threading.Thread(target=work, args=(5 * k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    info = memo.cache_info()
+    assert wrong == [] and info.currsize == 32 and info.hits + info.misses == 8 * 400
+
+
+def test_tables_that_differ_in_labels_or_name_keep_their_own(memo):
+    specs = [
+        {"table": Z3_ROWS},
+        {"table": Z3_ROWS, "labels": ["0", "1", "2"]},
+        {"table": Z3_ROWS, "labels": ["e", "a", "b"]},
+        {"table": Z3_ROWS, "labels": ["e", "a", "b"], "name": "Z3"},
+        {"table": Z3_ROWS, "name": "Z3"},
+    ]
+    seen = []
+    for spec in specs + specs:  # each a second time, from the memo
+        payload = certificates.run("doubling", {"group": spec, "sets": {"A": [1, 2]}})
+        seen.append((payload["group"], payload["set_a"]["labels"]))
+    expect = [("table", ["1", "2"]), ("table", ["1", "2"]), ("table", ["a", "b"]),
+              ("Z3", ["a", "b"]), ("Z3", ["1", "2"])]
+    assert seen == expect + expect
+    assert memo.cache_info().currsize == 5
+
+
+def test_a_spec_edited_after_its_build_is_a_new_key(memo):
+    spec = {"table": Z3_ROWS, "labels": ["e", "a", "b"]}
+    G = groups._build_spec(spec, 64)
+    spec["labels"][0] = "z"
+    assert groups._build_spec(spec, 64).labels == ("z", "a", "b")
+    assert G.labels == ("e", "a", "b")

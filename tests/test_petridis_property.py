@@ -8,9 +8,14 @@ subset loop and the min-cut path of the minimizer are exercised.
 The exhaustive mode of `petridis_verify`, which decides on the C that hold
 element 0 and lists violations block by block, agrees with the plain-list table of
 every C (`oracles.full_table_petridis`), on preset and relabelled groups.
+
+The seeded modes draw their masks with `theorems._nonempty_masks`, which
+draws what `random.Random(seed).randrange(1, 1 << n)` draws.
 """
 
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +37,7 @@ from smalldoubling.theorems import (
     PetridisResult,
     _minimize_by_flow,
     _minimize_by_loop,
+    _nonempty_masks,
 )
 from oracles import full_table_petridis, naive_petridis_minimizer, naive_product, relabel
 from test_payload_digests import TABLE_S3
@@ -150,3 +156,12 @@ def test_exhaustive_verification_lists_violations_past_the_first_block(name):
     expect = full_table_petridis(G, A.elements(), S.elements(), K)
     assert (ver.checked, ver.ok, ver.equality_at_identity) == expect[:3]
     assert [c.mask for c in ver.violations] == expect[3] == masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), st.integers(-(1 << 70), 1 << 70) | st.text(max_size=8))
+def test_the_mask_draws_are_those_of_randrange(n, seed):
+    # A Python whose randrange draws otherwise fails here, before any digest.
+    rng = random.Random(seed)
+    expect = [rng.randrange(1, 1 << n) for _ in range(64)]
+    assert list(itertools.islice(_nonempty_masks(random.Random(seed), n), 64)) == expect

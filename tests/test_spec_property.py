@@ -105,8 +105,9 @@ def test_config_check_refuses_exactly_what_from_spec_refuses(spec, data):
     if not refused:
         from_spec(spec, order_cap=8**3)
         return
-    built = mock.patch.object(groups, "_build_spec", side_effect=AssertionError("table built"))
-    with built, pytest.raises(InvalidTable):
+    built = [mock.patch.object(groups, name, side_effect=AssertionError("table built"))
+             for name in ("_build_spec", "_build")]
+    with built[0], built[1], pytest.raises(InvalidTable):
         from_spec(spec)
 
 

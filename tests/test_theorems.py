@@ -457,9 +457,10 @@ TABLE_CONFIGS = {
 
 @pytest.mark.parametrize("command", list(TABLE_CONFIGS))
 def test_no_certificate_keeps_its_group_alive(command):
-    # Every certificate builds its own group table, so anything kept on it
-    # could never be used again; it would only hold the group and its
-    # 2^n-entry subset tables.
+    # Configs share their groups through the memo of `groups._build_spec`,
+    # but no subset table is cached, so a certificate keeps nothing on the
+    # group it is handed: that would hold the group and its 2^n-entry subset
+    # tables alive.
     config = TABLE_CONFIGS[command]
     G = from_spec(config["group"])
     alive = weakref.ref(G)
