@@ -171,41 +171,43 @@ def weak_kneser_check(
     _check_member(G, A, "A")
     _check_member(G, S, "S")
     epsilon = _check_epsilon(epsilon)
-    if A.cardinality < S.cardinality:
-        raise HypothesisFailed(f"|A| = {A.cardinality} < |S| = {S.cardinality}")
-    prod = product_set(G, A, S)
-    hyp_bound = (2 - epsilon) * S.cardinality
-    if prod.cardinality > hyp_bound:
-        raise HypothesisFailed(f"|A*S| = {prod.cardinality} > (2 - {epsilon})|S| = {hyp_bound}")
+    s = S.cardinality
+    if A.cardinality < s:
+        raise HypothesisFailed(f"|A| = {A.cardinality} < |S| = {s}")
+    # The bounds are compared in integers: for eps = a/b, (2 - eps)|S| is
+    # (2b - a)|S|/b, (2/eps)|S| is 2b|S|/a and 2/eps - 1 is (2b - a)/a.
+    a, b = epsilon.numerator, epsilon.denominator
+    size = product_mask(G, A.mask, S.mask).bit_count()
+    if size * b > (2 * b - a) * s:
+        raise HypothesisFailed(
+            f"|A*S| = {size} > (2 - {epsilon})|S| = {Fraction((2 * b - a) * s, b)}"
+        )
 
-    K = 1 - epsilon / 2
+    K = Fraction(2 * b - a, 2 * b)  # 1 - eps/2
     conn = connectivity_subgroup_solver(G, S, K)
     H = conn.identity_atom
     assert H is not None
-    sharp_bound = (Fraction(2) / epsilon - 1) * S.cardinality
+    sharp_bound = Fraction((2 * b - a) * s, a)
 
     cover = coset_cover(G, H, S, side="right")
     violations: list[str] = []
     if cover.count == 1:  # S lies in one right coset of H
         branch = "single_right_coset"
         cover = None
-        bound_H = Fraction(2) / epsilon * S.cardinality
-        if H.cardinality > bound_H:
+        bound_H = Fraction(2 * b * s, a)
+        if H.cardinality * a > 2 * b * s:
             violations.append(
                 f"single-coset branch: |H| = {H.cardinality} > (2/eps)|S| = {bound_H}"
             )
     else:
         branch = "multi_coset_cover"
-        bound_H = Fraction(S.cardinality)
-        if H.cardinality > S.cardinality:
-            violations.append(
-                f"multi-coset branch: |H| = {H.cardinality} > |S| = {S.cardinality}"
-            )
-        cover_bound = Fraction(2) / epsilon - 1
-        if cover.count > cover_bound:
+        bound_H = Fraction(s)
+        if H.cardinality > s:
+            violations.append(f"multi-coset branch: |H| = {H.cardinality} > |S| = {s}")
+        if cover.count * a > 2 * b - a:
             violations.append(
                 f"multi-coset branch: cover needs {cover.count} cosets > "
-                f"2/eps - 1 = {cover_bound}"
+                f"2/eps - 1 = {Fraction(2 * b - a, a)}"
             )
     if violations:
         branch = "violation"

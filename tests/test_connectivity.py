@@ -29,6 +29,7 @@ from smalldoubling.certificates import run
 from smalldoubling.groups import image
 from oracles import (
     is_subgroup_naive,
+    naive_closure,
     naive_connectivity,
     naive_cost,
     naive_identity_atom,
@@ -309,12 +310,14 @@ def test_subgroup_solver_examples():
 
 def test_subgroup_solver_refuses_a_non_subgroup_atom(monkeypatch):
     # A kernel whose smallest side is {(1 2 3)} would make the atom {e, (1 2 3)}
-    # of S3, which is not a subgroup: the theory rules that out.
+    # of S3, which is not a subgroup: the theory rules that out.  The kernel's
+    # x index the elements of <SS^-1>, which is all of S3 here, so local
+    # index 3 is (1 2 3).
     S3 = symmetric(3)
     assert S3.labels[3] == "(1 2 3)"
     monkeypatch.setattr(connectivity, "_min_cut_sides", lambda rows, p, q: (1 << 3, 0))
     with pytest.raises(TheoryViolation, match="not a subgroup"):
-        connectivity_subgroup_solver(S3, S3.subset([0, 2]), HALF)
+        connectivity_subgroup_solver(S3, S3.subset([0, 2, 3]), HALF)
 
 
 # Beyond the reach of brute force, the min cut is checked against the
@@ -340,6 +343,62 @@ def test_subgroup_solver_matches_subgroup_loop(G):
             res = connectivity_subgroup_solver(G, S, K)
             assert (res.kappa, res.identity_atom) == subgroup_atom(G, subgroups, S, K)
 
+
+
+# Random S almost always generate G as <SS^-1>.  These S are drawn inside a
+# right coset Hg of a proper, nontrivial subgroup H, so that the min cut runs
+# over the rows of <SS^-1> alone, a subgroup of H.
+def coset_sets(G, rng, subgroups, count=3):
+    proper = [H for H in subgroups if 1 < H.cardinality < G.order]
+    for H in rng.sample(proper, min(count, len(proper))):
+        g = rng.randrange(G.order)
+        coset = sorted(G.mul[h][g] for h in H.elements())
+        yield G.subset(rng.sample(coset, rng.randint(1, len(coset))))
+
+
+def ss_inverse_order(G, S):
+    elems = S.elements()
+    return len(naive_closure(G, [G.mul[a][G.inv[b]] for a in elems for b in elems]))
+
+
+@pytest.fixture
+def cut_rows(monkeypatch):
+    """The number of rows of each `_min_cut_sides` call."""
+    calls = []
+    kernel = connectivity._min_cut_sides
+
+    def spy(rows, p, q):
+        calls.append(len(rows))
+        return kernel(rows, p, q)
+
+    monkeypatch.setattr(connectivity, "_min_cut_sides", spy)
+    return calls
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda g: g.name)
+def test_subgroup_solver_on_sets_in_a_proper_coset(G, cut_rows):
+    rng = random.Random(G.order * 23 + 1)
+    subgroups = enumerate_subgroups(G)
+    for S in coset_sets(G, rng, subgroups):
+        order = ss_inverse_order(G, S)
+        assert order < G.order
+        for K in ORACLE_KS:
+            cut_rows.clear()
+            res = connectivity_subgroup_solver(G, S, K)
+            assert (res.kappa, res.identity_atom) == subgroup_atom(G, subgroups, S, K)
+            assert cut_rows == ([order] if K >= 0 else [])
+
+
+@pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)
+def test_solvers_agree_on_sets_in_a_proper_coset(G, cut_rows):
+    rng = random.Random(G.order * 29 + 3)
+    for S in coset_sets(G, rng, enumerate_subgroups(G)):
+        for K in ORACLE_KS:
+            cut_rows.clear()
+            brute = connectivity_bruteforce(G, S, K)
+            sub = connectivity_subgroup_solver(G, S, K)
+            assert (sub.kappa, sub.identity_atom) == (brute.kappa, brute.identity_atom)
+            assert cut_rows == ([ss_inverse_order(G, S)] if K >= 0 else [])
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)
 def test_solvers_agree(G):

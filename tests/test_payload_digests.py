@@ -13,8 +13,9 @@ Petridis verification with K > 1 in more than one block of 2^16 masks (at
 orders 18, 20 and 24, the order-18 group with its identity off index 0),
 the minimizer at the subset and order caps, brute force and atoms at order 16, the
 multi-coset branch of the structure theorem, both branches and the
-subgroup-restricted solver at order 64 (the identity atom's min cut), and an
-explicit table whose identity is not index 0.  A product of such tables must
+subgroup-restricted solver at order 64 (the identity atom's min cut), the
+same with S in a right coset of an order-8 subgroup (the min cut inside
+<SS^-1>), and an explicit table whose identity is not index 0.  A product of such tables must
 certify exactly as the explicit table it builds.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
@@ -193,6 +194,31 @@ FIXED = {
             "solver": "subgroup_restricted",
         },
     ),
+    # S in a right coset of an order-8 subgroup, so that <SS^-1> is proper and
+    # the identity atom's min cut runs over 8 of the 64 elements.
+    "theorem-main-Q64-coset-single": (  # the atom is <SS^-1>; |A*S| = (2 - eps)|S|
+        "theorem-main",
+        {
+            "group": {"preset": "quaternion", "n": 16},
+            "sets": {"A": [4, 12, 20, 28, 34, 50], "S": [12, 28, 34, 42, 50, 58]},
+            "epsilon": "2/3",
+        },
+    ),
+    "theorem-main-D32-coset-multi": (  # multi_coset_cover branch, trivial atom
+        "theorem-main",
+        {"group": {"preset": "dihedral", "n": 32}, "sets": {"A": [32, 44], "S": [19, 31]},
+         "epsilon": "1/2"},
+    ),
+    "connectivity-subgroup-coset-64": (  # the atom is <SS^-1>, of order 8
+        "connectivity",
+        {
+            "group": {"preset": "direct_product",
+                      "factors": [{"preset": "dihedral", "n": 4}, Z2, Z2, Z2]},
+            "sets": {"S": [3, 13, 19, 54, 56]},
+            "K": "3/4",
+            "solver": "subgroup_restricted",
+        },
+    ),
     "table-doubling": ("doubling", {"group": TABLE_S3, "sets": {"A": [0, 1, 2]}}),
     "table-theorem-main": (
         "theorem-main",
@@ -234,6 +260,9 @@ DIGESTS = {
     "theorem-main-Q64-single": "020b37222f53670f145a2ceca3bbe7680cc9c2a64437ad3689f70bc651d03ce0",
     "theorem-main-Q64-multi": "447b2b3ca2349654107afdb557e8da5476ac08b0b4fd0940b7a4b901a18ac864",
     "connectivity-subgroup-64": "b2ab491111bcc9a265ce3d34e74d5d6581640b318383a67f12e80d204a18da75",
+    "theorem-main-Q64-coset-single": "f6ff90264985af9ac27ce9be46892ac0a5d34b3c500ccdf7f79739f1aaf51628",
+    "theorem-main-D32-coset-multi": "d255ff734562330169947c02914c11e531e95c2cf8fa168ff09f819ea0103d67",
+    "connectivity-subgroup-coset-64": "07b858b3b1852399ef60d0a0e482af4691eb2a80a1bb71c537ccf00e1aaae57c",
     "table-doubling": "982b24a3ea78dace090bc7423a74bf823f05b0f1dccc76166edd20c69ce61e2f",
     "table-theorem-main": "5f1faa1a640639cd942dd9b9f5cc676c8cbe229b93d43f7e8735dfb63fec7236",
     "table-kneser-scan": "da636f975be46b93ef7d0b1667d1d119ecf2265a7f2d828fd32c27d2733e6983",

@@ -39,9 +39,10 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
-from smalldoubling import setalg
+from smalldoubling import setalg, theorems
 from smalldoubling.certificates import run
 from smalldoubling.cli import main
+from smalldoubling.connectivity import ConnectivityResult
 from smalldoubling.schema import COMMANDS
 from smalldoubling.setalg import expansion_rows, product_mask
 from smalldoubling.theorems import (
@@ -234,6 +235,77 @@ def test_weak_kneser_monotone_in_epsilon():
         rep = weak_kneser_check(Z6, S, S, Fraction(1, den))
         assert rep.branch != "violation"
 
+
+
+# The bounds of weak_kneser_check are compared in integers.  These cases sit
+# on each bound and one step past it, and the report is checked against the
+# Fraction expressions the bounds are defined by.
+
+
+def _old_bounds(eps, s, branch):
+    bound_H = Fraction(2) / eps * s if branch == "single_right_coset" else Fraction(s)
+    return 1 - eps / 2, bound_H, (Fraction(2) / eps - 1) * s
+
+
+def test_weak_kneser_hypothesis_bound_is_inclusive():
+    # A = S = {0, 1, 2, 3} in Z20: |A+S| = 7 = (2 - 1/4)|S| holds, and any
+    # eps above 1/4 fails.
+    Z20 = cyclic(20)
+    S = Z20.subset(range(4))
+    eps = Fraction(1, 4)
+    rep = weak_kneser_check(Z20, S, S, eps)
+    assert (rep.K, rep.bound_H_size, rep.sharp_H_bound) == _old_bounds(eps, 4, rep.branch)
+    assert rep.branch == "single_right_coset" and rep.violations == ()  # H = Z20
+    for eps in (Fraction(13, 50), Fraction(1, 3)):
+        with pytest.raises(HypothesisFailed) as err:
+            weak_kneser_check(Z20, S, S, eps)
+        assert str(err.value) == f"|A*S| = 7 > (2 - {eps})|S| = {(2 - eps) * 4}"
+
+
+def _patched_atom(monkeypatch, G, atom):
+    # The atom's bounds cannot be reached by a true atom (|H| <= (2/eps - 1)|S|
+    # in the single-coset branch), so the solver is replaced.
+    H = G.subset(atom)
+    result = ConnectivityResult(Fraction(0), H, True, None, None)
+    monkeypatch.setattr(theorems, "connectivity_subgroup_solver", lambda G, S, K: result)
+
+
+@pytest.mark.parametrize("eps,violations", [
+    (Fraction(1, 3), ()),  # |H| = 12 = (2/eps)|S|
+    (Fraction(1, 2), ("single-coset branch: |H| = 12 > (2/eps)|S| = 8",)),
+])
+def test_weak_kneser_atom_size_bound_is_inclusive(monkeypatch, eps, violations):
+    Z12 = cyclic(12)
+    _patched_atom(monkeypatch, Z12, range(12))
+    S = Z12.subset([0, 1])
+    rep = weak_kneser_check(Z12, S, S, eps)  # |A+S| = 3 <= (2 - eps)|S|
+    assert rep.branch == ("violation" if violations else "single_right_coset")
+    assert (rep.K, rep.bound_H_size, rep.sharp_H_bound) == _old_bounds(
+        eps, 2, "single_right_coset"
+    )
+    assert rep.violations == violations
+    if violations:
+        assert violations[0].endswith(f"= {Fraction(2) / eps * 2}")
+
+
+@pytest.mark.parametrize("eps,atom,violations", [
+    (Fraction(2, 3), [0], ()),  # 2 cosets = 2/eps - 1
+    (Fraction(1), [0], ("multi-coset branch: cover needs 2 cosets > 2/eps - 1 = 1",)),
+    (Fraction(2, 3), [0, 4, 8], ("multi-coset branch: |H| = 3 > |S| = 2",)),
+])
+def test_weak_kneser_cover_bound_is_inclusive(monkeypatch, eps, atom, violations):
+    Z12 = cyclic(12)
+    _patched_atom(monkeypatch, Z12, atom)
+    S = Z12.subset([0, 6])
+    rep = weak_kneser_check(Z12, S, S, eps)  # |A+S| = 2 <= (2 - eps)|S|
+    assert rep.cover.count == 2
+    assert rep.branch == ("violation" if violations else "multi_coset_cover")
+    assert (rep.K, rep.bound_H_size, rep.sharp_H_bound) == _old_bounds(
+        eps, 2, "multi_coset_cover"
+    )
+    assert rep.violations == violations
+    if "cosets" in "".join(violations):
+        assert violations[0].endswith(f"= {Fraction(2) / eps - 1}")
 
 # --- Petridis minimizer -----------------------------------------------------------
 
