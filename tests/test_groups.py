@@ -706,6 +706,22 @@ def test_tables_that_differ_in_labels_or_name_keep_their_own(memo):
     assert memo.cache_info().currsize == 5
 
 
+def test_a_table_named_by_default_and_by_name_share_one_build(memo, monkeypatch):
+    built = _spy_builds(monkeypatch)
+    for spec in ({"table": Z3_ROWS}, {"table": Z3_ROWS, "name": "table"}):
+        payload = certificates.run("doubling", {"group": spec, "sets": {"A": [1]}})
+        assert payload["group"] == "table"
+    assert len(built) == 1 and memo.cache_info().hits == 1
+
+
+def test_an_empty_label_list_is_not_the_default_labels(memo):
+    config = {"group": {"table": Z3_ROWS, "labels": []}, "sets": {"A": [0]}}
+    for _ in range(2):
+        with pytest.raises(InvalidTable, match="^got 0 labels for order 3$"):
+            certificates.run("doubling", copy.deepcopy(config))
+    assert memo.cache_info().currsize == 0
+
+
 def test_a_spec_edited_after_its_build_is_a_new_key(memo):
     spec = {"table": Z3_ROWS, "labels": ["e", "a", "b"]}
     G = groups._build_spec(spec, 64)

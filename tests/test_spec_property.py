@@ -151,3 +151,28 @@ def test_from_spec_builds_exactly_the_specs_within_the_order_cap(spec, data):
             mock.patch.object(groups, "from_table", _refuse), \
             pytest.raises(SizeLimitExceeded, match=f"above the configured cap {cap}$"):
         from_spec(spec, order_cap=cap)
+
+
+def _key_and_group(spec):
+    """The key `from_spec` builds `spec` from (the first `groups._build`
+    call's argument; factors are built by later calls) and the group built."""
+    keys = []
+    original = groups._build
+
+    def spy(key):
+        keys.append(key)
+        return original(key)
+
+    with mock.patch.object(groups, "_build", spy):
+        G = from_spec(spec, order_cap=8**3)
+    return keys[0], G
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPECS)
+def test_a_spec_and_its_key_build_the_same_group(spec):
+    key, G = _key_and_group(spec)
+    again = groups._build(key)
+    assert (again.mul, again.labels, again.name, again.spec) == (G.mul, G.labels, G.name, G.spec)
+    copied, _ = _key_and_group(copy.deepcopy(spec))
+    assert copied == key and hash(copied) == hash(key)
