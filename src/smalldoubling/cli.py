@@ -52,25 +52,23 @@ def _read_json(path, what: str):
 
 
 def parse_group_spec(text: str) -> dict:
-    """Inline spec like cyclic:12 or sym:3xcyclic:2, or a path to a JSON file;
-    either way checked like a certificate's config.group, not yet built."""
+    """Inline spec like cyclic:12 or sym:3xcyclic:2, or a path to a JSON file,
+    not yet checked: `_config_from_args` checks it like a certificate's
+    config.group, and builds the group from the key that check returns."""
     if text.endswith(".json") or os.path.isfile(text):  # False on any OSError
-        spec = _read_json(text, "group file")
-    else:
-        specs = []
-        for part in text.split("x"):
-            kind, _, digits = part.strip().partition(":")
-            kind = {"sym": "symmetric"}.get(kind, kind)
-            n = _decimal(digits)
-            if kind not in groups.PRESETS or n is None:
-                raise UsageError(
-                    f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
-                    "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
-                )
-            specs.append({"preset": kind, "n": n})
-        spec = specs[0] if len(specs) == 1 else {"preset": "direct_product", "factors": specs}
-    check_group(spec, "--group")
-    return spec
+        return _read_json(text, "group file")
+    specs = []
+    for part in text.split("x"):
+        kind, _, digits = part.strip().partition(":")
+        kind = {"sym": "symmetric"}.get(kind, kind)
+        n = _decimal(digits)
+        if kind not in groups.PRESETS or n is None:
+            raise UsageError(
+                f"bad group spec {part!r} (expected kind:n, e.g. cyclic:12, "
+                "sym:3, dihedral:4, quaternion:2, or a JSON file path)"
+            )
+        specs.append({"preset": kind, "n": n})
+    return specs[0] if len(specs) == 1 else {"preset": "direct_product", "factors": specs}
 
 
 def parse_set_elements(G: groups.GroupTable, text: str) -> list[int]:
@@ -221,7 +219,7 @@ def _config_from_args(args, caps: dict) -> tuple[dict, groups.GroupTable]:
     group_spec = parse_group_spec(args.group)
     # Building the checked spec resolves set labels and surfaces cap violations
     # and invalid tables before any solver runs.  The run reuses the group.
-    G = groups._build_spec(group_spec, caps["order_cap"])
+    G = groups._build_spec(check_group(group_spec, "--group"), caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G)
     if sets:
@@ -305,8 +303,8 @@ def main(argv=None) -> int:
         _emit(record, args.format, args.out)
         return 0 if COMMANDS[args.command].ok(payload) else 1
     except (SmallDoublingError, ValueError) as exc:
-        code = exc.code if isinstance(exc, SmallDoublingError) else type(exc).__name__
-        sys.stderr.write(json.dumps({"error": {"code": code, "message": str(exc)}}) + "\n")
+        error = {"code": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 1 if isinstance(exc, TheoryViolation) else 2
 
 

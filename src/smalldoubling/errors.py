@@ -8,10 +8,6 @@ which is simply the class name.
 class SmallDoublingError(Exception):
     """Base class for all toolkit errors."""
 
-    @property
-    def code(self) -> str:
-        return type(self).__name__
-
 
 class InvalidTable(SmallDoublingError):
     """A raw multiplication table violates a group axiom, or a group spec is

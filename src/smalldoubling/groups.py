@@ -12,7 +12,9 @@ is therefore read-only, like the rest of it.
 The cyclic, dihedral and generalized quaternion presets share one
 presentation, <a, b | a^m = e, b^2 = a^t, ba = a^-1 b> with t = 0 for D_m and
 m = 2t for Q_2m, or <a | a^m> alone for Z_m; `_dicyclic` builds its rows.
-The JSON group-spec format is this module's: `check_spec` holds its rules.
+The JSON group-spec format is this module's: `check_spec` holds its rules
+and is the one reader of a spec dict.  It returns the spec's hashable key,
+and `_order`, the memo and the builders read that key alone.
 """
 
 from __future__ import annotations
@@ -281,87 +283,82 @@ PRESETS = {
 MAX_GROUP_NESTING = 64
 
 
-def check_spec(spec, where: str = "group spec") -> None:
-    """Raise InvalidTable unless `spec` is a group spec in its accepted form.
-    Factors are checked from an explicit stack and nest at most
-    MAX_GROUP_NESTING levels, so no spec that passes overflows the builder."""
-    stack = [(spec, where, 0)]  # (spec, where, direct_product levels above it)
-    while stack:
-        spec, where, depth = stack.pop()
-        if not isinstance(spec, dict):
-            raise InvalidTable(f"{where} must be an object")
-        preset = spec.get("preset")
-        if "table" in spec:
-            keys = ("table", "labels", "name")
-        elif preset == "direct_product" or (isinstance(preset, str) and preset in PRESETS):
-            keys = ("preset", "factors" if preset == "direct_product" else "n")
-        else:
-            raise InvalidTable(f"{where} has unknown preset {preset!r}")
-        unknown = sorted(str(k) for k in spec if k not in keys)
-        if unknown:
-            raise InvalidTable(f"{where} has unknown key(s): {', '.join(unknown)}")
-        if "table" in spec:
-            table, labels = spec["table"], spec.get("labels", [])
-            if not isinstance(table, list) or not all(
-                isinstance(row, list) and all(type(x) is int for x in row) for row in table
-            ):
-                raise InvalidTable(f"{where}.table must be a list of rows of element indices")
-            if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-                raise InvalidTable(f"{where}.labels must be a list of strings")
-            if not isinstance(spec.get("name", ""), str):
-                raise InvalidTable(f"{where}.name must be a string")
-        elif preset == "direct_product":
-            factors = spec.get("factors")
-            if not isinstance(factors, list) or not factors:
-                raise InvalidTable(f"{where}.factors must be a nonempty list of group specs")
-            if depth == MAX_GROUP_NESTING:
-                raise InvalidTable(
-                    f"{where} nests direct_product more than {MAX_GROUP_NESTING} levels deep"
-                )
-            nested = [(f, f"{where}.factors[{i}]", depth + 1) for i, f in enumerate(factors)]
-            stack += reversed(nested)  # the first factor is checked first
-        else:
-            if "n" not in spec:
-                raise InvalidTable(f"{where} is missing n")
-            n, least = spec["n"], PRESETS[preset][1]
-            if type(n) is int and not -INT_LIMIT < n < INT_LIMIT:  # too long to print
-                raise InvalidTable(f"{where}.n must lie strictly between -2^63 and 2^63")
-            if type(n) is not int or n < least:
-                raise InvalidTable(f"{where}.n must be a JSON integer >= {least}, got {n!r}")
+def check_spec(spec, where: str = "group spec") -> tuple:
+    """Raise InvalidTable unless `spec` is a group spec in its accepted form,
+    and return its key, a hashable copy that is all `_order` and `_build`
+    read: ("table", rows, labels or None, name), (preset, n), or
+    ("direct_product", the keys of the factors).  Factors are checked first
+    to last and nest at most MAX_GROUP_NESTING levels, so no spec that passes
+    overflows the builder."""
+    return _check_node(spec, where, 0)
 
 
-def _order(spec: dict, order_cap: int) -> int:
-    """The order of a spec that `check_spec` has passed, read from its leaves
-    alone: the one order check.  Raises SizeLimitExceeded as soon as the
-    product of the leaf orders (in build order) passes `order_cap`, so no
+def _check_node(spec, where: str, depth: int) -> tuple:
+    # `depth` counts the direct_product levels above `spec`.
+    if not isinstance(spec, dict):
+        raise InvalidTable(f"{where} must be an object")
+    preset = spec.get("preset")
+    if "table" in spec:
+        keys = ("table", "labels", "name")
+    elif preset == "direct_product" or (isinstance(preset, str) and preset in PRESETS):
+        keys = ("preset", "factors" if preset == "direct_product" else "n")
+    else:
+        raise InvalidTable(f"{where} has unknown preset {preset!r}")
+    unknown = sorted(str(k) for k in spec if k not in keys)
+    if unknown:
+        raise InvalidTable(f"{where} has unknown key(s): {', '.join(unknown)}")
+    if "table" in spec:
+        table, labels, name = spec["table"], spec.get("labels", []), spec.get("name", "table")
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in table
+        ):
+            raise InvalidTable(f"{where}.table must be a list of rows of element indices")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise InvalidTable(f"{where}.labels must be a list of strings")
+        if not isinstance(name, str):
+            raise InvalidTable(f"{where}.name must be a string")
+        labels = tuple(labels) if "labels" in spec else None  # even [] is not the default
+        return ("table", tuple(map(tuple, table)), labels, name)
+    if preset == "direct_product":
+        factors = spec.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise InvalidTable(f"{where}.factors must be a nonempty list of group specs")
+        if depth == MAX_GROUP_NESTING:
+            raise InvalidTable(
+                f"{where} nests direct_product more than {MAX_GROUP_NESTING} levels deep"
+            )
+        return ("direct_product", tuple(
+            _check_node(f, f"{where}.factors[{i}]", depth + 1) for i, f in enumerate(factors)
+        ))
+    if "n" not in spec:
+        raise InvalidTable(f"{where} is missing n")
+    n, least = spec["n"], PRESETS[preset][1]
+    if type(n) is int and not -INT_LIMIT < n < INT_LIMIT:  # too long to print
+        raise InvalidTable(f"{where}.n must lie strictly between -2^63 and 2^63")
+    if type(n) is not int or n < least:
+        raise InvalidTable(f"{where}.n must be a JSON integer >= {least}, got {n!r}")
+    return (preset, n)
+
+
+def _order(key: tuple, order_cap: int) -> int:
+    """The order of the group of a key from `check_spec`, read from its
+    leaves alone: the one order check.  Raises SizeLimitExceeded as soon as
+    the product of the leaf orders (in build order) passes `order_cap`, so no
     number it prints passes the cap times one leaf's order."""
-    order, stack = 1, [spec]
+    order, stack = 1, [key]
     while stack:
         node = stack.pop()
-        if "table" in node:
-            order *= len(node["table"])
-        elif node["preset"] == "direct_product":
-            stack += reversed(node["factors"])
+        if node[0] == "table":
+            order *= len(node[1])
+        elif node[0] == "direct_product":
+            stack += reversed(node[1])
         else:
-            order *= PRESETS[node["preset"]][2](node["n"])
+            order *= PRESETS[node[0]][2](node[1])
         if order > order_cap:
             raise SizeLimitExceeded(
                 f"group has order at least {order}, above the configured cap {order_cap}"
             )
     return order
-
-
-def _key(spec: dict) -> tuple:
-    """A hashable copy of a checked spec, which is all `_build` reads:
-    ("table", rows, labels or None, name), (preset, n), or ("direct_product",
-    the keys of the factors)."""
-    if "table" in spec:
-        labels = spec.get("labels")
-        labels = None if labels is None else tuple(labels)
-        return ("table", tuple(map(tuple, spec["table"])), labels, spec.get("name", "table"))
-    if spec["preset"] == "direct_product":
-        return ("direct_product", tuple(map(_key, spec["factors"])))
-    return (spec["preset"], spec["n"])
 
 
 def _build(key: tuple) -> GroupTable:
@@ -372,38 +369,35 @@ def _build(key: tuple) -> GroupTable:
     return PRESETS[key[0]][0](key[1])
 
 
-# A group is a pure function of its spec and holds only tuples, so one build
-# serves every later spec equal to it.  lru_cache keeps its own lock, and it
-# keeps no failed build: a bad table raises again, with the same witness.
+# A group is a pure function of its key and holds only tuples, so one build
+# serves every later spec with an equal key.  lru_cache keeps its own lock,
+# and it keeps no failed build: a bad table raises again, with the same witness.
 @functools.lru_cache(maxsize=32)
 def _memo(key: tuple) -> GroupTable:
     return _build(key)
 
 
-def _build_spec(spec: dict, order_cap: int) -> GroupTable:
-    """The group of a spec that `check_spec` has passed, for the config check
-    and the command line.  `_order` refuses a spec past `order_cap` on every
-    call, before any lookup or build.  The groups of the last 32 distinct
-    specs of order at most DEFAULT_ORDER_CAP are kept, least recently used
-    first out, keyed on the whole spec read once, here: an equal spec gets
-    the same GroupTable, whose `spec` is read-only.  A larger group, which
-    only a raised cap admits, is built afresh and not kept, so the memo
-    holds at most 32 order-64 groups (an order-64 table with its key holds
-    about 150 KiB under tracemalloc)."""
-    order = _order(spec, order_cap)
-    key = _key(spec)
-    return _memo(key) if order <= DEFAULT_ORDER_CAP else _build(key)
+def _build_spec(key: tuple, order_cap: int) -> GroupTable:
+    """The group of a key from `check_spec`, for the config check and the
+    command line.  `_order` refuses a key past `order_cap` on every call,
+    before any lookup or build.  The groups of the last 32 distinct keys of
+    order at most DEFAULT_ORDER_CAP are kept, least recently used first out:
+    an equal spec has an equal key and gets the same GroupTable, whose `spec`
+    is read-only.  A larger group, which only a raised cap admits, is built
+    afresh and not kept, so the memo holds at most 32 order-64 groups (an
+    order-64 table with its key holds about 150 KiB under tracemalloc)."""
+    return _memo(key) if _order(key, order_cap) <= DEFAULT_ORDER_CAP else _build(key)
 
 
 def from_spec(spec: dict, *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Build a group from its JSON description (preset dict or explicit table)
-    once `check_spec` has passed it: a malformed spec is InvalidTable, as it
-    is for `schema.check_group`, and no table is built for it, nor for a spec
-    whose order passes `order_cap` (SizeLimitExceeded).  The group is built
-    afresh on every call; the memo is `_build_spec`'s."""
-    check_spec(spec)
-    _order(spec, order_cap)
-    return _build(_key(spec))
+    through the key `check_spec` returns: a malformed spec is InvalidTable,
+    as it is for `schema.check_group`, and no table is built for it, nor for
+    a spec whose order passes `order_cap` (SizeLimitExceeded).  The group is
+    built afresh on every call; the memo is `_build_spec`'s."""
+    key = check_spec(spec)
+    _order(key, order_cap)
+    return _build(key)
 
 
 # --- set-level navigation -------------------------------------------------

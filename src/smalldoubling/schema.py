@@ -13,7 +13,9 @@ A config has one accepted form: ints are JSON ints (never strings or
 booleans) strictly between -2^63 and 2^63, rationals are reduced "p/q"
 strings, set lists are sorted, distinct element indices, and no key or set
 name is unknown.  The group spec's rules are `groups.check_spec`'s alone;
-`check_group` refuses what it refuses, as a UsageError.  Omitted options
+`check_group` refuses what it refuses, as a UsageError, and returns the key
+it makes, from which the group is built without a second read of the spec.
+Omitted options
 take their default.  Payload checks stay key-presence only: values are
 checked by `recheck`'s replay, so a tampered value shows up as a diff.
 """
@@ -169,10 +171,11 @@ def _option(name: str, opt: Option, config: dict):
 
 # --- group specs, sets and caps --------------------------------------------
 
-def check_group(spec, where: str = "config.group") -> None:
-    """Raise UsageError for a group spec that `groups.check_spec` refuses."""
+def check_group(spec, where: str = "config.group") -> tuple:
+    """The key `groups.check_spec` returns for a group spec, or UsageError
+    for a spec that it refuses."""
     try:
-        groups.check_spec(spec, where)
+        return groups.check_spec(spec, where)
     except InvalidTable as exc:
         raise UsageError(str(exc)) from exc
 
@@ -208,10 +211,10 @@ def _check_caps(caps, ceiling: Optional[dict], where: str = "config.caps") -> di
 def _check_config(entry: Command, config, ceiling: Optional[dict]):
     _object(config, "config", ("group", "sets", "caps", *entry.options))
     _require(config, ("group",), "config")
-    check_group(config["group"])
+    key = check_group(config["group"])
     sets = _check_sets(entry, config.get("sets", {}))
     options = {name: _option(name, opt, config) for name, opt in entry.options.items()}
-    return sets, options, _check_caps(config.get("caps", {}), ceiling)
+    return key, sets, options, _check_caps(config.get("caps", {}), ceiling)
 
 
 def parse_config(
@@ -222,17 +225,18 @@ def parse_config(
 ):
     """(group, sets, options, caps) of a config in its one accepted form.
 
-    The checked spec is built without a second check, under the config's
-    order cap, unless the caller passes the `group` it already built from
-    `config["group"]` under that cap; each set becomes a Subset of it.  Options
+    The group is built from the key of the one check of `config["group"]`,
+    under the config's order cap, unless the caller passes the `group` it
+    already built from that spec under that cap; each set becomes a Subset
+    of it.  Options
     come back typed (Fraction for rationals), with omitted ones at their
     default.  `ceiling` bounds the caps: a config may lower a cap but not raise
     it.  Omitted caps, and caps the ceiling leaves out, take the ceiling's value
     or DEFAULT_CAPS.  Raises UsageError on anything else.
     """
     entry = _entry(command)
-    sets, options, caps = _check_config(entry, config, ceiling)
-    G = group if group is not None else groups._build_spec(config["group"], caps["order_cap"])
+    key, sets, options, caps = _check_config(entry, config, ceiling)
+    G = group if group is not None else groups._build_spec(key, caps["order_cap"])
     for name, indices in sets.items():
         if indices and indices[-1] >= G.order:
             raise UsageError(f"set {name!r} has index {indices[-1]}, outside {G.name}")

@@ -260,13 +260,14 @@ def petridis_minimizer(G: GroupTable, A: Subset, S: Subset) -> PetridisResult:
     on Dinkelbach's iteration on the min-cut kernel that also finds the
     identity atom (`_minimize_by_flow`), whose work grows with the edges
     x -> x*S rather than with 2^|A|.  The cutoff is measured, timing both
-    paths on random A in D10, Z20 and D8xZ4 (|S| = 3, median of 600 sets per
-    size, 2 CPUs, Python 3.11): at |A| = 9 the loop wins (0.16-0.18 ms against
-    0.18-0.20), at |A| = 10 the min cut does (0.17-0.18 ms against
-    0.25-0.28).  At |A| = 20 in D32 and (Z2)^6, with |S| from 1 to 64, the
-    worst of four random draws takes 0.1-0.5 ms, where the numpy pass over
+    paths on the same rows for random A in D10, Z20 and D8xZ4 (|S| = 3,
+    median over 600 sets per size of the best of 3 calls, 2 CPUs of a Xeon,
+    Python 3.11): at |A| = 9 the loop wins or ties (0.058-0.066 ms against
+    0.062-0.071), at |A| = 10 the min cut wins (0.067-0.081 ms against
+    0.111-0.124).  At |A| = 20 in D32 and (Z2)^6, with |S| from 1 to 64, the
+    worst of four random draws takes 0.02-0.64 ms, where the numpy pass over
     the whole subset table that the min cut replaced took 12-24 ms and the
-    loop takes 320-420 ms.  So any |A| is accepted here; the certificate
+    loop takes 155-165 ms.  So any |A| is accepted here; the certificate
     runner applies the config's subset cap.
     """
     _require_nonempty(A, S)

@@ -47,7 +47,7 @@ def test_parse_group_spec_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(Exception):
-        parse_group_spec(str(bad))
+        schema.check_group(parse_group_spec(str(bad)), "--group")
 
 
 def test_parse_set_elements_indices_and_labels():
@@ -943,22 +943,22 @@ def test_numpy_loads_only_with_a_powerset_table(tmp_path):
 def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
     built = []
     depth = 0
-    original = groups._build_spec  # what the command line builds a checked spec with
+    original = groups._build_spec  # what the command line builds a checked spec's key with
 
-    def counting(spec, *args, **kwargs):  # counts top-level builds, not factor recursion
+    def counting(key, *args, **kwargs):  # counts top-level builds, not factor recursion
         nonlocal depth
         if depth == 0:
-            built.append(spec)
+            built.append(key)
         depth += 1
         try:
-            return original(spec, *args, **kwargs)
+            return original(key, *args, **kwargs)
         finally:
             depth -= 1
 
     monkeypatch.setattr(groups, "_build_spec", counting)
     cert = tmp_path / "cert.json"
     assert main(["doubling", "--group", "dihedral:8", "--setA", "r0,r1", "--out", str(cert)]) == 0
-    assert built == [{"preset": "dihedral", "n": 8}]
+    assert built == [("dihedral", 8)]
 
     built.clear()
     product = ["--group", "dihedral:4xcyclic:2", "--setA", "0,1", "--out", str(cert)]
@@ -968,7 +968,7 @@ def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
     # recheck trusts nothing of the issuer: it builds the group from the spec.
     built.clear()
     assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
-    assert built == [json.loads(cert.read_text())["config"]["group"]]
+    assert built == [groups.check_spec(json.loads(cert.read_text())["config"]["group"])]
 
 
 def test_each_record_is_checked_once(monkeypatch, tmp_path):

@@ -270,7 +270,7 @@ def test_from_spec_refuses_what_the_config_check_refuses(spec):
 
 def test_from_spec_refuses_a_deep_product_without_recursing():
     """A product nested 3,000 levels deep is InvalidTable, not RecursionError:
-    the check walks an explicit stack and stops at MAX_GROUP_NESTING."""
+    the check stops at MAX_GROUP_NESTING levels, before it descends further."""
     levels = 3000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(4 * levels)  # for the JSON parser only
@@ -595,8 +595,8 @@ def test_equal_specs_share_one_build(spec, memo, monkeypatch):
 def test_a_lower_order_cap_is_refused_after_a_hit(memo, monkeypatch):
     factors = [{"preset": "cyclic", "n": 4}, {"table": Z3_ROWS}]
     spec = {"preset": "direct_product", "factors": factors}
-    G = groups._build_spec(spec, 64)
-    assert groups._build_spec(copy.deepcopy(spec), 12) is G
+    G = groups._build_spec(check_spec(spec), 64)
+    assert groups._build_spec(check_spec(copy.deepcopy(spec)), 12) is G
     assert memo.cache_info().hits == 1
 
     def fail(*args, **kwargs):
@@ -608,7 +608,7 @@ def test_a_lower_order_cap_is_refused_after_a_hit(memo, monkeypatch):
     monkeypatch.setattr(groups, "from_table", fail)
     message = r"^group has order at least 12, above the configured cap 11$"
     with pytest.raises(SizeLimitExceeded, match=message):
-        groups._build_spec(spec, 11)
+        groups._build_spec(check_spec(spec), 11)
     config = {"group": spec, "sets": {"A": [0]}, "caps": {"order_cap": 11}}
     with pytest.raises(SizeLimitExceeded, match="above the configured cap 11$"):
         certificates.run("doubling", config)
@@ -635,24 +635,24 @@ def test_a_table_entry_past_2_63_is_invalid_not_unprintable(entry, memo):
     spec = {"table": [[0, 1], [1, entry]]}
     for _ in range(2):
         with pytest.raises(InvalidTable, match="an int past 2\\^63"):
-            groups._build_spec(spec, 64)
+            groups._build_spec(check_spec(spec), 64)
         with pytest.raises(InvalidTable):
             certificates.run("doubling", {"group": spec, "sets": {"A": [0]}})
 
 
 def test_the_memo_keeps_32_groups_of_order_at_most_64(memo):
-    first = weakref.ref(groups._build_spec({"preset": "cyclic", "n": 1}, 64))
+    first = weakref.ref(groups._build_spec(check_spec({"preset": "cyclic", "n": 1}), 64))
     for n in range(2, 33):
-        groups._build_spec({"preset": "cyclic", "n": n}, 64)
+        groups._build_spec(check_spec({"preset": "cyclic", "n": n}), 64)
     gc.collect()
     assert first() is not None and memo.cache_info().currsize == 32
-    groups._build_spec({"preset": "cyclic", "n": 33}, 64)  # the 33rd spec
+    groups._build_spec(check_spec({"preset": "cyclic", "n": 33}), 64)  # the 33rd spec
     gc.collect()
     assert first() is None and memo.cache_info().currsize == 32
     # A group past the default order cap is built under a raised cap, not kept.
-    large = groups._build_spec({"preset": "dihedral", "n": 36}, 72)
+    large = groups._build_spec(check_spec({"preset": "dihedral", "n": 36}), 72)
     assert large.order == 72
-    assert groups._build_spec({"preset": "dihedral", "n": 36}, 72) is not large
+    assert groups._build_spec(check_spec({"preset": "dihedral", "n": 36}), 72) is not large
     alive = weakref.ref(large)
     del large
     gc.collect()
@@ -669,7 +669,7 @@ def test_threads_share_the_memo(memo):
     def work(offset):
         for i in range(400):
             n = specs[(offset + i) % len(specs)]["n"]
-            G = groups._build_spec({"preset": "cyclic", "n": n}, 64)
+            G = groups._build_spec(check_spec({"preset": "cyclic", "n": n}), 64)
             if (G.order, G.name) != (n, f"Z{n}"):
                 wrong.append(n)
 
@@ -722,9 +722,19 @@ def test_an_empty_label_list_is_not_the_default_labels(memo):
     assert memo.cache_info().currsize == 0
 
 
+def test_a_product_spec_is_read_by_one_check(memo, monkeypatch):
+    calls, original = [], groups.check_spec
+    spy = lambda spec, *args: calls.append(spec) or original(spec, *args)  # noqa: E731
+    monkeypatch.setattr(groups, "check_spec", spy)
+    inner = {"preset": "direct_product", "factors": [{"table": Z3_ROWS}]}
+    spec = {"preset": "direct_product", "factors": [{"preset": "dihedral", "n": 4}, inner]}
+    payload = certificates.run("doubling", {"group": spec, "sets": {"A": [0, 1]}})
+    assert payload["group"] == "D4xtable" and calls == [spec]
+
+
 def test_a_spec_edited_after_its_build_is_a_new_key(memo):
     spec = {"table": Z3_ROWS, "labels": ["e", "a", "b"]}
-    G = groups._build_spec(spec, 64)
+    G = groups._build_spec(check_spec(spec), 64)
     spec["labels"][0] = "z"
-    assert groups._build_spec(spec, 64).labels == ("z", "a", "b")
+    assert groups._build_spec(check_spec(spec), 64).labels == ("z", "a", "b")
     assert G.labels == ("e", "a", "b")
