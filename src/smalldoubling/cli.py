@@ -217,8 +217,8 @@ def _config_from_args(args, caps: dict) -> tuple[dict, groups.GroupTable]:
     its group."""
     entry = COMMANDS[args.command]
     group_spec = parse_group_spec(args.group)
-    # Building the checked spec resolves set labels and surfaces cap violations
-    # and invalid tables before any solver runs.  The run reuses the group.
+    # Building the checked spec's key resolves set labels and surfaces cap
+    # violations and invalid tables before any solver runs; the run reuses the group.
     G = groups._build_spec(check_group(group_spec, "--group"), caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G)

@@ -15,9 +15,9 @@ strings, set lists are sorted, distinct element indices, and no key or set
 name is unknown.  The group spec's rules are `groups.check_spec`'s alone;
 `check_group` refuses what it refuses, as a UsageError, and returns the key
 it makes, from which the group is built without a second read of the spec.
-Omitted options
-take their default.  Payload checks stay key-presence only: values are
-checked by `recheck`'s replay, so a tampered value shows up as a diff.
+Omitted options take their default.  Payload checks stay key-presence only:
+values are checked by `recheck`'s replay, so a tampered value shows up as a
+diff.
 """
 
 from __future__ import annotations
@@ -228,11 +228,10 @@ def parse_config(
     The group is built from the key of the one check of `config["group"]`,
     under the config's order cap, unless the caller passes the `group` it
     already built from that spec under that cap; each set becomes a Subset
-    of it.  Options
-    come back typed (Fraction for rationals), with omitted ones at their
-    default.  `ceiling` bounds the caps: a config may lower a cap but not raise
-    it.  Omitted caps, and caps the ceiling leaves out, take the ceiling's value
-    or DEFAULT_CAPS.  Raises UsageError on anything else.
+    of it.  Options come back typed (Fraction for rationals), with omitted
+    ones at their default.  `ceiling` bounds the caps: a config may lower a
+    cap but not raise it.  Omitted caps, and caps the ceiling leaves out, take
+    the ceiling's value or DEFAULT_CAPS.  Raises UsageError on anything else.
     """
     entry = _entry(command)
     key, sets, options, caps = _check_config(entry, config, ceiling)
