@@ -11,6 +11,8 @@ minimizer (the key "petridis-table" names the
 numpy table pass it replaced), sampled Petridis verification, exhaustive
 Petridis verification with K > 1 in more than one block of 2^16 masks (at
 orders 18, 20 and 24, the order-18 group with its identity off index 0),
+over the cosets of X's left stabilizer, and decided at once by
+|X*S| = |X| with X*S != X,
 the minimizer at the subset and order caps, brute force and atoms at order 16, the
 multi-coset branch of the structure theorem, both branches and the
 subgroup-restricted solver at order 64 (the identity atom's min cut), the
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from smalldoubling import theorems
 from smalldoubling.certificates import make_record, run
 from smalldoubling.groups import from_spec
 from smalldoubling.schema import COMMANDS, validate_record
@@ -105,6 +108,26 @@ FIXED = {
             "sets": {"A": [0, 1, 2, 5, 6, 9, 11, 14, 17, 20, 22, 23], "S": [0, 3, 7, 16]},
             "mode": "exhaustive",
             "budget": 1 << 24,
+        },
+    ),
+    # A is a union of right cosets H*x of H = {e, ((1 3),0)}, so X is too:
+    # the check decides over the nine left cosets of X's left stabilizer H,
+    # which differs from its right one, {e, ((2 3),0)}.
+    "petridis-exhaustive-S3xZ3-cosets": (  # K = 3/2 at order 18, the identity at index 3
+        "petridis",
+        {
+            "group": {"preset": "direct_product",
+                      "factors": [TABLE_S3, {"preset": "cyclic", "n": 3}]},
+            "sets": {"A": [1, 2, 9, 10, 12, 13, 16, 17], "S": [0, 7]},
+            "mode": "exhaustive",
+        },
+    ),
+    "petridis-exhaustive-D10-one-s": (  # |S| = 1: K = 1 and X*S != X
+        "petridis",
+        {
+            "group": {"preset": "dihedral", "n": 10},
+            "sets": {"A": [1, 2, 5, 11, 17], "S": [3]},
+            "mode": "exhaustive",
         },
     ),
     "petridis-sampled": (  # 2000 seeded C in an order-16 group
@@ -251,6 +274,8 @@ DIGESTS = {
     "petridis-exhaustive-D10": "b99b84d311e14f2eec0541040097aa03ca588e392e1e3a0238c5a4135cbed953",
     "petridis-exhaustive-S3xZ3": "8bb14788630933102360be825f6d51cfa8922f578e5f368b6bc978336c198eb5",
     "petridis-exhaustive-S4": "5fd14ad806cc1c54f6c3e69ee2323d5475f077cd6d371c9f27ba231fa7533203",
+    "petridis-exhaustive-S3xZ3-cosets": "50a1958c75eadd786ddb1f8260de4d535a9d15456a918cfb4b7e8d51ff2f8c2d",
+    "petridis-exhaustive-D10-one-s": "52ba3cf5ce20a4c5fa5dd40b8e74558efaf285ac0d37160d420b6960c6a4397b",
     "petridis-sampled": "80cddc43fe0220fd8380b8207c56b439523afead0d52876e6cd47e80b6544a5e",
     "petridis-sampled-D32-caps": "d092756d5e47ce76dbda50867f6864ca40be0d59eb48ef88609dcaf6e35b0687",
     "connectivity-brute-16": "95983e1aaf35052ece7e80224d5eb31c10525ed48fc39c254498cb1c84097f5e",
@@ -286,6 +311,36 @@ def test_payload_digest(case, command, config):
     assert list(recomputed)[: len(echo)] == echo
     payload = json.dumps(recomputed, sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[case]
+
+
+# Which pass decides each exhaustive Petridis check: the free columns that
+# each `_violating_masks` call is given, none when |X*S| = |X| decides at once.
+EXHAUSTIVE_PETRIDIS_COLUMNS = {
+    "petridis-exhaustive-D10": [19],
+    "petridis-exhaustive-S3xZ3-cosets": [8],  # one per left coset of H but 0's
+    "petridis-exhaustive-D10-one-s": [],
+}
+
+
+@pytest.mark.parametrize("case", list(EXHAUSTIVE_PETRIDIS_COLUMNS))
+def test_exhaustive_petridis_takes_its_path(monkeypatch, case):
+    original = theorems._violating_masks
+    columns, distinct = [], []
+
+    def spy(rows, p, q, fixed, limit):
+        columns.append(rows.shape[1])
+        distinct.append(len({int(fixed[0]), *rows[0].tolist()}))
+        return original(rows, p, q, fixed, limit)
+
+    monkeypatch.setattr(theorems, "_violating_masks", spy)
+    command, config = FIXED[case]
+    payload = run(command, config)
+    assert columns == EXHAUSTIVE_PETRIDIS_COLUMNS[case]
+    # c*X = c'*X exactly when c and c' share a left coset of the stabilizer,
+    # so one column per coset gives every row of X once.
+    assert distinct == [c + 1 for c in columns]
+    assert payload["verified_c_count"] == (1 << from_spec(config["group"]).order) - 1
+    assert payload["ok"]
 
 
 def test_workload_fixture_is_round_zero():

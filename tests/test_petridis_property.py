@@ -7,7 +7,11 @@ subset loop and the min-cut path of the minimizer are exercised.
 
 The exhaustive mode of `petridis_verify`, which decides on the C that hold
 element 0 and lists violations block by block, agrees with the plain-list table of
-every C (`oracles.full_table_petridis`), on preset and relabelled groups.
+every C (`oracles.full_table_petridis`), on preset and relabelled groups.  It
+also agrees with a walk over every C in plain sets
+(`oracles.naive_petridis_violations`) where its two shortcuts apply: X a union
+of right cosets H*x (the scan over the cosets of X's left stabilizer) and
+|S| = 1 (|X*S| = |X|, decided without a scan).
 
 The seeded modes draw their masks with `theorems._nonempty_masks`, which
 draws what `random.Random(seed).randrange(1, 1 << n)` draws.
@@ -39,7 +43,14 @@ from smalldoubling.theorems import (
     _minimize_by_loop,
     _nonempty_masks,
 )
-from oracles import full_table_petridis, naive_petridis_minimizer, naive_product, relabel
+from oracles import (
+    full_table_petridis,
+    naive_closure,
+    naive_petridis_minimizer,
+    naive_petridis_violations,
+    naive_product,
+    relabel,
+)
 from test_payload_digests import TABLE_S3
 
 Z3 = {"preset": "cyclic", "n": 3}
@@ -156,6 +167,39 @@ def test_exhaustive_verification_lists_violations_past_the_first_block(name):
     expect = full_table_petridis(G, A.elements(), S.elements(), K)
     assert (ver.checked, ver.ok, ver.equality_at_identity) == expect[:3]
     assert [c.mask for c in ver.violations] == expect[3] == masks
+
+
+CATALOGUE_12 = catalogue(12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exhaustive_verification_matches_the_plain_set_walk(data):
+    # X is drawn three ways: a union of right cosets H*x of a cyclic H, so
+    # that its left stabilizer holds H; any set; and any set with |S| = 1,
+    # so that |X*S| = |X| while X*S may differ from X.
+    G = data.draw(st.sampled_from(CATALOGUE_12), label="group")
+    n = G.order
+    elements = st.integers(0, n - 1)
+    how = data.draw(st.sampled_from(["cosets", "any", "one s"]), label="X")
+    if how == "cosets":
+        H = naive_closure(G, [data.draw(elements, label="h")])
+        xs = data.draw(st.lists(elements, min_size=1, max_size=3), label="x")
+        X = {G.mul[h][x] for h in H for x in xs}
+    else:
+        X = set(data.draw(st.lists(elements, min_size=1, max_size=n, unique=True), label="X"))
+    size = 1 if how == "one s" else data.draw(st.integers(1, min(3, n)), label="|S|")
+    S = set(data.draw(st.lists(elements, min_size=size, max_size=size, unique=True), label="S"))
+    XS = naive_product(G, X, S)
+    K = Fraction(len(XS), len(X)) * data.draw(st.sampled_from(LOWERINGS), label="lowered by")
+    X_, S_ = G.subset(sorted(X)), G.subset(sorted(S))
+    ver = petridis_verify(G, PetridisResult(A=X_, S=S_, X=X_, K=K), "exhaustive")
+    violations = naive_petridis_violations(G, X, S, K)
+    equality = len(XS) == K * len(X)
+    assert ver.checked == (1 << n) - 1
+    assert ver.equality_at_identity == equality
+    assert [c.mask for c in ver.violations] == violations
+    assert ver.ok == (equality and not violations)
 
 
 @settings(max_examples=200, deadline=None)
