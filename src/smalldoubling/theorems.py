@@ -394,31 +394,25 @@ def petridis_verify(
     Both modes compare q*|C*X*S| > p*|C*X| in integers, exactly, for the
     ratio p/q that `_narrow_ratio` makes of K, whose terms are at most n.
 
-    Two identities cut the work and change no result.
-
-    (a) |X*S| = |X| with K >= 1 (p >= q) leaves no C to violate, so neither
-    mode builds a table or draws a C.  For s in S, X*s lies in X*S and has
-    |X| elements, so X*S = X*s; then |C*X*S| = |C*X*s| = |C*X| for every C.
-    The minimizer is in this case exactly when its K is 1.
-
-    (b) Let L = {k : k*X = X}, the left stabilizer of X.  Since L*X = X,
-    C*X = (C*L)*X and C*X*S = (C*L)*X*S, so both sizes depend only on the
-    left cosets c*L that C meets, and the rows c*X and c*XS of one
-    representative per coset decide every C.  The cosets are read off the
-    rows of X: c*X = d*X exactly when d^-1*c lies in L, that is when
-    c*L = d*L, so each distinct row c*X is one coset.
-
     The exhaustive mode decides on the C that hold element 0 alone.
     Translation keeps both sizes: (g*C)*X = g*(C*X), and likewise for XS.
     Every nonempty C has a translate that holds element 0, g*C for
     g = 0*c^-1 with c in C (when 0 is e, that is c^-1*C), so some C violates
-    the inequality exactly when some C holding 0 does.  Those C meet the
-    coset 0*L, and each union of cosets that holds it is one of them.  The
-    deciding pass covers those 2^(n/|L| - 1) unions with `_violating_masks`,
-    the rows of element 0 fixed and one free column per other coset (the
-    n - 1 other elements when L = {e}); that settles every one of the
-    2^n - 1 nonempty C, so `checked` is 2^n - 1 on every path.  Only if it
-    finds a violation does a second pass walk all masks, nothing fixed and in
+    the inequality exactly when some C holding 0 does.
+
+    It also works over the left cosets of X's left stabilizer
+    L = {k : k*X = X}.  Since L*X = X, C*X = (C*L)*X and
+    C*X*S = (C*L)*X*S, so both sizes depend only on the left cosets c*L that
+    C meets, and the rows c*X and c*XS of one representative per coset
+    decide every C.  The cosets are read off the rows of X: c*X = d*X
+    exactly when d^-1*c lies in L, that is when c*L = d*L, so each distinct
+    row c*X is one coset.  The C that hold element 0 meet the coset 0*L, and
+    each union of cosets that holds it is one of them.  The deciding pass
+    covers those 2^(n/|L| - 1) unions with `_violating_masks`, the rows of
+    element 0 fixed and one free column per other coset (the n - 1 other
+    elements when L = {e}; none when X = G); that settles every one of the
+    2^n - 1 nonempty C, so `checked` is 2^n - 1.  Only if it finds a
+    violation does a second pass walk all masks, nothing fixed and in
     ascending order, to list the first 16 violations.  Both passes build
     tables of at most 2^16 entries.
 
@@ -432,7 +426,6 @@ def petridis_verify(
     # C = {e}: e*XS = XS and e*X = X, so equality there is |XS| = K|X|
     eq_identity = XS.cardinality * K.denominator == K.numerator * X.cardinality
     p, q = _narrow_ratio(K.numerator, K.denominator, n)
-    scan = XS.cardinality != X.cardinality or q > p  # else (a): no C violates
 
     violations: list[Subset] = []
     if mode == "exhaustive":
@@ -443,30 +436,28 @@ def petridis_verify(
                 f"exhaustive verification needs 2^{n} - 1 <= budget, got budget {budget}"
             )
         _check_width(n)
-        if scan:
-            x_rows = expansion_rows(G, X)
-            rows = np.array([x_rows, expansion_rows(G, XS)], dtype=np.uint32)
-            free = rows[:, 1:]  # the C that hold element 0
-            cosets = dict.fromkeys(x_rows)  # (b): c*X = d*X exactly when c*L = d*L
-            if len(cosets) < n:  # one column per coset but 0's, at its least element
-                free = rows[:, [x_rows.index(row) for row in cosets][1:]]
-            if _violating_masks(free, p, q, rows[:, 0], 1):
-                masks = _violating_masks(rows, p, q, np.zeros_like(rows[:, 0]), 16)
-                violations = [Subset(n, m) for m in masks]
+        x_rows = expansion_rows(G, X)
+        rows = np.array([x_rows, expansion_rows(G, XS)], dtype=np.uint32)
+        free = rows[:, 1:]  # the C that hold element 0
+        cosets = dict.fromkeys(x_rows)  # c*X = d*X exactly when c*L = d*L
+        if len(cosets) < n:  # one column per coset but 0's, at its least element
+            free = rows[:, [x_rows.index(row) for row in cosets][1:]]
+        if _violating_masks(free, p, q, rows[:, 0], 1):
+            masks = _violating_masks(rows, p, q, np.zeros_like(rows[:, 0]), 16)
+            violations = [Subset(n, m) for m in masks]
         checked = (1 << n) - 1
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled verification requires a seed")
-        if scan:
-            masks = _nonempty_masks(random.Random(seed), n)
-            times_x_xs = fixed_factor_product(G, X, XS)  # C*X, then C*XS above bit n
-            full = (1 << n) - 1
-            for _ in range(budget):
-                cmask = next(masks)
-                both = times_x_xs(cmask)
-                size_cx = (both & full).bit_count()
-                if q * (both.bit_count() - size_cx) > p * size_cx and len(violations) < 16:
-                    violations.append(Subset(n, cmask))
+        masks = _nonempty_masks(random.Random(seed), n)
+        times_x_xs = fixed_factor_product(G, X, XS)  # C*X, then C*XS above bit n
+        full = (1 << n) - 1
+        for _ in range(budget):
+            cmask = next(masks)
+            both = times_x_xs(cmask)
+            size_cx = (both & full).bit_count()
+            if q * (both.bit_count() - size_cx) > p * size_cx and len(violations) < 16:
+                violations.append(Subset(n, cmask))
         checked = budget
     else:
         raise ValueError(f"unknown verification mode {mode!r}")

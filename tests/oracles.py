@@ -159,22 +159,6 @@ def full_table_petridis(G, X, S, K):
     return (1 << n) - 1, equality and not violations, equality, violations
 
 
-def naive_petridis_violations(G, X, S, K):
-    """The first 16 nonempty C, as masks in ascending order, with
-    |C*X*S| > K|C*X|; each C is a plain set and both products are taken
-    afresh."""
-    n = G.order
-    violations = []
-    for c in range(1, 1 << n):
-        C = {g for g in range(n) if c >> g & 1}
-        CX = naive_product(G, C, X)
-        if len(naive_product(G, CX, S)) > K * len(CX):
-            violations.append(c)
-            if len(violations) == 16:
-                break
-    return violations
-
-
 def naive_cost(G, S, K, A):
     if not A:
         return Fraction(0)

@@ -11,8 +11,8 @@ minimizer (the key "petridis-table" names the
 numpy table pass it replaced), sampled Petridis verification, exhaustive
 Petridis verification with K > 1 in more than one block of 2^16 masks (at
 orders 18, 20 and 24, the order-18 group with its identity off index 0),
-over the cosets of X's left stabilizer, and decided at once by
-|X*S| = |X| with X*S != X,
+over the cosets of X's left stabilizer, and with |S| = 1, where
+|X*S| = |X| and X*S != X,
 the minimizer at the subset and order caps, brute force and atoms at order 16, the
 multi-coset branch of the structure theorem, both branches and the
 subgroup-restricted solver at order 64 (the identity atom's min cut), the
@@ -313,12 +313,15 @@ def test_payload_digest(case, command, config):
     assert hashlib.sha256(payload.encode()).hexdigest() == DIGESTS[case]
 
 
-# Which pass decides each exhaustive Petridis check: the free columns that
-# each `_violating_masks` call is given, none when |X*S| = |X| decides at once.
+# The free columns that each `_violating_masks` call of an exhaustive
+# Petridis check is given: one per left coset of X's left stabilizer but 0's.
 EXHAUSTIVE_PETRIDIS_COLUMNS = {
-    "petridis-exhaustive-D10": [19],
+    "petridis-exhaustive-D10": [19],  # the stabilizer is {e}
     "petridis-exhaustive-S3xZ3-cosets": [8],  # one per left coset of H but 0's
-    "petridis-exhaustive-D10-one-s": [],
+    "40-powerset-petridis": [0],  # X = G: one coset, so one union holds 0
+}
+ALL_CONFIGS = FIXED | {
+    i: (c["command"], c["config"]) for i, c in zip(WORKLOAD_IDS, WORKLOAD_CASES)
 }
 
 
@@ -333,7 +336,7 @@ def test_exhaustive_petridis_takes_its_path(monkeypatch, case):
         return original(rows, p, q, fixed, limit)
 
     monkeypatch.setattr(theorems, "_violating_masks", spy)
-    command, config = FIXED[case]
+    command, config = ALL_CONFIGS[case]
     payload = run(command, config)
     assert columns == EXHAUSTIVE_PETRIDIS_COLUMNS[case]
     # c*X = c'*X exactly when c and c' share a left coset of the stabilizer,

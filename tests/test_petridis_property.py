@@ -7,11 +7,9 @@ subset loop and the min-cut path of the minimizer are exercised.
 
 The exhaustive mode of `petridis_verify`, which decides on the C that hold
 element 0 and lists violations block by block, agrees with the plain-list table of
-every C (`oracles.full_table_petridis`), on preset and relabelled groups.  It
-also agrees with a walk over every C in plain sets
-(`oracles.naive_petridis_violations`) where its two shortcuts apply: X a union
-of right cosets H*x (the scan over the cosets of X's left stabilizer) and
-|S| = 1 (|X*S| = |X|, decided without a scan).
+every C (`oracles.full_table_petridis`), on preset and relabelled groups, X
+drawn as the minimizer, as any set, and as a union of right cosets H*x (so
+that the check decides over the cosets of X's left stabilizer).
 
 The seeded modes draw their masks with `theorems._nonempty_masks`, which
 draws what `random.Random(seed).randrange(1, 1 << n)` draws.
@@ -47,7 +45,6 @@ from oracles import (
     full_table_petridis,
     naive_closure,
     naive_petridis_minimizer,
-    naive_petridis_violations,
     naive_product,
     relabel,
 )
@@ -129,10 +126,17 @@ def test_exhaustive_verification_matches_the_full_table(data):
             pi = pi[1:] + pi[:1]
         G = from_table(relabel(G.mul, pi))
     A = data.draw(st.permutations(range(n)), label="A")[: data.draw(st.integers(1, 10))]
+    # |S| = 1 gives |X*S| = |X| with X*S != X for most X.
     S = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     result = petridis_minimizer(G, G.subset(A), G.subset(S))
-    # X = A need not minimize, so C past the first block may violate too.
-    if data.draw(st.booleans(), label="X = A"):
+    # X = A need not minimize, so C past the first block may violate too.  A
+    # union of right cosets H*x of a cyclic H has H in its left stabilizer.
+    how = data.draw(st.sampled_from(["minimizer", "A", "cosets"]), label="X")
+    if how == "cosets":
+        H = naive_closure(G, [data.draw(st.integers(0, n - 1), label="h")])
+        xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3), label="x")
+        A = sorted({G.mul[h][x] for h in H for x in xs})
+    if how != "minimizer":
         K = Fraction(len(naive_product(G, A, S)), len(A))
         result = dataclasses.replace(result, X=G.subset(A), K=K)
     K = result.K * data.draw(st.sampled_from(LOWERINGS), label="lowered by")
@@ -167,39 +171,6 @@ def test_exhaustive_verification_lists_violations_past_the_first_block(name):
     expect = full_table_petridis(G, A.elements(), S.elements(), K)
     assert (ver.checked, ver.ok, ver.equality_at_identity) == expect[:3]
     assert [c.mask for c in ver.violations] == expect[3] == masks
-
-
-CATALOGUE_12 = catalogue(12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_exhaustive_verification_matches_the_plain_set_walk(data):
-    # X is drawn three ways: a union of right cosets H*x of a cyclic H, so
-    # that its left stabilizer holds H; any set; and any set with |S| = 1,
-    # so that |X*S| = |X| while X*S may differ from X.
-    G = data.draw(st.sampled_from(CATALOGUE_12), label="group")
-    n = G.order
-    elements = st.integers(0, n - 1)
-    how = data.draw(st.sampled_from(["cosets", "any", "one s"]), label="X")
-    if how == "cosets":
-        H = naive_closure(G, [data.draw(elements, label="h")])
-        xs = data.draw(st.lists(elements, min_size=1, max_size=3), label="x")
-        X = {G.mul[h][x] for h in H for x in xs}
-    else:
-        X = set(data.draw(st.lists(elements, min_size=1, max_size=n, unique=True), label="X"))
-    size = 1 if how == "one s" else data.draw(st.integers(1, min(3, n)), label="|S|")
-    S = set(data.draw(st.lists(elements, min_size=size, max_size=size, unique=True), label="S"))
-    XS = naive_product(G, X, S)
-    K = Fraction(len(XS), len(X)) * data.draw(st.sampled_from(LOWERINGS), label="lowered by")
-    X_, S_ = G.subset(sorted(X)), G.subset(sorted(S))
-    ver = petridis_verify(G, PetridisResult(A=X_, S=S_, X=X_, K=K), "exhaustive")
-    violations = naive_petridis_violations(G, X, S, K)
-    equality = len(XS) == K * len(X)
-    assert ver.checked == (1 << n) - 1
-    assert ver.equality_at_identity == equality
-    assert [c.mask for c in ver.violations] == violations
-    assert ver.ok == (equality and not violations)
 
 
 @settings(max_examples=200, deadline=None)

@@ -276,14 +276,12 @@ def test_mask_table_refuses_more_rows_than_the_limit(bits):
         mask_table_from_rows([1 << (bits - 1)] * 25)
 
 
-# One certificate of each command that builds numpy mask tables.  The
-# Petridis config has K = 3/2 and X = {0, 1} with a trivial left stabilizer:
-# at K = 1 the exhaustive check decides without a table.
+# One certificate of each command that builds numpy mask tables.
 TABLE_COMMANDS = [
     ("connectivity", {"group": {"preset": "dihedral", "n": 4}, "sets": {"S": [0, 1]},
                       "K": "1/2", "solver": "brute_force"}),
     ("atoms", {"group": {"preset": "dihedral", "n": 4}, "sets": {"S": [0, 1]}, "K": "1/2"}),
-    ("petridis", {"group": {"preset": "dihedral", "n": 5}, "sets": {"A": [0, 1, 5], "S": [0, 1]},
+    ("petridis", {"group": {"preset": "dihedral", "n": 5}, "sets": {"A": [0, 1, 5], "S": [0, 5]},
                   "mode": "exhaustive"}),
     ("search-kneser-failure", {"group": {"preset": "symmetric", "n": 3}, "strategy": "exhaustive"}),
 ]
