@@ -372,22 +372,16 @@ def _run_search_kneser_failure(G, caps, strategy, seed, budget):
     }
 
 
-def run(
-    command: str,
-    config: dict,
-    *,
-    ceiling: Optional[dict] = None,
-    group: Optional[groups.GroupTable] = None,
-) -> dict:
+def run(command: str, config: dict, *, ceiling: Optional[dict] = None) -> dict:
     """Execute one verifier from its replayable config; returns the payload.
 
-    `ceiling` bounds the caps the config may ask for, and `group` saves
-    building a group the caller already built from the config (see
-    `parse_config`).  The payload is read-only: one dict may sit at several
+    The payload is a function of the config alone: `parse_config` builds
+    the group from `config["group"]`.  `ceiling` bounds the caps the config
+    may ask for.  The payload is read-only: one dict may sit at several
     places in it (a scan's findings share the subset payload of each mask),
     so a caller that would edit it edits a deep copy.
     """
-    G, sets, options, caps = parse_config(command, config, ceiling, group)
+    G, sets, options, caps = parse_config(command, config, ceiling)
     entry = COMMANDS[command]
     echo = {set_key(name): subset_payload(G, sets[name]) for name in entry.sets}
     return {"group": G.name, **echo, **entry.runner(G, caps, **sets, **options)}

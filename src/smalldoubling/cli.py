@@ -212,13 +212,13 @@ def _collect_sets(args, G: groups.GroupTable) -> dict:
     return {name: parse_set_elements(G, text) for name, text in raw.items()}
 
 
-def _config_from_args(args, caps: dict) -> tuple[dict, groups.GroupTable]:
-    """The replayable config of a run command, in its one accepted form, and
-    its group."""
+def _config_from_args(args, caps: dict) -> dict:
+    """The replayable config of a run command, in its one accepted form."""
     entry = COMMANDS[args.command]
     group_spec = parse_group_spec(args.group)
     # Building the checked spec's key resolves set labels and surfaces cap
-    # violations and invalid tables before any solver runs; the run reuses the group.
+    # violations and invalid tables before any solver runs; the run builds it
+    # again from the config, a memo lookup up to order DEFAULT_ORDER_CAP.
     G = groups._build_spec(check_group(group_spec, "--group"), caps["order_cap"])
     config = {"group": group_spec, "caps": caps}
     sets = _collect_sets(args, G)
@@ -228,7 +228,7 @@ def _config_from_args(args, caps: dict) -> tuple[dict, groups.GroupTable]:
         value = getattr(args, name)
         if value is not None:
             config[name] = (opt.aliases or {}).get(value, value)
-    return config, G
+    return config
 
 
 def _render_text(value, prefix: str = "") -> list[str]:
@@ -295,9 +295,9 @@ def main(argv=None) -> int:
         caps = _check_caps({key: getattr(args, key) for key in DEFAULT_CAPS}, None)
         if args.command == "recheck":
             return _run_recheck(args, caps)
-        config, G = _config_from_args(args, caps)
+        config = _config_from_args(args, caps)
         started = time.perf_counter()
-        payload = certificates.run(args.command, config, group=G)
+        payload = certificates.run(args.command, config)
         wall = time.perf_counter() - started
         record = certificates.make_record(args.command, config, payload, wall_time_s=wall)
         _emit(record, args.format, args.out)

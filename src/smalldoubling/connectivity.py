@@ -20,7 +20,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmptySet, KOutOfRange, TheoryViolation
-from .groups import DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, _generate, is_subgroup_mask
+from .groups import (
+    DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, _generate, image, is_subgroup_mask,
+)
 from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
@@ -164,10 +166,10 @@ def connectivity_subgroup_solver(G: GroupTable, S: Subset, K: Fraction) -> Conne
     if K >= 0:  # the row of e is empty, so only p = 0 leaves e out of the side
         t_inv = G.inv[(S.mask & -S.mask).bit_length() - 1]  # t is the first element of S
         gens = [G.mul[s][t_inv] for s in iter_bits(S.mask)]
-        L = list(iter_bits(_generate(G, atom, (e,), gens)))  # the kernel's x index into L
+        L = list(iter_bits(_generate(G, atom, gens)))  # the kernel's x index into L
         rows = [row & ~S.mask for row in expansion_rows(G, S, L)]
         side = _min_cut_sides(rows, p, q)[0]
-        atom |= sum(G.bits[L[i]] for i in iter_bits(side))
+        atom |= image(L, side)
         spill = or_of_rows(rows, side).bit_count()
     H = Subset(G.order, atom)
     if not is_subgroup_mask(G, atom):

@@ -51,7 +51,7 @@ class GroupTable:
     row is the identity permutation), `inv[a]` (the index of a^-1),
     `cols[b][a]` (a*b again, so `mul[x]` and `cols[x]` are the left and right
     translations by x as permutations), `is_abelian` and `bits[a]` (1 << a,
-    the mask of {a}, shared by the batched kernels).  The table must already
+    the mask of {a}, which `setalg.expansion_rows` sums).  The table must already
     be a group (`validate_table` checks a raw one); only the labels are
     checked here, for being distinct.  `spec` is a JSON-serializable
     description sufficient to rebuild the table, which `direct_product`
@@ -412,8 +412,9 @@ def image(perm: Sequence[int], mask: int) -> int:
     """Bitmask of {perm[a] : a in mask}.
 
     Over a group table: x*m is `image(G.mul[x], m)`, m*x is
-    `image(G.cols[x], m)` and m^-1 is `image(G.inv, m)`.  The loop is
-    `iter_bits` written out, which saves a generator per call.
+    `image(G.cols[x], m)` and m^-1 is `image(G.inv, m)`.  Over a list of
+    elements it maps a local mask, bit i for `perm[i]`, back to G.  The
+    loop is `iter_bits` written out, which saves a generator per call.
     """
     out = 0
     while mask:
@@ -430,26 +431,25 @@ def is_subgroup_mask(G: GroupTable, mask: int) -> bool:
     )
 
 
-def _generate(G: GroupTable, H: int, members: Sequence[int], gens: Sequence[int]) -> int:
-    """Mask of the subgroup generated by `gens`, given the mask `H` (elements
-    `members`) of a subgroup of it.
+def _generate(G: GroupTable, H: int, gens: Sequence[int]) -> int:
+    """Mask of the subgroup generated by `gens`, given the mask `H` of a
+    subgroup of it.
 
     In a finite group the subgroup generated by `gens` is everything reached
     from e by right multiplication by `gens`.  It is a union of right cosets
     of H, and (Hy)s = H(ys), so the search runs over one representative per
-    coset and brings in each new coset whole.
+    coset and brings in each new coset H*z whole.
     """
-    mul = G.mul
-    reps = [G.identity]
+    mul, cols = G.mul, G.cols
+    grown, reps = H, [G.identity]
     for y in reps:
         row = mul[y]
         for s in gens:
             z = row[s]
-            if not (H >> z) & 1:
-                for h in members:
-                    H |= 1 << mul[h][z]
+            if not (grown >> z) & 1:
+                grown |= image(cols[z], H)
                 reps.append(z)
-    return H
+    return grown
 
 
 def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
@@ -461,7 +461,7 @@ def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
     #   of elements to try, then clear its whole coset from the pool;
     # - <H, g> is generated by the generators recorded for H plus g, so
     #   `_generate` grows it from H coset by coset.
-    mul = G.mul
+    cols = G.cols
     trivial = 1 << G.identity
     gens_of = {trivial: ()}
     frontier = [trivial]
@@ -470,14 +470,12 @@ def _subgroup_masks(G: GroupTable) -> tuple[int, ...]:
         next_frontier = []
         for mask in frontier:
             gens = gens_of[mask]
-            members = list(iter_bits(mask))
             pool = full & ~mask
             while pool:
                 g = (pool & -pool).bit_length() - 1
-                for h in members:
-                    pool &= ~(1 << mul[h][g])
+                pool &= ~image(cols[g], mask)
                 step = gens + (g,)
-                grown = _generate(G, mask, members, step)
+                grown = _generate(G, mask, step)
                 if grown not in gens_of:
                     gens_of[grown] = step
                     next_frontier.append(grown)

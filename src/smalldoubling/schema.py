@@ -217,25 +217,20 @@ def _check_config(entry: Command, config, ceiling: Optional[dict]):
     return key, sets, options, _check_caps(config.get("caps", {}), ceiling)
 
 
-def parse_config(
-    command: str,
-    config,
-    ceiling: Optional[dict] = None,
-    group: Optional[groups.GroupTable] = None,
-):
+def parse_config(command: str, config, ceiling: Optional[dict] = None):
     """(group, sets, options, caps) of a config in its one accepted form.
 
-    The group is built from the key of the one check of `config["group"]`,
-    under the config's order cap, unless the caller passes the `group` it
-    already built from that spec under that cap; each set becomes a Subset
-    of it.  Options come back typed (Fraction for rationals), with omitted
-    ones at their default.  `ceiling` bounds the caps: a config may lower a
-    cap but not raise it.  Omitted caps, and caps the ceiling leaves out, take
-    the ceiling's value or DEFAULT_CAPS.  Raises UsageError on anything else.
+    The group is built by `groups._build_spec` from the key of the one check
+    of `config["group"]`, under the config's order cap, and from nothing
+    else; each set becomes a Subset of it.  Options come back typed
+    (Fraction for rationals), with omitted ones at their default.  `ceiling`
+    bounds the caps: a config may lower a cap but not raise it.  Omitted
+    caps, and caps the ceiling leaves out, take the ceiling's value or
+    DEFAULT_CAPS.  Raises UsageError on anything else.
     """
     entry = _entry(command)
     key, sets, options, caps = _check_config(entry, config, ceiling)
-    G = group if group is not None else groups._build_spec(key, caps["order_cap"])
+    G = groups._build_spec(key, caps["order_cap"])
     for name, indices in sets.items():
         if indices and indices[-1] >= G.order:
             raise UsageError(f"set {name!r} has index {indices[-1]}, outside {G.name}")

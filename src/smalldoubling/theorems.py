@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from .connectivity import _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
-from .groups import GroupTable, _check_member
+from .groups import GroupTable, _check_member, image
 from .setalg import (
     CoverCertificate,
     _check_width,
@@ -29,7 +29,7 @@ from .setalg import (
     product_set,
     right_stabilizer,
 )
-from .subsets import Subset, iter_bits
+from .subsets import Subset
 
 if TYPE_CHECKING:
     import numpy as np
@@ -277,7 +277,7 @@ def petridis_minimizer(G: GroupTable, A: Subset, S: Subset) -> PetridisResult:
     rows = expansion_rows(G, S, elems)  # local bit i stands for elems[i]
     minimize = _minimize_by_flow if len(elems) >= PETRIDIS_FLOW_MIN else _minimize_by_loop
     best, size, card = minimize(rows)
-    X = Subset(G.order, sum(G.bits[elems[i]] for i in iter_bits(best)))
+    X = Subset(G.order, image(elems, best))
     return PetridisResult(A=A, S=S, X=X, K=Fraction(size, card))
 
 
@@ -438,10 +438,9 @@ def petridis_verify(
         _check_width(n)
         x_rows = expansion_rows(G, X)
         rows = np.array([x_rows, expansion_rows(G, XS)], dtype=np.uint32)
-        free = rows[:, 1:]  # the C that hold element 0
-        cosets = dict.fromkeys(x_rows)  # c*X = d*X exactly when c*L = d*L
-        if len(cosets) < n:  # one column per coset but 0's, at its least element
-            free = rows[:, [x_rows.index(row) for row in cosets][1:]]
+        # The C that hold element 0: one column per coset but 0's, at its
+        # least element (c*X = d*X exactly when c*L = d*L).
+        free = rows[:, [x_rows.index(row) for row in dict.fromkeys(x_rows)][1:]]
         if _violating_masks(free, p, q, rows[:, 0], 1):
             masks = _violating_masks(rows, p, q, np.zeros_like(rows[:, 0]), 16)
             violations = [Subset(n, m) for m in masks]

@@ -941,21 +941,25 @@ def test_numpy_loads_only_with_a_powerset_table(tmp_path):
 
 
 def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
+    # The command line builds the group to resolve set labels, and the run
+    # builds it again from the config: the memo makes that second build a
+    # lookup, so each issue builds its group once.
     built = []
     depth = 0
-    original = groups._build_spec  # what the command line builds a checked spec's key with
+    original = groups._build  # every build of a key, memoized or not
 
-    def counting(key, *args, **kwargs):  # counts top-level builds, not factor recursion
+    def counting(key):  # counts top-level builds, not factor recursion
         nonlocal depth
         if depth == 0:
             built.append(key)
         depth += 1
         try:
-            return original(key, *args, **kwargs)
+            return original(key)
         finally:
             depth -= 1
 
-    monkeypatch.setattr(groups, "_build_spec", counting)
+    groups._memo.cache_clear()
+    monkeypatch.setattr(groups, "_build", counting)
     cert = tmp_path / "cert.json"
     assert main(["doubling", "--group", "dihedral:8", "--setA", "r0,r1", "--out", str(cert)]) == 0
     assert built == [("dihedral", 8)]
@@ -967,6 +971,7 @@ def test_the_command_line_builds_each_group_once(monkeypatch, tmp_path):
 
     # recheck trusts nothing of the issuer: it builds the group from the spec.
     built.clear()
+    groups._memo.cache_clear()
     assert main(["recheck", str(cert), "--out", str(tmp_path / "report.json")]) == 0
     assert built == [groups.check_spec(json.loads(cert.read_text())["config"]["group"])]
 

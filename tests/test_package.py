@@ -112,6 +112,15 @@ def test_only_from_spec_and_the_fragment_inventory_take_a_cap():
     assert found == {param: names for param, (names, _) in CAP_PARAMETERS.items()}
 
 
+@pytest.mark.parametrize("func", ["certificates.run", "schema.parse_config"])
+def test_a_run_takes_no_group_but_its_config(func):
+    # A payload is a function of its config alone: neither entry point
+    # accepts a group built elsewhere, which could disagree with the spec.
+    module, name = func.split(".")
+    function = getattr(importlib.import_module(f"smalldoubling.{module}"), name)
+    assert not [p for p in inspect.signature(function).parameters if "group" in p]
+
+
 # Exported names that no command, demo or benchmark needs to call.
 UNCALLED_EXPORTS = {
     "catalogue": "the preset sweep that the acceptance criteria and the tests share",

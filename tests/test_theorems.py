@@ -39,7 +39,7 @@ from oracles import (
     naive_product,
     naive_right_stabilizer,
 )
-from smalldoubling import setalg, theorems
+from smalldoubling import groups, setalg, theorems
 from smalldoubling.certificates import run
 from smalldoubling.cli import main
 from smalldoubling.connectivity import ConnectivityResult
@@ -531,13 +531,14 @@ TABLE_CONFIGS = {
 def test_no_certificate_keeps_its_group_alive(command):
     # Configs share their groups through the memo of `groups._build_spec`,
     # but no subset table is cached, so a certificate keeps nothing on the
-    # group it is handed: that would hold the group and its 2^n-entry subset
-    # tables alive.
+    # group it runs on: that would hold the group and its 2^n-entry subset
+    # tables alive.  Once the memo lets go of the group, nothing holds it.
     config = TABLE_CONFIGS[command]
-    G = from_spec(config["group"])
+    G = groups._build_spec(groups.check_spec(config["group"]), groups.DEFAULT_ORDER_CAP)
     alive = weakref.ref(G)
-    assert COMMANDS[command].ok(run(command, config, group=G))
+    assert COMMANDS[command].ok(run(command, config))
     del G
+    groups._memo.cache_clear()
     gc.collect()
     assert alive() is None
 
