@@ -73,13 +73,16 @@ def subset_payload(G: groups.GroupTable, X: Subset) -> dict:
     return {"indices": indices, "labels": [G.labels[i] for i in indices]}
 
 
-def cover_payload(G: groups.GroupTable, cert: setalg.CoverCertificate) -> dict:
+def cover_payload(
+    G: groups.GroupTable, H: Subset, T: Subset, cert: setalg.CoverCertificate
+) -> dict:
+    """The payload of `cert = coset_cover(G, H, T, side)`."""
     return {
-        "subgroup": subset_payload(G, cert.subgroup),
+        "subgroup": subset_payload(G, H),
         "side": cert.side,
         "representatives": list(cert.representatives),
         "representative_labels": [G.labels[i] for i in cert.representatives],
-        "covered": subset_payload(G, cert.covered),
+        "covered": subset_payload(G, T),
         "count": cert.count,
     }
 
@@ -230,7 +233,7 @@ def _run_corollary(G, caps, A, epsilon):
         "stabilizer": subset_payload(G, rep.H),
         "h_bound": rational_str(rep.H_bound),
         "h_bound_ok": rep.H_bound_ok,
-        "cover": cover_payload(G, rep.cover),
+        "cover": cover_payload(G, rep.H, rep.square, rep.cover),
         "cover_bound": rational_str(rep.cover_bound),
         "cover_bound_ok": rep.cover_bound_ok,
         "holds": rep.holds,
@@ -256,7 +259,7 @@ def _run_theorem_main(G, caps, A, S, epsilon):
         "branch": rep.branch,
         "bound_h_size": rational_str(rep.bound_H_size),
         "sharp_h_bound": rational_str(rep.sharp_H_bound),
-        "cover": None if rep.cover is None else cover_payload(G, rep.cover),
+        "cover": None if rep.cover is None else cover_payload(G, rep.atom, S, rep.cover),
         "violations": list(rep.violations),
     }
 

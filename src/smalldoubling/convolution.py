@@ -4,7 +4,9 @@ The central object is the normalized autocorrelation of a set A,
 f(x) = |A ∩ xA| / |A|, which equals the convolution (1/|A|) 1_A * 1_{A^-1}.
 Under |A^-1 A| <= (2-e)|A| the function f never takes values in (0, e): its
 range has a gap above zero on the support A A^-1.  All values are Fractions;
-there is no floating point anywhere in this module.
+there is no floating point anywhere in this module.  A `GroupFunction` is its
+values alone, one per element index; their count is checked against the
+order of each group it meets.
 """
 
 from __future__ import annotations
@@ -21,23 +23,21 @@ from .subsets import Subset
 
 @dataclass(frozen=True)
 class GroupFunction:
-    group_order: int
+    """values[x] is the value at element x.  Each must already be a Fraction,
+    so the arithmetic stays exact: anything else is refused, not converted."""
+
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.group_order:
-            raise ValueError(
-                f"{len(self.values)} values for group order {self.group_order}"
-            )
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
+        bad = [v for v in self.values if not isinstance(v, Fraction)]
+        if bad:
+            raise TypeError(f"GroupFunction values must be Fractions, got {bad[0]!r}")
 
     @classmethod
     def indicator(cls, subset: Subset) -> "GroupFunction":
         one, zero = Fraction(1), Fraction(0)
-        return cls(
-            subset.group_order,
-            tuple(one if i in subset else zero for i in range(subset.group_order)),
-        )
+        return cls(tuple(one if i in subset else zero for i in range(subset.group_order)))
 
     @classmethod
     def normalized_indicator(cls, subset: Subset) -> "GroupFunction":
@@ -45,14 +45,11 @@ class GroupFunction:
         if subset.is_empty:
             raise EmptySet("cannot normalize the indicator of the empty set")
         w, zero = Fraction(1, subset.cardinality), Fraction(0)
-        return cls(
-            subset.group_order,
-            tuple(w if i in subset else zero for i in range(subset.group_order)),
-        )
+        return cls(tuple(w if i in subset else zero for i in range(subset.group_order)))
 
     @classmethod
     def constant(cls, group_order: int, value) -> "GroupFunction":
-        return cls(group_order, (Fraction(value),) * group_order)
+        return cls((Fraction(value),) * group_order)
 
     @cached_property
     def mass(self) -> Fraction:
@@ -60,8 +57,8 @@ class GroupFunction:
 
 
 def _check_function(G: GroupTable, f: GroupFunction, what: str) -> None:
-    if f.group_order != G.order:
-        raise GroupMismatch(f"{what} lives on order {f.group_order}, expected {G.order}")
+    if len(f.values) != G.order:
+        raise GroupMismatch(f"{what} lives on order {len(f.values)}, expected {G.order}")
 
 
 def convolve(G: GroupTable, u: GroupFunction, v: GroupFunction) -> GroupFunction:
@@ -80,7 +77,7 @@ def convolve(G: GroupTable, u: GroupFunction, v: GroupFunction) -> GroupFunction
             vx = v.values[row[x]]
             if vx != 0:
                 out[x] += uy * vx
-    return GroupFunction(n, tuple(out))
+    return GroupFunction(tuple(out))
 
 
 def autocorrelation(G: GroupTable, A: Subset) -> GroupFunction:
@@ -90,7 +87,7 @@ def autocorrelation(G: GroupTable, A: Subset) -> GroupFunction:
         raise EmptySet("autocorrelation of the empty set")
     mask, card = A.mask, A.cardinality
     values = tuple(Fraction((mask & xA).bit_count(), card) for xA in expansion_rows(G, A))
-    return GroupFunction(G.order, values)
+    return GroupFunction(values)
 
 
 @dataclass(frozen=True)
@@ -151,6 +148,4 @@ def level_set(G: GroupTable, F: GroupFunction, threshold: Fraction) -> Subset:
     """{x : F(x) > threshold}, by exact comparison."""
     _check_function(G, F, "F")
     t = Fraction(threshold)
-    return Subset.from_elements(
-        G.order, (x for x, v in enumerate(F.values) if v > t)
-    )
+    return G.subset(x for x, v in enumerate(F.values) if v > t)

@@ -90,7 +90,13 @@ class GroupTable:
         return range(self.order)
 
     def subset(self, elements: Iterable[int]) -> Subset:
-        return Subset.from_elements(self.order, elements)
+        """The Subset of the given element indices, each in [0, order)."""
+        mask = 0
+        for e in elements:
+            if not 0 <= e < self.order:
+                raise ValueError(f"element {e} outside [0, {self.order})")
+            mask |= 1 << e
+        return Subset(self.order, mask)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"

@@ -111,17 +111,16 @@ def doubling_ratio(G: GroupTable, A: Subset) -> DoublingReport:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """The distinct cosets of `subgroup` that meet `covered`.
+    """The distinct cosets of a subgroup H that meet a set T, as `coset_cover`
+    found them; the caller holds H and T.
 
     Cosets on one side partition the group, so this count is the minimum
-    number of cosets of the subgroup needed to cover the set.  Representatives
-    are the smallest element index of each coset, listed increasing.
+    number of cosets of H needed to cover T.  Representatives are the
+    smallest element index of each coset, listed increasing.
     """
 
-    subgroup: Subset
     side: str  # "left" for g*H cosets, "right" for H*g
     representatives: tuple[int, ...]
-    covered: Subset
 
     @property
     def count(self) -> int:
@@ -129,6 +128,7 @@ class CoverCertificate:
 
 
 def coset_cover(G: GroupTable, H: Subset, T: Subset, side: str = "right") -> CoverCertificate:
+    """The cosets of the subgroup H on `side` that meet T, which cover T."""
     _check_member(G, H, "H")
     _check_member(G, T, "T")
     if side not in ("left", "right"):
@@ -143,7 +143,7 @@ def coset_cover(G: GroupTable, H: Subset, T: Subset, side: str = "right") -> Cov
         coset = image(perms[t], H.mask)
         reps.add(coset & -coset)  # lowest set bit identifies the coset canonically
     representatives = tuple(sorted(low.bit_length() - 1 for low in reps))
-    return CoverCertificate(subgroup=H, side=side, representatives=representatives, covered=T)
+    return CoverCertificate(side=side, representatives=representatives)
 
 
 # --- whole-powerset product tables -----------------------------------------

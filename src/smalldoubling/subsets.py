@@ -4,19 +4,14 @@ A `Subset` stores only the order of its group and an integer bitmask; bit i
 set means element index i belongs to the set.  Python integers give
 word-parallel boolean operations at any width, so the same representation
 covers groups past 64 elements without a separate multi-word path.
+`Subset(order, mask)` is the mask constructor; `GroupTable.subset` builds a
+Subset from element indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-
-def mask_of(elements: Iterable[int]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
+from typing import Iterator
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -39,14 +34,6 @@ class Subset:
             raise ValueError(
                 f"mask {self.mask:#x} has bits outside [0, {self.group_order})"
             )
-
-    @classmethod
-    def from_elements(cls, group_order: int, elements: Iterable[int]) -> "Subset":
-        elems = list(elements)
-        for e in elems:
-            if not 0 <= e < group_order:
-                raise ValueError(f"element {e} outside [0, {group_order})")
-        return cls(group_order, mask_of(elems))
 
     @property
     def cardinality(self) -> int:

@@ -264,10 +264,10 @@ def test_criterion_8_convolution_gap():
         G = groups[rng.randrange(len(groups))]
         n = G.order
         u = GroupFunction(
-            n, tuple(Fraction(rng.randrange(-2, 5), rng.randrange(1, 4)) for _ in range(n))
+            tuple(Fraction(rng.randrange(-2, 5), rng.randrange(1, 4)) for _ in range(n))
         )
         v = GroupFunction(
-            n, tuple(Fraction(rng.randrange(-2, 5), rng.randrange(1, 4)) for _ in range(n))
+            tuple(Fraction(rng.randrange(-2, 5), rng.randrange(1, 4)) for _ in range(n))
         )
         assert convolve(G, u, v).mass == u.mass * v.mass
     _report(

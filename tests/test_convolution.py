@@ -26,7 +26,7 @@ GROUPS = [cyclic(4), cyclic(8), symmetric(3), quaternion(2)]
 
 def random_function(rng, n):
     return GroupFunction(
-        n, tuple(Fraction(rng.randrange(-3, 7), rng.randrange(1, 5)) for _ in range(n))
+        tuple(Fraction(rng.randrange(-3, 7), rng.randrange(1, 5)) for _ in range(n))
     )
 
 
@@ -57,6 +57,28 @@ def test_convolve_guards_and_mass():
         out = convolve(G, u, v)
         assert out.values == tuple(naive_convolve(G, u.values, v.values))
         assert out.mass == u.mass * v.mass
+
+
+@pytest.mark.parametrize("value", [0.5, "1/3", 1, True], ids=repr)
+def test_group_function_takes_only_fractions(value):
+    # Values are not converted: a float would carry its rounding into exact
+    # arithmetic, so anything but a Fraction is refused.
+    with pytest.raises(TypeError, match="must be Fractions"):
+        GroupFunction((Fraction(0), value))
+
+
+def test_group_function_builders_make_fractions():
+    Z4 = cyclic(4)
+    A = Z4.subset([0, 3])
+    built = {
+        "constant": GroupFunction.constant(4, 1),
+        "indicator": GroupFunction.indicator(A),
+        "normalized_indicator": GroupFunction.normalized_indicator(A),
+    }
+    assert built["constant"].values == (Fraction(1),) * 4
+    assert built["normalized_indicator"].values == (Fraction(1, 2), 0, 0, Fraction(1, 2))
+    for name, f in built.items():
+        assert all(type(v) is Fraction for v in f.values), name
 
 
 def test_convolve_associative():

@@ -58,7 +58,7 @@ def test_each_name_is_its_defining_modules_object(name):
 
 
 # Result fields that may share a name with a parameter of the exported
-# function that returns them, each with why.
+# function that returns them, or hold that argument itself, each with why.
 ECHOED_FIELDS = {
     "PetridisResult": ({"A", "S"}, "petridis_verify takes the result whole, and the "
                        "benchmark's tracer reads its A"),
@@ -71,9 +71,12 @@ ECHOED_FIELDS = {
 }
 
 
-def test_results_do_not_echo_arguments():
+def test_results_do_not_echo_arguments(tmp_path):
     """A verifier returns what it computed, not what it was given: the caller
-    holds its own arguments."""
+    holds its own arguments.  No result field shares a name with a parameter
+    of the function that returns it, and none is an argument object of its
+    call, whatever the field is named: a profile hook sees every call of an
+    exported function in what `_drive_everything` does."""
     echoed = {}
     for name in smalldoubling._MODULE_OF:
         func = getattr(smalldoubling, name)
@@ -88,6 +91,51 @@ def test_results_do_not_echo_arguments():
     assert {cls: names for cls, names in echoed.items() if names} == {
         cls: names for cls, (names, _) in ECHOED_FIELDS.items()
     }
+
+    exported = set()
+    for name, module in smalldoubling._MODULE_OF.items():
+        func = getattr(importlib.import_module(f"smalldoubling.{module}"), name)
+        if inspect.isfunction(func):
+            exported.add(func.__code__)
+    calls, held = {}, set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if code not in exported:
+            return
+        if event == "call":
+            params = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+            calls[frame] = [frame.f_locals[p] for p in params]
+        elif event == "return" and frame in calls:
+            args = calls.pop(frame)  # kept alive until the walk ends, so ids stay theirs
+            _fields_holding(arg, {id(a) for a in args}, None, held)
+
+    _drive_under(hook, tmp_path)
+    assert not held, f"result fields hold an argument of their call: {sorted(held)}"
+
+
+def _fields_holding(value, ids, path, out):
+    """Add to `out` the path of each field of the result `value`, nested
+    results and tuples of results included, that is one of the objects whose
+    ids are `ids` and is not listed in ECHOED_FIELDS.  Ints, strings and None
+    are skipped: equal ones may be one object whoever made them."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _fields_holding(item, ids, path, out)
+        return
+    if not dataclasses.is_dataclass(value):
+        return
+    cls = type(value).__name__
+    allowed = ECHOED_FIELDS.get(cls, (set(), ""))[0]
+    for field in dataclasses.fields(value):
+        field_value, where = getattr(value, field.name), f"{path or cls}.{field.name}"
+        if (
+            id(field_value) in ids
+            and field.name not in allowed
+            and not (field_value is None or isinstance(field_value, (int, str)))
+        ):
+            out.add(where)
+        _fields_holding(field_value, ids, where, out)
 
 
 # The cap parameters that exported functions may take, each with the functions
@@ -186,12 +234,16 @@ def _package_functions():
     return functions
 
 
-def _drive_everything(tmp_path, configs):
-    """Issue, write, read back and recheck each (command, config), recheck a
-    tampered record, run the command line down each of its paths, and run
-    every demo."""
+def _drive_everything(tmp_path):
+    """Issue, write, read back and recheck each (command, config) of the
+    payload digests and the workloads, recheck a tampered record, run the
+    command line down each of its paths, and run every demo."""
     from smalldoubling import cli
     from smalldoubling.certificates import make_record, recheck, run
+    from test_payload_digests import CASES, WORKLOAD_CASES
+
+    configs = [(command, config) for _, command, config in CASES]
+    configs += [(case["command"], case["config"]) for case in WORKLOAD_CASES]
 
     path = tmp_path / "record.json"
     for command, config in configs:
@@ -226,6 +278,16 @@ def _drive_everything(tmp_path, configs):
             runpy.run_path(str(script), run_name="__main__")
 
 
+def _drive_under(hook, tmp_path):
+    """`_drive_everything` with `hook` as the profile function."""
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        _drive_everything(tmp_path)
+    finally:
+        sys.setprofile(previous)
+
+
 def test_every_function_is_reached(tmp_path, monkeypatch):
     """Every function the package defines is entered by what the commands,
     the command line and the demos do, or is listed in UNREACHED with why:
@@ -238,23 +300,13 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
         getattr(importlib.import_module(f"smalldoubling.{module}"), "__name__")
     for name in smalldoubling._MODULE_OF:  # uncached, as in a fresh process
         monkeypatch.delattr(smalldoubling, name, raising=False)
-    from test_payload_digests import CASES, WORKLOAD_CASES
-
-    configs = [(command, config) for _, command, config in CASES]
-    configs += [(case["command"], case["config"]) for case in WORKLOAD_CASES]
-
     entered = set()
 
     def hook(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
 
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        _drive_everything(tmp_path, configs)
-    finally:
-        sys.setprofile(previous)
+    _drive_under(hook, tmp_path)
     reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
     unreached = {name for key, name in functions.items() if key not in reached}
     dead, stale = sorted(unreached - UNREACHED.keys()), sorted(UNREACHED.keys() - unreached)

@@ -1,10 +1,10 @@
 import pytest
 
-from smalldoubling import Subset
+from smalldoubling import Subset, cyclic
 
 
 def test_construction_and_cardinality():
-    s = Subset.from_elements(8, [1, 5, 3])
+    s = cyclic(8).subset([1, 5, 3])
     assert s.mask == 0b101010
     assert s.cardinality == 3
     assert s.elements() == (1, 3, 5)
@@ -20,7 +20,7 @@ def test_empty_and_full():
 
 def test_rejects_out_of_range():
     with pytest.raises(ValueError):
-        Subset.from_elements(4, [4])
+        cyclic(4).subset([4])
     with pytest.raises(ValueError):
         Subset(4, 1 << 4)
     with pytest.raises(ValueError):
