@@ -84,6 +84,8 @@ def connectivity_bruteforce(
     """
     import numpy as np
 
+    if fragment_cap < 0:
+        raise ValueError(f"fragment_cap must be at least 0, got {fragment_cap}")
     K = _cost_params(G, S, K)
     n = G.order
     _check_k(K, classify_atom)

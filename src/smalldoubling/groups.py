@@ -231,27 +231,18 @@ def quaternion(n: int = 2) -> GroupTable:
 
 
 def direct_product(factors: Sequence[GroupTable]) -> GroupTable:
-    """Componentwise product; element indices are mixed-radix over the factors.
+    """Componentwise product; element indices are mixed-radix over the factors,
+    the first factor the most significant digit.
 
-    The first factor is the most significant digit.  The table is refined one
-    factor at a time: pairing index p of the product so far with index q of
-    the next factor (order n) gives index p*n + q, and rows multiply
-    componentwise, so no index is ever decoded.  Row (a, b) maps x*n + y to
-    a[x]*n + b[y]: it is row (a, e), which maps x*n + y to a[x]*n + y, read
-    at the positions x*n + b[y], so each row is one `itemgetter` call.
+    The table is refined one factor at a time: with n the order of the next
+    factor, row (a, b) maps x*n + y to a[x]*n + b[y].
     """
     if not factors:
         raise InvalidTable("direct product needs at least one factor")
     mul = factors[0].mul
     for g in factors[1:]:
-        n, m = g.order, len(mul)
-        if n == 1:  # p*1 + 0 = p; it also keeps every getter below at two or more items
-            continue
-        blocks = [range(p * n, p * n + n) for p in range(m)]
-        spread = itertools.chain.from_iterable
-        lefts = [tuple(spread(map(blocks.__getitem__, prow))) for prow in mul]
-        reads = [itemgetter(*[p * n + q for p in range(m) for q in grow]) for grow in g.mul]
-        mul = tuple(read(left) for left in lefts for read in reads)
+        n = g.order
+        mul = tuple(tuple(ax * n + by for ax in a for by in b) for a in mul for b in g.mul)
     parts = itertools.product(*(g.labels for g in factors))
     labels = tuple("(" + ",".join(part) + ")" for part in parts)
     name = "x".join(g.name for g in factors)

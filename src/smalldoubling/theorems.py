@@ -320,18 +320,14 @@ def _narrow_ratio(p: int, q: int, n: int) -> tuple[int, int]:
     integers a, s in [0, n] (p >= 0, q > 0).
 
     A ratio whose terms are already at most n is kept.  Otherwise K' = p'/q'
-    is the largest of min(floor(K*s), n)/s over 1 <= s <= n, for K = p/q:
-    K' <= K, so a > K*s gives a > K'*s; and a <= K*s with a <= n gives
-    a <= min(floor(K*s), n) <= K'*s.  Only integers are used.
+    is the largest of min(floor(K*s), n)/s over 1 <= s <= n, for K = p/q, in
+    lowest terms: K' <= K, so a > K*s gives a > K'*s; and a <= K*s with
+    a <= n gives a <= min(floor(K*s), n) <= K'*s.
     """
     if p <= n and q <= n:
         return p, q
-    best = (0, 1)
-    for s in range(1, n + 1):
-        limit = min(p * s // q, n)
-        if limit * best[1] > best[0] * s:
-            best = (limit, s)
-    return best
+    best = max(Fraction(min(p * s // q, n), s) for s in range(1, n + 1))
+    return best.numerator, best.denominator
 
 
 def _exceeds(a: np.ndarray, s: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -342,7 +338,7 @@ def _exceeds(a: np.ndarray, s: np.ndarray, p: int, q: int) -> np.ndarray:
     return np.multiply(a, q, dtype=np.uint16) > np.multiply(s, p, dtype=np.uint16)
 
 
-BLOCK_BITS = 16  # `_violating_masks` compares at most 2^16 masks at once
+BLOCK_BITS = 16  # numpy blocks of the Petridis check and Kneser scan: at most 2^16 masks
 
 
 def _violating_masks(
@@ -420,6 +416,8 @@ def petridis_verify(
     `fixed_factor_product` of both factors, ceil(n/8) table lookups per drawn
     C.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     X, S, K = result.X, result.S, result.K
     XS = product_set(G, X, S)
     n = G.order
@@ -524,9 +522,6 @@ def _orbit_tables(
     return rmin, stab, np.flatnonzero(label == masks)[1:], np.flatnonzero(rmin == masks)[1:]
 
 
-SCAN_BLOCK = 1 << 16  # products R*B held at once by `_orbit_scan`
-
-
 def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
     """Every failing pair, from the products of orbit representatives.
 
@@ -539,7 +534,7 @@ def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
 
     Every translate, here and in `_orbit_tables`, is read from the one set
     of half tables of `_half_tables`.  The products come in blocks of at
-    most SCAN_BLOCK: for a block of representatives R, the rows R*g are
+    most 2^BLOCK_BITS: for a block of representatives R, the rows R*g are
     OR-tabulated by half as well, so R*b = lo[b & low] | hi[b >> h].
     """
     import numpy as np
@@ -558,8 +553,8 @@ def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
     acard, bcard = np.bitwise_count(areps), np.bitwise_count(breps)
 
     failing: dict[int, list[int]] = {}  # index of R -> indices of its failing b
-    step = max(1, SCAN_BLOCK // len(breps))
-    width = SCAN_BLOCK // step
+    step = max(1, (1 << BLOCK_BITS) // len(breps))
+    width = (1 << BLOCK_BITS) // step
     blo, bhi = breps & low, breps >> h
     for i in range(0, len(areps), step):
         lo = mask_tables_from_rows(rows[i : i + step, :h])

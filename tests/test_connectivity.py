@@ -216,6 +216,15 @@ def test_bruteforce_fragment_cap():
     )
     assert len(res.fragments) == 3
     assert res.fragment_total == 8  # all singletons attain kappa here
+    for cap in (-1, -3):  # a slice [:cap] would drop fragments from the end
+        with pytest.raises(ValueError):
+            connectivity_bruteforce(
+                G, G.subset([0, 1]), HALF, collect_fragments=True, fragment_cap=cap
+            )
+    res = connectivity_bruteforce(
+        G, G.subset([0, 1]), HALF, collect_fragments=True, fragment_cap=0
+    )
+    assert res.fragments == () and res.fragment_total == 8
 
 
 def test_bruteforce_k_edge_cases():

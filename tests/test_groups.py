@@ -359,6 +359,10 @@ def test_direct_product_is_componentwise():
 def test_direct_product_of_many_factors():
     factors = [cyclic(2), symmetric(3), cyclic(1), dihedral(2)]
     _check_product(direct_product(factors), factors)
+    # At the order cap: a trivial factor mid-list, and a Z2 whose identity is index 1.
+    shifted = from_table([[1, 0], [0, 1]])
+    factors = [dihedral(4), cyclic(1), shifted, cyclic(4)]
+    _check_product(direct_product(factors), factors)
     trivial = direct_product([cyclic(1)] * 500)
     assert trivial.labels == ("(" + ",".join(["0"] * 500) + ")",)
 

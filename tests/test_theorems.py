@@ -448,6 +448,10 @@ def test_petridis_sampled_verification_reproducible():
     assert one == two and one.ok
     with pytest.raises(ValueError):
         petridis_verify(S3, res, "sampled", budget=10)
+    for mode in ("sampled", "exhaustive"):
+        with pytest.raises(ValueError):
+            petridis_verify(S3, res, mode, budget=-5, seed=42)
+    assert petridis_verify(S3, res, "sampled", budget=0, seed=42).checked == 0
 
 
 @pytest.mark.parametrize("factor", [Fraction(3, 4), Fraction(9, 10), Fraction(2**61 + 1, 2**61)])
