@@ -21,7 +21,6 @@ looks them up.
 from __future__ import annotations
 
 import importlib.util
-import json
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -414,25 +413,28 @@ class RecheckReport:
     diffs: tuple[tuple[str, Any, Any], ...]  # (path, stored, recomputed)
 
 
+_ABSENT = object()  # the value of a key that the other side alone holds
+
+
 def _diff(path: str, stored, recomputed, out: list) -> None:
-    if isinstance(stored, dict) and isinstance(recomputed, dict):
-        for key in sorted(set(stored) | set(recomputed)):
-            if key not in stored:
-                out.append((f"{path}.{key}", "<missing>", recomputed[key]))
-            elif key not in recomputed:
-                out.append((f"{path}.{key}", stored[key], "<missing>"))
-            else:
-                _diff(f"{path}.{key}", stored[key], recomputed[key], out)
-        return
-    if isinstance(stored, list) and isinstance(recomputed, list):
-        if len(stored) != len(recomputed):
-            out.append((f"{path}.length", len(stored), len(recomputed)))
-            return
+    """Append (path, stored, recomputed) for each field that differs in value or in type (true
+    is not 1, 3 is not 3.0), descending only where both sides hold a dict or both a list."""
+    if type(recomputed) is dict:
+        for key in sorted(stored.keys() | recomputed.keys()):
+            s, r = stored.get(key, _ABSENT), recomputed.get(key, _ABSENT)
+            if (kind := type(r)) is type(s) and (kind is dict or kind is list):
+                _diff(f"{path}.{key}", s, r, out)
+            elif kind is not type(s) or s != r:
+                out.append((f"{path}.{key}", "<missing>" if s is _ABSENT else s,
+                            "<missing>" if r is _ABSENT else r))
+    elif len(stored) != len(recomputed):
+        out.append((f"{path}.length", len(stored), len(recomputed)))
+    else:
         for i, (s, r) in enumerate(zip(stored, recomputed)):
-            _diff(f"{path}[{i}]", s, r, out)
-        return
-    if stored != recomputed or type(stored) is not type(recomputed):
-        out.append((path, stored, recomputed))
+            if (kind := type(r)) is type(s) and (kind is dict or kind is list):
+                _diff(f"{path}[{i}]", s, r, out)
+            elif kind is not type(s) or s != r:
+                out.append((f"{path}[{i}]", s, r))
 
 
 def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
@@ -443,11 +445,7 @@ def recheck(record: dict, caps: Optional[dict] = None) -> RecheckReport:
     config's caps: the record's caps may lower them but never raise them.
     """
     check_envelope(record)
-    stored = record["payload"]
     recomputed = run(record["command"], record["config"], ceiling=caps or DEFAULT_CAPS)
     diffs: list[tuple[str, Any, Any]] = []
-    # Equal JSON texts mean no field differs (0, false and 0.0 print apart),
-    # which saves the walk on every passing recheck.
-    if json.dumps(stored, sort_keys=True) != json.dumps(recomputed, sort_keys=True):
-        _diff("payload", stored, recomputed, diffs)
+    _diff("payload", record["payload"], recomputed, diffs)
     return RecheckReport(ok=not diffs, diffs=tuple(diffs))

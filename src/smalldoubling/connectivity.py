@@ -23,6 +23,7 @@ from .errors import EmptySet, KOutOfRange, TheoryViolation
 from .groups import (
     DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, _generate, image, is_subgroup_mask,
 )
+from .rationals import as_fraction
 from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
@@ -41,7 +42,7 @@ def _cost_params(G: GroupTable, S: Subset, K: Fraction) -> Fraction:
     if S.is_empty:
         raise EmptySet("cost parameters need a nonempty S")
     _check_member(G, S, "S")
-    return Fraction(K)
+    return as_fraction(K, "K")
 
 
 def cost(G: GroupTable, S: Subset, K: Fraction, A: Subset) -> Fraction:

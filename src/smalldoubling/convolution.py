@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import EmptySet, GroupMismatch
 from .groups import GroupTable, _check_member
+from .rationals import as_fraction
 from .setalg import expansion_rows, inverse_set, product_set
 from .subsets import Subset
 
@@ -49,7 +50,7 @@ class GroupFunction:
 
     @classmethod
     def constant(cls, group_order: int, value) -> "GroupFunction":
-        return cls((Fraction(value),) * group_order)
+        return cls((as_fraction(value, "value"),) * group_order)
 
     @cached_property
     def mass(self) -> Fraction:
@@ -147,5 +148,5 @@ def smoothed(G: GroupTable, S: Subset, f: GroupFunction) -> GroupFunction:
 def level_set(G: GroupTable, F: GroupFunction, threshold: Fraction) -> Subset:
     """{x : F(x) > threshold}, by exact comparison."""
     _check_function(G, F, "F")
-    t = Fraction(threshold)
+    t = as_fraction(threshold, "threshold")
     return G.subset(x for x, v in enumerate(F.values) if v > t)

@@ -24,6 +24,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def as_fraction(value, what: str) -> Fraction:
+    """`value`, an int or a Fraction, as a Fraction.  Anything else is a
+    TypeError: `Fraction(0.2)` is not 1/5, and a bool is no rate."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def rational_str(value: Fraction | int) -> str:
     """Canonical "p/q" rendering (always with an explicit denominator)."""
     return f"{value.numerator}/{value.denominator}"

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .connectivity import _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
 from .groups import GroupTable, _check_member, image
+from .rationals import as_fraction
 from .setalg import (
     CoverCertificate,
     _check_width,
@@ -38,7 +39,7 @@ PETRIDIS_FLOW_MIN = 10  # smallest |A| for the min-cut path of petridis_minimize
 
 
 def _check_epsilon(epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+    epsilon = as_fraction(epsilon, "epsilon")
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     return epsilon
@@ -625,6 +626,8 @@ def kneser_violation_scan(
     nothing.  An empty finding list in a nonabelian group is a valid outcome
     too: absence at this scale proves nothing either way.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     n = G.order
     size = 1 << n
     total_pairs = (size - 1) ** 2
@@ -633,7 +636,7 @@ def kneser_violation_scan(
 
     if strategy == "exhaustive":
         _check_width(n)  # before any 2^n-entry table is built
-        pairs_checked = total_pairs if budget is None else max(0, min(budget, total_pairs))
+        pairs_checked = total_pairs if budget is None else min(budget, total_pairs)
         found = [(a, b) for a, b in _orbit_scan(G) if (a - 1) * (size - 1) + b <= pairs_checked]
         exhausted = pairs_checked >= total_pairs
     elif strategy == "random":

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,6 @@ from smalldoubling.certificates import (
     DEFAULT_CAPS,
     SCHEMA_VERSION,
     RecheckReport,
-    _diff,
     make_record,
     recheck,
     run,
@@ -179,43 +182,91 @@ def _retype(value):
     return int(value) if isinstance(value, bool) else float(value)
 
 
+def _path_text(path) -> str:
+    """The path `recheck` reports for the payload leaf at `path`."""
+    return "payload" + "".join(f"[{step}]" if type(step) is int else f".{step}" for step in path)
+
+
 @pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
 def test_equal_values_of_another_type_are_rejected(case, command, config):
-    """Python has False == 0, True == 1 and 3 == 3.0, but a payload whose
-    booleans or ints changed type is not the one `run` recomputes."""
-    record = make_record(command, config, run(command, config))
-    paths = [
-        path for path in _leaf_paths(record["payload"])
-        if type(_leaf(record, path)) in (bool, int)
-    ]
-    assert paths
-    for path in paths:
-        report = recheck(_apply_mutation(record, path, _retype))
-        assert not report.ok, f"payload.{path} retyped went undetected"
-
-
-def _walked(record) -> RecheckReport:
-    """`recheck`'s report from the field walk alone, without the equal-text test."""
-    diffs: list = []
-    _diff("payload", record["payload"], run(record["command"], record["config"]), diffs)
-    return RecheckReport(ok=not diffs, diffs=tuple(diffs))
-
-
-@pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
-def test_equal_text_shortcut_agrees_with_the_walk(case, command, config):
-    """Skipping the walk when the JSON texts match changes no report: not for
-    the record itself, not for any single-field or retyped alteration."""
+    """Every single-leaf alteration of a record fails recheck with one diff,
+    at that leaf (at `path.length` for a list): a changed value, and an equal
+    value of another JSON type, as Python has False == 0, True == 1 and
+    3 == 3.0 but a payload whose booleans or ints changed type is not the one
+    `run` recomputes."""
     record = json.loads(json.dumps(make_record(command, config, run(command, config))))
+    assert recheck(record) == RecheckReport(ok=True, diffs=())
     paths = list(_leaf_paths(record["payload"]))
-    altered = [_apply_mutation(record, path) for path in paths] + [
-        _apply_mutation(record, path, _retype)
-        for path in paths if type(_leaf(record, path)) in (bool, int)
-    ]
-    assert recheck(record) == _walked(record) == RecheckReport(ok=True, diffs=())
-    for tampered in altered:
-        report = recheck(tampered)
-        assert not report.ok
-        assert report == _walked(tampered)
+    retyped = [path for path in paths if type(_leaf(record, path)) in (bool, int)]
+    assert retyped
+    for mutate, targets in ((_mutate, paths), (_retype, retyped)):
+        for path in targets:
+            leaf = _leaf(record, path)
+            tampered = _apply_mutation(record, path, mutate)
+            if type(leaf) is list:  # an empty list, now [0]
+                expected = (f"{_path_text(path)}.length", 1, 0)
+            else:
+                expected = (_path_text(path), _leaf(tampered, path), leaf)
+            report = recheck(tampered)
+            # JSON text tells true, 1 and 1.0 apart, where == does not.
+            assert json.dumps(report.diffs) == json.dumps([expected]), path
+            assert not report.ok
+
+
+def _pinned(alter):
+    """The diffs of recheck on the corollary-kn record after `alter(payload)`."""
+    command, config = "corollary-kn", CONFIGS["corollary-kn"]
+    record = json.loads(json.dumps(make_record(command, config, run(command, config))))
+    alter(record["payload"])
+    return recheck(record).diffs
+
+
+STABILIZER = {"indices": [0], "labels": ["0"]}
+
+# Each alteration of the corollary-kn payload and the exact diffs it gives.
+PINNED_REPORTS = {
+    "rational": (lambda p: p.update(h_bound="10/1"), (("payload.h_bound", "10/1", "9/1"),)),
+    "true-to-1": (lambda p: p.update(holds=1), (("payload.holds", 1, True),)),
+    "1-to-1.0": (
+        lambda p: p["cover"]["representatives"].__setitem__(1, 1.0),
+        (("payload.cover.representatives[1]", 1.0, 1),),
+    ),
+    "deleted-key": (
+        lambda p: p["cover"].pop("side"), (("payload.cover.side", "<missing>", "left"),),
+    ),
+    "extra-key": (
+        lambda p: p["cover"].update(extra=0), (("payload.cover.extra", 0, "<missing>"),),
+    ),
+    "longer-list": (
+        lambda p: p["square"]["indices"].append(9),
+        (("payload.square.indices.length", 10, 9),),
+    ),
+    "dict-to-list": (
+        lambda p: p.update(stabilizer=[0]), (("payload.stabilizer", [0], STABILIZER),),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_recheck_reports_are_pinned(name):
+    alter, expected = PINNED_REPORTS[name]
+    assert json.dumps(_pinned(alter)) == json.dumps(expected)
+
+
+def test_a_deeply_nested_stored_leaf_is_one_diff(tmp_path):
+    """The walk descends only where both sides hold a dict or both a list, so
+    a string leaf replaced by a list nested 980 deep is one diff, not a
+    RecursionError.  The JSON reader of a fresh Python 3.11 process accepts
+    such a list up to 987 deep."""
+    record = make_record("doubling", CONFIGS["doubling"], run("doubling", CONFIGS["doubling"]))
+    nested = "[" * 980 + "]" * 980
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps(record).replace('"group": "Z20"', f'"group": {nested}'))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "smalldoubling", "recheck", str(cert)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.count('"path"') == 1 and '"path": "payload.group"' in done.stdout
 
 
 def test_tampered_config_is_rejected():

@@ -11,6 +11,7 @@ import pytest
 
 from smalldoubling import (
     EmptySet,
+    GroupFunction,
     HypothesisFailed,
     NotAbelian,
     SizeLimitExceeded,
@@ -18,6 +19,7 @@ from smalldoubling import (
     UsageError,
     catalogue,
     connectivity_bruteforce,
+    cost,
     cyclic,
     dihedral,
     direct_product,
@@ -25,6 +27,7 @@ from smalldoubling import (
     kneser_check,
     kneser_corollary_check,
     kneser_violation_scan,
+    level_set,
     petridis_minimizer,
     petridis_verify,
     product_set,
@@ -212,6 +215,29 @@ def test_weak_kneser_progression_in_z20():
     assert rep.branch == "single_right_coset"
     assert rep.atom.cardinality <= rep.bound_H_size == 50
     assert rep.sharp_H_bound == 45
+
+
+# Each entry point of the library that takes a rate, called with `rate`
+# where A = {0..4} in Z20 (the sharp progression above).
+RATE_ENTRY_POINTS = {
+    "corollary-epsilon": lambda G, A, rate: kneser_corollary_check(G, A, rate),
+    "weak-kneser-epsilon": lambda G, A, rate: weak_kneser_check(G, A, A, rate),
+    "cost-K": lambda G, A, rate: cost(G, A, rate, A),
+    "level-set-threshold": lambda G, A, rate: level_set(G, GroupFunction.constant(20, 1), rate),
+    "constant-value": lambda G, A, rate: GroupFunction.constant(20, rate),
+}
+
+
+@pytest.mark.parametrize("rate", [0.2, "1/5", True, None], ids=repr)
+@pytest.mark.parametrize("name", sorted(RATE_ENTRY_POINTS))
+def test_a_rate_is_an_int_or_a_fraction(name, rate):
+    # Fraction(0.2) is 3602879701896397/18014398509481984, above 1/5, so a
+    # float would move the sharp progression's bound; only exact rates pass.
+    Z20 = cyclic(20)
+    A = Z20.subset(range(5))
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        RATE_ENTRY_POINTS[name](Z20, A, rate)
+    RATE_ENTRY_POINTS[name](Z20, A, Fraction(1, 5))
 
 
 def test_weak_kneser_hypothesis_failures():
@@ -603,6 +629,9 @@ def test_failure_search_budget_and_random():
         kneser_violation_scan(S3, "random", budget=10)
     with pytest.raises(ValueError):
         kneser_violation_scan(S3, "random", seed=1)
+    for strategy, seed in (("random", 1), ("exhaustive", None)):
+        with pytest.raises(ValueError, match="budget must be at least 0, got -5"):
+            kneser_violation_scan(S3, strategy, seed=seed, budget=-5)
 
 
 def test_exhaustive_scan_refuses_an_order_above_the_table_limit(monkeypatch, capsys):
