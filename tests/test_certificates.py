@@ -213,6 +213,30 @@ def test_equal_values_of_another_type_are_rejected(case, command, config):
             assert not report.ok
 
 
+def _same_text(record) -> bool:
+    """Whether the stored payload's JSON text is the recomputed payload's."""
+    recomputed = run(record["command"], record["config"])
+    return json.dumps(record["payload"], sort_keys=True) == json.dumps(recomputed, sort_keys=True)
+
+
+@pytest.mark.parametrize("case,command,config", list(all_cases()), ids=lambda v: str(v))
+def test_equal_text_shortcut_agrees_with_the_walk(case, command, config):
+    """The field walk alone decides recheck, and it decides what comparing
+    JSON texts would: recheck passes exactly when the texts are equal, for
+    the record itself and for each single-field or retyped alteration."""
+    record = json.loads(json.dumps(make_record(command, config, run(command, config))))
+    paths = list(_leaf_paths(record["payload"]))
+    altered = [_apply_mutation(record, path) for path in paths] + [
+        _apply_mutation(record, path, _retype)
+        for path in paths if type(_leaf(record, path)) in (bool, int)
+    ]
+    assert _same_text(record) and recheck(record).ok
+    for tampered in altered:
+        report = recheck(tampered)
+        assert not _same_text(tampered)
+        assert not report.ok and report.diffs
+
+
 def _pinned(alter):
     """The diffs of recheck on the corollary-kn record after `alter(payload)`."""
     command, config = "corollary-kn", CONFIGS["corollary-kn"]
