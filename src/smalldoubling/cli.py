@@ -42,11 +42,30 @@ def _decimal(text: str) -> Optional[int]:
         return None
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_json(path, what: str):
     """The JSON value in file `path`; a file that cannot be read or decoded
-    as UTF-8 JSON (nested past the parser's depth too) is a UsageError."""
+    as UTF-8 JSON (nested past the parser's depth too) is a UsageError.  So
+    is an object with a key twice, whose meaning JSON leaves open, and
+    NaN, Infinity or -Infinity, which JSON does not define."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(
+            Path(path).read_text(encoding="utf-8"),
+            object_pairs_hook=_unique_keys,
+            parse_constant=_no_constant,
+        )
     except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 

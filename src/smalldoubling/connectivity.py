@@ -23,7 +23,7 @@ from .errors import EmptySet, KOutOfRange, TheoryViolation
 from .groups import (
     DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, _generate, image, is_subgroup_mask,
 )
-from .rationals import as_fraction
+from .rationals import as_fraction, narrow_ratio
 from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
 from .subsets import Subset, iter_bits
 
@@ -78,10 +78,13 @@ def connectivity_bruteforce(
     over the full powerset table, so a group above SUBSET_TABLE_LIMIT (24)
     is refused with SizeLimitExceeded; the certificate runners apply the
     config's lower brute-force cap.  The cost of M depends only on
-    (|M*S|, |M|), both at most n, so for K = p/q the scaled costs
-    q*s - p*c of those (n+1)^2 pairs are ranked once in Python ints,
-    exactly for every K, and the 2^n masks only index the ranks.
-    Both index tables, |M*S| and |M|, are uint8 and built afresh.
+    (s, c) = (|M*S|, |M|), both in [0, n], and two such pairs compare by the
+    sign of ds - K*dc with |ds|, |dc| <= n.  `rationals.narrow_ratio` gives a
+    p/q with terms of at most 2n + 1 that has the same signs, so q*s - p*c
+    orders the masks exactly as the cost does, ties included, and fits int16:
+    |q*s - p*c| <= 2 * 49 * 24 = 2,352.  kappa is then the cost of one
+    minimizer in Fractions, with K itself.  Both size tables are uint8 and
+    built afresh.
     """
     import numpy as np
 
@@ -91,21 +94,16 @@ def connectivity_bruteforce(
     n = G.order
     _check_k(K, classify_atom)
 
-    p, q = K.numerator, K.denominator
-    scaled = [q * s - p * c for s in range(n + 1) for c in range(n + 1)]
-    levels = sorted(set(scaled))
-    index = {v: i for i, v in enumerate(levels)}
-    rank = np.array([index[v] for v in scaled], dtype=np.int16)
+    p, q = narrow_ratio(K, n)
     sizes = product_size_table(G, S)
     cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    # rank of (s, c) at s*(n+1) + c, in uint16 so that it cannot wrap; at
-    # orders 12-16 this flat index is twice as fast as a 2-D rank[s, c]
-    ranks = rank[sizes * np.uint16(n + 1) + cards]
-    best = ranks[1:].min()
-    kappa = Fraction(levels[best], q)
-
-    frag_idx = np.nonzero(ranks[1:] == best)[0] + 1
+    costs = np.multiply(sizes, q, dtype=np.int16)
+    costs -= np.multiply(cards, p, dtype=np.int16)
+    costs[0] = np.iinfo(np.int16).max  # the empty set, above every nonempty M
+    frag_idx = np.flatnonzero(costs == costs.min())
     fragment_total = int(frag_idx.size)
+    m = frag_idx[0]
+    kappa = int(sizes[m]) - K * int(cards[m])
 
     fragments = None
     if collect_fragments:

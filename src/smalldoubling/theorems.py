@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .connectivity import _min_cut_sides, connectivity_subgroup_solver
 from .errors import EmptySet, HypothesisFailed, NotAbelian, SizeLimitExceeded, TheoryViolation
 from .groups import GroupTable, _check_member, image
-from .rationals import as_fraction
+from .rationals import as_fraction, narrow_ratio
 from .setalg import (
     CoverCertificate,
     _check_width,
@@ -316,24 +316,10 @@ def _minimize_by_flow(rows: list[int]) -> tuple[int, int, int]:
         size, card = z_size, z_card
 
 
-def _narrow_ratio(p: int, q: int, n: int) -> tuple[int, int]:
-    """(p', q'), both at most n, with q'a > p's exactly when qa > ps, for all
-    integers a, s in [0, n] (p >= 0, q > 0).
-
-    A ratio whose terms are already at most n is kept.  Otherwise K' = p'/q'
-    is the largest of min(floor(K*s), n)/s over 1 <= s <= n, for K = p/q, in
-    lowest terms: K' <= K, so a > K*s gives a > K'*s; and a <= K*s with
-    a <= n gives a <= min(floor(K*s), n) <= K'*s.
-    """
-    if p <= n and q <= n:
-        return p, q
-    best = max(Fraction(min(p * s // q, n), s) for s in range(1, n + 1))
-    return best.numerator, best.denominator
-
-
 def _exceeds(a: np.ndarray, s: np.ndarray, p: int, q: int) -> np.ndarray:
-    """q*a > p*s elementwise, for uint8 sizes a, s <= n <= 24 and a ratio p/q
-    from `_narrow_ratio`: no product passes 24*24, so uint16 is exact."""
+    """q*a > p*s elementwise, for uint8 sizes a, s <= n <= 24 and a ratio
+    p/q >= 0 from `rationals.narrow_ratio`, whose terms are then at most 2n:
+    no product passes 48*24 = 1,152, so uint16 is exact."""
     import numpy as np
 
     return np.multiply(a, q, dtype=np.uint16) > np.multiply(s, p, dtype=np.uint16)
@@ -389,7 +375,8 @@ def petridis_verify(
     `budget` seeded-random C (sampled).  Any violation is fatal counterevidence.
 
     Both modes compare q*|C*X*S| > p*|C*X| in integers, exactly, for the
-    ratio p/q that `_narrow_ratio` makes of K, whose terms are at most n.
+    ratio p/q that `rationals.narrow_ratio` makes of K, whose terms are
+    at most 2n.
 
     The exhaustive mode decides on the C that hold element 0 alone.
     Translation keeps both sizes: (g*C)*X = g*(C*X), and likewise for XS.
@@ -424,7 +411,7 @@ def petridis_verify(
     n = G.order
     # C = {e}: e*XS = XS and e*X = X, so equality there is |XS| = K|X|
     eq_identity = XS.cardinality * K.denominator == K.numerator * X.cardinality
-    p, q = _narrow_ratio(K.numerator, K.denominator, n)
+    p, q = narrow_ratio(K, n)
 
     violations: list[Subset] = []
     if mode == "exhaustive":
@@ -518,7 +505,7 @@ def _orbit_tables(
         np.minimum(rmin, right_g, out=rmin)
     label = rmin.copy()
     for x in G.elements():
-        np.minimum(label, rmin[full(left, x)], out=label)
+        np.minimum(label, rmin.take(full(left, x)), out=label)
     # [1:] drops the empty set, mask 0; the masks come back as np.intp
     return rmin, stab, np.flatnonzero(label == masks)[1:], np.flatnonzero(rmin == masks)[1:]
 
@@ -564,7 +551,7 @@ def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
             prod = lo.take(blo[j : j + width], axis=1)
             prod |= hi.take(bhi[j : j + width], axis=1)
             lhs = np.bitwise_count(prod)
-            lhs += stab[prod]
+            lhs += stab.take(prod)
             fail = lhs < acard[i : i + step, None] + bcard[None, j : j + width]
             if fail.any():  # rare, and np.nonzero is slow on a 2-D array
                 for a, b in zip(*np.nonzero(fail)):

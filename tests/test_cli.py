@@ -22,11 +22,14 @@ def run_cli(capsys, *argv):
 
 
 def assert_usage_error(capsys, *argv):
-    """Exit code 2 and one JSON line on stderr with code UsageError."""
+    """Exit code 2 and one JSON line on stderr with code UsageError; returns
+    its message."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert json.loads(err)["error"]["code"] == "UsageError"
+    error = json.loads(err)["error"]
+    assert error["code"] == "UsageError"
+    return error["message"]
 
 
 def test_parse_group_spec_inline():
@@ -474,6 +477,8 @@ def test_recheck_cycle(tmp_path, capsys):
 UNREADABLE = {
     "deep": ("[" * 5000 + "]" * 5000).encode(),  # past the JSON parser's nesting depth
     "latin-1": b'{"preset": "cyclic", "n": 4, "name": "\xe9"}',
+    # two valid tables under one key: a parser that keeps the last builds Z3
+    "key twice": b'{"table": [[0, 1], [1, 0]], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}',
 }
 
 
@@ -486,6 +491,30 @@ def test_unreadable_files_exit_2(tmp_path, capsys, content, use):
         assert_usage_error(capsys, "recheck", str(path))
     else:
         assert_usage_error(capsys, "doubling", "--group", str(path), "--setA", "0")
+
+
+def test_a_certificate_with_a_key_twice_is_refused(tmp_path, capsys):
+    """A `doubling` record whose config holds "group" twice, Z9 and then Z8:
+    a parser that keeps the last key rechecks it as the Z8 record it was."""
+    cert = tmp_path / "cert.json"
+    assert main(["doubling", "--group", "cyclic:8", "--setA", "0,1", "--out", str(cert)]) == 0
+    record = json.loads(cert.read_text())
+    config = json.dumps(record.pop("config"))
+    twice = '{"group": {"preset": "cyclic", "n": 9}, ' + config[1:]
+    cert.write_text(json.dumps(record)[:-1] + ', "config": ' + twice + "}")
+    assert json.loads(cert.read_text())["config"]["group"] == {"n": 8, "preset": "cyclic"}
+    assert "duplicate key 'group'" in assert_usage_error(capsys, "recheck", str(cert))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_certificate_holding_nan_is_refused(tmp_path, capsys, constant):
+    cert = tmp_path / "cert.json"
+    assert main(["doubling", "--group", "cyclic:8", "--setA", "0,1", "--out", str(cert)]) == 0
+    text = cert.read_text().replace('"cardinality_a": 2', f'"cardinality_a": {constant}')
+    assert constant in text
+    cert.write_text(text)
+    message = assert_usage_error(capsys, "recheck", str(cert))
+    assert f"{constant} is not a JSON number" in message
 
 
 def _product_file(tmp_path, factors) -> Path:

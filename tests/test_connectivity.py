@@ -182,18 +182,30 @@ def test_bruteforce_examples():
 
 @pytest.mark.parametrize("G", BRUTE_GROUPS, ids=lambda g: g.name)
 def test_bruteforce_matches_naive_oracle(G):
-    rng = random.Random(G.order * 17)
+    # K = 0, a negative K, K = (2^69 + 1)/2^70 (just above 1/2, with terms far
+    # past n) and a K below -n, beside three with small terms; K = 1 has no
+    # identity atom to classify.
+    n = G.order
+    ks = [Fraction(1, 4), HALF, Fraction(5, 6), Fraction(0), Fraction(-2, 3),
+          Fraction(2**69 + 1, 2**70), Fraction(-2 * n - 1, 2), Fraction(1)]
+    rng = random.Random(n * 17)
     for trial in range(6):
-        smask = rng.randrange(1, 1 << G.order)
-        S = Subset(G.order, smask)
-        for K in (Fraction(1, 4), HALF, Fraction(5, 6)):
-            res = connectivity_bruteforce(G, S, K, collect_fragments=True)
+        smask = rng.randrange(1, 1 << n)
+        S = Subset(n, smask)
+        for K in ks:
+            classify = K < 1
+            res = connectivity_bruteforce(
+                G, S, K, collect_fragments=True, classify_atom=classify
+            )
             kappa, fragments = naive_connectivity(G, S.elements(), K)
             assert res.kappa == kappa
             assert {frozenset(f.elements()) for f in res.fragments} == set(fragments)
             assert res.fragment_total == len(fragments)
-            _, atom = naive_identity_atom(G, S.elements(), K)
-            assert set(res.identity_atom.elements()) == atom
+            if classify:
+                _, atom = naive_identity_atom(G, S.elements(), K)
+                assert set(res.identity_atom.elements()) == atom
+            else:
+                assert res.identity_atom is None and res.atom_is_subgroup is None
 
 
 def test_bruteforce_fragment_properties():

@@ -3,7 +3,7 @@ Kneser search, each against its plain reference.
 
 - `setalg.fixed_factor_product` against `product_mask`, at widths that are
   and are not multiples of 8, up to order 64, with one and two factors;
-- `theorems._narrow_ratio`, and the uint16 comparison `_exceeds` of the
+- `rationals.narrow_ratio`, and the uint16 comparison `_exceeds` of the
   exhaustive Petridis check, against the Fraction comparison a > K*s;
 - `theorems._fails` against the plain-set oracle.
 """
@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from smalldoubling import Subset, dihedral
 from smalldoubling.setalg import fixed_factor_product, product_mask
-from smalldoubling.theorems import _exceeds, _fails, _narrow_ratio
+from smalldoubling.rationals import narrow_ratio
+from smalldoubling.theorems import _exceeds, _fails
 from oracles import naive_kneser_fails
 from test_setalg import GROUPS
 
@@ -73,10 +74,10 @@ def test_narrowed_ratio_comparison_is_the_exact_one(p, q, n):
     import numpy as np
 
     K = Fraction(p, q)
-    narrow_p, narrow_q = _narrow_ratio(p, q, n)
-    assert 0 <= narrow_p <= max(p, n) and 1 <= narrow_q <= max(q, n)
-    if max(p, q) > n:
-        assert narrow_p <= n and narrow_q <= n
+    narrow_p, narrow_q = narrow_ratio(K, n)
+    assert 0 <= narrow_p <= 2 * n and 1 <= narrow_q <= 2 * n
+    if K.numerator <= n and K.denominator <= n:
+        assert (narrow_p, narrow_q) == (K.numerator, K.denominator)
     pairs = [(a, s) for a in range(n + 1) for s in range(n + 1)]
     exact = [a > K * s for a, s in pairs]
     assert [narrow_q * a > narrow_p * s for a, s in pairs] == exact

@@ -255,6 +255,8 @@ def _drive_everything(tmp_path):
 
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"table": [[0, 1], [0, 1]]}))
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"payload": NaN}')
     out, rec = str(tmp_path / "out"), str(tmp_path / "rec.json")
     runs = {
         0: [
@@ -267,6 +269,7 @@ def _drive_everything(tmp_path):
             ["doubling", "--setA", "0", "--out", out],
             ["doubling", "--group", "cyclic:0", "--setA", "0", "--out", out],
             ["doubling", "--group", str(table), "--setA", "0", "--out", out],
+            ["recheck", str(nan), "--out", out],
         ],
     }
     for code, argvs in runs.items():

@@ -17,7 +17,8 @@ the minimizer at the subset and order caps, brute force and atoms at order 16, t
 multi-coset branch of the structure theorem, both branches and the
 subgroup-restricted solver at order 64 (the identity atom's min cut), the
 same with S in a right coset of an order-8 subgroup (the min cut inside
-<SS^-1>), and an explicit table whose identity is not index 0.  A product of such tables must
+<SS^-1>), a `conv gap` with epsilon* = 0, where the hypothesis is just
+vacuous, and an explicit table whose identity is not index 0.  A product of such tables must
 certify exactly as the explicit table it builds.
 
 `workload_payloads.json` holds the 43 configs of round 0 of the benchmark
@@ -242,6 +243,10 @@ FIXED = {
             "solver": "subgroup_restricted",
         },
     ),
+    "conv-gap-Z8-vacuous": (  # epsilon* = 0: the hypothesis is vacuous at its edge
+        "conv-gap",
+        {"group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1, 4]}},
+    ),
     "table-doubling": ("doubling", {"group": TABLE_S3, "sets": {"A": [0, 1, 2]}}),
     "table-theorem-main": (
         "theorem-main",
@@ -288,6 +293,7 @@ DIGESTS = {
     "theorem-main-Q64-coset-single": "f6ff90264985af9ac27ce9be46892ac0a5d34b3c500ccdf7f79739f1aaf51628",
     "theorem-main-D32-coset-multi": "d255ff734562330169947c02914c11e531e95c2cf8fa168ff09f819ea0103d67",
     "connectivity-subgroup-coset-64": "07b858b3b1852399ef60d0a0e482af4691eb2a80a1bb71c537ccf00e1aaae57c",
+    "conv-gap-Z8-vacuous": "03393de3bb5535c1adbd652f5545a86169ff39d6b30174e4e7d72df7b1e2e899",
     "table-doubling": "982b24a3ea78dace090bc7423a74bf823f05b0f1dccc76166edd20c69ce61e2f",
     "table-theorem-main": "5f1faa1a640639cd942dd9b9f5cc676c8cbe229b93d43f7e8735dfb63fec7236",
     "table-kneser-scan": "da636f975be46b93ef7d0b1667d1d119ecf2265a7f2d828fd32c27d2733e6983",
