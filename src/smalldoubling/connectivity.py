@@ -24,7 +24,7 @@ from .groups import (
     DEFAULT_FRAGMENT_CAP, GroupTable, _check_member, _generate, image, is_subgroup_mask,
 )
 from .rationals import as_fraction, narrow_ratio
-from .setalg import expansion_rows, or_of_rows, product_mask, product_size_table
+from .setalg import _check_width, expansion_rows, half_tables, or_of_rows, product_mask
 from .subsets import Subset, iter_bits
 
 
@@ -75,7 +75,7 @@ def connectivity_bruteforce(
     """Exact kappa by scanning every nonempty subset of G.
 
     This is the oracle path: no structure theory is assumed.  The scan runs
-    over the full powerset table, so a group above SUBSET_TABLE_LIMIT (24)
+    over all 2^n masks, so a group above SUBSET_TABLE_LIMIT (24)
     is refused with SizeLimitExceeded; the certificate runners apply the
     config's lower brute-force cap.  The cost of M depends only on
     (s, c) = (|M*S|, |M|), both in [0, n], and two such pairs compare by the
@@ -83,8 +83,13 @@ def connectivity_bruteforce(
     p/q with terms of at most 2n + 1 that has the same signs, so q*s - p*c
     orders the masks exactly as the cost does, ties included, and fits int16:
     |q*s - p*c| <= 2 * 49 * 24 = 2,352.  kappa is then the cost of one
-    minimizer in Fractions, with K itself.  Both size tables are uint8 and
-    built afresh.
+    minimizer in Fractions, with K itself.
+
+    M*S is the outer OR of the two `setalg.half_tables` of the rows g*S,
+    h = n // 2, high half first, so the costs are indexed by M itself.  p*c
+    is taken off in two broadcasts, p*|M >> h| and p*|M & (2^h - 1)|, and
+    each partial sum keeps the bound above.  |M| is counted only for the
+    fragments.
     """
     import numpy as np
 
@@ -93,22 +98,26 @@ def connectivity_bruteforce(
     K = _cost_params(G, S, K)
     n = G.order
     _check_k(K, classify_atom)
+    _check_width(n)  # before the rows become uint32
 
     p, q = narrow_ratio(K, n)
-    sizes = product_size_table(G, S)
-    cards = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    lo, hi = half_tables(np.array(expansion_rows(G, S), dtype=np.uint32), n // 2)
+    sizes = np.bitwise_count(np.bitwise_or.outer(hi, lo))
+    # p*|m| for m below 2^(n - h), which covers the low half's indices too
+    pc = np.multiply(np.bitwise_count(np.arange(len(hi), dtype=np.uint32)), p, dtype=np.int16)
     costs = np.multiply(sizes, q, dtype=np.int16)
-    costs -= np.multiply(cards, p, dtype=np.int16)
-    costs[0] = np.iinfo(np.int16).max  # the empty set, above every nonempty M
+    costs -= pc[:, None]
+    costs -= pc[: len(lo)]
+    costs[0, 0] = np.iinfo(np.int16).max  # the empty set, above every nonempty M
     frag_idx = np.flatnonzero(costs == costs.min())
     fragment_total = int(frag_idx.size)
-    m = frag_idx[0]
-    kappa = int(sizes[m]) - K * int(cards[m])
+    m = int(frag_idx[0])
+    kappa = sizes.item(m) - K * m.bit_count()
 
     fragments = None
     if collect_fragments:
         keyed = sorted(
-            (int(cards[m]), tuple(iter_bits(int(m))), int(m)) for m in frag_idx
+            (m.bit_count(), tuple(iter_bits(m)), m) for m in frag_idx.tolist()
         )
         fragments = tuple(Subset(n, m) for _, _, m in keyed[:fragment_cap])
 
@@ -118,7 +127,7 @@ def connectivity_bruteforce(
         id_mask = frag_idx[(frag_idx >> G.identity) & 1 == 1]
         if id_mask.size == 0:
             raise TheoryViolation("no fragment contains the identity")
-        id_cards = cards[id_mask]
+        id_cards = np.bitwise_count(id_mask)
         min_card = id_cards.min()
         candidates = id_mask[id_cards == min_card]
         if candidates.size != 1:

@@ -12,22 +12,25 @@ Subset tables are built here, with one doubling loop per representation:
 entry m is the OR of rows[i] over the set bits i of m, and the masks with
 top bit i are those below 2^i with bit i added, so each row doubles the
 filled prefix.  `or_table` does it on a plain list; `mask_tables_from_rows`
-on numpy rows of any leading shape; `mask_table_from_rows` on one list of
-rows.  Every numpy mask table is uint32: a table has at most
+on numpy rows of any leading shape.  Brute-force connectivity and the
+Kneser scan cover all 2^n masks of a group with `half_tables`: one table
+over the first h rows and one over the rest, whose outer OR is the full
+table.  Every numpy mask table is uint32: a table has at most
 SUBSET_TABLE_LIMIT = 24 rows, so no mask it holds needs more than 32 bits,
-and a wider table is refused with SizeLimitExceeded before any row is
+and a caller refuses a wider one with `_check_width` before any row is
 converted.  No table is cached.  Groups are shared: `groups._build_spec`
-keeps the last 32 it built, so equal specs get one GroupTable.  A subset
-table still belongs to one call, so the two `lru_cache(maxsize=0)` below
-must stay at 0: keyed on a kept group, they would keep its 2^n-entry tables
-alive with it.
+keeps the last 32 it built, so equal specs get one GroupTable.
+`mask_table_from_rows`, `product_mask_table` and `product_size_table` build
+one full table from a list of rows; no certificate path calls them, and they
+stay only because bench/tracing.py wraps them by name (ROADMAP item 2).
+Their two `lru_cache(maxsize=0)` must stay at 0: keyed on a kept group, they
+would keep its 2^n-entry tables alive with it.
 
 `fixed_factor_product` tabulates the rows g*F by 8-bit chunk with
 `or_table`, so m*F takes ceil(n/8) lookups and needs no numpy; given several
 factors it packs their rows n bits apart, so the same ceil(n/8) lookups give
 every product m*F at once.  The numpy tables give |A*S| for *every* subset A
-at once, which makes the exhaustive sweeps cheap; `product_size_table` is
-that size table, as uint8.
+at once, which makes the exhaustive sweeps cheap.
 
 numpy is imported inside the functions that touch arrays, here and in
 `connectivity` and `theorems`, so that a command without a subset table
@@ -233,6 +236,14 @@ def mask_tables_from_rows(rows: np.ndarray) -> np.ndarray:
     for k in range(width):
         np.bitwise_or(out[..., : 1 << k], rows[..., k : k + 1], out=out[..., 1 << k : 2 << k])
     return out
+
+
+def half_tables(rows: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): `mask_tables_from_rows` of the first h columns of `rows`
+    and of the rest.  Mask m's entry is lo[..., m & (2^h - 1)] |
+    hi[..., m >> h], and the full table of one row set, hi-major, is
+    np.bitwise_or.outer(hi, lo)."""
+    return mask_tables_from_rows(rows[..., :h]), mask_tables_from_rows(rows[..., h:])
 
 
 def mask_table_from_rows(rows: list[int]) -> np.ndarray:

@@ -23,6 +23,7 @@ from .setalg import (
     coset_cover,
     expansion_rows,
     fixed_factor_product,
+    half_tables,
     mask_tables_from_rows,
     or_of_rows,
     or_table,
@@ -467,17 +468,14 @@ class SearchReport:
 
 def _half_tables(G: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The right (G.cols) and left (G.mul) translations of every mask, as a
-    pair (lo, hi) of per-element OR tables each: lo[g] over bits 0..h-1 of
-    the mask and hi[g] over bits h..n-1, h = n // 2."""
+    pair (lo, hi) of per-element OR tables each: `setalg.half_tables` of the
+    rows of bits, h = n // 2."""
     import numpy as np
 
-    h = G.order // 2
-
-    def halves(perms) -> tuple[np.ndarray, np.ndarray]:
-        bits = np.left_shift(np.uint32(1), np.array(perms, dtype=np.uint32))
-        return mask_tables_from_rows(bits[:, :h]), mask_tables_from_rows(bits[:, h:])
-
-    return halves(G.cols), halves(G.mul)
+    return tuple(
+        half_tables(np.left_shift(np.uint32(1), np.array(perms, dtype=np.uint32)), G.order // 2)
+        for perms in (G.cols, G.mul)
+    )
 
 
 def _orbit_tables(
@@ -494,7 +492,7 @@ def _orbit_tables(
     import numpy as np
 
     def full(halves, g):  # image(perms[g], m) for every mask m
-        return (halves[1][g][:, None] | halves[0][g][None, :]).ravel()
+        return np.bitwise_or.outer(halves[1][g], halves[0][g]).ravel()
 
     masks = np.arange(1 << G.order, dtype=np.uint32)
     rmin = masks.copy()
@@ -545,8 +543,7 @@ def _orbit_scan(G: GroupTable) -> list[tuple[int, int]]:
     width = (1 << BLOCK_BITS) // step
     blo, bhi = breps & low, breps >> h
     for i in range(0, len(areps), step):
-        lo = mask_tables_from_rows(rows[i : i + step, :h])
-        hi = mask_tables_from_rows(rows[i : i + step, h:])
+        lo, hi = half_tables(rows[i : i + step], h)
         for j in range(0, len(breps), width):
             prod = lo.take(blo[j : j + width], axis=1)
             prod |= hi.take(bhi[j : j + width], axis=1)

@@ -12,6 +12,9 @@ exceptions are kept as they stood when their fast paths replaced them:
   loop, `np_or_table`, not the package's table kernel;
 - `full_table_petridis` tabulates C*X and C*X*S at every mask C in plain
   lists, as the exhaustive Petridis check did before it took blocks.
+`kneser_left_orbit_walk` shares the prefix walk's row and stabilizer tables,
+and reduces by left translation alone, which reaches order 16 in under a
+second a group.
 Nothing here imports the package.
 """
 
@@ -181,13 +184,14 @@ def naive_connectivity(G, S, K):
     return best, fragments
 
 
-def naive_identity_atom(G, S, K):
-    kappa, fragments = naive_connectivity(G, S, K)
+def naive_identity_atom(G, fragments):
+    """The smallest of `fragments`, all the fragments as `naive_connectivity`
+    returns them, that holds the identity."""
     containing = [f for f in fragments if G.identity in f]
     smallest = min(len(f) for f in containing)
     atoms = [f for f in containing if len(f) == smallest]
     assert len(atoms) == 1, "theory guarantees a unique identity atom for K < 1"
-    return kappa, atoms[0]
+    return atoms[0]
 
 
 def subgroup_atom(G, subgroups, S, K):
@@ -236,23 +240,28 @@ def failing_partners(G, amask, limit, cards, stab):
     A = [a for a in range(G.order) if amask >> a & 1]
     rows = [sum(1 << col[a] for a in A) for col in G.cols]  # A*g, col[a] = a*g
     prod = np_or_table(rows)[1 : limit + 1]
-    lhs = np.bitwise_count(prod) + stab[prod]
+    lhs = np.bitwise_count(prod) + stab.take(prod)
     return np.nonzero(lhs < cards[1 : limit + 1] + int(cards[amask]))[0] + 1
+
+
+def cards_and_stabilizers(G):
+    """(cards, stab) as numpy arrays over every mask m: |m| and
+    #{h : m*h = m}."""
+    import numpy as np
+
+    masks = np.arange(1 << G.order, dtype=np.uint64)
+    stab = np.zeros(len(masks), dtype=np.uint8)
+    for col in G.cols:
+        stab += np_or_table([1 << y for y in col]) == masks
+    return np.bitwise_count(masks), stab
 
 
 def kneser_prefix_walk(G, budget):
     """(pairs_checked, exhausted, failing pairs) over the first `budget` pairs
     (A, B) in mask order, A major, one full table row A*B per A; the pairs
-    come in that order.  stab[m] = #{h : m*h = m} for every mask m."""
-    import numpy as np
-
-    n = G.order
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint64)
-    stab = np.zeros(size, dtype=np.uint8)
-    for col in G.cols:
-        stab += np_or_table([1 << y for y in col]) == masks
-    cards = np.bitwise_count(masks)
+    come in that order."""
+    size = 1 << G.order
+    cards, stab = cards_and_stabilizers(G)
     found = []
     pairs_checked = 0
     for amask in range(1, size):
@@ -263,6 +272,28 @@ def kneser_prefix_walk(G, budget):
         found.extend((amask, b) for b in partners.tolist())
         pairs_checked += limit
     return pairs_checked, pairs_checked >= (size - 1) ** 2, found
+
+
+def kneser_left_orbit_walk(G):
+    """The set of all failing pairs (A, B), from one A per left-translation
+    orbit.  (x*A)*B = x*(A*B) has the size of A*B and its right stabilizer,
+    so (A, B) fails exactly when (x*A, B) does: each A that is the smallest
+    of its x*A is tested against every B with one full table row, and each
+    failure spreads over the x*A.  There is no B orbit and no recovery of
+    partners by translation."""
+    import numpy as np
+
+    size = 1 << G.order
+    cards, stab = cards_and_stabilizers(G)
+    lefts = [np_or_table([1 << y for y in row]) for row in G.mul]  # lefts[x][m] = x*m
+    least = np.minimum.reduce(lefts)
+    found = set()
+    for amask in np.flatnonzero(least == np.arange(size))[1:].tolist():
+        partners = failing_partners(G, amask, size - 1, cards, stab).tolist()
+        if partners:
+            for a in {int(left[amask]) for left in lefts}:
+                found.update((a, b) for b in partners)
+    return found
 
 
 def naive_convolve(G, u, v):

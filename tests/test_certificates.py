@@ -523,6 +523,31 @@ def test_the_largest_int_issues_writes_and_rechecks(name):
     assert recheck(record, caps={**DEFAULT_CAPS, **config.get("caps", {})}).ok
 
 
+# An int option at its inclusive lower bound, 0, in a config of its command,
+# with what the payload then says.
+AT_LOWER_BOUND = {
+    "petridis-budget": ("petridis", {
+        "group": {"preset": "cyclic", "n": 8}, "sets": {"A": [0, 1], "S": [0, 1]},
+        "mode": "sampled", "seed": 1, "budget": 0}, {"verified_c_count": 0}),
+    "search-budget": ("search-kneser-failure", {
+        "group": {"preset": "symmetric", "n": 3}, "budget": 0},
+        {"pairs_checked": 0, "exhausted": False, "findings": []}),
+    "fragment_cap": ("connectivity", {
+        "group": {"preset": "cyclic", "n": 6}, "sets": {"S": [0, 1]}, "K": "1/2",
+        "solver": "brute_force", "fragments": True, "fragment_cap": 0},
+        {"fragments": [], "fragment_total": 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_LOWER_BOUND))
+def test_an_option_at_its_lower_bound_issues_and_rechecks(name):
+    command, config, expect = AT_LOWER_BOUND[name]
+    payload = run(command, config)
+    assert {key: payload[key] for key in expect} == expect
+    record = json.loads(json.dumps(make_record(command, config, payload)))
+    assert recheck(record).ok
+
+
 @pytest.mark.parametrize(
     "group,sets,error",
     [

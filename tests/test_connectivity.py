@@ -152,13 +152,16 @@ def test_submodularity_exhaustive_small():
             assert lhs <= cost(G, S, K, A) + cost(G, S, K, B)
 
 
+# Z1 and Z9 split their masks into uneven halves: none and 1, 4 and 5 bits.
 BRUTE_GROUPS = [
+    cyclic(1),
     cyclic(6),
     cyclic(8),
     symmetric(3),
     dihedral(4),
     quaternion(2),
     direct_product([cyclic(2), cyclic(4)]),
+    cyclic(9),
 ]
 
 
@@ -202,8 +205,7 @@ def test_bruteforce_matches_naive_oracle(G):
             assert {frozenset(f.elements()) for f in res.fragments} == set(fragments)
             assert res.fragment_total == len(fragments)
             if classify:
-                _, atom = naive_identity_atom(G, S.elements(), K)
-                assert set(res.identity_atom.elements()) == atom
+                assert set(res.identity_atom.elements()) == naive_identity_atom(G, fragments)
             else:
                 assert res.identity_atom is None and res.atom_is_subgroup is None
 
@@ -302,7 +304,7 @@ def test_bruteforce_is_exact_at_any_k(G):
         assert res.kappa == kappa
         assert {f.elements() for f in res.fragments} == {tuple(sorted(f)) for f in fragments}
         assert res.fragment_total == len(fragments)
-        assert set(res.identity_atom.elements()) == naive_identity_atom(G, [0, 1], K)[1]
+        assert set(res.identity_atom.elements()) == naive_identity_atom(G, fragments)
     res = connectivity_bruteforce(
         G,
         S, Fraction(1),
@@ -448,7 +450,8 @@ def test_atom_proposition_examples():
     assert {a.elements() for a in rep.atoms} == {(0, 3), (1, 4), (2, 5)}
     assert rep.identity_atom.elements() == (0, 3)
 
-    with pytest.raises(KOutOfRange):
+    # Refused by the proposition's own bound, not by the brute force's.
+    with pytest.raises(KOutOfRange, match="stated for K < 1"):
         verify_atom_proposition(Z6, Z6.subset([0, 3]), Fraction(1))
 
 

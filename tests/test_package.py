@@ -213,6 +213,10 @@ UNREACHED = {
     "groups.catalogue": UNCALLED_EXPORTS["catalogue"],
     "groups.from_spec": "called by bench/probe.py",
     "schema.validate_record": "wrapped by bench/tracing.py and called by the tests",
+    **dict.fromkeys(
+        ["setalg.mask_table_from_rows", "setalg.product_mask_table", "setalg.product_size_table"],
+        "wrapped by bench/tracing.py; ROADMAP item 2 deletes them",
+    ),
 }
 
 def _package_functions():
@@ -334,16 +338,16 @@ def test_star_import():
 def test_benchmark_tracer_finds_every_module():
     """Import the package as the benchmark's worker does, then build, install
     and remove its tracer, which looks each wrapped module up in sys.modules.
-    A traced table-building certificate (brute-force connectivity on D4)
-    counts 2^8 entries per `mask_table_from_rows` call: only lists of rows
-    may reach that name, since the tracer counts 2^len(rows) entries.  The
+    A traced `mask_table_from_rows` call counts 2^len(rows) entries, so only
+    lists of rows may reach that name; a brute-force certificate (on D4)
+    reaches none of the three full-table builders.  The
     tracer's work counts read the group, the minimizer's A and the checked
     counts of Petridis verification and of an exhaustive scan.  One traced
     record is rechecked, as the benchmark's recheck phase does, and its
     replay counts as a call of `run`."""
     script = (
         "import importlib.util, sys\n"
-        "from smalldoubling import certificates, groups\n"
+        "from smalldoubling import certificates, groups, setalg\n"
         f"spec = importlib.util.spec_from_file_location('tracing', {str(ROOT / 'bench' / 'tracing.py')!r})\n"
         "tracing = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(tracing)\n"
@@ -358,6 +362,10 @@ def test_benchmark_tracer_finds_every_module():
         "          'K': '1/2', 'solver': 'brute_force'}\n"
         "certificates.run('connectivity', config)\n"
         "brute = tracer.totals()\n"
+        "tables = ('mask_table_from_rows', 'product_mask_table', 'product_size_table')\n"
+        "assert not [f for f in tables if f'setalg.{f}.calls' in brute], brute\n"
+        "setalg.mask_table_from_rows([1, 2, 4, 8, 16, 32, 64, 128])\n"
+        "setalg.mask_table_from_rows([3, 5])\n"
         "del config['solver']\n"
         "certificates.run('atoms', config)\n"
         "config = {'group': {'preset': 'cyclic', 'n': 8}, 'sets': {'A': [0, 1], 'S': [0, 1]},\n"
@@ -369,8 +377,8 @@ def test_benchmark_tracer_finds_every_module():
         "totals = tracer.totals()\n"
         "assert totals['certificates.recheck.calls'] == 1, totals\n"
         "assert totals['certificates.run.calls'] == 6, totals  # the recheck's replay too\n"
-        "calls = brute['setalg.mask_table_from_rows.calls']\n"
-        "assert calls > 0 and brute['setalg.mask_table_from_rows.entries'] == calls << 8, brute\n"
+        "assert totals['setalg.mask_table_from_rows.calls'] == 2, totals\n"
+        "assert totals['setalg.mask_table_from_rows.entries'] == (1 << 8) + (1 << 2), totals\n"
         "assert totals['connectivity.connectivity_bruteforce.subsets'] == 2 * 255, totals\n"
         "assert totals['connectivity.verify_atom_proposition.self_ms'] > 0, totals\n"
         "assert totals['theorems.petridis_minimizer.subsets_visited'] == 3, totals\n"

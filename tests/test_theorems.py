@@ -36,6 +36,7 @@ from smalldoubling import (
     weak_kneser_check,
 )
 from oracles import (
+    kneser_left_orbit_walk,
     kneser_prefix_walk,
     naive_kneser_fails,
     naive_petridis_minimizer,
@@ -248,6 +249,11 @@ def test_weak_kneser_hypothesis_failures():
         weak_kneser_check(Z6, Z6.subset([0, 2, 4]), Z6.subset([0, 1]), Fraction(1))
     with pytest.raises(ValueError):
         weak_kneser_check(Z6, Z6.subset([0]), Z6.subset([0]), Fraction(2))
+    # The command line refuses epsilon = 0 itself, so only the library
+    # call reaches the open end of (0, 1].
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\], got 0"):
+            weak_kneser_check(Z6, Z6.subset([0]), Z6.subset([0]), zero)
     with pytest.raises(EmptySet):
         weak_kneser_check(Z6, Z6.subset([]), Z6.subset([0]), Fraction(1))
 
@@ -680,16 +686,21 @@ def test_scan_classification_matches_plain_path_on_s3():
             assert holds == ((amask, bmask) not in flagged)
 
 
+def _report_order(G, pairs):
+    """The mask pairs in the order `kneser_violation_scan` reports them."""
+    subset = lambda mask: Subset(G.order, mask)
+    return sorted(
+        pairs,
+        key=lambda p: (p[0].bit_count(), p[1].bit_count(), subset(p[0]).elements(),
+                       subset(p[1]).elements()),
+    )
+
+
 def _walk(G, budget):
     """The oracle row walk over the first `budget` pairs, its findings in
-    the order `kneser_violation_scan` reports them."""
+    report order."""
     pairs_checked, exhausted, found = kneser_prefix_walk(G, budget)
-    subset = lambda mask: Subset(G.order, mask)
-    found.sort(
-        key=lambda p: (p[0].bit_count(), p[1].bit_count(), subset(p[0]).elements(),
-                       subset(p[1]).elements())
-    )
-    return pairs_checked, exhausted, found
+    return pairs_checked, exhausted, _report_order(G, found)
 
 
 def _scanned(scan):
@@ -704,6 +715,28 @@ def test_orbit_scan_matches_prefix_walk(G):
     orbit = kneser_violation_scan(G, "exhaustive")
     assert orbit.pairs_checked == full and orbit.exhausted
     assert _scanned(orbit) == _walk(G, full)
+
+
+# The nonabelian groups of order 13-16 in catalogue(16).
+@pytest.mark.parametrize("G", [dihedral(7), dihedral(8), quaternion(4)], ids=lambda g: g.name)
+def test_orbit_scan_matches_left_orbit_walk(G):
+    # A prefix walk at order 16 is 2^32 pairs; this oracle tests one A per
+    # left-translation orbit against every B, with no B orbit and no partner
+    # recovery, so it checks the orbit pass by another reduction.
+    full = ((1 << G.order) - 1) ** 2
+    expect = _report_order(G, kneser_left_orbit_walk(G))
+    assert _scanned(kneser_violation_scan(G, "exhaustive")) == (full, True, expect)
+
+
+def test_orbit_scan_in_small_blocks_matches_prefix_walk(monkeypatch):
+    # Up to order 12 the products fit one block, and past it only a few
+    # representatives R fail (2 of D8's 807), so a block boundary that drops
+    # or repeats an R can pass the tests above.  With blocks of 2^8 masks,
+    # D6's 125 R come one to a block and its 381 b in two blocks.
+    monkeypatch.setattr(theorems, "BLOCK_BITS", 8)
+    D6 = dihedral(6)
+    full = ((1 << D6.order) - 1) ** 2
+    assert _scanned(kneser_violation_scan(D6, "exhaustive")) == _walk(D6, full)
 
 
 NONABELIAN_12 = [G for G in catalogue(12) if not G.is_abelian]
